@@ -28,7 +28,7 @@ from .return_time import (
     ReturnAnalysis,
     Verdict,
     VerdictLabel,
-    eval_F,
+    escape_prob,
     return_pmf,
     tau_alpha_finite,
 )
@@ -59,7 +59,7 @@ def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
         raise NotTransient("the last exit time is almost surely infinite "
                            "unless the chain is transient")
     analysis = return_pmf(model, n_max)
-    q = 1.0 - eval_F(model, 1.0)
+    q = escape_prob(model)
     pmf = q * analysis.u
     pmf.setflags(write=False)
     dp = decay_params(model)

@@ -38,6 +38,9 @@ from .model import (
 # series length for numeric moment partial sums
 _MOMENT_N = 1024
 
+# ceiling on the power tables of return_pmf, in bytes
+PMF_TABLE_BUDGET = 1 << 27
+
 # fitted-exponent regression window and grid size
 _FIT_LO, _FIT_HI, _FIT_POINTS = 1e-6, 1e-2, 50
 
@@ -49,13 +52,15 @@ _FIT_LO, _FIT_HI, _FIT_POINTS = 1e-6, 1e-2, 50
 def eval_F(model: JumpModel, t: float) -> float:
     """Minimal nonnegative root of x = t G(x), or +inf beyond the radius.
 
-    Monotone fixed-point iteration from 0 does the approach; once steps
-    are small a guarded Newton step sequence on g(x) = t G(x) - x
-    finishes from below (g is convex, so Newton from the left never
-    crosses the minimal root).  At t = R1 the root is tangential and
-    direct iteration cannot do better than ~sqrt(eps) there, so values
-    of t within a few ulp of R1 are answered from the decay analysis,
-    where the same point is the well-conditioned simple root of
+    At t = 1 the answer is the return probability: exactly 1 for a
+    recurrent law, 1 - escape_prob otherwise.  Elsewhere, monotone
+    fixed-point iteration from 0 does the approach; once steps are small
+    a guarded Newton step sequence on g(x) = t G(x) - x finishes from
+    below (g is convex, so Newton from the left never crosses the
+    minimal root).  At t = R1 the root is tangential and direct
+    iteration cannot do better than ~sqrt(eps) there, so values of t
+    within a few ulp of R1 are answered from the decay analysis, where
+    the same point is the well-conditioned simple root of
     G(x) = x G'(x).
     """
     t = float(t)
@@ -63,14 +68,14 @@ def eval_F(model: JumpModel, t: float) -> float:
         raise ValueError(f"transform argument must be a finite nonnegative real, got {t!r}")
     if t == 0.0:
         return 0.0
+    if t == 1.0:
+        return 1.0 - escape_prob(model)
     dp = decay_params(model)
     if math.isfinite(dp.R1):
         if t > dp.R1 * (1.0 + 1e-12):
             return math.inf
         if t >= dp.R1 * (1.0 - 2.0 ** -50):
             return dp.F_at_R1
-    if t == 1.0 and model.mu <= 1.0 + CRITICAL_TOL:
-        return 1.0  # recurrent: the root is exactly 1
     budget = 10 ** 6
     x = 0.0
     used = 0
@@ -96,6 +101,39 @@ def eval_F(model: JumpModel, t: float) -> float:
     raise NoConvergence(f"no root of x = {t!r}*G(x) located within {budget} iterations")
 
 
+def escape_prob(model: JumpModel) -> float:
+    """P(tau = infinity) = 1 - F(1): zero for a recurrent law.
+
+    For a transient law, G(x) = x has the root 1 and a smaller one, the
+    return probability.  Dividing out the root at 1 leaves
+    1 - sum_k P(J > k) x^k = 0, whose root is simple.  It is solved for
+    h = 1 - x, as psi(h)/h = (1 - mu) + sum_k P(J > k) (1 - (1-h)^k) = 0,
+    so h keeps its relative accuracy near criticality, where it is far
+    below the spacing of doubles next to 1.  Geometric laws give
+    h = (1 - 2p)/q in closed form.  The only other transient laws are
+    explicit (the radius-1 families and their reweightings have
+    mu <= 1); their finite tail series is bisected down to adjacent
+    doubles.
+    """
+    if model.mu <= 1.0 + CRITICAL_TOL:
+        return 0.0
+    if model.family == "geometric":
+        return (1.0 - 2.0 * model.p) / (1.0 - model.p)
+    a = model.coeffs
+    tails = np.cumsum(a[::-1])[::-1][1:]  # P(J > k), k = 0..m-1
+    k = np.arange(tails.size, dtype=float)
+    gap = mean_gap(model)  # 1 - mu < 0 at h = 0; psi(h)/h -> a_0 > 0 at h = 1
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if gap + float(np.dot(tails, -np.expm1(k * math.log1p(-mid)))) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 # ---------------------------------------------------------------------------
 # exact pmf and occupation sequence
 
@@ -119,6 +157,14 @@ class ReturnAnalysis:
         return self.f.size - 1
 
 
+def pmf_table_bytes(n_max: int) -> int:
+    """Worst-case size in bytes of the power tables ``return_pmf`` holds.
+
+    b = isqrt(N) baby steps plus the giant step, each at most N floats.
+    """
+    return (math.isqrt(n_max) + 1) * n_max * 8
+
+
 def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     """Exact f_1..f_N and u_0..u_N by truncated series powers of G.
 
@@ -126,18 +172,41 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     first-return path of length <= N (down-steps are at most 1 per
     step), so the kernel a_0..a_(N-1) makes every f_n exact up to float
     rounding, independent of the model's cached tail target.
+
+    Baby-step/giant-step split after Paterson and Stockmeyer: keep the
+    baby steps G^1..G^b with b = isqrt(N), advance the giant step G^m
+    in strides of b, and read f_(m+j) for j = 1..b as one dot product of
+    G^m with the reversed G^j over the window where both are nonzero.
+    Powers keep their natural length, cut at x^(N-1).  That is O(N^2.5)
+    time and O(N^1.5) memory; every operation is a product or sum of
+    nonnegative numbers, so each f_n keeps rounding-level relative
+    accuracy far into the tail.  Horizons whose tables would exceed
+    PMF_TABLE_BUDGET bytes are rejected before anything is allocated.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("pmf horizon must be at least 1")
+    need = pmf_table_bytes(n_max)
+    if need > PMF_TABLE_BUDGET:
+        raise ValueError(f"pmf horizon {n_max} needs {need >> 20} MiB of power "
+                         f"tables, above the {PMF_TABLE_BUDGET >> 20} MiB budget")
     kernel = exact_coefficients(model, n_max)
     kernel = np.trim_zeros(kernel, "b")  # exact float zeros carry nothing
+    b = math.isqrt(n_max)
+    baby = [kernel]
+    for _ in range(1, b):
+        baby.append(np.convolve(baby[-1], kernel)[:n_max])
     f = np.zeros(n_max + 1)
-    f[1] = kernel[0]
-    power = kernel[:n_max]
-    for n in range(2, n_max + 1):
-        power = np.convolve(power, kernel)[:n_max]
-        f[n] = power[n - 1] / n
+    giant = np.ones(1)
+    for m in range(0, n_max, b):
+        for j in range(1, min(b, n_max - m) + 1):
+            n = m + j
+            power = baby[j - 1]
+            lo = max(0, n - power.size)
+            hi = min(n, giant.size)
+            f[n] = float(np.dot(giant[lo:hi], power[n - hi:n - lo][::-1])) / n
+        if m + b < n_max:
+            giant = np.convolve(giant, baby[-1])[:n_max]
     u = np.zeros(n_max + 1)
     u[0] = 1.0
     for n in range(1, n_max + 1):

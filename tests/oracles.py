@@ -79,6 +79,43 @@ def evolve_first_return(jumps, n_max: int) -> np.ndarray:
     return np.array(f)
 
 
+def convolution_chain_pmf(jumps, n_max: int) -> np.ndarray:
+    """f_n = (1/n) [x^(n-1)] G(x)^n by one full convolution per power.
+
+    The O(N^3) chain the library used before its baby-step/giant-step
+    kernel, kept as the reference that kernel is gated against.  The
+    kernel is zero-padded to length N, so laws whose kernel is shorter
+    than the horizon need no special case.
+    """
+    a = np.zeros(n_max)
+    got = np.asarray(jumps, dtype=float)[:n_max]
+    a[: got.size] = got
+    f = np.zeros(n_max + 1)
+    f[1] = a[0]
+    power = a
+    for n in range(2, n_max + 1):
+        power = np.convolve(power, a)[:n_max]
+        f[n] = power[n - 1] / n
+    return f
+
+
+def geometric_first_return(p_num: int, p_den: int, n_max: int) -> np.ndarray:
+    """f_n = C(2n-2, n-1) p^n q^(n-1) / n for p = p_num/p_den, correctly rounded.
+
+    Skip-free walks with geometric jumps have this closed form; the
+    ratio of exact integers is rounded once, so values far below the
+    double range of p^n alone still come out to half an ulp.
+    """
+    q_num = p_den - p_num
+    num, den = p_num, p_den  # C(2n-2, n-1) p^n q^(n-1) as num/den at n = 1
+    out = [0.0]
+    for n in range(1, n_max + 1):
+        out.append(num / (n * den))
+        num = num * (2 * n) * (2 * n - 1) // (n * n) * p_num * q_num
+        den *= p_den * p_den
+    return np.array(out)
+
+
 def sqrt_series(n_max: int) -> np.ndarray:
     """Coefficients of 1 - sqrt(1 - t): f_n = (-1)^(n+1) binom(1/2, n)."""
     out = [Fraction(0)]

@@ -60,6 +60,29 @@ def test_pmf_csv(capsys):
     assert lines[2] == "1,0.5,0.5"
 
 
+@pytest.mark.parametrize("spec", ['{"family": "half_stable"}',
+                                  '{"family": "explicit", "a": [0.5, 0, 0.5]}'])
+def test_pmf_short_kernel(capsys, spec):
+    # kernels shorter than the horizon once a_1 = 0 is trimmed
+    for n in ("1", "2", "3"):
+        rec = run_json(capsys, ["pmf", "-m", spec, "-N", n])
+        assert len(rec["f"]) == int(n) + 1
+    assert rec["f"][2] == 0.0
+
+
+def test_pmf_horizon_beyond_table_budget(capsys, monkeypatch):
+    from repairchain import return_time
+
+    monkeypatch.setattr(return_time, "PMF_TABLE_BUDGET", return_time.pmf_table_bytes(64) - 1)
+    for argv in (["pmf", "-m", GEO_HALF, "-N", "64"],
+                 ["pmf", "--exit", "-m", GEO_QUARTER, "-N", "64"],
+                 ["exit", "-m", GEO_QUARTER, "-N", "64"],
+                 ["moments", "-m", GEO_THREE_QUARTER, "-k", "2"]):
+        assert cli.run(argv) == 1
+        assert "budget" in capsys.readouterr().err
+    assert cli.run(["pmf", "-m", GEO_HALF, "-N", "63"]) == 0
+
+
 def test_pmf_exit_variant(capsys):
     rec = run_json(capsys, ["pmf", "--exit", "-m", GEO_QUARTER, "-N", "4"])
     assert rec["q_exit"] == pytest.approx(2.0 / 3.0, abs=1e-12)

@@ -63,6 +63,24 @@ def test_renewal_identity(family_model):
 
 
 @settings(**SETTINGS)
+@given(k=st.integers(3, 12), sign=st.sampled_from([-1.0, 1.0]),
+       c=st.floats(1.0, 9.9))
+def test_return_prob_near_criticality(k, sign, c):
+    # geometric(1/2 +- c 10^-k): the return probability is 1 exactly on
+    # the recurrent side and p/q below it, with q_exit = (1 - 2p)/(1 - p)
+    # resolved far below the spacing of doubles next to 1
+    p = 0.5 + sign * c * 10.0**-k
+    model = rc.geometric(p)
+    prob = rc.return_pmf(model, 4).return_prob
+    assert 0.0 <= prob <= 1.0
+    recurrent = rc.classify(model) is not rc.ChainClass.TRANSIENT
+    assert (prob == 1.0) == recurrent
+    if not recurrent:
+        want = (1.0 - 2.0 * p) / (1.0 - p)
+        assert rc.exit_pmf(model, 4).q_exit == pytest.approx(want, rel=1e-6)
+
+
+@settings(**SETTINGS)
 @given(t=st.floats(0.05, 0.999))
 def test_return_transform_vs_inverse_drift(t):
     # the drift identity ties 1 - F(t) to the inverse drift function at

@@ -46,6 +46,72 @@ def test_pmf_shapes_and_mass(family_model):
         rc.return_pmf(family_model, 0)
 
 
+# laws whose kernel is shorter than the horizon: a_1 = 0 puts a zero
+# right after a_0, and every odd f_n of [0.5, 0, 0.5] vanishes
+ZERO_GAP_SPECS = [
+    {"family": "half_stable"},
+    {"family": "explicit", "a": [0.5, 0.0, 0.5]},
+]
+
+
+@pytest.mark.parametrize("spec", ZERO_GAP_SPECS, ids=lambda s: s["family"])
+def test_pmf_short_kernel_small_horizons(spec):
+    model = rc.build_model(spec)
+    for n_max in range(1, 7):
+        got = rc.return_pmf(model, n_max)
+        want = oracles.evolve_first_return(rc.exact_coefficients(model, n_max + 1), n_max)
+        assert np.max(np.abs(got.f - want)) < 1e-15
+        assert np.array_equal(got.f == 0.0, want == 0.0)
+
+
+GATE_MODELS = {
+    "geometric_0.25": lambda: rc.geometric(0.25),
+    "geometric_0.5": lambda: rc.geometric(0.5),
+    "geometric_0.75": lambda: rc.geometric(0.75),
+    "half_stable": rc.half_stable,
+    "power_zeta_3": lambda: rc.power_zeta(3.0),
+    "tilted_power_zeta": lambda: rc.tilt(rc.power_zeta(3.0), 0.9),
+    "explicit_gap": lambda: rc.explicit([0.5, 0.0, 0.5]),
+    "explicit_gaps": lambda: rc.explicit([0.4, 0.0, 0.0, 0.3, 0.0, 0.3]),
+}
+GATE_HORIZONS = [*range(1, 10), 16, 17, 100, 511, 512]
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pmf_kernel_matches_convolution_chain(name):
+    model = GATE_MODELS[name]()
+    for n_max in GATE_HORIZONS:
+        got = rc.return_pmf(model, n_max).f
+        want = oracles.convolution_chain_pmf(rc.exact_coefficients(model, n_max), n_max)
+        assert np.array_equal(got == 0.0, want == 0.0), n_max
+        nz = want != 0.0
+        assert np.all(np.abs(got[nz] - want[nz]) <= 1e-12 * want[nz]), n_max
+
+
+def test_pmf_kernel_far_tail_closed_form():
+    # geometric(1/4) at N = 2048 reaches f_n ~ 1e-262; every term must
+    # keep its relative accuracy, not just the head
+    got = rc.return_pmf(rc.geometric(0.25), 2048).f
+    want = oracles.geometric_first_return(1, 4, 2048)
+    assert want[-1] < 1e-260
+    assert np.all(np.abs(got[1:] - want[1:]) <= 1e-12 * want[1:])
+
+
+def test_pmf_table_budget(monkeypatch):
+    from repairchain import return_time
+
+    for n in (1, 2, 99, 2048, 65536):
+        assert return_time.pmf_table_bytes(n) == (math.isqrt(n) + 1) * n * 8
+    # the library's own default horizons fit
+    assert return_time.pmf_table_bytes(rc.last_exit.DEFAULT_EXIT_N) <= return_time.PMF_TABLE_BUDGET
+    assert return_time.pmf_table_bytes(return_time._MOMENT_N) <= return_time.PMF_TABLE_BUDGET
+    # a horizon one past the budget is refused before the kernel is built
+    monkeypatch.setattr(return_time, "PMF_TABLE_BUDGET", return_time.pmf_table_bytes(64) - 1)
+    monkeypatch.setattr(return_time, "exact_coefficients", None)  # must not be reached
+    with pytest.raises(ValueError, match="budget"):
+        rc.return_pmf(rc.geometric(0.5), 64)
+
+
 def test_return_prob_by_class():
     assert rc.return_pmf(rc.geometric(0.5), 8).return_prob == pytest.approx(1.0, abs=1e-12)
     assert rc.return_pmf(rc.geometric(0.75), 8).return_prob == pytest.approx(1.0, abs=1e-12)
