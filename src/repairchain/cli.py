@@ -157,6 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-k", type=int, default=None, help="integer weight power")
     p.add_argument("--alpha", type=float, default=None, help="fractional weight power")
     p.add_argument("--csv", action="store_true")
+    p.set_defaults(exit_=True)  # without -k/--alpha, exit is pmf --exit
 
     p = add("simulate", "Monte Carlo histogram of tau or L")
     group = p.add_mutually_exclusive_group()
@@ -244,14 +245,7 @@ def _do_finite(model, args):
 
 def _do_exit(model, args):
     if args.k is None and args.alpha is None:
-        n = _positive(args.N, "-N")
-        analysis = exit_mod.exit_pmf(model, n)
-        if args.csv:
-            _emit_csv("n,P_L_n", ((i, float(p)) for i, p in enumerate(analysis.pmf)))
-        else:
-            _emit({"N": n, "q_exit": analysis.q_exit,
-                   "pmf": [float(v) for v in analysis.pmf]})
-        return
+        return _do_pmf(model, args)
     k = args.k if args.k is not None else 0
     if k < 0:
         raise _UsageError("-k must be nonnegative")
@@ -308,10 +302,7 @@ def run(argv=None) -> int:
     try:
         model = _load_model(args.model)
         _VERBS[args.verb](model, args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InvalidSpec as exc:

@@ -26,11 +26,9 @@ tilting at x0 always lands on the critical line mu = 1.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-
-from scipy.optimize import brentq
 
 from .errors import NoConvergence, OutOfRadius
 from .model import (
@@ -85,7 +83,16 @@ def eta(model: JumpModel, x: float) -> float:
     return x / g
 
 
-_BRENT_RTOL = 8.881784197001252e-16  # 4 ulp, the minimum brentq accepts
+def _bisect(above, lo: float, hi: float) -> float:
+    """Bisect [lo, hi] to adjacent doubles, where above(x) says the root exceeds x; return hi."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def find_x0(model: JumpModel) -> float | None:
@@ -95,13 +102,14 @@ def find_x0(model: JumpModel) -> float | None:
     a root in (0, 1).  Positive recurrent chains may have one in (1, R);
     None signals there is no interior tangency point (the transform's
     singularity then sits at the boundary of the G-domain instead).
+    xi' = -x G'' < 0, so the sign of xi brackets the root and bisection
+    pins it to adjacent doubles.
     """
     if abs(model.mu - 1.0) <= CRITICAL_TOL:
         return 1.0
     if model.mu > 1.0:
         # xi(0+) = a_0 > 0 and xi(1) = 1 - mu < 0
-        return float(brentq(lambda x: xi(model, x), 1e-12, 1.0,
-                            xtol=1e-15, rtol=_BRENT_RTOL))
+        return _bisect(lambda x: xi(model, x) > 0.0, 1e-12, 1.0)
     radius = model.radius
     if radius <= 1.0:
         return None
@@ -125,13 +133,22 @@ def find_x0(model: JumpModel) -> float | None:
             lo = x_j
         if hi is None:
             return None
-    return float(brentq(lambda x: xi(model, x), lo, hi,
-                        xtol=1e-15, rtol=_BRENT_RTOL))
+    return _bisect(lambda x: xi(model, x) > 0.0, lo, hi)
 
 
-@lru_cache(maxsize=None)
+# keyed by model identity (JumpModel has eq=False); entries die with the model
+_PARAMS: "weakref.WeakKeyDictionary[JumpModel, DecayParams]" = weakref.WeakKeyDictionary()
+
+
 def decay_params(model: JumpModel) -> DecayParams:
-    """Full decay summary for a model; cached per model instance."""
+    """Full decay summary for a model; cached for the model's lifetime."""
+    params = _PARAMS.get(model)
+    if params is None:
+        params = _PARAMS[model] = _decay_params(model)
+    return params
+
+
+def _decay_params(model: JumpModel) -> DecayParams:
     if model.mu > 1.0 + CRITICAL_TOL:
         x0 = find_x0(model)
         r = eta(model, x0)

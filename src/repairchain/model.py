@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import InvalidSpec, OutOfRadius
 
@@ -48,6 +47,13 @@ _TAIL_TARGET = 1e-12
 _HALF_STABLE_CAP = 1 << 21
 
 _FAMILIES = ("explicit", "geometric", "half_stable", "power_zeta")
+
+# Euler-Maclaurin zeta: head sum below _ZETA_HEAD, then B_2j / (2j)! for
+# the Bernoulli numbers B_2 .. B_16
+_ZETA_HEAD = 16
+_ZETA_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                   -691 / 1307674368000, 1 / 74724249600,
+                   -3617 / 10670622842880000)
 
 
 class ChainClass(str, Enum):
@@ -181,6 +187,21 @@ def half_stable() -> JumpModel:
     )
 
 
+def _zeta(s: float) -> float:
+    """Riemann zeta for real s > 1 by Euler-Maclaurin summation.
+
+    Exact terms k^-s for k < 16, the integral and half-term at 16, then
+    eight Bernoulli corrections: a few ulp from s = 1.01 upwards.
+    """
+    n = _ZETA_HEAD
+    terms = [k ** -s for k in range(1, n)] + [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    rising = s * n ** (-s - 1.0)  # s (s+1) .. (s+2j-2) n^(-s-2j+1) at j = 1
+    for j, c in enumerate(_ZETA_BERNOULLI):
+        terms.append(c * rising)
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
+    return math.fsum(terms)
+
+
 @lru_cache(maxsize=16)
 def _power_zeta_cache(alpha: float) -> tuple[np.ndarray, float]:
     n_terms = int(math.ceil(10.0 ** (12.0 / alpha)))
@@ -203,7 +224,7 @@ def power_zeta(alpha: float) -> JumpModel:
     return JumpModel(
         family="power_zeta",
         coeffs=coeffs,
-        mu=float(_riemann_zeta(alpha)) - 1.0,
+        mu=_zeta(alpha) - 1.0,
         radius=1.0,
         tail_bound=tail,
         alpha=alpha,
@@ -343,7 +364,7 @@ def _power_zeta_G_at_one(alpha: float, order: int) -> float:
     poly = np.polynomial.polynomial.polyfromroots(roots) if roots.size else np.array([1.0])
     total = 0.0
     for i, c in enumerate(poly):
-        total += float(c) * (float(_riemann_zeta(alpha - i)) - 1.0)
+        total += float(c) * (_zeta(alpha - i) - 1.0)
     return order * total
 
 
@@ -456,7 +477,7 @@ def mean_gap(model: JumpModel) -> float:
     if model.family == "geometric":
         return (2.0 * model.p - 1.0) / model.p
     if model.family == "power_zeta":
-        return float(2.0 - _riemann_zeta(model.alpha))
+        return 2.0 - _zeta(model.alpha)
     if model.family == "half_stable":
         return 0.0
     if model.family == "tilted":

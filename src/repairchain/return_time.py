@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .decay import CaseLabel, decay_params, tilt
+from .decay import CaseLabel, _bisect, decay_params, tilt
 from .errors import NoConvergence, NotNullRecurrent, NotPositiveRecurrent
 from .model import (
     CRITICAL_TOL,
@@ -123,15 +123,8 @@ def escape_prob(model: JumpModel) -> float:
     tails = np.cumsum(a[::-1])[::-1][1:]  # P(J > k), k = 0..m-1
     k = np.arange(tails.size, dtype=float)
     gap = mean_gap(model)  # 1 - mu < 0 at h = 0; psi(h)/h -> a_0 > 0 at h = 1
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi
-        if gap + float(np.dot(tails, -np.expm1(k * math.log1p(-mid)))) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    return _bisect(lambda h: gap + float(np.dot(tails, -np.expm1(k * math.log1p(-h)))) < 0.0,
+                   0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +265,22 @@ def psi_inv(model: JumpModel, y: float) -> float:
 # asymptotic exponent of 1 - F near t = 1 (null-recurrent chains)
 
 
+def _critical_exponent(model: JumpModel) -> float:
+    """Analytic gamma with 1 - F(1-s) ~ s^gamma for a critical chain.
+
+    A finite G''(1) forces gamma = 1/2; a derivative singularity
+    1 - G'(t) ~ (1-t)^beta gives 1/(1+beta).  Every critical law the
+    constructors build falls under one of the two: geometric(1/2) and
+    explicit laws have G''(1) < inf, half_stable has beta = 1/2.
+    """
+    if math.isfinite(eval_G(model, 1.0, 2)):
+        return 0.5
+    beta = derivative_singularity_exponent(model)
+    if beta is None:
+        raise NoConvergence("no analytic exponent is known for this critical law")
+    return 1.0 / (1.0 + beta)
+
+
 @dataclass(frozen=True)
 class ExponentEstimate:
     gamma: float
@@ -281,22 +290,16 @@ class ExponentEstimate:
 def asymptotic_exponent(model: JumpModel, method: str = "auto") -> ExponentEstimate:
     """Exponent gamma with 1 - F(1-s) ~ s^gamma for a critical chain.
 
-    Analytic branches: finite G''(1) forces gamma = 1/2; a known
-    derivative singularity 1 - G'(t) ~ (1-t)^beta gives 1/(1+beta).
-    The fitted branch regresses log psi_inv(s) on log s over the
-    asymptotic window, which is also available on demand to cross-check
-    an analytic value.
+    "auto" takes the analytic value of ``_critical_exponent``.  The
+    fitted branch regresses log psi_inv(s) on log s over the asymptotic
+    window, available on demand to cross-check the analytic value.
     """
     if classify(model) is not ChainClass.NULL_RECURRENT:
         raise NotNullRecurrent("asymptotic exponent is defined for critical chains only")
     if method not in ("auto", "fitted"):
         raise ValueError(f"method must be 'auto' or 'fitted', got {method!r}")
     if method == "auto":
-        if math.isfinite(eval_G(model, 1.0, 2)):
-            return ExponentEstimate(gamma=0.5, method="analytic")
-        beta = derivative_singularity_exponent(model)
-        if beta is not None:
-            return ExponentEstimate(gamma=1.0 / (1.0 + beta), method="analytic")
+        return ExponentEstimate(gamma=_critical_exponent(model), method="analytic")
     pf = PsiFunction(model)
     s = np.geomspace(_FIT_LO, _FIT_HI, _FIT_POINTS)
     inv = np.array([pf.psi_inv(v) for v in s])
@@ -372,51 +375,17 @@ class Verdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _critical_alpha_threshold(model: JumpModel) -> float | None:
-    """Finiteness threshold for E(tau^alpha) on a critical chain, if known.
-
-    1 - F(1-s) ~ s^gamma makes E(tau^alpha) finite exactly for
-    alpha < gamma; gamma = 1/2 under a finite second derivative and
-    1/(1+beta) under a known derivative singularity of exponent beta.
-    """
-    if math.isfinite(eval_G(model, 1.0, 2)):
-        return 0.5
-    beta = derivative_singularity_exponent(model)
-    if beta is not None:
-        return 1.0 / (1.0 + beta)
-    return None
-
-
 def _null_verdict(model: JumpModel, alpha: float, quantity: str) -> Verdict:
+    # 1 - F(1-s) ~ s^gamma makes E(tau^alpha) finite exactly for alpha < gamma
     if alpha >= 1.0:
         return Verdict(quantity, VerdictLabel.INFINITE,
                        "the mean return time of a critical chain already diverges")
-    threshold = _critical_alpha_threshold(model)
-    if threshold is not None:
-        if alpha < threshold:
-            return Verdict(quantity, VerdictLabel.FINITE,
-                           f"below the critical exponent {threshold:g}")
-        return Verdict(quantity, VerdictLabel.INFINITE,
-                       f"at or above the critical exponent {threshold:g}")
-    return Verdict(quantity, VerdictLabel.UNKNOWN,
-                   "no analytic branch for this law; see diagnostics",
-                   diagnostics=_criterion_diagnostics(model, alpha))
-
-
-def _criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
-    # partial sums of the weighted criterion series with w(n) = n^alpha;
-    # reported, never turned into a verdict
-    from .series_tools import WeightFunction, criterion_terms
-
-    pf = PsiFunction(model)
-    w = WeightFunction.power(min(alpha, 1.0))
-    series = criterion_terms(w, lambda s: pf.psi_inv(s), 10 ** 4,
-                             checkpoints=(10 ** 3, 10 ** 4))
-    return {
-        "partial_sums": series.partial_sums,
-        "block_ratio": series.block_ratio,
-        "impression": series.impression,
-    }
+    threshold = _critical_exponent(model)
+    if alpha < threshold:
+        return Verdict(quantity, VerdictLabel.FINITE,
+                       f"below the critical exponent {threshold:g}")
+    return Verdict(quantity, VerdictLabel.INFINITE,
+                   f"at or above the critical exponent {threshold:g}")
 
 
 def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:

@@ -105,8 +105,15 @@ class SimReport:
     horizon: int | None = None
 
 
-def _hist_dict(counts: np.ndarray) -> dict:
-    return {int(n): int(c) for n, c in enumerate(counts) if c > 0}
+def _merge(results, size: int) -> tuple[dict, int]:
+    """Sum per-chunk (counts, extra) pairs into a sparse histogram and a total."""
+    counts = np.zeros(size, dtype=np.int64)
+    extra = 0
+    for chunk_counts, chunk_extra in results:
+        counts += chunk_counts
+        extra += chunk_extra
+    bins = np.nonzero(counts)[0]
+    return dict(zip(bins.tolist(), counts[bins].tolist())), extra
 
 
 def sample_tau(model: JumpModel, seed: int, samples: int,
@@ -139,12 +146,8 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
                 break
         return counts, keys.size
 
-    total = np.zeros(cap + 1, dtype=np.int64)
-    censored = 0
-    for counts, leftover in _run_chunks(worker, samples):
-        total += counts
-        censored += leftover
-    return SimReport(samples=samples, seed=int(seed), tau_hist=_hist_dict(total),
+    hist, censored = _merge(_run_chunks(worker, samples), cap + 1)
+    return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
                      L_hist={}, censored=censored, cap=cap)
 
 
@@ -195,10 +198,6 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
                     break
         return counts, flagged
 
-    total = np.zeros(horizon + 1, dtype=np.int64)
-    censored = 0
-    for counts, flagged in _run_chunks(worker, samples):
-        total += counts
-        censored += flagged
+    hist, censored = _merge(_run_chunks(worker, samples), horizon + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist={},
-                     L_hist=_hist_dict(total), censored=censored, horizon=horizon)
+                     L_hist=hist, censored=censored, horizon=horizon)

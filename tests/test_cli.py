@@ -5,9 +5,13 @@ what gets exercised, not a subprocess harness.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repairchain
 from repairchain import cli
 
 GEO_HALF = '{"family": "geometric", "p": 0.5}'
@@ -88,6 +92,16 @@ def test_pmf_exit_variant(capsys):
     assert rec["q_exit"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rec["pmf"][0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rec["pmf"][1] == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_pmf_exit_matches_exit_verb(capsys, fmt):
+    tail = ["-m", GEO_QUARTER, "-N", "16"] + fmt
+    assert cli.run(["pmf", "--exit"] + tail) == 0
+    via_pmf = capsys.readouterr().out
+    assert cli.run(["exit"] + tail) == 0
+    via_exit = capsys.readouterr().out
+    assert via_pmf and via_pmf == via_exit
 
 
 def test_decay_closed_forms(capsys):
@@ -267,3 +281,14 @@ def test_stdout_is_parseable_json_with_ints_kept(capsys):
     raw = capsys.readouterr().out
     assert status == 0
     assert '"mu": 1.0' in raw
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, repairchain, repairchain.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repairchain.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -117,3 +119,31 @@ def test_tilt_to_critical_refuses_radius_one():
 def test_decay_params_cached():
     m = rc.geometric(0.75)
     assert rc.decay_params(m) is rc.decay_params(m)
+
+
+def test_decay_params_cache_lets_models_go():
+    m = rc.geometric(0.75)
+    rc.decay_params(m)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("model, lo, hi", [
+    (rc.geometric(0.1), 1e-12, 1.0),
+    (rc.geometric(0.25), 1e-12, 1.0),
+    (rc.geometric(0.4999), 1e-12, 1.0),
+    (rc.explicit([0.2, 0.3, 0.1, 0.4]), 1e-12, 1.0),
+    (rc.explicit([0.1, 0.0, 0.0, 0.0, 0.9]), 1e-12, 1.0),
+    (rc.geometric(0.6), 1.0, 2.5),
+    (rc.geometric(0.75), 1.0, 4.0),
+    (rc.explicit([0.5, 0.2, 0.3]), 1.0, 10.0),
+    (rc.explicit([0.6, 0.1, 0.3]), 1.0, 10.0),
+])
+def test_find_x0_matches_brentq(model, lo, hi):
+    root = brentq(lambda x: xi(model, x), lo, hi, xtol=1e-15, rtol=4 * _EPS)
+    assert abs(rc.find_x0(model) - root) <= 4 * _EPS * root

@@ -5,6 +5,7 @@ import pytest
 
 import repairchain as rc
 from repairchain.errors import InvalidSpec, OutOfRadius
+from repairchain.model import _zeta
 
 import oracles
 
@@ -224,3 +225,23 @@ def test_mean_gap_beats_naive_subtraction():
     m = rc.geometric(0.75)
     assert rc.mean_gap(m) == 0.5 / 0.75
     assert 1.0 / rc.mean_gap(m) == 1.5
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("s, want", [
+    (2.0, math.pi ** 2 / 6.0),
+    (4.0, math.pi ** 4 / 90.0),
+    (6.0, math.pi ** 6 / 945.0),
+])
+def test_zeta_closed_forms(s, want):
+    assert abs(_zeta(s) - want) <= 2 * _EPS * want
+
+
+def test_zeta_matches_scipy():
+    from scipy.special import zeta  # oracle only, never imported by the package
+
+    for s in np.linspace(1.01, 40.0, 4000):
+        want = float(zeta(s))
+        assert abs(_zeta(float(s)) - want) <= 4 * _EPS * want, s

@@ -113,3 +113,17 @@ def test_simulation_validation(geo_half):
         rc.sample_tau(geo_half, seed=1, samples=100, cap=0)
     with pytest.raises(ValueError):
         rc.sample_last_exit(rc.geometric(0.25), seed=1, samples=100, horizon=0)
+
+
+def test_merged_histogram_matches_loop_reference():
+    from repairchain.sim import _merge
+
+    rng = np.random.default_rng(3)
+    chunks = [(rng.integers(0, 3, 50) * (rng.random(50) < 0.3), int(rng.integers(0, 5)))
+              for _ in range(4)]
+    total = sum(c for c, _ in chunks)
+    want = {n: int(c) for n, c in enumerate(total) if c > 0}
+    hist, extra = _merge(chunks, 50)
+    assert list(hist.items()) == list(want.items())
+    assert all(type(k) is int and type(v) is int for k, v in hist.items())
+    assert extra == sum(e for _, e in chunks)
