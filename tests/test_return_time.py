@@ -322,6 +322,23 @@ def test_tau_alpha_weighted_reduction():
     assert v.verdict is rc.VerdictLabel.FINITE
 
 
+@pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+def test_tilted_half_stable_reweights_back_to_half_stable(x):
+    # tilting at x < 1 and then at the tangency point 1/x composes to
+    # the identity; the critical law is half_stable with gamma = 2/3
+    m = rc.tilt(rc.half_stable(), x)
+    crit = rc.tilt_to_critical(m)
+    est = rc.asymptotic_exponent(crit)
+    assert est.method == "analytic"
+    assert est.gamma == 2.0 / 3.0
+    assert rc.tau_alpha_finite(crit, 0.3).verdict is rc.VerdictLabel.FINITE
+    v = rc.tau_alpha_finite(m, 0.3, r1_weighted=True)
+    assert v.verdict is rc.VerdictLabel.FINITE
+    assert "reduced" in v.reason
+    v = rc.tau_alpha_finite(m, 0.7, r1_weighted=True)
+    assert v.verdict is rc.VerdictLabel.INFINITE
+
+
 def test_tau_alpha_weighted_boundary_is_unknown():
     m = rc.tilt(rc.power_zeta(3.0), 0.5)
     v = rc.tau_alpha_finite(m, 0.5, r1_weighted=True)
