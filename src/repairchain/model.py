@@ -46,6 +46,10 @@ _TAIL_TARGET = 1e-12
 # on the cached sum).
 _HALF_STABLE_CAP = 1 << 21
 
+# ceiling on a geometric coefficient table, in bytes (p below about
+# 1.6e-6 would need more to reach the tail target)
+GEOMETRIC_TABLE_BUDGET = 1 << 27
+
 _FAMILIES = ("explicit", "geometric", "half_stable", "power_zeta")
 
 # Euler-Maclaurin zeta: head sum below _ZETA_HEAD, then B_2j / (2j)! for
@@ -140,6 +144,9 @@ def geometric(p: float) -> JumpModel:
         raise InvalidSpec(f"geometric parameter must lie in (0,1), got {p!r}")
     q = 1.0 - p
     n_terms = int(math.ceil(math.log(_TAIL_TARGET) / math.log(q)))
+    if n_terms * 8 > GEOMETRIC_TABLE_BUDGET:
+        raise InvalidSpec(f"geometric({p!r}) needs {n_terms} coefficients, above the "
+                          f"{GEOMETRIC_TABLE_BUDGET >> 20} MiB table budget")
     coeffs = p * q ** np.arange(n_terms, dtype=float)
     return JumpModel(
         family="geometric",

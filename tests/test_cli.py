@@ -182,6 +182,22 @@ def test_simulate_exit(capsys):
     assert rec["censored"] >= 0
 
 
+def test_simulate_beyond_histogram_budget(capsys):
+    # refused with exit 1 before any cap-sized array is allocated
+    for argv in (["simulate", "-m", GEO_HALF, "--samples", "10", "--cap", str(10 ** 11)],
+                 ["simulate", "--exit", "-m", GEO_QUARTER, "--samples", "10",
+                  "--horizon", str(10 ** 11)]):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and captured.out == ""
+
+
+def test_geometric_beyond_table_budget_is_invalid_spec(capsys):
+    # p = 1e-7 would need 276M coefficients (2.06 GiB)
+    assert cli.run(["classify", "-m", '{"family": "geometric", "p": 1e-7}']) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_asym(capsys):
     rec = run_json(capsys, ["asym", "-m", GEO_HALF])
     assert rec == {"gamma": 0.5, "method": "analytic"}

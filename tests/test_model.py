@@ -74,6 +74,25 @@ def test_geometric_rejects(p):
         rc.geometric(p)
 
 
+def test_geometric_table_budget(monkeypatch):
+    from repairchain import model
+
+    def n_terms(p):  # the size rule of model.geometric
+        return math.ceil(math.log(1e-12) / math.log(1.0 - p))
+
+    assert n_terms(0.5) == rc.geometric(0.5).coeffs.size
+    monkeypatch.setattr(model, "GEOMETRIC_TABLE_BUDGET", n_terms(0.5) * 8)
+    assert rc.geometric(0.5).coeffs.size == n_terms(0.5)
+    with pytest.raises(InvalidSpec, match="budget"):
+        rc.geometric(0.45)
+    monkeypatch.undo()
+    # the size rule alone refuses p = 1e-7 (2.06 GiB) before allocating
+    assert n_terms(1e-7) * 8 > model.GEOMETRIC_TABLE_BUDGET
+    with pytest.raises(InvalidSpec, match="budget"):
+        rc.geometric(1e-7)
+    assert rc.geometric(1e-5).coeffs.size == n_terms(1e-5)
+
+
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 0.0, -3.0])
 def test_power_zeta_rejects(alpha):
     with pytest.raises(InvalidSpec):

@@ -305,6 +305,28 @@ def test_tau_alpha_verdicts(factory, alpha, want):
     assert v.verdict.value == want
 
 
+@pytest.mark.parametrize("factory", [
+    lambda: rc.geometric(0.75),
+    lambda: rc.geometric(0.5000001),
+    lambda: rc.explicit([0.6, 0.1, 0.3]),
+    lambda: rc.tilt(rc.geometric(0.5), 0.9),
+    lambda: rc.tilt(rc.half_stable(), 0.5),
+    lambda: rc.tilt(rc.half_stable(), 0.999),
+    lambda: rc.tilt(rc.power_zeta(3.0), 0.9),
+    lambda: rc.tilt(rc.tilt(rc.power_zeta(2.5), 0.5), 1.5),
+], ids=["geometric", "geometric near 1/2", "explicit", "tilted geometric",
+        "tilted half_stable", "tilted half_stable near 1", "tilted power_zeta",
+        "twice tilted power_zeta"])
+def test_tau_alpha_positive_recurrent_off_power_zeta_is_decided(factory):
+    # every positive recurrent law the constructors build, power_zeta
+    # aside, has a radius above 1, so fractional moments are all finite
+    m = factory()
+    assert rc.classify(m) is rc.ChainClass.POSITIVE_RECURRENT
+    assert m.radius > 1.0
+    for alpha in (1.5, 2.5, 7.25):
+        assert rc.tau_alpha_finite(m, alpha).verdict is rc.VerdictLabel.FINITE
+
+
 def test_tau_alpha_transient_is_restricted():
     v = rc.tau_alpha_finite(rc.geometric(0.25), 2.0)
     assert v.verdict is rc.VerdictLabel.FINITE

@@ -5,6 +5,8 @@ from scipy.stats import chi2
 import repairchain as rc
 from repairchain.errors import NotTransient
 
+import oracles
+
 
 def three_sigma_bins(hist, samples, exact, n_lo, n_hi):
     bad = 0
@@ -127,3 +129,92 @@ def test_merged_histogram_matches_loop_reference():
     assert list(hist.items()) == list(want.items())
     assert all(type(k) is int and type(v) is int for k, v in hist.items())
     assert extra == sum(e for _, e in chunks)
+
+
+# the block-stepped samplers against the step-by-step ones they replaced
+ORACLE_LAWS = {
+    "geometric(0.25)": lambda: rc.geometric(0.25),
+    "geometric(0.5)": lambda: rc.geometric(0.5),
+    "geometric(0.65)": lambda: rc.geometric(0.65),
+    "half_stable": rc.half_stable,
+    "power_zeta(2.1)": lambda: rc.power_zeta(2.1),
+    "power_zeta(2.95)": lambda: rc.power_zeta(2.95),
+    "explicit a_1 = 0": lambda: rc.explicit([0.5, 0.0, 0.5]),
+    "tilt(geometric(0.25), 2/3)": lambda: rc.tilt(rc.geometric(0.25), 2.0 / 3.0),
+}
+EXIT_LAWS = {
+    "geometric(0.25)": lambda: rc.geometric(0.25),
+    "geometric(0.4)": lambda: rc.geometric(0.4),
+    "explicit a_1 = 0": lambda: rc.explicit([0.3, 0.0, 0.2, 0.5]),
+}
+ORACLE_SAMPLES = (1, 7, 4096, 70_001)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+def test_sample_tau_matches_stepwise_oracle(name, monkeypatch):
+    model = ORACLE_LAWS[name]()
+    for samples in ORACLE_SAMPLES:
+        for cap in (1, 5, 64, 1000):
+            want = oracles.stepwise_sample_tau(model, 17, samples, cap)
+            for threads in ("1", "3"):
+                monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
+                assert rc.sample_tau(model, 17, samples, cap) == want, (samples, cap, threads)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_LAWS))
+def test_sample_last_exit_matches_stepwise_oracle(name, monkeypatch):
+    model = EXIT_LAWS[name]()
+    for samples in ORACLE_SAMPLES:
+        for horizon in (1, 3, 20, 500):
+            want = oracles.stepwise_sample_last_exit(model, 23, samples, horizon)
+            for threads in ("1", "3"):
+                monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
+                got = rc.sample_last_exit(model, 23, samples, horizon)
+                assert got == want, (samples, horizon, threads)
+
+
+@pytest.mark.parametrize("model", [rc.geometric(0.5), rc.half_stable(),
+                                   rc.explicit([0.4, 0.1, 0.0, 0.0, 0.5])],
+                         ids=["geometric(0.5)", "half_stable", "explicit internal zeros"])
+def test_guide_draw_is_exact_at_every_threshold(model):
+    from repairchain.sim import _jump_draw
+
+    cum = np.cumsum(model.coeffs)
+    top = cum.size - 1
+    t = np.ceil(cum * 2.0 ** 53).astype(np.int64)  # the integer thresholds t_k
+    r = np.concatenate(([0, 2 ** 53 - 1], t - 1, t, t + 1))
+    r = r[(r >= 0) & (r < 2 ** 53)].astype(np.uint64)
+    low = np.arange(r.size, dtype=np.uint64) & np.uint64(0x7FF)  # ignored bits
+    got = _jump_draw(model.coeffs)((r << np.uint64(11)) | low)
+    want = np.minimum(np.searchsorted(cum, r * 2.0 ** -53, side="right"), top)
+    assert np.array_equal(got, want)
+
+
+def test_histogram_budget(monkeypatch):
+    from repairchain import sim
+
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    # one worker histogram plus the merged one, each (cap + 1) int64 counts
+    monkeypatch.setattr(sim, "HIST_BUDGET", 65 * 8 * 2)
+    assert sum(rc.sample_tau(rc.geometric(0.5), 1, 100, cap=64).tau_hist.values()) <= 100
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_tau(rc.geometric(0.5), 1, 100, cap=65)
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_last_exit(rc.geometric(0.25), 1, 100, horizon=65)
+    # three chunks on three threads hold four histograms
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "3")
+    monkeypatch.setattr(sim, "HIST_BUDGET", 5 * 8 * 4 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_tau(rc.geometric(0.5), 1, 2 * sim._CHUNK + 1, cap=4)
+
+
+def test_histogram_budget_admits_the_defaults_and_refuses_huge_caps():
+    from repairchain import sim
+
+    # the default cap fits at the default worker count, at most eight
+    assert (sim.DEFAULT_TAU_CAP + 1) * 8 * (8 + 1) <= sim.HIST_BUDGET
+    # refused before anything of that size is allocated
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_tau(rc.geometric(0.5), 1, 10, cap=10 ** 11)
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_last_exit(rc.geometric(0.25), 1, 10, horizon=10 ** 11)
