@@ -97,9 +97,9 @@ def _jump_draw(coeffs: np.ndarray):
     thresholds *= 2.0 ** 53
     np.ceil(thresholds, out=thresholds)
     top = thresholds.size - 1
-    first = np.arange(1 << 16, dtype=float) * _BUCKET
-    lo = np.minimum(np.searchsorted(thresholds, first, side="right"), top)
-    hi = np.minimum(np.searchsorted(thresholds, first + (_BUCKET - 1), side="right"), top)
+    edges = np.arange(1 << 16, dtype=float) * _BUCKET  # lowest r of each bucket
+    lo = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
+    hi = np.minimum(np.searchsorted(thresholds, edges + (_BUCKET - 1), side="right"), top)
     guide = np.where(lo == hi, lo, -1)
 
     def draw(bits: np.ndarray) -> np.ndarray:
