@@ -38,8 +38,9 @@ keeps the horizon affordable without touching the counts at any
 believable resolution.
 
 Each worker thread keeps one histogram of cap + 1 (or horizon + 1)
-counts and the merge one more; requests whose histograms would exceed
-HIST_BUDGET bytes are refused before anything is allocated.
+counts and the merge one more.  The thread count drops until those fit
+in HIST_BUDGET bytes; a cap or horizon whose two histograms (one thread)
+would not fit is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -132,13 +133,13 @@ def _run_chunks(worker, samples: int, size: int) -> tuple[dict, int]:
 
     Each thread adds its chunks into its own histogram of `size` counts,
     so a call holds threads + 1 histograms whatever the sample count.
+    Fewer threads run when that many would not fit in HIST_BUDGET.
     """
     spans = _chunks(samples)
-    n_workers = min(_workers(), len(spans))
-    need = size * 8 * (n_workers + 1)
-    if need > HIST_BUDGET:
-        raise ValueError(f"a histogram of {size} bins on {n_workers} threads needs "
-                         f"{need >> 20} MiB, above the {HIST_BUDGET >> 20} MiB budget")
+    n_workers = min(_workers(), len(spans), HIST_BUDGET // (size * 8) - 1)
+    if n_workers < 1:
+        raise ValueError(f"{size} histogram bins need {size * 16} bytes on one "
+                         f"thread, above the {HIST_BUDGET}-byte budget")
 
     def run(part):
         counts = np.zeros(size, dtype=np.int64)

@@ -174,14 +174,15 @@ def test_sample_last_exit_matches_stepwise_oracle(name, monkeypatch):
 
 
 @pytest.mark.parametrize("model", [rc.geometric(0.5), rc.half_stable(),
-                                   rc.explicit([0.4, 0.1, 0.0, 0.0, 0.5])],
+                                   rc.explicit([0.1, 0.3, 0.0, 0.6])],
                          ids=["geometric(0.5)", "half_stable", "explicit internal zeros"])
 def test_guide_draw_is_exact_at_every_threshold(model):
     from repairchain.sim import _jump_draw
 
     cum = np.cumsum(model.coeffs)
     top = cum.size - 1
-    t = np.ceil(cum * 2.0 ** 53).astype(np.int64)  # the integer thresholds t_k
+    # the integer thresholds t_k; below cum = 1/2, cum 2^53 need not be whole
+    t = np.ceil(cum * 2.0 ** 53).astype(np.int64)
     r = np.concatenate(([0, 2 ** 53 - 1], t - 1, t, t + 1))
     r = r[(r >= 0) & (r < 2 ** 53)].astype(np.uint64)
     low = np.arange(r.size, dtype=np.uint64) & np.uint64(0x7FF)  # ignored bits
@@ -190,29 +191,51 @@ def test_guide_draw_is_exact_at_every_threshold(model):
     assert np.array_equal(got, want)
 
 
+def test_block_arrays_stay_within_a_chunk(monkeypatch):
+    from repairchain import sim
+
+    sizes = []
+    mix = sim._mix64
+
+    def recording_mix(z):
+        sizes.append(z.size)
+        return mix(z)
+
+    monkeypatch.setattr(sim, "_mix64", recording_mix)
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    rc.sample_tau(rc.geometric(0.5), 3, 4096, cap=5000)
+    # blocks widen as paths return, but never past one chunk of draws
+    assert max(sizes) <= sim._CHUNK
+    assert len(sizes) < 100  # far fewer blocks than the 5000 steps
+
+
 def test_histogram_budget(monkeypatch):
     from repairchain import sim
 
+    geo = rc.geometric(0.5)
+    samples = 2 * sim._CHUNK + 1  # three chunks
     monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    want = rc.sample_tau(geo, 1, samples, cap=4)
     # one worker histogram plus the merged one, each (cap + 1) int64 counts
-    monkeypatch.setattr(sim, "HIST_BUDGET", 65 * 8 * 2)
-    assert sum(rc.sample_tau(rc.geometric(0.5), 1, 100, cap=64).tau_hist.values()) <= 100
+    monkeypatch.setattr(sim, "HIST_BUDGET", 5 * 8 * 2)
     with pytest.raises(ValueError, match="budget"):
-        rc.sample_tau(rc.geometric(0.5), 1, 100, cap=65)
+        rc.sample_tau(geo, 1, 100, cap=5)
     with pytest.raises(ValueError, match="budget"):
-        rc.sample_last_exit(rc.geometric(0.25), 1, 100, horizon=65)
-    # three chunks on three threads hold four histograms
+        rc.sample_last_exit(rc.geometric(0.25), 1, 100, horizon=5)
+    # three threads would hold four histograms: the call runs on fewer
+    # threads instead, with the same report
     monkeypatch.setenv("REPAIRCHAIN_THREADS", "3")
-    monkeypatch.setattr(sim, "HIST_BUDGET", 5 * 8 * 4 - 1)
-    with pytest.raises(ValueError, match="budget"):
-        rc.sample_tau(rc.geometric(0.5), 1, 2 * sim._CHUNK + 1, cap=4)
+    for budget in (5 * 8 * 2, 5 * 8 * 3, 5 * 8 * 4 - 1, 5 * 8 * 4):
+        monkeypatch.setattr(sim, "HIST_BUDGET", budget)
+        assert rc.sample_tau(geo, 1, samples, cap=4) == want
 
 
 def test_histogram_budget_admits_the_defaults_and_refuses_huge_caps():
     from repairchain import sim
 
-    # the default cap fits at the default worker count, at most eight
+    # the default cap fits on the default worker count, at most eight
     assert (sim.DEFAULT_TAU_CAP + 1) * 8 * (8 + 1) <= sim.HIST_BUDGET
+    assert (sim.DEFAULT_EXIT_HORIZON + 1) * 8 * (8 + 1) <= sim.HIST_BUDGET
     # refused before anything of that size is allocated
     with pytest.raises(ValueError, match="budget"):
         rc.sample_tau(rc.geometric(0.5), 1, 10, cap=10 ** 11)
