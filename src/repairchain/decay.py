@@ -19,8 +19,8 @@ coincide depends on the recurrence class, captured by ``CaseLabel``:
 * ``BoundaryCase``       mu < 1, radius R finite, no interior tangency:
                          R1 = eta(R) attained at the boundary
 
-Exponential reweighting (``tilt``) maps a law onto {a_j x^j / G(x)};
-tilting at x0 always lands on the critical line mu = 1.
+Exponential reweighting (``tilt``, now in ``model``) maps a law onto
+{a_j x^j / G(x)}; tilting at x0 always lands on the critical line mu = 1.
 """
 
 from __future__ import annotations
@@ -31,14 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoConvergence, OutOfRadius
-from .model import (
-    CRITICAL_TOL,
-    JumpModel,
-    eval_G,
-    explicit,
-    geometric,
-    make_tilted,
-)
+from .model import CRITICAL_TOL, JumpModel, eval_G, tilt  # tilt is re-exported
 
 
 class CaseLabel(str, Enum):
@@ -168,31 +161,6 @@ def _decay_params(model: JumpModel) -> DecayParams:
     r = model.radius
     return DecayParams(x0=None, R0=1.0, R1=eta(model, r), F_at_R1=r,
                        case_label=CaseLabel.BOUNDARY_CASE)
-
-
-def tilt(model: JumpModel, x: float) -> JumpModel:
-    """Exponentially reweighted law {a_j x^j / G(x)}.
-
-    Geometric and explicit laws are closed under reweighting and come
-    back as first-class members of their own family; anything else is
-    wrapped generically.  Reweighting a wrapped law composes the points,
-    and x = 1 is the identity.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"reweighting point must be positive and finite, got {x!r}")
-    if x == 1.0:
-        return model
-    if not math.isfinite(eval_G(model, x, 0)):
-        raise OutOfRadius(f"G({x!r}) diverges, cannot reweight there")
-    if model.family == "geometric":
-        # p q^n x^n normalizes to a geometric law with ratio q x
-        return geometric(1.0 - (1.0 - model.p) * x)
-    if model.family == "explicit":
-        gx = eval_G(model, x, 0)
-        weights = [float(c) * x ** n / gx for n, c in enumerate(model.coeffs)]
-        return explicit(weights)
-    return make_tilted(model, x)
 
 
 def tilt_to_critical(model: JumpModel) -> JumpModel:

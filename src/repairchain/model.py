@@ -17,9 +17,14 @@ Four parametric families are bundled:
 * ``power_zeta``    a_k = (k+1)^{-alpha} - (k+2)^{-alpha} with alpha > 2,
                     positive recurrent with mu = zeta(alpha) - 1, R = 1
 
-A fifth internal kind, ``tilted``, is produced by the decay module: the
-exponential reweighting a_j x^j / G(x) of a base law.  Models are
-immutable once built and safe to share between threads.
+A fifth internal kind, ``tilted``, is produced by ``tilt``: the
+exponential reweighting a_j x^j / G(x) of a half_stable or power_zeta
+law.  Models are immutable once built and safe to share between threads.
+
+All per-family knowledge lives in one table, ``_FAMILIES``, one record
+per family (see ``_Family``).  Public functions validate, then do one
+lookup; no other module branches on the family.  Adding a family means
+adding its constructor and one record.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,8 +54,6 @@ _HALF_STABLE_CAP = 1 << 21
 # ceiling on a geometric coefficient table, in bytes (p below about
 # 1.6e-6 would need more to reach the tail target)
 GEOMETRIC_TABLE_BUDGET = 1 << 27
-
-_FAMILIES = ("explicit", "geometric", "half_stable", "power_zeta")
 
 # Euler-Maclaurin zeta: head sum below _ZETA_HEAD, then B_2j / (2j)! for
 # the Bernoulli numbers B_2 .. B_10
@@ -203,6 +206,8 @@ def _zeta(s: float) -> float:
     terms = [k ** -s for k in range(1, n)] + [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
     rising = s * n ** (-s - 1.0)  # s (s+1) .. (s+2j-2) n^(-s-2j+1) at j = 1
     for j, c in enumerate(_ZETA_BERNOULLI):
+        if rising == 0.0:  # underflowed; the next factor may be inf
+            break
         terms.append(c * rising)
         rising *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
     return math.fsum(terms)
@@ -237,79 +242,8 @@ def power_zeta(alpha: float) -> JumpModel:
     )
 
 
-def build_model(spec: Mapping) -> JumpModel:
-    """Build a model from a parsed model-spec mapping.
-
-    Accepted shapes, with exact field names:
-
-    * ``{"family": "explicit", "a": [...]}``
-    * ``{"family": "geometric", "p": 0.25}``
-    * ``{"family": "half_stable"}``
-    * ``{"family": "power_zeta", "alpha": 3.0}``
-    """
-    if not isinstance(spec, Mapping):
-        raise InvalidSpec(f"model spec must be a mapping, got {type(spec).__name__}")
-    fam = spec.get("family")
-    if fam not in _FAMILIES:
-        raise InvalidSpec(f"unknown family {fam!r}, expected one of {_FAMILIES}")
-    fields = {"explicit": {"a"}, "geometric": {"p"}, "half_stable": set(),
-              "power_zeta": {"alpha"}}[fam]
-    extra = set(spec) - fields - {"family"}
-    if extra:
-        raise InvalidSpec(f"unexpected fields for family {fam!r}: {sorted(extra)}")
-    missing = fields - set(spec)
-    if missing:
-        raise InvalidSpec(f"missing fields for family {fam!r}: {sorted(missing)}")
-    if fam == "explicit":
-        return explicit(spec["a"])
-    if fam == "geometric":
-        try:
-            return geometric(float(spec["p"]))
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"bad geometric parameter: {spec['p']!r}") from exc
-    if fam == "half_stable":
-        return half_stable()
-    try:
-        return power_zeta(float(spec["alpha"]))
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"bad power_zeta exponent: {spec['alpha']!r}") from exc
-
-
 # ---------------------------------------------------------------------------
-# exact coefficient access (independent of the cached tail target)
-
-
-def exact_coefficients(model: JumpModel, count: int) -> np.ndarray:
-    """First ``count`` jump probabilities a_0 .. a_{count-1}, exact per family.
-
-    Unlike ``model.coeffs`` this is not truncated at a tail-mass target:
-    every requested index is filled from the family formula.  Convolution
-    work that must be exact termwise (the return-time law up to horizon N
-    only ever sees jumps < N) uses this accessor.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if model.family == "explicit":
-        out = np.zeros(count, dtype=float)
-        m = min(count, model.coeffs.size)
-        out[:m] = model.coeffs[:m]
-        return out
-    if model.family == "geometric":
-        q = 1.0 - model.p
-        return model.p * q ** np.arange(count, dtype=float)
-    if model.family == "half_stable":
-        return _half_stable_coeffs(count)
-    if model.family == "power_zeta":
-        return _power_zeta_coeffs(model.alpha, count)
-    if model.family == "tilted":
-        base = exact_coefficients(model.base, count)
-        x = model.tilt_x
-        return base * x ** np.arange(count, dtype=float) / eval_G(model.base, x)
-    raise InvalidSpec(f"unknown family {model.family!r}")
-
-
-# ---------------------------------------------------------------------------
-# generating-function evaluation
+# per-family evaluation and the family table
 
 
 def _falling_factorial(n: np.ndarray, order: int) -> np.ndarray:
@@ -338,10 +272,20 @@ def _geometric_G(model: JumpModel, t: float, order: int) -> float:
     q = 1.0 - p
     if q * t >= 1.0:
         return math.inf
-    return p * math.factorial(order) * q ** order / (1.0 - q * t) ** (order + 1)
+    if order <= 170:  # order! still converts to a double
+        den = (1.0 - q * t) ** (order + 1)
+        if den > 0.0:
+            return p * math.factorial(order) * q ** order / den
+    # log space: the value can be a double when order! or the power is not
+    log_g = (math.log(p) + math.lgamma(order + 1.0) + order * math.log(q)
+             - (order + 1) * math.log1p(-q * t))
+    try:
+        return math.exp(log_g)
+    except OverflowError:
+        return math.inf
 
 
-def _half_stable_G(t: float, order: int) -> float:
+def _half_stable_G(model: JumpModel, t: float, order: int) -> float:
     if t > 1.0:
         return math.inf
     if order == 0:
@@ -358,10 +302,14 @@ def _half_stable_G(t: float, order: int) -> float:
     return coef * (1.0 - t) ** (1.5 - order)
 
 
-def _power_zeta_G_at_one(alpha: float, order: int) -> float:
+def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
+    if t > 1.0:
+        return math.inf
+    if t < 1.0:
+        return eval_G_by_series(model, t, order)
     if order == 0:
         return 1.0
-    if order >= alpha:
+    if order >= model.alpha:
         return math.inf
     # sum_n n(n-1)..(n-k+1) a_n telescopes to
     # k * sum_{j>=2} (j-2)(j-3)..(j-k) j^{-alpha}; expand the falling
@@ -370,7 +318,7 @@ def _power_zeta_G_at_one(alpha: float, order: int) -> float:
     poly = np.polynomial.polynomial.polyfromroots(roots) if roots.size else np.array([1.0])
     total = 0.0
     for i, c in enumerate(poly):
-        total += float(c) * (_zeta(alpha - i) - 1.0)
+        total += float(c) * (_zeta(model.alpha - i) - 1.0)
     return order * total
 
 
@@ -380,6 +328,154 @@ def _explicit_G(model: JumpModel, t: float, order: int) -> float:
     if d.size == 0:
         return 0.0
     return float(np.polynomial.polynomial.polyval(t, d))
+
+
+def _tilted_G(model: JumpModel, t: float, order: int) -> float:
+    x = model.tilt_x
+    inner = eval_G(model.base, x * t, order)
+    if not math.isfinite(inner):
+        return math.inf
+    return x ** order * inner / eval_G(model.base, x, 0)
+
+
+def _tilted_gap(model: JumpModel) -> float:
+    x = model.tilt_x
+    gx = eval_G(model.base, x)
+    return (gx - x * eval_G(model.base, x, 1)) / gx
+
+
+def _explicit_reweight(model: JumpModel, x: float) -> JumpModel:
+    gx = eval_G(model, x, 0)
+    return explicit([float(c) * x ** n / gx for n, c in enumerate(model.coeffs)])
+
+
+def _tilted(base: JumpModel, x: float) -> JumpModel:
+    # a half_stable or power_zeta base at x < 1 (their G diverges beyond
+    # 1); a composed point that rounds to exactly 1 gives back the base
+    if x == 1.0:
+        return base
+    gx = eval_G(base, x, 0)
+    n = np.arange(base.coeffs.size, dtype=float)
+    tail = float(base.tail_bound * x ** base.coeffs.size / gx)
+    return JumpModel(
+        family="tilted",
+        coeffs=_freeze(base.coeffs * np.power(x, n) / gx),
+        mu=float(x * eval_G(base, x, 1) / gx),
+        radius=base.radius / x,
+        tail_bound=max(tail, 5e-324),
+        base=base,
+        tilt_x=float(x),
+    )
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the package knows about one family of jump laws.
+
+    The callables take the model first.  ``build`` is None for the
+    internal ``tilted`` kind, which no spec can name.
+    """
+
+    fields: tuple[str, ...]         # spec fields, in the order build takes them
+    build: Callable | None          # the constructor
+    coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1)
+    G: Callable                     # (model, t, order) -> G^(order)(t), +inf beyond the radius
+    gap: Callable                   # model -> 1 - mu without cancellation
+    reweight: Callable = _tilted    # (model, x) -> a_j x^j / G(x), for x != 1 with G(x) < inf
+    beta: float = 1.0               # 1 - G'(t) ~ (1-t)^beta as t -> 1, for a critical law
+    tail: Callable = lambda m: math.inf  # model -> sup{s : E(J^s) < inf}; G^(k)(1) < inf below
+    escape: Callable | None = None  # model -> closed-form P(tau = inf) for a transient law
+
+
+_FAMILIES = {
+    "explicit": _Family(
+        fields=("a",), build=explicit,
+        coefficients=lambda m, count: np.pad(m.coeffs[:count], (0, max(0, count - m.coeffs.size))),
+        G=_explicit_G,
+        gap=lambda m: math.fsum(float(c) * (1 - n) for n, c in enumerate(m.coeffs)),
+        reweight=_explicit_reweight,
+    ),
+    "geometric": _Family(
+        fields=("p",), build=geometric,
+        coefficients=lambda m, count: m.p * (1.0 - m.p) ** np.arange(count, dtype=float),
+        G=_geometric_G,
+        gap=lambda m: (2.0 * m.p - 1.0) / m.p,
+        # p q^n x^n normalizes to a geometric law with ratio q x
+        reweight=lambda m, x: geometric(1.0 - (1.0 - m.p) * x),
+        escape=lambda m: (1.0 - 2.0 * m.p) / (1.0 - m.p),
+    ),
+    "half_stable": _Family(
+        fields=(), build=half_stable,
+        coefficients=lambda m, count: _half_stable_coeffs(count),
+        G=_half_stable_G,
+        gap=lambda m: 0.0,
+        beta=0.5,
+        tail=lambda m: 1.5,
+    ),
+    "power_zeta": _Family(
+        fields=("alpha",), build=power_zeta,
+        coefficients=lambda m, count: _power_zeta_coeffs(m.alpha, count),
+        G=_power_zeta_G,
+        gap=lambda m: 2.0 - _zeta(m.alpha),
+        tail=lambda m: m.alpha,
+    ),
+    "tilted": _Family(
+        fields=(), build=None,
+        coefficients=lambda m, count: (exact_coefficients(m.base, count)
+                                       * m.tilt_x ** np.arange(count, dtype=float)
+                                       / eval_G(m.base, m.tilt_x)),
+        G=_tilted_G,
+        gap=_tilted_gap,
+        reweight=lambda m, x: _tilted(m.base, m.tilt_x * x),  # points compose
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# public entry points: validate, then one table lookup
+
+
+def build_model(spec: Mapping) -> JumpModel:
+    """Build a model from a parsed model-spec mapping.
+
+    Accepted shapes, with exact field names:
+
+    * ``{"family": "explicit", "a": [...]}``
+    * ``{"family": "geometric", "p": 0.25}``
+    * ``{"family": "half_stable"}``
+    * ``{"family": "power_zeta", "alpha": 3.0}``
+    """
+    if not isinstance(spec, Mapping):
+        raise InvalidSpec(f"model spec must be a mapping, got {type(spec).__name__}")
+    fam = spec.get("family")
+    record = _FAMILIES.get(fam) if isinstance(fam, str) else None
+    if record is None or record.build is None:
+        known = tuple(name for name, rec in _FAMILIES.items() if rec.build)
+        raise InvalidSpec(f"unknown family {fam!r}, expected one of {known}")
+    fields = set(record.fields)
+    extra = set(spec) - fields - {"family"}
+    if extra:
+        raise InvalidSpec(f"unexpected fields for family {fam!r}: {sorted(extra)}")
+    missing = fields - set(spec)
+    if missing:
+        raise InvalidSpec(f"missing fields for family {fam!r}: {sorted(missing)}")
+    try:
+        return record.build(*(spec[name] for name in record.fields))
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"bad fields for family {fam!r}: {exc}") from exc
+
+
+def exact_coefficients(model: JumpModel, count: int) -> np.ndarray:
+    """First ``count`` jump probabilities a_0 .. a_{count-1}, exact per family.
+
+    Unlike ``model.coeffs`` this is not truncated at a tail-mass target:
+    every requested index is filled from the family formula.  Convolution
+    work that must be exact termwise (the return-time law up to horizon N
+    only ever sees jumps < N) uses this accessor.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return _FAMILIES[model.family].coefficients(model, count)
 
 
 def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
@@ -395,64 +491,25 @@ def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
     order = int(order)
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    if model.family == "geometric":
-        return _geometric_G(model, t, order)
-    if model.family == "half_stable":
-        return _half_stable_G(t, order)
-    if model.family == "explicit":
-        return _explicit_G(model, t, order)
-    if model.family == "power_zeta":
-        if t > 1.0:
-            return math.inf
-        if t == 1.0:
-            return _power_zeta_G_at_one(model.alpha, order)
-        return eval_G_by_series(model, t, order)
-    if model.family == "tilted":
-        x = model.tilt_x
-        inner = eval_G(model.base, x * t, order)
-        if not math.isfinite(inner):
-            return math.inf
-        return x ** order * inner / eval_G(model.base, x, 0)
-    raise InvalidSpec(f"unknown family {model.family!r}")
+    return _FAMILIES[model.family].G(model, t, order)
 
 
-def make_tilted(base: JumpModel, x: float) -> JumpModel:
-    """Exponentially reweighted law a_j x^j / G(x) as a JumpModel.
+def tilt(model: JumpModel, x: float) -> JumpModel:
+    """Exponentially reweighted law {a_j x^j / G(x)}.
 
-    The decay module's ``tilt`` wraps this with family-specific
-    shortcuts.  The base must have G(x) < inf (the caller checks);
-    composed points multiply, and x = 1 gives back the base law.
+    Geometric and explicit laws are closed under reweighting and come
+    back as first-class members of their own family; half_stable and
+    power_zeta are wrapped as ``tilted`` models.  Reweighting a wrapped
+    law composes the points, and x = 1 is the identity.
     """
-    if base.family == "tilted":  # compose reweightings
-        return make_tilted(base.base, base.tilt_x * x)
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise ValueError(f"reweighting point must be positive and finite, got {x!r}")
     if x == 1.0:
-        return base
-    gx = eval_G(base, x, 0)
-    if not math.isfinite(gx):
-        raise OutOfRadius(f"G({x!r}) diverges for family {base.family!r}")
-    n = np.arange(base.coeffs.size, dtype=float)
-    coeffs = base.coeffs * np.power(x, n) / gx
-    mu = x * eval_G(base, x, 1) / gx
-    m = base.coeffs.size
-    if base.family == "explicit":
-        tail = 0.0
-    elif x <= 1.0:
-        tail = float(base.tail_bound * x ** m / gx)
-    elif base.family == "geometric":
-        qx = (1.0 - base.p) * x  # < 1 here, else gx would have diverged
-        tail = float(base.p * qx ** m / ((1.0 - qx) * gx))
-    else:
-        # radius-1 families never reach x > 1 without diverging above
-        raise OutOfRadius(f"x = {x!r} exceeds the radius for family {base.family!r}")
-    return JumpModel(
-        family="tilted",
-        coeffs=_freeze(coeffs),
-        mu=float(mu),
-        radius=base.radius / x,
-        tail_bound=max(tail, 5e-324),
-        base=base,
-        tilt_x=float(x),
-    )
+        return model
+    if not math.isfinite(eval_G(model, x, 0)):
+        raise OutOfRadius(f"G({x!r}) diverges, cannot reweight there")
+    return _FAMILIES[model.family].reweight(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -479,31 +536,7 @@ def mean_gap(model: JumpModel) -> float:
 
     Matters when mu is a ratio whose rounding survives the subtraction:
     geometric(3/4) stores mu = 1/3 off by half an ulp, and 1/(1 - mu)
-    then misses 3/2 by one ulp.  Each branch subtracts inside the
+    then misses 3/2 by one ulp.  Each family record subtracts inside the
     family's own exact parameters instead.
     """
-    if model.family == "geometric":
-        return (2.0 * model.p - 1.0) / model.p
-    if model.family == "power_zeta":
-        return 2.0 - _zeta(model.alpha)
-    if model.family == "half_stable":
-        return 0.0
-    if model.family == "tilted":
-        x = model.tilt_x
-        gx = eval_G(model.base, x)
-        return (gx - x * eval_G(model.base, x, 1)) / gx
-    a = model.coeffs
-    return math.fsum(float(a[n]) * (1 - n) for n in range(len(a)))
-
-
-def derivative_singularity_exponent(model: JumpModel) -> float | None:
-    """Exponent beta with 1 - G'(t) ~ (1-t)^beta as t -> 1, when known.
-
-    Only the half_stable family carries a genuinely fractional
-    singularity (beta = 1/2).  Families with G''(1) < inf effectively
-    have beta = 1 and are handled analytically elsewhere; None means "no
-    special knowledge".
-    """
-    if model.family == "half_stable":
-        return 0.5
-    return None
+    return _FAMILIES[model.family].gap(model)

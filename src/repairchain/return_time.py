@@ -25,11 +25,11 @@ import numpy as np
 from .decay import CaseLabel, _bisect, decay_params, tilt
 from .errors import NoConvergence, NotNullRecurrent, NotPositiveRecurrent
 from .model import (
+    _FAMILIES,
     CRITICAL_TOL,
     ChainClass,
     JumpModel,
     classify,
-    derivative_singularity_exponent,
     eval_G,
     exact_coefficients,
     mean_gap,
@@ -117,8 +117,9 @@ def escape_prob(model: JumpModel) -> float:
     """
     if model.mu <= 1.0 + CRITICAL_TOL:
         return 0.0
-    if model.family == "geometric":
-        return (1.0 - 2.0 * model.p) / (1.0 - model.p)
+    closed_form = _FAMILIES[model.family].escape
+    if closed_form is not None:
+        return closed_form(model)
     a = model.coeffs
     tails = np.cumsum(a[::-1])[::-1][1:]  # P(J > k), k = 0..m-1
     k = np.arange(tails.size, dtype=float)
@@ -268,17 +269,12 @@ def psi_inv(model: JumpModel, y: float) -> float:
 def _critical_exponent(model: JumpModel) -> float:
     """Analytic gamma with 1 - F(1-s) ~ s^gamma for a critical chain.
 
-    A finite G''(1) forces gamma = 1/2; a derivative singularity
-    1 - G'(t) ~ (1-t)^beta gives 1/(1+beta).  Every critical law the
-    constructors build falls under one of the two: geometric(1/2) and
-    explicit laws have G''(1) < inf, half_stable has beta = 1/2.
+    A derivative singularity 1 - G'(t) ~ (1-t)^beta gives 1/(1+beta);
+    a finite G''(1) means beta = 1 and gamma = 1/2.  Every family record
+    carries its beta: 1/2 for half_stable, 1 for the rest (the critical
+    geometric(1/2), explicit and tilted laws all have G''(1) < inf).
     """
-    if math.isfinite(eval_G(model, 1.0, 2)):
-        return 0.5
-    beta = derivative_singularity_exponent(model)
-    if beta is None:
-        raise NoConvergence("no analytic exponent is known for this critical law")
-    return 1.0 / (1.0 + beta)
+    return 1.0 / (1.0 + _FAMILIES[model.family].beta)
 
 
 @dataclass(frozen=True)
@@ -332,8 +328,9 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
     """E(tau^k) for a positive recurrent chain.
 
     k = 1 is exact: 1/(1 - mu).  For k >= 2 the moment is infinite
-    exactly when G^(k)(1) is, otherwise it is summed from the exact pmf
-    with a geometric tail certificate f_n <= F(R1) R1^(-n) when R1 > 1.
+    exactly when G^(k)(1) is (k at or above the jump-tail exponent),
+    otherwise it is summed from the exact pmf with a geometric tail
+    certificate f_n <= F(R1) R1^(-n) when R1 > 1 and it fits a double.
     """
     if classify(model) is not ChainClass.POSITIVE_RECURRENT:
         raise NotPositiveRecurrent("tau moments are finite-mean territory; classify first")
@@ -342,13 +339,18 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
         raise ValueError("moment order must be a positive integer")
     if k == 1:
         return MomentResult(k=1, value=1.0 / mean_gap(model), tail_bound=0.0, flag="exact")
-    if not math.isfinite(eval_G(model, 1.0, k)):
+    if k >= _FAMILIES[model.family].tail(model):
         return MomentResult(k=k, value=math.inf, tail_bound=0.0, flag="exact")
-    analysis = return_pmf(model, n_max)
+    f = return_pmf(model, n_max).f
     n = np.arange(n_max + 1, dtype=float)
-    partial = float(np.dot(n ** k, analysis.f))
+    with np.errstate(over="ignore"):
+        partial = float(np.dot(n ** k, f))
+        if not math.isfinite(partial):  # n^k overflowed before n^k f_n: log space
+            pos = f > 0.0
+            partial = float(np.sum(np.exp(k * np.log(n[pos]) + np.log(f[pos]))))
     dp = decay_params(model)
-    if dp.R1 > 1.0:
+    # the certificate needs (n_max + 1)^k as a double: e^709 < 1.8e308
+    if dp.R1 > 1.0 and k * math.log(n_max + 1.0) < 709.0:
         r = 1.0 / dp.R1
         ratio = r * ((n_max + 1.0) / n_max) ** k
         if ratio < 1.0:
@@ -394,17 +396,13 @@ def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     # products do
     from .series_tools import block_ratio_diagnostic
 
+    # only tilts of radius-1 laws reach BoundaryCase (geometric laws have
+    # x0 = 1/(2q) < R, explicit ones R = inf); the stored a_n x^n / G(x)
+    # underflow where R^n would rescue them, so weigh the base law by R x
     n_top = 4096
-    if model.family == "tilted":
-        # the stored a_n x^n / G(x) underflow where R^n would have
-        # rescued them; R x = R_base puts the whole weight on the base law
-        a = exact_coefficients(model.base, n_top + 1)[1:]
-        log_r = math.log(model.base.radius)
-        offset = -math.log(eval_G(model.base, model.tilt_x))
-    else:
-        a = exact_coefficients(model, n_top + 1)[1:]
-        log_r = math.log(model.radius)
-        offset = 0.0
+    a = exact_coefficients(model.base, n_top + 1)[1:]
+    log_r = math.log(model.base.radius)
+    offset = -math.log(eval_G(model.base, model.tilt_x))
     n = np.arange(1, n_top + 1, dtype=float)
     terms = np.zeros_like(a)
     pos = a > 0.0
@@ -444,20 +442,18 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
     if alpha <= 1.0:
         return Verdict(quantity, VerdictLabel.FINITE,
                        "the mean return time 1/(1-mu) dominates")
-    if model.family == "power_zeta":
-        if alpha < model.alpha:
-            return Verdict(quantity, VerdictLabel.FINITE,
-                           f"below the jump-tail exponent {model.alpha:g}")
+    tail = _FAMILIES[model.family].tail(model)
+    if alpha >= tail:
         return Verdict(quantity, VerdictLabel.INFINITE,
-                       f"at or above the jump-tail exponent {model.alpha:g}")
+                       f"at or above the jump-tail exponent {tail:g}")
+    if math.isfinite(tail):
+        return Verdict(quantity, VerdictLabel.FINITE,
+                       f"below the jump-tail exponent {tail:g}")
     if alpha == int(alpha):
-        if math.isfinite(eval_G(model, 1.0, int(alpha))):
-            return Verdict(quantity, VerdictLabel.FINITE,
-                           f"G^({int(alpha)})(1) is finite")
-        return Verdict(quantity, VerdictLabel.INFINITE,
-                       f"G^({int(alpha)})(1) diverges")
-    # every other positive recurrent law has a radius above 1: geometric
-    # 1/(1-p), explicit infinity, a tilt at x < 1 of a radius-1 law 1/x
+        return Verdict(quantity, VerdictLabel.FINITE, f"G^({int(alpha)})(1) is finite")
+    # every positive recurrent law with no finite tail exponent has a
+    # radius above 1: geometric 1/(1-p), explicit infinity, a tilt at
+    # x < 1 of a radius-1 law 1/x
     return Verdict(quantity, VerdictLabel.FINITE,
                    "the jump law has a radius above 1, so every "
                    "derivative of G at 1 is finite")

@@ -248,6 +248,10 @@ SPEC_CASES = [
     ["classify", "-m", "@/no/such/file.json"],
     ["classify", "-m", '{"family": "explicit", "coeffs": [0.5, 0.2, 0.3]}'],
     ["classify", "-m", '{"family": "geometric", "p": 1.5}'],
+    ["classify", "-m", '{"family": "explicit", "a": ["x", 1]}'],
+    ["classify", "-m", '{"family": "explicit", "a": {"k": 1}}'],
+    ["classify", "-m", '{"family": ["geometric"]}'],   # unhashable family
+    ["classify", "-m", '{"family": "tilted"}'],        # internal, not a spec family
 ]
 
 
@@ -255,6 +259,27 @@ SPEC_CASES = [
 def test_spec_errors(capsys, argv):
     assert cli.run(argv) == 2
     assert "invalid model spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["103", "171"])
+def test_moments_past_the_largest_power(capsys, k):
+    # n^k and (n_max + 1)^k pass the largest double from k = 103 on
+    rec = run_json(capsys, ["moments", "-m", GEO_THREE_QUARTER, "-k", k])
+    assert rec["flag"] == "lower bound only" and rec["tail_bound"] == float("inf")
+    assert rec["value"] > 1e200
+
+
+def test_finite_past_the_largest_factorial(capsys):
+    # 171! is not a double, G^(171)(1) is
+    rec = run_json(capsys, ["finite", "-m", GEO_THREE_QUARTER, "--alpha", "171"])
+    assert rec["verdict"] == "Finite"
+
+
+def test_power_zeta_with_huge_alpha_classifies(capsys):
+    # the Bernoulli terms of zeta(1e160) underflow to 0 while their growth
+    # factor is inf; zeta is 1, so mu is 0
+    rec = run_json(capsys, ["classify", "-m", '{"family": "power_zeta", "alpha": 1e160}'])
+    assert rec == {"class": "positive_recurrent", "mu": 0.0}
 
 
 DOMAIN_CASES = [

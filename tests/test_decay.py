@@ -58,6 +58,33 @@ def test_boundary_case_tilted_power_zeta():
         assert xi(m, float(x)) > 0.0
 
 
+BOUNDARY_LAWS = {
+    **{f"geometric({p})": (lambda p=p: rc.geometric(p)) for p in
+       (0.2, 0.5000001, 0.51, 0.6, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)},
+    "explicit[0.5,0.2,0.3]": lambda: rc.explicit([0.5, 0.2, 0.3]),
+    "explicit[0.6,0.1,0.3]": lambda: rc.explicit([0.6, 0.1, 0.3]),
+    "explicit[0.9,0,0,0,0.1]": lambda: rc.explicit([0.9, 0.0, 0.0, 0.0, 0.1]),
+    "explicit[0.3,0.2,0.5]": lambda: rc.explicit([0.3, 0.2, 0.5]),
+    "explicit[0.5,0,0.5]": lambda: rc.explicit([0.5, 0.0, 0.5]),
+    "tilt(geometric(0.25),0.5)": lambda: rc.tilt(rc.geometric(0.25), 0.5),
+    "tilt(explicit,2)": lambda: rc.tilt(rc.explicit([0.5, 0.2, 0.3]), 2.0),
+    **{f"tilt(half_stable,{x})": (lambda x=x: rc.tilt(rc.half_stable(), x))
+       for x in (0.1, 0.5, 0.75, 0.9, 0.999)},
+    **{f"tilt(power_zeta(3),{x})": (lambda x=x: rc.tilt(rc.power_zeta(3.0), x))
+       for x in (0.1, 0.5, 0.9)},
+}
+
+
+@pytest.mark.parametrize("factory", BOUNDARY_LAWS.values(), ids=BOUNDARY_LAWS.keys())
+def test_boundary_case_only_for_tilted_laws(factory):
+    # a geometric law has the interior x0 = 1/(2q) < 1/q, an explicit law
+    # an infinite radius; only a tilt of a radius-1 law can end on its
+    # finite radius with no tangency point
+    m = factory()
+    label = rc.decay_params(m).case_label
+    assert label is not rc.CaseLabel.BOUNDARY_CASE or m.family == "tilted"
+
+
 def test_explicit_transient_doubling_search():
     # polynomial G, infinite radius, mean 1.2: xi = 0.3 - 0.5 x^2
     m = rc.explicit([0.3, 0.2, 0.5])

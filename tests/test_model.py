@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +189,38 @@ def test_eval_G_derivative_consistency(family_model):
     assert rc.eval_G(family_model, t, 1) == pytest.approx(num, rel=1e-8)
 
 
+def _geometric_G_exact(p, t, order):  # correctly rounded; inf past the doubles
+    q = 1 - Fraction(p)
+    value = Fraction(p) * math.factorial(order) * q ** order / (1 - q * Fraction(t)) ** (order + 1)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("p, t, order", [
+    (0.75, 1.0, 171), (0.75, 1.0, 200), (0.75, 1.0, 250), (0.5, 0.5, 171),
+    (0.95, 0.5, 200), (0.99, 1.0, 300), (0.999999, 1.0, 10 ** 4), (0.999, 999.0, 110),
+])
+def test_eval_G_geometric_high_orders(p, t, order):
+    # order! does not convert to a double past 170, and the power of
+    # 1 - q t underflows close to the radius; the value may still be finite
+    want = _geometric_G_exact(p, t, order)
+    got = rc.eval_G(rc.geometric(p), t, order)
+    if want in (0.0, math.inf):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_eval_G_geometric_keeps_its_closed_form_bits():
+    for p in (0.25, 0.5, 0.75):
+        m, q = rc.geometric(p), 1.0 - p
+        for t in (0.0, 0.5, 1.0):
+            for k in range(171):
+                assert rc.eval_G(m, t, k) == p * math.factorial(k) * q ** k / (1.0 - q * t) ** (k + 1)
+
+
 def test_tilt_geometric_closure():
     m = rc.tilt(rc.geometric(0.25), 2.0 / 3.0)
     assert m.family == "geometric"
@@ -194,6 +228,12 @@ def test_tilt_geometric_closure():
     a = rc.exact_coefficients(m, 51)
     for n in range(51):
         assert abs(a[n] - 2.0 ** -(n + 1)) < 1e-12
+
+
+def test_tilt_keeps_explicit_laws_explicit():
+    m = rc.tilt(rc.explicit([0.5, 0.2, 0.3]), 2.0)
+    assert m.family == "explicit" and m.radius == math.inf and m.tail_bound == 0.0
+    assert list(m.coeffs) == pytest.approx([0.5 / 2.1, 0.4 / 2.1, 1.2 / 2.1], rel=1e-15)
 
 
 def test_tilt_matches_definition(family_model):
@@ -253,6 +293,8 @@ _EPS = np.finfo(float).eps
     (2.0, math.pi ** 2 / 6.0),
     (4.0, math.pi ** 4 / 90.0),
     (6.0, math.pi ** 6 / 945.0),
+    (1e155, 1.0),                  # 16^(-s-1) underflows, (s+1)(s+2) overflows
+    (sys.float_info.max, 1.0),
 ])
 def test_zeta_closed_forms(s, want):
     assert abs(_zeta(s) - want) <= 2 * _EPS * want

@@ -272,6 +272,21 @@ def test_tau_moment_power_zeta_branches():
     assert res.flag == "lower bound only"
 
 
+@pytest.mark.parametrize("k", [102, 103, 120])
+def test_tau_moment_past_the_power_overflow(k):
+    # n^k passes the largest double near n = 1024 from k = 103 on, long
+    # before n^k f_n does; the sum must still be the exact sum of the
+    # same f, and the certificate, (n_max + 1)^k times R1^-n, is dropped
+    from fractions import Fraction
+
+    m = rc.geometric(0.75)
+    f = rc.return_pmf(m, 1024).f
+    want = float(sum(Fraction(n) ** k * Fraction(float(f[n])) for n in range(1, 1025)))
+    res = rc.tau_moment(m, k)
+    assert res.value == pytest.approx(want, rel=1e-13)
+    assert res.flag == ("certified tail" if k == 102 else "lower bound only")
+
+
 def test_tau_moment_guards():
     with pytest.raises(NotPositiveRecurrent):
         rc.tau_moment(rc.geometric(0.5), 1)
