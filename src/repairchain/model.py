@@ -15,7 +15,8 @@ Four parametric families are bundled:
 * ``geometric``     a_n = (1-p)^n p, closed forms throughout, R = 1/(1-p)
 * ``half_stable``   G(t) = t + (2/3)(1-t)^{3/2}, exactly critical, R = 1
 * ``power_zeta``    a_k = (k+1)^{-alpha} - (k+2)^{-alpha} with alpha > 2,
-                    positive recurrent with mu = zeta(alpha) - 1, R = 1
+                    positive recurrent with mu = zeta(alpha) - 1, R = 1;
+                    G(t) = 1/t + (t-1) Li_alpha(t) / t^2 (polylogarithm)
 
 A fifth internal kind, ``tilted``, is produced by ``tilt``: the
 exponential reweighting a_j x^j / G(x) of a half_stable or power_zeta
@@ -29,7 +30,9 @@ adding its constructor and one record.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -195,22 +198,62 @@ def half_stable() -> JumpModel:
     )
 
 
-def _zeta(s: float) -> float:
-    """Riemann zeta for real s > 1 by Euler-Maclaurin summation.
+def _zeta_terms(s: float, head: int = 1, pole: bool = True) -> list[float]:
+    """Euler-Maclaurin terms of sum_{k >= head} k^-s, for s >= 1/2, s != 1.
 
-    Exact terms k^-s for k < 16, the integral and half-term at 16, then
-    five Bernoulli corrections; the first omitted one stays below 8e-17
-    for every s > 1, under half an ulp of zeta(s) >= 1.
+    Exact terms k^-s for head <= k < 16, the integral and half-term at
+    16, then five Bernoulli corrections; the first omitted one stays
+    below 8e-17 for every s >= 1/2.  pole=False drops 1/(s-1) from the
+    integral term, leaving the part that is regular at s = 1.
     """
     n = _ZETA_HEAD
-    terms = [k ** -s for k in range(1, n)] + [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    terms = [k ** -s for k in range(head, n)]
+    if pole:
+        terms.append(n ** (1.0 - s) / (s - 1.0))
+    else:  # (n^(1-s) - 1)/(s-1), -log n at s = 1
+        terms.append(-math.log(n) * _expm1_over((1.0 - s) * math.log(n)))
+    terms.append(0.5 * n ** -s)
     rising = s * n ** (-s - 1.0)  # s (s+1) .. (s+2j-2) n^(-s-2j+1) at j = 1
     for j, c in enumerate(_ZETA_BERNOULLI):
         if rising == 0.0:  # underflowed; the next factor may be inf
             break
         terms.append(c * rising)
         rising *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
-    return math.fsum(terms)
+    return terms
+
+
+def _zeta(s: float) -> float:
+    """Riemann zeta for real s, +inf at the pole s = 1.
+
+    Euler-Maclaurin (``_zeta_terms``) for s >= 1/2, which is within half
+    an ulp for s > 1 where |zeta(s)| >= 1; below 1/2 the functional
+    equation maps s to 1 - s.  There the pole of zeta(1 - s) is taken as
+    -1/s from s itself, not from the rounded 1 - s.
+    """
+    if s < 0.5:
+        if s == 0.0:
+            return -0.5
+        reflected = math.fsum(_zeta_terms(1.0 - s, pole=False)) - 1.0 / s
+        return (2.0 ** s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s)
+                * math.gamma(1.0 - s) * reflected)
+    if s == 1.0:
+        return math.inf
+    return math.fsum(_zeta_terms(s))
+
+
+def _hurwitz_zeta(s: float, v: int) -> float:
+    """zeta(s, v) = sum_{k >= v} k^-s for an integer v >= 1 and real s != 1."""
+    if s < 0.5:
+        return math.fsum([_zeta(s)] + [-(k ** -s) for k in range(1, v)])
+    return math.fsum(_zeta_terms(s, v))
+
+
+def _expm1_over(x: float) -> float:
+    return math.expm1(x) / x if x else 1.0
+
+
+def _log1p_over(x: float) -> float:
+    return math.log1p(x) / x if x else 1.0
 
 
 @lru_cache(maxsize=16)
@@ -244,27 +287,6 @@ def power_zeta(alpha: float) -> JumpModel:
 
 # ---------------------------------------------------------------------------
 # per-family evaluation and the family table
-
-
-def _falling_factorial(n: np.ndarray, order: int) -> np.ndarray:
-    w = np.ones_like(n)
-    for j in range(order):
-        w = w * (n - j)
-    return w
-
-
-def eval_G_by_series(model: JumpModel, t: float, order: int = 0) -> float:
-    """Sum the cached coefficient series for G^(order)(t).
-
-    Provided as the summation route for families whose closed form lives
-    in :func:`eval_G`; the two must agree on the interior of the domain.
-    """
-    a = model.coeffs
-    n = np.arange(a.size, dtype=float)
-    w = _falling_factorial(n, order)
-    keep = n >= order
-    powers = np.power(float(t), n[keep] - order)
-    return float(np.dot(a[keep] * w[keep], powers))
 
 
 def _geometric_G(model: JumpModel, t: float, order: int) -> float:
@@ -302,11 +324,139 @@ def _half_stable_G(model: JumpModel, t: float, order: int) -> float:
     return coef * (1.0 - t) ** (1.5 - order)
 
 
+# power_zeta below t = 1.  With S(t) = sum_m (m+2)^-alpha t^m,
+# G = 1 - (1-t) S and G^(n) = n S^(n-1) - (1-t) S^(n).  Up to _PZ_SWITCH
+# the Taylor series of G^(n), all of whose terms are positive, is summed
+# directly.  Above it, Jonquiere's expansion in w = log t (Wood 1992,
+# Crandall 2006) takes over:
+#
+#     sum_{m>=0} (m+v)^-s e^((m+v)w) = Gamma(1-s)(-w)^(s-1) + sum_k zeta(s-k, v) w^k/k!,
+#
+# and t^(i+2) S^(i) = prod_{j<i} (D - 2 - j) of that sum at s = alpha, with
+# D = d/dw.  Taking v = i + 2 there drops the terms m < i, which the
+# product annihilates anyway; left in, they cancel, and badly so for
+# large alpha.
+
+_PZ_SWITCH = 0.75
+_PZ_W_TERMS = 32  # (5 |log 0.75|)^32 / 32! < 1e-30
+_EULER_GAMMA = 0.5772156649015329
+
+
+@lru_cache(maxsize=64)
+def _pz_series(alpha: float, order: int) -> tuple[float, ...]:
+    """Taylor coefficients c_j = (j+order)!/j! a_(j+order) of G^(order).
+
+    Long enough that the dropped tail is below 2^-56 of the sum for every
+    t <= _PZ_SWITCH: the tail's share grows with t.
+    """
+    coeffs, total, power = [], 0.0, 1.0
+    for j in itertools.count():
+        k = j + order
+        # a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha), without cancellation
+        a = (k + 1.0) ** -alpha * -math.expm1(alpha * math.log1p(-1.0 / (k + 2)))
+        c = math.perm(k, order) * a
+        coeffs.append(c)
+        total += c * power
+        # a_(k+1) <= a_k, so each later term is at most rho times the one before
+        rho = _PZ_SWITCH * (k + 1) / (j + 1)
+        if rho < 1.0 and c * power * rho / (1.0 - rho) <= 2.0 ** -56 * total:
+            return tuple(coeffs)
+        power *= _PZ_SWITCH
+
+
+@lru_cache(maxsize=64)
+def _pz_pole(alpha: float) -> tuple[int, float, tuple[float, ...]]:
+    """Where the w-series coefficients zeta(alpha - i) meet the pole of zeta.
+
+    i_p = round(alpha - 1) and alpha - i_p = 1 + eps with |eps| <= 1/2.
+    For m < _PZ_W_TERMS, g_m = (-1)^m m! Gamma(-m - eps) + 1/eps, smooth
+    through eps = 0, where it is H_m - gamma.
+    """
+    ip = round(alpha - 1.0)
+    eps = alpha - 1.0 - ip  # exact
+    # ell = log(Gamma(1 - eps)) / eps, from the series in zeta(k) - 1
+    ell = _log1p_over(-eps) - (1.0 - _EULER_GAMMA)
+    for k in range(2, 33):
+        ell += _hurwitz_zeta(float(k), 2) * eps ** (k - 1) / k
+    gs = []
+    for m in range(_PZ_W_TERMS):
+        if m:  # Gamma(-m - eps) = -Gamma(1 - eps) / (eps (1 + eps) .. (m + eps)) (-1)^m
+            ell -= _log1p_over(eps / m) / m
+        gs.append(-ell * _expm1_over(eps * ell))
+    return ip, eps, tuple(gs)
+
+
+@lru_cache(maxsize=64)
+def _pz_jonquiere(alpha: float, v: int) -> tuple[tuple[float, ...], float]:
+    """w-series coefficients zeta(alpha - i, v), 0 at the pole index, and
+    the pole coefficient's regular part zeta(1 + eps, v) - 1/eps."""
+    ip, eps, _ = _pz_pole(alpha)
+    coeffs = tuple(0.0 if i == ip else _hurwitz_zeta(alpha - i, v)
+                   for i in range(_PZ_W_TERMS + v - 2))
+    return coeffs, math.fsum(_zeta_terms(1.0 + eps, v, pole=False))
+
+
+def _pz_lerch(alpha: float, r: int, v: int, w: float, pw: list[float]) -> float:
+    """sum_{m>=0} (m+v)^-s e^((m+v)w) at s = alpha - r, for w < 0.
+
+    pw holds w^k/k! for as many k as the w-series needs.
+    """
+    coeffs, regular = _pz_jonquiere(alpha, v)
+    ip, eps, gs = _pz_pole(alpha)
+    total = sum(map(operator.mul, coeffs[r:], pw))
+    L = math.log(-w)
+    m = ip - r
+    if m < 0:  # s <= 1/2: no pole, the singular term stands alone
+        s = alpha - r
+        return total + math.gamma(1.0 - s) * math.exp((s - 1.0) * L)
+    if m < _PZ_W_TERMS:
+        # Gamma(1-s)(-w)^(s-1) + zeta(1+eps, v) w^m/m! in one piece: the
+        # 1/eps both carry cancels in closed form
+        e = eps * L
+        wm = pw[m] if m < len(pw) else w ** m / math.factorial(m)
+        total += wm * (math.exp(e) * gs[m] + regular - L * _expm1_over(e))
+    return total
+
+
+@lru_cache(maxsize=16)
+def _pz_annihilator(i: int) -> tuple[int, ...]:
+    """Coefficients of prod_{j<i} (x - 2 - j), lowest power first."""
+    poly = [1]
+    for j in range(i):
+        poly = [a - (j + 2) * b for a, b in zip([0] + poly, poly + [0])]
+    return tuple(poly)
+
+
+def _pz_S(alpha: float, i: int, t: float, w: float, pw: list[float]) -> float:
+    v = i + 2
+    terms = [p * _pz_lerch(alpha, r, v, w, pw) for r, p in enumerate(_pz_annihilator(i))]
+    return math.fsum(terms) / t ** v
+
+
 def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
+    """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1."""
     if t > 1.0:
         return math.inf
+    alpha = model.alpha
+    if t <= _PZ_SWITCH:
+        acc = 0.0
+        for c in reversed(_pz_series(alpha, order)):
+            acc = acc * t + c
+        return acc
     if t < 1.0:
-        return eval_G_by_series(model, t, order)
+        w = math.log(t)
+        # w-series terms run like (v w)^k / k! relative to the sum; stop
+        # far below an ulp at the largest v used, order + 2
+        pw, x = [1.0], 1.0
+        for k in range(1, _PZ_W_TERMS):
+            x *= w / k
+            if abs(x) * (order + 2) ** k < 2.0 ** -64:
+                break
+            pw.append(x)
+        if order == 0:
+            return 1.0 - (1.0 - t) * _pz_S(alpha, 0, t, w, pw)
+        return (order * _pz_S(alpha, order - 1, t, w, pw)
+                - (1.0 - t) * _pz_S(alpha, order, t, w, pw))
     if order == 0:
         return 1.0
     if order >= model.alpha:
@@ -482,8 +632,11 @@ def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
     """G^(order)(t) as an extended real; +inf outside the radius.
 
     Closed forms carry the geometric and half_stable families (and tilts
-    reduce to their base); explicit laws are polynomial; power_zeta sums
-    the cached series for t < 1 and uses an exact zeta identity at t = 1.
+    reduce to their base); explicit laws are polynomial.  power_zeta sums
+    its Taylor series up to t = 3/4 and uses Jonquiere's expansion of the
+    polylogarithm above (see ``_power_zeta_G``), to about 1e-14 relative
+    for orders 0..3 and without the coefficient table; at t = 1 it uses an
+    exact zeta identity.
     """
     t = float(t)
     if t < 0.0 or not math.isfinite(t):

@@ -330,7 +330,8 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
     k = 1 is exact: 1/(1 - mu).  For k >= 2 the moment is infinite
     exactly when G^(k)(1) is (k at or above the jump-tail exponent),
     otherwise it is summed from the exact pmf with a geometric tail
-    certificate f_n <= F(R1) R1^(-n) when R1 > 1 and it fits a double.
+    certificate f_n <= F(R1) R1^(-n) when R1 > 1 and the bound fits a
+    double (in log space once (n_max + 1)^k alone does not).
     """
     if classify(model) is not ChainClass.POSITIVE_RECURRENT:
         raise NotPositiveRecurrent("tau moments are finite-mean territory; classify first")
@@ -349,14 +350,34 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
             pos = f > 0.0
             partial = float(np.sum(np.exp(k * np.log(n[pos]) + np.log(f[pos]))))
     dp = decay_params(model)
-    # the certificate needs (n_max + 1)^k as a double: e^709 < 1.8e308
-    if dp.R1 > 1.0 and k * math.log(n_max + 1.0) < 709.0:
-        r = 1.0 / dp.R1
-        ratio = r * ((n_max + 1.0) / n_max) ** k
-        if ratio < 1.0:
-            tail = dp.F_at_R1 * (n_max + 1.0) ** k * r ** (n_max + 1) / (1.0 - ratio)
+    if dp.R1 > 1.0:
+        tail = _moment_tail(dp.F_at_R1, 1.0 / dp.R1, k, n_max)
+        if tail < math.inf:
             return MomentResult(k=k, value=partial, tail_bound=tail, flag="certified tail")
     return MomentResult(k=k, value=partial, tail_bound=math.inf, flag="lower bound only")
+
+
+def _moment_tail(F_R1: float, r: float, k: int, n_max: int) -> float:
+    """Bound on sum_{n > n_max} n^k f_n from f_n <= F(R1) r^n, r = 1/R1.
+
+    The terms shrink at least by ratio = r ((n_max + 1)/n_max)^k, so the
+    tail is at most F(R1) (n_max + 1)^k r^(n_max + 1) / (1 - ratio);
+    +inf when ratio >= 1 or the bound passes the largest double.
+    """
+    if k * math.log(n_max + 1.0) < 709.0:  # (n_max + 1)^k is a double: e^709 < 1.8e308
+        ratio = r * ((n_max + 1.0) / n_max) ** k
+        if ratio >= 1.0:
+            return math.inf
+        return F_R1 * (n_max + 1.0) ** k * r ** (n_max + 1) / (1.0 - ratio)
+    log_ratio = math.log(r) + k * math.log1p(1.0 / n_max)
+    if log_ratio >= 0.0:
+        return math.inf
+    log_tail = (math.log(F_R1) + k * math.log(n_max + 1.0) + (n_max + 1) * math.log(r)
+                - math.log(-math.expm1(log_ratio)))
+    try:
+        return math.exp(log_tail)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +471,7 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
         return Verdict(quantity, VerdictLabel.FINITE,
                        f"below the jump-tail exponent {tail:g}")
     if alpha == int(alpha):
-        return Verdict(quantity, VerdictLabel.FINITE, f"G^({int(alpha)})(1) is finite")
+        return Verdict(quantity, VerdictLabel.FINITE, f"G^({alpha:g})(1) is finite")
     # every positive recurrent law with no finite tail exponent has a
     # radius above 1: geometric 1/(1-p), explicit infinity, a tilt at
     # x < 1 of a radius-1 law 1/x

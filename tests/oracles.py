@@ -39,6 +39,28 @@ def power_zeta_jumps(alpha: float, count: int) -> np.ndarray:
     return (k + 1.0) ** -alpha - (k + 2.0) ** -alpha
 
 
+def _falling_factorial(n: np.ndarray, order: int) -> np.ndarray:
+    w = np.ones_like(n)
+    for j in range(order):
+        w = w * (n - j)
+    return w
+
+
+def eval_G_by_series(model, t: float, order: int = 0) -> float:
+    """G^(order)(t) summed over the model's cached coefficient table.
+
+    The library evaluates G in closed form per family; this is the plain
+    truncated power series, so the two must agree on the interior of the
+    domain up to the table's certified tail.
+    """
+    a = model.coeffs
+    n = np.arange(a.size, dtype=float)
+    w = _falling_factorial(n, order)
+    keep = n >= order
+    powers = np.power(float(t), n[keep] - order)
+    return float(np.dot(a[keep] * w[keep], powers))
+
+
 def evolve_green(jumps, n_max: int) -> np.ndarray:
     """u_n = P(X_n = 0 | X_0 = 0) by evolving the state distribution.
 
@@ -144,6 +166,56 @@ def minimal_root(G, t: float, hi: float) -> float:
     if g(hi) > 0.0:
         raise ValueError("bracket does not straddle the minimal root")
     return brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+def power_zeta_G_mpmath(alpha: float, t: float, orders, dps: int = 40) -> list[float]:
+    """G^(n)(t) of power_zeta(alpha) for each n in orders, from mpmath.
+
+    G(t) = 1/t + (t - 1) Li_alpha(t) / t^2.  With theta = t d/dt,
+    theta Li_s = Li_(s-1), so t^n G^(n) = sum_j s(n, j) theta^j G (signed
+    Stirling numbers of the first kind) needs only Li_(alpha-j)(t) for
+    j <= n.  The cancellation that costs doubles their digits is absorbed
+    by working at dps digits.
+    """
+    import mpmath as mp
+
+    orders = list(orders)
+    with mp.workdps(dps):
+        a, x = mp.mpf(alpha), mp.mpf(t)
+        if x == 0:  # G^(n)(0) = n! a_n
+            return [float(mp.factorial(n) * ((n + 1) ** -a - (n + 2) ** -a)) for n in orders]
+        li = [mp.polylog(a - j, x) for j in range(max(orders) + 1)]
+
+        def theta_G(j):  # theta^j of 1/t + (1/t - 1/t^2) Li_alpha
+            s1 = sum(mp.binomial(j, i) * (-1) ** (j - i) * li[i] for i in range(j + 1))
+            s2 = sum(mp.binomial(j, i) * (-2) ** (j - i) * li[i] for i in range(j + 1))
+            return (-1) ** j / x + s1 / x - s2 / x ** 2
+
+        stirling = [[1]]  # s(n, j), row by row
+        for n in range(1, max(orders) + 1):
+            prev = stirling[-1] + [0]
+            stirling.append([(prev[j - 1] if j else 0) - (n - 1) * prev[j] for j in range(n + 1)])
+        return [float(sum(stirling[n][j] * theta_G(j) for j in range(n + 1)) / x ** n)
+                for n in orders]
+
+
+def moment_tail_bound(model, k: int, n_max: int) -> float:
+    """The tail certificate of E(tau^k) in exact rationals.
+
+    F(R1) (n_max + 1)^k r^(n_max + 1) / (1 - r ((n_max + 1)/n_max)^k) with
+    r = 1/R1, from the library's decay parameters; +inf past the doubles.
+    """
+    from repairchain.decay import decay_params
+
+    dp = decay_params(model)
+    r = 1 / Fraction(dp.R1)
+    ratio = r * Fraction(n_max + 1, n_max) ** k
+    assert ratio < 1
+    bound = Fraction(dp.F_at_R1) * (n_max + 1) ** k * r ** (n_max + 1) / (1 - ratio)
+    try:
+        return float(bound)
+    except OverflowError:
+        return math.inf
 
 
 def zeta_by_summation(s: float, terms: int = 200_000) -> float:

@@ -14,6 +14,8 @@ import pytest
 import repairchain
 from repairchain import cli
 
+import oracles
+
 GEO_HALF = '{"family": "geometric", "p": 0.5}'
 GEO_QUARTER = '{"family": "geometric", "p": 0.25}'
 GEO_THREE_QUARTER = '{"family": "geometric", "p": 0.75}'
@@ -263,16 +265,34 @@ def test_spec_errors(capsys, argv):
 
 @pytest.mark.parametrize("k", ["103", "171"])
 def test_moments_past_the_largest_power(capsys, k):
-    # n^k and (n_max + 1)^k pass the largest double from k = 103 on
+    # n^k and (n_max + 1)^k pass the largest double from k = 103 on; the
+    # tail certificate itself (about 1e183 at k = 103) does so only past
+    # k = 170, and the default horizon is 1024
     rec = run_json(capsys, ["moments", "-m", GEO_THREE_QUARTER, "-k", k])
-    assert rec["flag"] == "lower bound only" and rec["tail_bound"] == float("inf")
     assert rec["value"] > 1e200
+    bound = oracles.moment_tail_bound(repairchain.geometric(0.75), int(k), 1024)
+    if k == "103":
+        assert rec["flag"] == "certified tail"
+        assert rec["tail_bound"] == pytest.approx(bound, rel=1e-12)
+    else:
+        assert bound == float("inf")
+        assert rec["flag"] == "lower bound only" and rec["tail_bound"] == float("inf")
 
 
 def test_finite_past_the_largest_factorial(capsys):
     # 171! is not a double, G^(171)(1) is
     rec = run_json(capsys, ["finite", "-m", GEO_THREE_QUARTER, "--alpha", "171"])
     assert rec["verdict"] == "Finite"
+
+
+@pytest.mark.parametrize("alpha, reason", [("1e300", "G^(1e+300)(1) is finite"),
+                                           ("2", "G^(2)(1) is finite"),
+                                           ("171", "G^(171)(1) is finite")])
+def test_finite_reason_names_the_order_compactly(capsys, alpha, reason):
+    # the order is written like the quantity field, not as a 301-digit integer
+    rec = run_json(capsys, ["finite", "-m", GEO_THREE_QUARTER, "--alpha", alpha])
+    assert rec["reason"] == reason
+    assert rec["quantity"] == f"E(tau^{float(alpha):g})"
 
 
 def test_power_zeta_with_huge_alpha_classifies(capsys):
@@ -325,8 +345,10 @@ def test_stdout_is_parseable_json_with_ints_kept(capsys):
 
 
 def test_runtime_imports_no_scipy():
+    # scipy and mpmath serve the tests as oracles only
     code = ("import sys, repairchain, repairchain.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(repairchain.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

@@ -7,7 +7,7 @@ import pytest
 
 import repairchain as rc
 from repairchain.errors import InvalidSpec, OutOfRadius
-from repairchain.model import _zeta
+from repairchain.model import _PZ_SWITCH, _zeta
 
 import oracles
 
@@ -177,7 +177,7 @@ def test_eval_G_series_agreement(family_model):
     for t in np.linspace(0.1, lim, 5):
         for order in range(3):
             a = rc.eval_G(family_model, float(t), order)
-            b = rc.eval_G_by_series(family_model, float(t), order)
+            b = oracles.eval_G_by_series(family_model, float(t), order)
             assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
@@ -306,3 +306,57 @@ def test_zeta_matches_scipy():
     for s in np.linspace(1.01, 40.0, 4000):
         want = float(zeta(s))
         assert abs(_zeta(float(s)) - want) <= 4 * _EPS * want, s
+
+
+@pytest.mark.parametrize("s", [1.0 - 1e-6, 0.9, 0.75, 0.5, 0.4999, 0.3, 1e-9, 0.0, -1e-9, -0.5,
+                               -1.0, -2.0 + 1e-6, -3.3, -7.5, -10.1, -20.5, -33.3])
+def test_zeta_below_one_matches_mpmath(s):
+    # the functional equation carries sin(pi s / 2), so next to a trivial
+    # zero (s = -2, -4, ..) only accuracy relative to zeta(s) / sin(pi s / 2)
+    # is owed; zeta has no zero in (-2, 1)
+    import mpmath as mp
+
+    with mp.workdps(40):
+        want = mp.zeta(s)
+        scale = abs(want) if s > -0.5 else max(abs(want), abs(want / mp.sin(mp.pi * s / 2)))
+    assert abs(_zeta(s) - float(want)) <= 1e-14 * float(scale)
+
+
+def test_zeta_pole():
+    assert _zeta(1.0) == math.inf
+
+
+# 12.5 and 20: derivatives there lose 1e-11 and 1e-8 when the Jonquiere
+# sums keep the terms that differentiation annihilates
+PZ_ALPHAS = [2.1, 2.5, 2.6, 3.0, 3.0 + 1e-5, 3.0 - 1e-5, 3.0 + 1e-9, 3.0 - 1e-9, 4.0, 7.5,
+             12.5, 20.0]
+PZ_POINTS = [0.0, 0.05, 0.3, 0.5, math.nextafter(_PZ_SWITCH, 1.0), 0.75, 0.9, 0.99,
+             1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("alpha", PZ_ALPHAS)
+def test_eval_G_power_zeta_matches_mpmath(alpha):
+    # both sides of the switch from the Taylor series to Jonquiere's
+    # expansion, up to 1 - 1e-12; near-integer alpha is where the two pole
+    # terms of the expansion would cancel if summed apart
+    m = rc.power_zeta(alpha)
+    orders = [n for n in range(4) if n < alpha]
+    for t in PZ_POINTS:
+        for n, want in zip(orders, oracles.power_zeta_G_mpmath(alpha, t, orders)):
+            rel = 1e-14 if n == 0 else 1e-12
+            assert rc.eval_G(m, t, n) == pytest.approx(want, rel=rel, abs=0.0), (t, n)
+
+
+@pytest.mark.parametrize("alpha, t, order, table_error", [
+    (2.1, 1.0 - 1e-9, 1, 1.7e-6),
+    (2.1, 1.0 - 1e-6, 2, 2.5e-2),
+    (7.5, 0.95, 3, 2.0e-5),
+])
+def test_eval_G_power_zeta_past_its_table(alpha, t, order, table_error):
+    # the coefficient table stops at a tail mass of 1e-12 (518k terms at
+    # alpha = 2.1, 40 at 7.5); eval_G once summed it and was off by
+    # table_error relative here
+    m = rc.power_zeta(alpha)
+    want = oracles.power_zeta_G_mpmath(alpha, t, [order])[0]
+    assert abs(oracles.eval_G_by_series(m, t, order) / want - 1.0) > table_error
+    assert rc.eval_G(m, t, order) == pytest.approx(want, rel=1e-13, abs=0.0)

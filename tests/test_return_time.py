@@ -276,7 +276,8 @@ def test_tau_moment_power_zeta_branches():
 def test_tau_moment_past_the_power_overflow(k):
     # n^k passes the largest double near n = 1024 from k = 103 on, long
     # before n^k f_n does; the sum must still be the exact sum of the
-    # same f, and the certificate, (n_max + 1)^k times R1^-n, is dropped
+    # same f, and the certificate, (n_max + 1)^k times R1^-n, is still a
+    # double (about 1e183 at k = 103), so it must be given
     from fractions import Fraction
 
     m = rc.geometric(0.75)
@@ -284,7 +285,8 @@ def test_tau_moment_past_the_power_overflow(k):
     want = float(sum(Fraction(n) ** k * Fraction(float(f[n])) for n in range(1, 1025)))
     res = rc.tau_moment(m, k)
     assert res.value == pytest.approx(want, rel=1e-13)
-    assert res.flag == ("certified tail" if k == 102 else "lower bound only")
+    assert res.flag == "certified tail"
+    assert res.tail_bound == pytest.approx(oracles.moment_tail_bound(m, k, 1024), rel=1e-12)
 
 
 def test_tau_moment_guards():
