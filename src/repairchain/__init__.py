@@ -1,5 +1,12 @@
 """Exact and asymptotic return-time and last-exit analysis for the
-repair-shop Markov chain X_(k+1) = (X_k - 1)^+ + J."""
+repair-shop Markov chain X_(k+1) = (X_k - 1)^+ + J.
+
+The Monte Carlo sampler and the series diagnostics are numpy through and
+through; their names resolve on first access (PEP 562), so importing the
+package loads no numpy.
+"""
+
+import importlib
 
 from .decay import (
     CaseLabel,
@@ -49,14 +56,26 @@ from .return_time import (
     tau_alpha_finite,
     tau_moment,
 )
-from .series_tools import (
-    CriterionSeries,
-    WeightFunction,
-    block_ratio_diagnostic,
-    criterion_terms,
-    partial_sum_ratio,
-)
-from .sim import SimReport, sample_last_exit, sample_tau
+_LAZY = {
+    "CriterionSeries": "series_tools",
+    "WeightFunction": "series_tools",
+    "block_ratio_diagnostic": "series_tools",
+    "criterion_terms": "series_tools",
+    "partial_sum_ratio": "series_tools",
+    "SimReport": "sim",
+    "sample_last_exit": "sim",
+    "sample_tau": "sim",
+}
+
+
+def __getattr__(name):
+    # not cached in the package namespace: a later wrapper installed on
+    # the submodule's function stays visible through the package
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

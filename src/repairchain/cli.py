@@ -18,12 +18,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import decay as decay_mod
 from . import last_exit as exit_mod
 from . import return_time as rt
-from . import sim as sim_mod
 from .errors import (
     InvalidSpec,
     NoConvergence,
@@ -67,14 +64,14 @@ def _to_json(value) -> str:
     if isinstance(value, dict):
         items = (f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in value.items())
         return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
     if value is None:
         return "null"
     return json.dumps(str(value))
@@ -165,8 +162,9 @@ def _build_parser() -> _Parser:
     group.add_argument("--exit", dest="exit_", action="store_true", help="sample L")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=sim_mod.DEFAULT_TAU_CAP)
-    p.add_argument("--horizon", type=int, default=sim_mod.DEFAULT_EXIT_HORIZON)
+    # default None: the sampler's own defaults, read without importing it here
+    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None)
 
     p = add("asym", "exponent of 1 - F(1-s) for a critical chain")
     p.add_argument("--fitted", action="store_true",
@@ -256,16 +254,19 @@ def _do_exit(model, args):
 
 
 def _do_simulate(model, args):
+    from . import sim as sim_mod
+
     samples = _positive(args.samples, "--samples")
     if args.exit_:
+        horizon = args.horizon if args.horizon is not None else sim_mod.DEFAULT_EXIT_HORIZON
         report = sim_mod.sample_last_exit(model, args.seed, samples,
-                                          horizon=_positive(args.horizon, "--horizon"))
+                                          horizon=_positive(horizon, "--horizon"))
         _emit({"samples": report.samples, "seed": report.seed,
                "L_hist": report.L_hist, "censored": report.censored,
                "horizon": report.horizon})
         return
-    report = sim_mod.sample_tau(model, args.seed, samples,
-                                cap=_positive(args.cap, "--cap"))
+    cap = args.cap if args.cap is not None else sim_mod.DEFAULT_TAU_CAP
+    report = sim_mod.sample_tau(model, args.seed, samples, cap=_positive(cap, "--cap"))
     _emit({"samples": report.samples, "seed": report.seed,
            "tau_hist": report.tau_hist, "censored": report.censored,
            "cap": report.cap})

@@ -15,10 +15,8 @@ moment problem of the critically reweighted chain.
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .decay import decay_params, tilt
 from .errors import NotTransient
@@ -32,6 +30,9 @@ from .return_time import (
     return_pmf,
     tau_alpha_finite,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # default horizon for exit pmfs; the law decays like R0^(-n), so this is
 # far into the certified-tail regime for every bundled transient family

@@ -22,6 +22,11 @@ A fifth internal kind, ``tilted``, is produced by ``tilt``: the
 exponential reweighting a_j x^j / G(x) of a half_stable or power_zeta
 law.  Models are immutable once built and safe to share between threads.
 
+A model is its parameters plus exact summaries (mu, radius).  Its
+truncated coefficient table ``coeffs`` is built on first use, and only
+the code that builds arrays imports numpy, so classifying a law,
+tilting it or evaluating its G allocates no table and loads no numpy.
+
 All per-family knowledge lives in one table, ``_FAMILIES``, one record
 per family (see ``_Family``).  Public functions validate, then do one
 lookup; no other module branches on the family.  Adding a family means
@@ -33,14 +38,16 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Callable, Mapping
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import InvalidSpec, OutOfRadius
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Chains with |mu - 1| below this tolerance are treated as critical.
 CRITICAL_TOL = 1e-12
@@ -72,26 +79,40 @@ class ChainClass(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class JumpModel:
-    """Immutable jump law plus precomputed summaries.
+    """Immutable jump law plus its exact summaries.
 
-    ``coeffs`` holds a_0 .. a_{N} with certified tail mass at most
-    ``tail_bound``.  ``mu`` and ``radius`` are exact where the family
-    allows (they always do for the bundled families).
+    ``mu`` and ``radius`` are exact where the family allows (they always
+    do for the bundled families).  ``coeffs`` holds a_0 .. a_{N} with
+    certified tail mass at most ``tail_bound``; that table is built on
+    first use, so a model that is only classified, tilted or evaluated
+    through G never allocates it.
     """
 
     family: str
-    coeffs: np.ndarray
     mu: float
     radius: float
-    tail_bound: float
     p: float | None = None          # geometric parameter
     alpha: float | None = None      # power_zeta exponent
+    a: tuple[float, ...] | None = None  # explicit: a_0 .. a_m, last one nonzero
     base: "JumpModel | None" = None  # tilted: the original law
     tilt_x: float | None = None      # tilted: the reweighting point
 
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Read-only a_0 .. a_N, built on first use by the family record."""
+        coeffs, tail = _FAMILIES[self.family].table(self)
+        self.__dict__["_tail_bound"] = tail
+        return coeffs
+
+    @property
+    def tail_bound(self) -> float:
+        """Certified bound on the mass after ``coeffs``; builds the table."""
+        self.coeffs
+        return self.__dict__["_tail_bound"]
+
     @property
     def a0(self) -> float:
-        return float(self.coeffs[0])
+        return float(exact_coefficients(self, 1)[0])
 
     def __repr__(self) -> str:  # keep reprs short, the cache can be huge
         extra = ""
@@ -104,43 +125,54 @@ class JumpModel:
         return f"JumpModel({self.family}{extra}, mu={self.mu:.6g})"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
+    import numpy as np
+
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)
     return arr
 
 
 # ---------------------------------------------------------------------------
-# family constructors
+# family constructors and their coefficient tables
 
 
 def explicit(a) -> JumpModel:
     """Model from a finite coefficient list a_0 .. a_m."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    flat = not isinstance(a, (str, bytes, Mapping)) and isinstance(a, Iterable)
+    a = list(a) if flat else []
+    if not a or any(isinstance(c, Iterable) and not isinstance(c, str) for c in a):
         raise InvalidSpec("explicit law needs a one-dimensional, non-empty list")
-    if not np.all(np.isfinite(arr)):
+    a = [float(c) for c in a]
+    if not all(map(math.isfinite, a)):
         raise InvalidSpec("explicit law has non-finite entries")
-    if np.any(arr < 0):
+    if any(c < 0.0 for c in a):
         raise InvalidSpec("explicit law has negative entries")
-    total = math.fsum(arr.tolist())
+    total = math.fsum(a)
     if abs(total - 1.0) > 1e-12:
         raise InvalidSpec(f"explicit law sums to {total!r}, not 1")
-    if arr[0] <= 0.0:
+    if a[0] <= 0.0:
         raise InvalidSpec("explicit law needs a_0 > 0")
-    a1 = float(arr[1]) if arr.size > 1 else 0.0
-    if float(arr[0]) + a1 >= 1.0:
+    a1 = a[1] if len(a) > 1 else 0.0
+    if a[0] + a1 >= 1.0:
         raise InvalidSpec("explicit law needs a_0 + a_1 < 1")
-    while arr.size > 1 and arr[-1] == 0.0:  # trailing zeros carry no mass
-        arr = arr[:-1]
-    mu = math.fsum((n * float(c) for n, c in enumerate(arr)))
+    while len(a) > 1 and a[-1] == 0.0:  # trailing zeros carry no mass
+        a.pop()
     return JumpModel(
         family="explicit",
-        coeffs=_freeze(arr),
-        mu=mu,
+        mu=math.fsum(n * c for n, c in enumerate(a)),
         radius=math.inf,
-        tail_bound=0.0,
+        a=tuple(a),
     )
+
+
+def _explicit_coefficients(m: JumpModel, count: int) -> np.ndarray:
+    import numpy as np
+
+    out = np.zeros(count)
+    head = m.a[:count]
+    out[:len(head)] = head
+    return out
 
 
 def geometric(p: float) -> JumpModel:
@@ -149,23 +181,27 @@ def geometric(p: float) -> JumpModel:
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise InvalidSpec(f"geometric parameter must lie in (0,1), got {p!r}")
     q = 1.0 - p
-    n_terms = int(math.ceil(math.log(_TAIL_TARGET) / math.log(q)))
+    return JumpModel(family="geometric", mu=q / p, radius=1.0 / q, p=p)
+
+
+def _geometric_coefficients(m: JumpModel, count: int) -> np.ndarray:
+    import numpy as np
+
+    return m.p * (1.0 - m.p) ** np.arange(count, dtype=float)
+
+
+def _geometric_table(m: JumpModel) -> tuple[np.ndarray, float]:
+    # refused before allocating; q rounds to 1 for p below 2^-54
+    q = 1.0 - m.p
+    n_terms = math.ceil(math.log(_TAIL_TARGET) / math.log(q)) if q < 1.0 else math.inf
     if n_terms * 8 > GEOMETRIC_TABLE_BUDGET:
-        raise InvalidSpec(f"geometric({p!r}) needs {n_terms} coefficients, above the "
+        raise InvalidSpec(f"geometric({m.p!r}) needs {n_terms} coefficients, above the "
                           f"{GEOMETRIC_TABLE_BUDGET >> 20} MiB table budget")
-    coeffs = p * q ** np.arange(n_terms, dtype=float)
-    return JumpModel(
-        family="geometric",
-        coeffs=_freeze(coeffs),
-        mu=q / p,
-        radius=1.0 / q,
-        tail_bound=q ** n_terms,
-        p=p,
-    )
+    return _freeze(_geometric_coefficients(m, n_terms)), q ** n_terms
 
 
 @lru_cache(maxsize=1)
-def _half_stable_cache() -> tuple[np.ndarray, float]:
+def _half_stable_table() -> tuple[np.ndarray, float]:
     coeffs = _half_stable_coeffs(_HALF_STABLE_CAP)
     n = coeffs.size
     # a_k * k^{5/2} decreases, so the tail after the cache is at most
@@ -175,27 +211,35 @@ def _half_stable_cache() -> tuple[np.ndarray, float]:
 
 
 def _half_stable_coeffs(count: int) -> np.ndarray:
+    """a_0 = 2/3, a_2 = 1/4, a_3 = 1/24 and a_(n+1) = a_n (2n-3)/(2(n+1)).
+
+    Built in place: the ratios go straight into out[4:], which one
+    cumulative product and one scale turn into the coefficients, so the
+    2^21-entry table needs a single temporary of its own size.
+    """
+    import numpy as np
+
     out = np.zeros(count, dtype=float)
     out[0] = 2.0 / 3.0
     if count > 2:
         out[2] = 0.25
     if count > 3:
-        n = np.arange(3, count, dtype=float)
-        ratios = (2.0 * n - 3.0) / (2.0 * (n + 1.0))
-        out[3:] = (1.0 / 24.0) * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
+        out[3] = 1.0 / 24.0
+    if count > 4:
+        ratios = out[4:]
+        den = np.arange(4, count, dtype=float)  # n + 1 for n = 3 .. count-2
+        den *= 2.0
+        np.subtract(den, 5.0, out=ratios)  # 2n - 3, exact
+        ratios /= den
+        del den
+        np.cumprod(ratios, out=ratios)
+        ratios *= 1.0 / 24.0
     return out
 
 
 def half_stable() -> JumpModel:
     """Critical model with G(t) = t + (2/3)(1-t)^{3/2}."""
-    coeffs, tail = _half_stable_cache()
-    return JumpModel(
-        family="half_stable",
-        coeffs=coeffs,
-        mu=1.0,
-        radius=1.0,
-        tail_bound=tail,
-    )
+    return JumpModel(family="half_stable", mu=1.0, radius=1.0)
 
 
 def _zeta_terms(s: float, head: int = 1, pole: bool = True) -> list[float]:
@@ -257,7 +301,7 @@ def _log1p_over(x: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _power_zeta_cache(alpha: float) -> tuple[np.ndarray, float]:
+def _power_zeta_table(alpha: float) -> tuple[np.ndarray, float]:
     n_terms = int(math.ceil(10.0 ** (12.0 / alpha)))
     coeffs = _power_zeta_coeffs(alpha, n_terms)
     tail = float(n_terms + 1) ** (-alpha)  # telescoping, exact
@@ -265,6 +309,8 @@ def _power_zeta_cache(alpha: float) -> tuple[np.ndarray, float]:
 
 
 def _power_zeta_coeffs(alpha: float, count: int) -> np.ndarray:
+    import numpy as np
+
     k = np.arange(count, dtype=float)
     return (k + 1.0) ** (-alpha) - (k + 2.0) ** (-alpha)
 
@@ -274,15 +320,7 @@ def power_zeta(alpha: float) -> JumpModel:
     alpha = float(alpha)
     if not (alpha > 2.0) or not math.isfinite(alpha):
         raise InvalidSpec(f"power_zeta exponent must exceed 2, got {alpha!r}")
-    coeffs, tail = _power_zeta_cache(alpha)
-    return JumpModel(
-        family="power_zeta",
-        coeffs=coeffs,
-        mu=_zeta(alpha) - 1.0,
-        radius=1.0,
-        tail_bound=tail,
-        alpha=alpha,
-    )
+    return JumpModel(family="power_zeta", mu=_zeta(alpha) - 1.0, radius=1.0, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +501,26 @@ def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
         return math.inf
     # sum_n n(n-1)..(n-k+1) a_n telescopes to
     # k * sum_{j>=2} (j-2)(j-3)..(j-k) j^{-alpha}; expand the falling
-    # polynomial in powers of j and evaluate with the zeta function.
-    roots = np.arange(2, order + 1, dtype=float)
-    poly = np.polynomial.polynomial.polyfromroots(roots) if roots.size else np.array([1.0])
+    # polynomial, whose roots are 2..k, in powers of j and evaluate with
+    # the zeta function.
     total = 0.0
-    for i, c in enumerate(poly):
+    for i, c in enumerate(_pz_annihilator(order - 1)):
         total += float(c) * (_zeta(model.alpha - i) - 1.0)
     return order * total
 
 
 def _explicit_G(model: JumpModel, t: float, order: int) -> float:
-    c = model.coeffs
-    d = np.polynomial.polynomial.polyder(c, order) if order else c
-    if d.size == 0:
+    # numpy's polyder and polyval, operation for operation: each
+    # derivative takes c_j to j c_j, then Horner from the top
+    c = model.a
+    if order >= len(c):
         return 0.0
-    return float(np.polynomial.polynomial.polyval(t, d))
+    for _ in range(order):
+        c = [j * c[j] for j in range(1, len(c))]
+    acc = 0.0
+    for coef in reversed(c):
+        acc = acc * t + coef
+    return acc
 
 
 def _tilted_G(model: JumpModel, t: float, order: int) -> float:
@@ -496,7 +539,7 @@ def _tilted_gap(model: JumpModel) -> float:
 
 def _explicit_reweight(model: JumpModel, x: float) -> JumpModel:
     gx = eval_G(model, x, 0)
-    return explicit([float(c) * x ** n / gx for n, c in enumerate(model.coeffs)])
+    return explicit([c * x ** n / gx for n, c in enumerate(model.a)])
 
 
 def _tilted(base: JumpModel, x: float) -> JumpModel:
@@ -504,18 +547,30 @@ def _tilted(base: JumpModel, x: float) -> JumpModel:
     # 1); a composed point that rounds to exactly 1 gives back the base
     if x == 1.0:
         return base
-    gx = eval_G(base, x, 0)
-    n = np.arange(base.coeffs.size, dtype=float)
-    tail = float(base.tail_bound * x ** base.coeffs.size / gx)
     return JumpModel(
         family="tilted",
-        coeffs=_freeze(base.coeffs * np.power(x, n) / gx),
-        mu=float(x * eval_G(base, x, 1) / gx),
+        mu=float(x * eval_G(base, x, 1) / eval_G(base, x, 0)),
         radius=base.radius / x,
-        tail_bound=max(tail, 5e-324),
         base=base,
         tilt_x=float(x),
     )
+
+
+def _tilted_table(m: JumpModel) -> tuple[np.ndarray, float]:
+    import numpy as np
+
+    base, x = m.base, m.tilt_x
+    gx = eval_G(base, x, 0)
+    n = np.arange(base.coeffs.size, dtype=float)
+    tail = float(base.tail_bound * x ** base.coeffs.size / gx)
+    return _freeze(base.coeffs * np.power(x, n) / gx), max(tail, 5e-324)
+
+
+def _tilted_coefficients(m: JumpModel, count: int) -> np.ndarray:
+    import numpy as np
+
+    return (exact_coefficients(m.base, count) * m.tilt_x ** np.arange(count, dtype=float)
+            / eval_G(m.base, m.tilt_x))
 
 
 @dataclass(frozen=True)
@@ -528,6 +583,7 @@ class _Family:
 
     fields: tuple[str, ...]         # spec fields, in the order build takes them
     build: Callable | None          # the constructor
+    table: Callable                 # model -> (read-only a_0 .. a_N, certified tail mass after a_N)
     coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1)
     G: Callable                     # (model, t, order) -> G^(order)(t), +inf beyond the radius
     gap: Callable                   # model -> 1 - mu without cancellation
@@ -540,14 +596,16 @@ class _Family:
 _FAMILIES = {
     "explicit": _Family(
         fields=("a",), build=explicit,
-        coefficients=lambda m, count: np.pad(m.coeffs[:count], (0, max(0, count - m.coeffs.size))),
+        table=lambda m: (_freeze(m.a), 0.0),
+        coefficients=_explicit_coefficients,
         G=_explicit_G,
-        gap=lambda m: math.fsum(float(c) * (1 - n) for n, c in enumerate(m.coeffs)),
+        gap=lambda m: math.fsum(c * (1 - n) for n, c in enumerate(m.a)),
         reweight=_explicit_reweight,
     ),
     "geometric": _Family(
         fields=("p",), build=geometric,
-        coefficients=lambda m, count: m.p * (1.0 - m.p) ** np.arange(count, dtype=float),
+        table=_geometric_table,
+        coefficients=_geometric_coefficients,
         G=_geometric_G,
         gap=lambda m: (2.0 * m.p - 1.0) / m.p,
         # p q^n x^n normalizes to a geometric law with ratio q x
@@ -556,6 +614,7 @@ _FAMILIES = {
     ),
     "half_stable": _Family(
         fields=(), build=half_stable,
+        table=lambda m: _half_stable_table(),
         coefficients=lambda m, count: _half_stable_coeffs(count),
         G=_half_stable_G,
         gap=lambda m: 0.0,
@@ -564,6 +623,7 @@ _FAMILIES = {
     ),
     "power_zeta": _Family(
         fields=("alpha",), build=power_zeta,
+        table=lambda m: _power_zeta_table(m.alpha),
         coefficients=lambda m, count: _power_zeta_coeffs(m.alpha, count),
         G=_power_zeta_G,
         gap=lambda m: 2.0 - _zeta(m.alpha),
@@ -571,9 +631,8 @@ _FAMILIES = {
     ),
     "tilted": _Family(
         fields=(), build=None,
-        coefficients=lambda m, count: (exact_coefficients(m.base, count)
-                                       * m.tilt_x ** np.arange(count, dtype=float)
-                                       / eval_G(m.base, m.tilt_x)),
+        table=_tilted_table,
+        coefficients=_tilted_coefficients,
         G=_tilted_G,
         gap=_tilted_gap,
         reweight=lambda m, x: _tilted(m.base, m.tilt_x * x),  # points compose
@@ -611,7 +670,7 @@ def build_model(spec: Mapping) -> JumpModel:
         raise InvalidSpec(f"missing fields for family {fam!r}: {sorted(missing)}")
     try:
         return record.build(*(spec[name] for name in record.fields))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"bad fields for family {fam!r}: {exc}") from exc
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .decay import CaseLabel, _bisect, decay_params, tilt
 from .errors import NoConvergence, NotNullRecurrent, NotPositiveRecurrent
@@ -34,6 +33,9 @@ from .model import (
     exact_coefficients,
     mean_gap,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # series length for numeric moment partial sums
 _MOMENT_N = 1024
@@ -120,6 +122,8 @@ def escape_prob(model: JumpModel) -> float:
     closed_form = _FAMILIES[model.family].escape
     if closed_form is not None:
         return closed_form(model)
+    import numpy as np
+
     a = model.coeffs
     tails = np.cumsum(a[::-1])[::-1][1:]  # P(J > k), k = 0..m-1
     k = np.arange(tails.size, dtype=float)
@@ -184,6 +188,8 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     if need > PMF_TABLE_BUDGET:
         raise ValueError(f"pmf horizon {n_max} needs {need >> 20} MiB of power "
                          f"tables, above the {PMF_TABLE_BUDGET >> 20} MiB budget")
+    import numpy as np
+
     kernel = exact_coefficients(model, n_max)
     kernel = np.trim_zeros(kernel, "b")  # exact float zeros carry nothing
     b = math.isqrt(n_max)
@@ -296,6 +302,8 @@ def asymptotic_exponent(model: JumpModel, method: str = "auto") -> ExponentEstim
         raise ValueError(f"method must be 'auto' or 'fitted', got {method!r}")
     if method == "auto":
         return ExponentEstimate(gamma=_critical_exponent(model), method="analytic")
+    import numpy as np
+
     pf = PsiFunction(model)
     s = np.geomspace(_FIT_LO, _FIT_HI, _FIT_POINTS)
     inv = np.array([pf.psi_inv(v) for v in s])
@@ -342,6 +350,8 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
         return MomentResult(k=1, value=1.0 / mean_gap(model), tail_bound=0.0, flag="exact")
     if k >= _FAMILIES[model.family].tail(model):
         return MomentResult(k=k, value=math.inf, tail_bound=0.0, flag="exact")
+    import numpy as np
+
     f = return_pmf(model, n_max).f
     n = np.arange(n_max + 1, dtype=float)
     with np.errstate(over="ignore"):
@@ -420,6 +430,8 @@ def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     # only tilts of radius-1 laws reach BoundaryCase (geometric laws have
     # x0 = 1/(2q) < R, explicit ones R = inf); the stored a_n x^n / G(x)
     # underflow where R^n would rescue them, so weigh the base law by R x
+    import numpy as np
+
     n_top = 4096
     a = exact_coefficients(model.base, n_top + 1)[1:]
     log_r = math.log(model.base.radius)

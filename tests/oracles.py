@@ -225,6 +225,46 @@ def zeta_by_summation(s: float, terms: int = 200_000) -> float:
     return head + tail
 
 
+def half_stable_coeffs(count: int) -> np.ndarray:
+    """The half_stable table by the concatenate-and-cumprod expression
+    that the library's in-place build replaced; the bytes must agree."""
+    out = np.zeros(count, dtype=float)
+    out[0] = 2.0 / 3.0
+    if count > 2:
+        out[2] = 0.25
+    if count > 3:
+        n = np.arange(3, count, dtype=float)
+        ratios = (2.0 * n - 3.0) / (2.0 * (n + 1.0))
+        out[3:] = (1.0 / 24.0) * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
+    return out
+
+
+def eager_table(model) -> tuple[np.ndarray, float]:
+    """(coeffs, tail_bound) as the constructors built them eagerly, by the
+    same expressions, before tables were built on first use."""
+    from repairchain.model import eval_G
+
+    if model.family == "explicit":  # the stored list is the whole law
+        return np.asarray(model.a, dtype=float), 0.0
+    if model.family == "geometric":
+        p, q = model.p, 1.0 - model.p
+        n_terms = int(math.ceil(math.log(1e-12) / math.log(q)))
+        return p * q ** np.arange(n_terms, dtype=float), q ** n_terms
+    if model.family == "half_stable":
+        coeffs = half_stable_coeffs(1 << 21)
+        return coeffs, (2.0 / 3.0) * float(coeffs[-1]) * (coeffs.size - 1)
+    if model.family == "power_zeta":
+        alpha = model.alpha
+        n_terms = int(math.ceil(10.0 ** (12.0 / alpha)))
+        return power_zeta_jumps(alpha, n_terms), float(n_terms + 1) ** (-alpha)
+    base, x = model.base, model.tilt_x
+    coeffs, tail = eager_table(base)
+    gx = eval_G(base, x, 0)
+    n = np.arange(coeffs.size, dtype=float)
+    return (coeffs * np.power(x, n) / gx,
+            max(float(tail * x ** coeffs.size / gx), 5e-324))
+
+
 def tilt_jumps(jumps, x: float) -> np.ndarray:
     """Reweighted law a_n x^n / G(x) straight from the definition."""
     a = np.asarray(jumps, dtype=float)

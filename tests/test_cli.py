@@ -20,6 +20,7 @@ GEO_HALF = '{"family": "geometric", "p": 0.5}'
 GEO_QUARTER = '{"family": "geometric", "p": 0.25}'
 GEO_THREE_QUARTER = '{"family": "geometric", "p": 0.75}'
 POWER_ZETA_3 = '{"family": "power_zeta", "alpha": 3.0}'
+GEO_TINY = '{"family": "geometric", "p": 1e-7}'  # its table is past the budget
 
 
 def run_json(capsys, argv):
@@ -195,9 +196,33 @@ def test_simulate_beyond_histogram_budget(capsys):
 
 
 def test_geometric_beyond_table_budget_is_invalid_spec(capsys):
-    # p = 1e-7 would need 276M coefficients (2.06 GiB)
-    assert cli.run(["classify", "-m", '{"family": "geometric", "p": 1e-7}']) == 2
-    assert "budget" in capsys.readouterr().err
+    # p = 1e-7 would need 276M coefficients (2.06 GiB); only the verbs
+    # that read the table refuse it: simulate, and tilt where the tilted
+    # law is itself past the budget (near the radius 1/(1 - p))
+    for argv in (["simulate", "-m", GEO_TINY, "--samples", "10"],
+                 ["tilt", "-m", GEO_TINY, "--x", "1.0000001"]):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert "budget" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["classify"], 0),
+    (["decay"], 0),
+    (["finite", "--alpha", "2"], 0),
+    (["moments", "-k", "1"], 3),  # transient: answered with the domain error
+    (["exit", "--alpha", "0.5"], 0),
+    (["tilt"], 0),  # the tangency point tilts it to geometric(1/2)
+    (["pmf", "-N", "8"], 0),
+])
+def test_verbs_reading_no_table_answer_past_the_geometric_budget(capsys, argv, status):
+    assert cli.run(argv + ["-m", GEO_TINY]) == status
+    captured = capsys.readouterr()
+    assert "budget" not in captured.err
+    if status == 0:
+        assert json.loads(captured.out)
+    if argv == ["classify"]:
+        assert json.loads(captured.out) == {"class": "transient", "mu": (1 - 1e-7) / 1e-7}
 
 
 def test_asym(capsys):
@@ -254,6 +279,11 @@ SPEC_CASES = [
     ["classify", "-m", '{"family": "explicit", "a": {"k": 1}}'],
     ["classify", "-m", '{"family": ["geometric"]}'],   # unhashable family
     ["classify", "-m", '{"family": "tilted"}'],        # internal, not a spec family
+    ["classify", "-m", '{"family": "explicit", "a": [[0.5], [0.5]]}'],
+    ["classify", "-m", '{"family": "explicit", "a": 0.5}'],
+    ["classify", "-m", '{"family": "explicit", "a": "ab"}'],
+    ["classify", "-m", '{"family": "explicit", "a": [0.5, [0.5]]}'],
+    ["classify", "-m", '{"family": "geometric", "p": 1%s}' % ("0" * 400)],  # no double
 ]
 
 
@@ -344,14 +374,62 @@ def test_stdout_is_parseable_json_with_ints_kept(capsys):
     assert '"mu": 1.0' in raw
 
 
+def _child_stdout(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repairchain.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_runtime_imports_no_scipy():
     # scipy and mpmath serve the tests as oracles only
     code = ("import sys, repairchain, repairchain.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'mpmath')))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repairchain.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _child_stdout(code).strip() == "[]"
+
+
+ANALYTIC_ARGV = [
+    ["classify"], ["decay"], ["moments", "-k", "1"], ["asym"],
+    ["finite", "--alpha", "0.5"], ["finite", "--alpha", "2.5"],
+    ["finite", "--alpha", "0.5", "--r1-weighted"],
+    ["finite", "--alpha", "2.5", "--r1-weighted"],
+    ["exit", "-k", "1"], ["exit", "--alpha", "0.5"],
+]
+ANALYTIC_SPECS = [GEO_QUARTER, GEO_HALF, GEO_THREE_QUARTER, GEO_TINY,
+                  '{"family": "half_stable"}', POWER_ZETA_3,
+                  '{"family": "power_zeta", "alpha": 2.1}',
+                  '{"family": "explicit", "a": [0.5, 0.2, 0.3]}',
+                  '{"family": "explicit", "a": [0.3, 0, 0.2, 0.5]}']
+
+
+def test_analytic_verbs_load_no_numpy():
+    # the verdicts and radii come from mu, G and the tail exponent alone;
+    # a fresh interpreter proves numpy stays unloaded through all of them
+    code = f"""
+import contextlib, io, json, sys
+import repairchain, repairchain.cli
+from repairchain import cli
+seen = {{"import": "numpy" in sys.modules}}
+for spec in {ANALYTIC_SPECS!r}:
+    for argv in {ANALYTIC_ARGV!r}:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.run(argv + ["-m", spec])
+        assert status in (0, 3), (argv, spec, err.getvalue())
+        seen[" ".join(argv) + " " + spec] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+    seen = json.loads(_child_stdout(code))
+    assert len(seen) == 1 + len(ANALYTIC_SPECS) * len(ANALYTIC_ARGV)
+    assert [k for k, loaded in seen.items() if loaded] == []
+
+
+@pytest.mark.parametrize("argv", [["pmf", "-N", "8"], ["simulate", "--samples", "10"]])
+def test_array_verbs_load_numpy(argv):
+    code = (f"import sys; from repairchain import cli; "
+            f"status = cli.run({argv!r} + ['-m', {GEO_HALF!r}]); "
+            f"print(status, 'numpy' in sys.modules)")
+    assert _child_stdout(code).splitlines()[-1] == "0 True"

@@ -79,20 +79,80 @@ def test_geometric_rejects(p):
 def test_geometric_table_budget(monkeypatch):
     from repairchain import model
 
-    def n_terms(p):  # the size rule of model.geometric
+    def n_terms(p):  # the size rule of the geometric table
         return math.ceil(math.log(1e-12) / math.log(1.0 - p))
 
     assert n_terms(0.5) == rc.geometric(0.5).coeffs.size
     monkeypatch.setattr(model, "GEOMETRIC_TABLE_BUDGET", n_terms(0.5) * 8)
     assert rc.geometric(0.5).coeffs.size == n_terms(0.5)
+    m = rc.geometric(0.45)  # the law itself is valid; only its table is refused
     with pytest.raises(InvalidSpec, match="budget"):
-        rc.geometric(0.45)
+        m.coeffs
     monkeypatch.undo()
     # the size rule alone refuses p = 1e-7 (2.06 GiB) before allocating
     assert n_terms(1e-7) * 8 > model.GEOMETRIC_TABLE_BUDGET
-    with pytest.raises(InvalidSpec, match="budget"):
-        rc.geometric(1e-7)
+    for p in (1e-7, 1e-17):  # 1 - 1e-17 rounds to 1: no finite size at all
+        m = rc.geometric(p)
+        assert m.mu == (1.0 - p) / p
+        with pytest.raises(InvalidSpec, match="budget"):
+            m.coeffs
+        with pytest.raises(InvalidSpec, match="budget"):
+            m.tail_bound
     assert rc.geometric(1e-5).coeffs.size == n_terms(1e-5)
+
+
+LAZY_TABLE_CASES = {
+    "geometric": lambda: rc.geometric(0.3),
+    "half_stable": rc.half_stable,
+    "power_zeta_2.1": lambda: rc.power_zeta(2.1),
+    "power_zeta_3": lambda: rc.power_zeta(3.0),
+    "explicit": lambda: rc.explicit([0.5, 0.2, 0.3, 0.0]),
+    "tilt_half_stable": lambda: rc.tilt(rc.half_stable(), 0.75),
+    "tilt_power_zeta": lambda: rc.tilt(rc.power_zeta(2.5), 0.9),
+    "tilt_power_zeta_composed": lambda: rc.tilt(rc.tilt(rc.power_zeta(3.0), 0.5), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_TABLE_CASES))
+def test_table_built_on_first_use_matches_eager_construction(name):
+    m = LAZY_TABLE_CASES[name]()
+    assert "coeffs" not in vars(m) and "_tail_bound" not in vars(m)
+    a0 = m.a0  # from exact_coefficients, so it builds no table either
+    assert "coeffs" not in vars(m)
+    want, tail = oracles.eager_table(m)
+    assert m.tail_bound == tail
+    assert m.coeffs.dtype == want.dtype and m.coeffs.tobytes() == want.tobytes()
+    assert not m.coeffs.flags.writeable
+    assert a0 == m.coeffs[0]
+    assert m.coeffs is m.coeffs  # built once
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 10, 1000, 1 << 21])
+def test_half_stable_in_place_build_matches_old_expression(count):
+    from repairchain.model import _half_stable_coeffs
+
+    assert _half_stable_coeffs(count).tobytes() == oracles.half_stable_coeffs(count).tobytes()
+
+
+def test_explicit_G_matches_numpy_polynomial_bit_for_bit():
+    # the pure-Python derivative and Horner loop against polyder/polyval
+    from numpy.polynomial import polynomial as P
+
+    from repairchain.model import JumpModel, _explicit_G
+
+    rng = np.random.default_rng(20261018)
+    cases = 0
+    for _ in range(400):
+        c = rng.random(rng.integers(1, 9)) * rng.choice([1.0, 1e-3, 1e3])
+        m = JumpModel(family="explicit", mu=0.0, radius=math.inf, a=tuple(c.tolist()))
+        for order in range(c.size + 2):
+            d = P.polyder(c, order) if order else c
+            for t in np.concatenate(([0.0, 1.0, 3.0], rng.random(12) * 3.0)).tolist():
+                got = _explicit_G(m, t, order)
+                assert type(got) is float
+                assert got == float(P.polyval(t, d)), (c.tolist(), order, t)
+                cases += 1
+    assert cases > 20_000
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5, 0.0, -3.0])
