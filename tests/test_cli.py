@@ -215,7 +215,7 @@ def test_geometric_beyond_table_budget_is_invalid_spec(capsys):
     (["tilt"], 0),  # the tangency point tilts it to geometric(1/2)
     (["pmf", "-N", "8"], 0),
 ])
-def test_verbs_reading_no_table_answer_past_the_geometric_budget(capsys, argv, status):
+def test_geometric_past_the_table_budget_still_answers(capsys, argv, status):
     assert cli.run(argv + ["-m", GEO_TINY]) == status
     captured = capsys.readouterr()
     assert "budget" not in captured.err
