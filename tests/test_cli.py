@@ -283,7 +283,9 @@ SPEC_CASES = [
     ["classify", "-m", '{"family": "explicit", "a": 0.5}'],
     ["classify", "-m", '{"family": "explicit", "a": "ab"}'],
     ["classify", "-m", '{"family": "explicit", "a": [0.5, [0.5]]}'],
-    ["classify", "-m", '{"family": "geometric", "p": 1%s}' % ("0" * 400)],  # no double
+    # no double; its own id, since its first 30 characters are those of p = 1.5
+    pytest.param(["classify", "-m", '{"family": "geometric", "p": 1%s}' % ("0" * 400)],
+                 id="geometric p of 401 digits"),
 ]
 
 
