@@ -61,6 +61,9 @@ _TAIL_TARGET = 1e-12
 # on the cached sum).
 _HALF_STABLE_CAP = 1 << 21
 
+# entries per block of the half_stable ratios: 32 KiB temporaries
+_BUILD_BLOCK = 1 << 12
+
 # ceiling on a geometric coefficient table, in bytes (p below about
 # 1.6e-6 would need more to reach the tail target)
 GEOMETRIC_TABLE_BUDGET = 1 << 27
@@ -213,9 +216,13 @@ def _half_stable_table() -> tuple[np.ndarray, float]:
 def _half_stable_coeffs(count: int) -> np.ndarray:
     """a_0 = 2/3, a_2 = 1/4, a_3 = 1/24 and a_(n+1) = a_n (2n-3)/(2(n+1)).
 
-    Built in place: the ratios go straight into out[4:], which one
-    cumulative product and one scale turn into the coefficients, so the
-    2^21-entry table needs a single temporary of its own size.
+    Built in place: the ratios go straight into out[4:], block by block,
+    and one cumulative product and one scale turn them into the
+    coefficients.  The blocks keep every temporary small, so building
+    the 2^21-entry table frees no large array.  A freed array of many
+    megabytes raises glibc's mmap threshold to its size, and later
+    arrays of the sampler then come from the heap, where they fragment
+    and hold a varying amount of memory.
     """
     import numpy as np
 
@@ -227,11 +234,13 @@ def _half_stable_coeffs(count: int) -> np.ndarray:
         out[3] = 1.0 / 24.0
     if count > 4:
         ratios = out[4:]
-        den = np.arange(4, count, dtype=float)  # n + 1 for n = 3 .. count-2
-        den *= 2.0
-        np.subtract(den, 5.0, out=ratios)  # 2n - 3, exact
-        ratios /= den
-        del den
+        for lo in range(4, count, _BUILD_BLOCK):
+            hi = min(lo + _BUILD_BLOCK, count)
+            den = np.arange(lo, hi, dtype=float)  # n + 1 for n = lo-1 .. hi-2
+            den *= 2.0
+            block = ratios[lo - 4:hi - 4]
+            np.subtract(den, 5.0, out=block)  # 2n - 3, exact
+            block /= den
         np.cumprod(ratios, out=ratios)
         ratios *= 1.0 / 24.0
     return out

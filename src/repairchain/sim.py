@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,6 +74,9 @@ _R_SHIFT = np.uint64(11)
 _GUIDE_SHIFT = np.uint64(48)
 _BUCKET = 1 << 37  # values of r per bucket
 
+# id(coeffs) -> (weak reference to coeffs, its jump sampler)
+_DRAWS: dict[int, tuple[weakref.ref, Callable]] = {}
+
 DEFAULT_TAU_CAP = 10 ** 6
 DEFAULT_EXIT_HORIZON = 10 ** 4
 
@@ -93,7 +98,23 @@ def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def _jump_draw(coeffs: np.ndarray):
-    """Inverse-CDF jump sampler: 64-bit draw words -> jumps (see module doc)."""
+    """Inverse-CDF jump sampler: 64-bit draw words -> jumps (see module doc).
+
+    Kept for as long as the table lives, so sampling again on a shared
+    table (half_stable's, power_zeta's) builds no table-sized threshold
+    array.  Freeing one per call would raise glibc's mmap threshold and
+    leave the next ones to fragment the heap.
+    """
+    key = id(coeffs)
+    hit = _DRAWS.get(key)
+    if hit is not None and hit[0]() is coeffs:
+        return hit[1]
+    draw = _build_jump_draw(coeffs)
+    _DRAWS[key] = (weakref.ref(coeffs, lambda _, key=key: _DRAWS.pop(key, None)), draw)
+    return draw
+
+
+def _build_jump_draw(coeffs: np.ndarray):
     thresholds = np.cumsum(coeffs)  # becomes t_k in place: no second table
     thresholds *= 2.0 ** 53
     np.ceil(thresholds, out=thresholds)

@@ -127,11 +127,30 @@ def test_table_built_on_first_use_matches_eager_construction(name):
     assert m.coeffs is m.coeffs  # built once
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 10, 1000, 1 << 21])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 10, 1000, 1 << 21,
+                                   (1 << 12) + 3, (1 << 12) + 4, (1 << 12) + 5])
 def test_half_stable_in_place_build_matches_old_expression(count):
+    # the last three put the end of the ratios just before, on and after
+    # the first block boundary
     from repairchain.model import _half_stable_coeffs
 
     assert _half_stable_coeffs(count).tobytes() == oracles.half_stable_coeffs(count).tobytes()
+
+
+def test_half_stable_build_needs_no_large_temporary():
+    # numpy reports its buffers to tracemalloc: the build's peak is the
+    # table itself plus one block's temporaries
+    import tracemalloc
+
+    from repairchain.model import _HALF_STABLE_CAP, _half_stable_coeffs
+
+    tracemalloc.start()
+    try:
+        table = _half_stable_coeffs(_HALF_STABLE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + (1 << 20)
 
 
 def test_explicit_G_matches_numpy_polynomial_bit_for_bit():

@@ -209,6 +209,34 @@ def test_block_arrays_stay_within_a_chunk(monkeypatch):
     assert len(sizes) < 100  # far fewer blocks than the 5000 steps
 
 
+def test_jump_draw_kept_while_its_table_lives():
+    from repairchain import sim
+
+    table = rc.geometric(0.3).coeffs
+    draw = sim._jump_draw(table)
+    assert sim._jump_draw(table) is draw
+    assert sim._jump_draw(rc.geometric(0.3).coeffs) is not draw  # another table
+    key = id(table)
+    del table
+    assert key not in sim._DRAWS
+
+
+def test_sampling_again_on_a_shared_table_builds_no_threshold_array(monkeypatch):
+    # half_stable's 16 MiB table is shared by every half_stable model; a
+    # second sampling call must not build (and free) a copy of its size
+    import tracemalloc
+
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    rc.sample_tau(rc.half_stable(), 1, 4096, cap=100)
+    tracemalloc.start()
+    try:
+        rc.sample_tau(rc.half_stable(), 2, 4096, cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rc.half_stable().coeffs.nbytes // 4
+
+
 def test_histogram_budget(monkeypatch):
     from repairchain import sim
 
