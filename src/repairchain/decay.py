@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoConvergence, OutOfRadius
-from .model import CRITICAL_TOL, JumpModel, eval_G, tilt  # tilt is re-exported
+from .model import ChainClass, JumpModel, classify, eval_G, tilt  # tilt is re-exported
 
 
 class CaseLabel(str, Enum):
@@ -89,24 +89,20 @@ def _bisect(above, lo: float, hi: float) -> float:
 
 
 def find_x0(model: JumpModel) -> float | None:
-    """Root of xi in the region the recurrence class dictates.
+    """The tangency point x0 of ``decay_params``; None when there is none."""
+    return decay_params(model).x0
 
-    Critical chains sit exactly at x0 = 1.  Transient chains always have
-    a root in (0, 1).  Positive recurrent chains may have one in (1, R);
-    None signals there is no interior tangency point (the transform's
-    singularity then sits at the boundary of the G-domain instead).
-    xi' = -x G'' < 0, so the sign of xi brackets the root and bisection
-    pins it to adjacent doubles.
+
+def _interior_tangency(model: JumpModel) -> float | None:
+    """Root of xi in (1, R) for a positive recurrent law of radius R > 1.
+
+    xi(1) = 1 - mu > 0; None when xi keeps its sign up to the radius
+    (the transform's singularity then sits at the boundary of the
+    G-domain).  xi' = -x G'' < 0, so the sign of xi brackets the root
+    and bisection pins it to adjacent doubles.
     """
-    if abs(model.mu - 1.0) <= CRITICAL_TOL:
-        return 1.0
-    if model.mu > 1.0:
-        # xi(0+) = a_0 > 0 and xi(1) = 1 - mu < 0
-        return _bisect(lambda x: xi(model, x) > 0.0, 1e-12, 1.0)
     radius = model.radius
-    if radius <= 1.0:
-        return None
-    lo = 1.0  # xi(1) = 1 - mu > 0
+    lo = 1.0
     if math.isinf(radius):
         hi = 2.0
         for _ in range(200):
@@ -142,19 +138,21 @@ def decay_params(model: JumpModel) -> DecayParams:
 
 
 def _decay_params(model: JumpModel) -> DecayParams:
-    if model.mu > 1.0 + CRITICAL_TOL:
-        x0 = find_x0(model)
+    cls = classify(model)
+    if cls is ChainClass.TRANSIENT:
+        # xi(0+) = a_0 > 0 and xi(1) = 1 - mu < 0
+        x0 = _bisect(lambda x: xi(model, x) > 0.0, 1e-12, 1.0)
         r = eta(model, x0)
         return DecayParams(x0=x0, R0=r, R1=r, F_at_R1=x0,
                            case_label=CaseLabel.TRANSIENT_TILT)
-    if abs(model.mu - 1.0) <= CRITICAL_TOL:
+    if cls is ChainClass.NULL_RECURRENT:
         return DecayParams(x0=1.0, R0=1.0, R1=1.0, F_at_R1=1.0,
                            case_label=CaseLabel.CRITICAL_RADIUS_ONE)
     # positive recurrent from here on; the renewal transform diverges at 1
     if model.radius <= 1.0:
         return DecayParams(x0=None, R0=1.0, R1=1.0, F_at_R1=1.0,
                            case_label=CaseLabel.CRITICAL_RADIUS_ONE)
-    x0 = find_x0(model)
+    x0 = _interior_tangency(model)
     if x0 is not None:
         return DecayParams(x0=x0, R0=1.0, R1=eta(model, x0), F_at_R1=x0,
                            case_label=CaseLabel.INTERIOR_CRITICAL)
@@ -165,7 +163,7 @@ def _decay_params(model: JumpModel) -> DecayParams:
 
 def tilt_to_critical(model: JumpModel) -> JumpModel:
     """Reweight at the tangency point, landing on the critical line."""
-    x0 = find_x0(model)
+    x0 = decay_params(model).x0
     if x0 is None:
         raise OutOfRadius("no tangency point exists for this law")
     return tilt(model, x0)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .decay import decay_params, tilt
+from .decay import tilt_to_critical
 from .errors import NotTransient
 from .model import ChainClass, JumpModel, classify
 from .return_time import (
@@ -26,9 +26,9 @@ from .return_time import (
     ReturnAnalysis,
     Verdict,
     VerdictLabel,
+    _critical_tilt_verdict,
     escape_prob,
     return_pmf,
-    tau_alpha_finite,
 )
 
 if TYPE_CHECKING:
@@ -63,13 +63,8 @@ def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
     q = escape_prob(model)
     pmf = q * analysis.u
     pmf.setflags(write=False)
-    dp = decay_params(model)
-    return ExitAnalysis(
-        q_exit=q,
-        pmf=pmf,
-        occupation=analysis,
-        tilted_criterion=PsiFunction(tilt(model, dp.x0)),
-    )
+    return ExitAnalysis(q_exit=q, pmf=pmf, occupation=analysis,
+                        tilted_criterion=PsiFunction(tilt_to_critical(model)))
 
 
 def exit_weighted_verdict(model: JumpModel, k: int = 0,
@@ -103,8 +98,4 @@ def exit_weighted_verdict(model: JumpModel, k: int = 0,
         return Verdict(quantity, VerdictLabel.INFINITE,
                        "already E(R0^L L) diverges: the weighted series "
                        "loses its polynomial decay margin at a full power of L")
-    dp = decay_params(model)
-    inner = tau_alpha_finite(tilt(model, dp.x0), exponent)
-    return Verdict(quantity, inner.verdict,
-                   "reduced to the critical reweighted law: " + inner.reason,
-                   diagnostics=inner.diagnostics)
+    return _critical_tilt_verdict(model, exponent, quantity)

@@ -2,7 +2,8 @@
 
 For the chain started at 0, tau is the first n >= 1 with X_n = 0.  Its
 transform F(t) = E(t^tau; tau < infinity) solves F = t G(F) and equals
-the minimal nonnegative root.  From F everything else follows:
+the minimal nonnegative root, which Newton's method climbs to from 0.
+From F everything else follows:
 
 * the pmf f_n = P(tau = n), extracted by series inversion
   f_n = (1/n) [x^(n-1)] G(x)^n,
@@ -21,11 +22,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .decay import CaseLabel, _bisect, decay_params, tilt
-from .errors import NoConvergence, NotNullRecurrent, NotPositiveRecurrent
+from .decay import CaseLabel, _bisect, decay_params, tilt_to_critical
+from .errors import NotNullRecurrent, NotPositiveRecurrent
 from .model import (
     _FAMILIES,
-    CRITICAL_TOL,
     ChainClass,
     JumpModel,
     classify,
@@ -54,16 +54,16 @@ _FIT_LO, _FIT_HI, _FIT_POINTS = 1e-6, 1e-2, 50
 def eval_F(model: JumpModel, t: float) -> float:
     """Minimal nonnegative root of x = t G(x), or +inf beyond the radius.
 
-    At t = 1 the answer is the return probability: exactly 1 for a
-    recurrent law, 1 - escape_prob otherwise.  Elsewhere, monotone
-    fixed-point iteration from 0 does the approach; once steps are small
-    a guarded Newton step sequence on g(x) = t G(x) - x finishes from
-    below (g is convex, so Newton from the left never crosses the
-    minimal root).  At t = R1 the root is tangential and direct
-    iteration cannot do better than ~sqrt(eps) there, so values of t
-    within a few ulp of R1 are answered from the decay analysis, where
-    the same point is the well-conditioned simple root of
-    G(x) = x G'(x).
+    g(x) = t G(x) - x is convex and decreasing up to its minimal root, so
+    Newton's method from x = 0 climbs to that root from below without
+    overshooting; the climb stops at the first step that does not
+    increase x, which is where rounding takes over.  At t = 1 the answer
+    is the return probability: exactly 1 for a recurrent law, and
+    1 - escape_prob for a transient one unless escape_prob exceeds 1/2,
+    where the subtraction would cancel and the climb answers instead.
+    At t = R1 the root is tangential, so values of t within a few ulp of
+    R1 are answered from the decay analysis, where the same point is the
+    well-conditioned simple root of G(x) = x G'(x).
     """
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
@@ -71,36 +71,22 @@ def eval_F(model: JumpModel, t: float) -> float:
     if t == 0.0:
         return 0.0
     if t == 1.0:
-        return 1.0 - escape_prob(model)
-    dp = decay_params(model)
-    if math.isfinite(dp.R1):
-        if t > dp.R1 * (1.0 + 1e-12):
-            return math.inf
-        if t >= dp.R1 * (1.0 - 2.0 ** -50):
-            return dp.F_at_R1
-    budget = 10 ** 6
+        q = escape_prob(model)
+        if q <= 0.5:
+            return 1.0 - q
+    else:
+        dp = decay_params(model)
+        if math.isfinite(dp.R1):
+            if t > dp.R1 * (1.0 + 1e-12):
+                return math.inf
+            if t >= dp.R1 * (1.0 - 2.0 ** -50):
+                return dp.F_at_R1
     x = 0.0
-    used = 0
-    while used < 10_000:
-        x_next = t * eval_G(model, x, 0)
-        step = x_next - x
-        x = x_next
-        used += 1
-        if step < 1e-6:
-            break
-    while used < budget:
-        g = t * eval_G(model, x, 0) - x
-        if g <= 4e-15 * max(1.0, x):
-            return x  # residual at the rounding floor of g itself
-        g1 = t * eval_G(model, x, 1) - 1.0
-        if g1 >= 0.0:
-            break  # cannot happen strictly below the minimal root
-        step = -g / g1
-        x += step
-        used += 1
-        if step < 1e-14:
+    while True:
+        x_next = x + (t * eval_G(model, x, 0) - x) / (1.0 - t * eval_G(model, x, 1))
+        if not x_next > x:
             return x
-    raise NoConvergence(f"no root of x = {t!r}*G(x) located within {budget} iterations")
+        x = x_next
 
 
 def escape_prob(model: JumpModel) -> float:
@@ -117,7 +103,7 @@ def escape_prob(model: JumpModel) -> float:
     mu <= 1); their finite tail series is bisected down to adjacent
     doubles.
     """
-    if model.mu <= 1.0 + CRITICAL_TOL:
+    if classify(model) is not ChainClass.TRANSIENT:
         return 0.0
     closed_form = _FAMILIES[model.family].escape
     if closed_form is not None:
@@ -504,12 +490,16 @@ def _r1_weighted_verdict(model: JumpModel, alpha: float, cls: ChainClass) -> Ver
     if dp.case_label in (CaseLabel.TRANSIENT_TILT, CaseLabel.INTERIOR_CRITICAL):
         # reweighting at the tangency point is exact here:
         # E(R1^tau tau^alpha) = x0 * E_tilted(tau^alpha), tilted critical
-        tilted = tilt(model, dp.x0)
-        inner = tau_alpha_finite(tilted, alpha)
-        return Verdict(quantity, inner.verdict,
-                       "reduced to the critical reweighted law: " + inner.reason,
-                       diagnostics=inner.diagnostics)
+        return _critical_tilt_verdict(model, alpha, quantity)
     return Verdict(quantity, VerdictLabel.UNKNOWN,
                    "the transform's singularity sits on the boundary of the "
                    "G-domain; no analytic branch applies",
                    diagnostics=_weighted_criterion_diagnostics(model, alpha))
+
+
+def _critical_tilt_verdict(model: JumpModel, alpha: float, quantity: str) -> Verdict:
+    """The verdict on E(tau^alpha) of the law tilted to the critical line, for ``quantity``."""
+    inner = tau_alpha_finite(tilt_to_critical(model), alpha)
+    return Verdict(quantity, inner.verdict,
+                   "reduced to the critical reweighted law: " + inner.reason,
+                   diagnostics=inner.diagnostics)

@@ -168,6 +168,16 @@ def minimal_root(G, t: float, hi: float) -> float:
     return brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
+def geometric_F_mpmath(p: float, t: float, dps: int = 60) -> float:
+    """F(t) = (1 - sqrt(1 - 4pqt))/(2q) of geometric(p), q = 1 - p, from mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        p, t = mp.mpf(p), mp.mpf(t)
+        q = 1 - p
+        return float((1 - mp.sqrt(1 - 4 * p * q * t)) / (2 * q))
+
+
 def power_zeta_G_mpmath(alpha: float, t: float, orders, dps: int = 40) -> list[float]:
     """G^(n)(t) of power_zeta(alpha) for each n in orders, from mpmath.
 

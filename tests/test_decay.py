@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 import repairchain as rc
 from repairchain.decay import eta, xi
 from repairchain.errors import OutOfRadius
+from repairchain.return_time import escape_prob
 
 
 # geometric(p): xi(x) = 0 at x0 = 1/(2q), eta there is 1/(4pq), F(R1) = x0
@@ -174,3 +175,29 @@ _EPS = np.finfo(float).eps
 def test_find_x0_matches_brentq(model, lo, hi):
     root = brentq(lambda x: xi(model, x), lo, hi, xtol=1e-15, rtol=4 * _EPS)
     assert abs(rc.find_x0(model) - root) <= 4 * _EPS * root
+
+
+@pytest.mark.parametrize("offset", [-4e-12, -5e-13, 0.0, 5e-13, 4e-12])
+def test_regime_follows_classify_at_the_critical_tolerance(offset):
+    # explicit [1/2 - d, 0, 1/2 + d] has mu = 1 + 2d, on either side of CRITICAL_TOL
+    d = offset / 2.0
+    model = rc.explicit([0.5 - d, 0.0, 0.5 + d])
+    cls = rc.classify(model)
+    dp = rc.decay_params(model)
+    want = {rc.ChainClass.TRANSIENT: rc.CaseLabel.TRANSIENT_TILT,
+            rc.ChainClass.NULL_RECURRENT: rc.CaseLabel.CRITICAL_RADIUS_ONE,
+            rc.ChainClass.POSITIVE_RECURRENT: rc.CaseLabel.INTERIOR_CRITICAL}[cls]
+    assert dp.case_label is want
+    assert (dp.x0 == 1.0) == (cls is rc.ChainClass.NULL_RECURRENT)
+    assert (escape_prob(model) > 0.0) == (cls is rc.ChainClass.TRANSIENT)
+    assert rc.find_x0(model) == dp.x0
+    assert rc.tilt_to_critical(model).mu == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    rc.geometric(0.25), rc.geometric(0.5), rc.geometric(0.75), rc.half_stable(),
+    rc.power_zeta(3.0), rc.tilt(rc.power_zeta(3.0), 0.5), rc.explicit([0.5, 0.2, 0.3]),
+    rc.explicit([0.2, 0.3, 0.5]),
+], ids=lambda m: m.family)
+def test_find_x0_is_the_decay_tangency_point(model):
+    assert rc.find_x0(model) == rc.decay_params(model).x0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,33 @@ def test_eval_F_at_and_beyond_the_decay_radius():
         # just inside the radius the root is real and below the tangency point
         inside = rc.eval_F(model, dp.R1 * (1.0 - 1e-6))
         assert inside < dp.F_at_R1
+
+
+@pytest.mark.parametrize("p", [0.3, 0.45, 0.5, 0.7])
+def test_eval_F_near_tangency_matches_closed_form(p):
+    # the root turns tangential as t -> R1; the Newton climb keeps the
+    # error at the conditioning of the root (about eps / sqrt(1 - t/R1))
+    m = rc.geometric(p)
+    r1 = rc.decay_params(m).R1
+    for f in (0.05, 0.5, 0.99, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10, 1 - 1e-12):
+        t = f * r1
+        assert rc.eval_F(m, t) == pytest.approx(oracles.geometric_F_mpmath(p, t),
+                                                rel=2e-10, abs=0)
+
+
+def test_eval_F_at_tiny_t(family_model):
+    t = 1e-300
+    assert rc.eval_F(family_model, t) == pytest.approx(t * family_model.a0, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("p", [1e-17, 1e-12, 1e-7, 1e-3, 0.25])
+def test_return_prob_of_transient_geometric_matches_fraction(p):
+    # F(1) = p/q; 1 - escape_prob would cancel when the return is unlikely
+    m = rc.geometric(p)
+    want = Fraction(p) / (1 - Fraction(p))
+    got = rc.eval_F(m, 1.0)
+    assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want
+    assert rc.return_pmf(m, 4).return_prob == got
 
 
 def test_eval_F_monotone_in_t(family_model):
