@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the CLI over a fixed matrix of models and verb forms, in-process.
 
-Eleven models (four geometric laws, half_stable, two power_zeta laws and
-four explicit laws) times 24 verb forms give 264 invocations of
+Twelve models (four geometric laws, half_stable, two power_zeta laws and
+five explicit laws) times 24 verb forms give 288 invocations of
 ``repairchain.cli.run``.  Each one prints a JSON line with its argv,
 exit status, stdout and stderr, so two versions of the package compare
 with ``diff``:
@@ -32,6 +32,7 @@ MODELS = [
     '{"family": "explicit", "a": [0.5, 0, 0.5]}',
     '{"family": "explicit", "a": [0.2, 0.3, 0.5]}',
     '{"family": "explicit", "a": [0.6, 0.1, 0.3]}',
+    '{"family": "explicit", "a": [1e-30, 0, 1]}',
 ]
 
 VERB_FORMS = [

@@ -19,6 +19,11 @@ coincide depends on the recurrence class, captured by ``CaseLabel``:
 * ``BoundaryCase``       mu < 1, radius R finite, no interior tangency:
                          R1 = eta(R) attained at the boundary
 
+Since xi' = -x G'' < 0, the bracket of x0 is known in advance: (0, 1)
+for a transient law, where xi(0) = a_0 > 0, and (1, R) otherwise, where
+the sign of xi at the radius R alone says whether the root is inside.
+One bisection on the sign of xi then pins x0 to adjacent doubles.
+
 Exponential reweighting (``tilt``, now in ``model``) maps a law onto
 {a_j x^j / G(x)}; tilting at x0 always lands on the critical line mu = 1.
 """
@@ -30,7 +35,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NoConvergence, OutOfRadius
+from .errors import OutOfRadius
 from .model import ChainClass, JumpModel, classify, eval_G, tilt  # tilt is re-exported
 
 
@@ -68,8 +73,6 @@ def xi(model: JumpModel, x: float) -> float:
 
 def eta(model: JumpModel, x: float) -> float:
     """Rate function x / G(x), maximized at the tangency point."""
-    if x == 0.0:
-        return 0.0
     g = eval_G(model, x, 0)
     if not math.isfinite(g):
         return 0.0
@@ -96,32 +99,19 @@ def find_x0(model: JumpModel) -> float | None:
 def _interior_tangency(model: JumpModel) -> float | None:
     """Root of xi in (1, R) for a positive recurrent law of radius R > 1.
 
-    xi(1) = 1 - mu > 0; None when xi keeps its sign up to the radius
-    (the transform's singularity then sits at the boundary of the
-    G-domain).  xi' = -x G'' < 0, so the sign of xi brackets the root
-    and bisection pins it to adjacent doubles.
+    xi(1) = 1 - mu > 0 and xi decreases, so the root is inside exactly
+    when xi(R) <= 0 (-inf where G diverges); None otherwise, where the
+    transform's singularity sits on the boundary of the G-domain.  R is
+    infinite only for explicit laws, whose xi is a polynomial with a
+    negative leading coefficient, so doubling from 2 ends.
     """
-    radius = model.radius
-    lo = 1.0
-    if math.isinf(radius):
+    lo, hi = 1.0, model.radius
+    if math.isinf(hi):
         hi = 2.0
-        for _ in range(200):
-            if xi(model, hi) <= 0.0:
-                break
+        while xi(model, hi) > 0.0:
             lo, hi = hi, hi * 2.0
-        else:
-            raise NoConvergence("no sign change of xi found under doubling")
-    else:
-        # walk a grid accumulating at the finite radius
-        hi = None
-        for j in range(1, 61):
-            x_j = radius - (radius - 1.0) * 0.5 ** j
-            if xi(model, x_j) <= 0.0:
-                hi = x_j
-                break
-            lo = x_j
-        if hi is None:
-            return None
+    elif xi(model, hi) > 0.0:
+        return None
     return _bisect(lambda x: xi(model, x) > 0.0, lo, hi)
 
 
@@ -140,8 +130,8 @@ def decay_params(model: JumpModel) -> DecayParams:
 def _decay_params(model: JumpModel) -> DecayParams:
     cls = classify(model)
     if cls is ChainClass.TRANSIENT:
-        # xi(0+) = a_0 > 0 and xi(1) = 1 - mu < 0
-        x0 = _bisect(lambda x: xi(model, x) > 0.0, 1e-12, 1.0)
+        # xi(0) = a_0 > 0 and xi(1) = 1 - mu < 0
+        x0 = _bisect(lambda x: xi(model, x) > 0.0, 0.0, 1.0)
         r = eta(model, x0)
         return DecayParams(x0=x0, R0=r, R1=r, F_at_R1=x0,
                            case_label=CaseLabel.TRANSIENT_TILT)

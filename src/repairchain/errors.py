@@ -10,7 +10,11 @@ class InvalidSpec(RepairChainError):
 
 
 class NoConvergence(RepairChainError):
-    """An iteration budget was exhausted before reaching tolerance."""
+    """An iteration budget was exhausted before reaching tolerance.
+
+    Nothing in the package raises it now; it stays importable for
+    callers that catch it.
+    """
 
 
 class OutOfRadius(RepairChainError):

@@ -76,11 +76,10 @@ def eval_F(model: JumpModel, t: float) -> float:
             return 1.0 - q
     else:
         dp = decay_params(model)
-        if math.isfinite(dp.R1):
-            if t > dp.R1 * (1.0 + 1e-12):
-                return math.inf
-            if t >= dp.R1 * (1.0 - 2.0 ** -50):
-                return dp.F_at_R1
+        if t > dp.R1 * (1.0 + 1e-12):
+            return math.inf
+        if t >= dp.R1 * (1.0 - 2.0 ** -50):
+            return dp.F_at_R1
     x = 0.0
     while True:
         x_next = x + (t * eval_G(model, x, 0) - x) / (1.0 - t * eval_G(model, x, 1))
@@ -485,8 +484,7 @@ def _r1_weighted_verdict(model: JumpModel, alpha: float, cls: ChainClass) -> Ver
     if dp.case_label is CaseLabel.CRITICAL_RADIUS_ONE:
         inner = tau_alpha_finite(model, alpha)
         return Verdict(quantity, inner.verdict,
-                       "R1 = 1, so the weight is trivial: " + inner.reason,
-                       diagnostics=inner.diagnostics)
+                       "R1 = 1, so the weight is trivial: " + inner.reason)
     if dp.case_label in (CaseLabel.TRANSIENT_TILT, CaseLabel.INTERIOR_CRITICAL):
         # reweighting at the tangency point is exact here:
         # E(R1^tau tau^alpha) = x0 * E_tilted(tau^alpha), tilted critical
@@ -501,5 +499,4 @@ def _critical_tilt_verdict(model: JumpModel, alpha: float, quantity: str) -> Ver
     """The verdict on E(tau^alpha) of the law tilted to the critical line, for ``quantity``."""
     inner = tau_alpha_finite(tilt_to_critical(model), alpha)
     return Verdict(quantity, inner.verdict,
-                   "reduced to the critical reweighted law: " + inner.reason,
-                   diagnostics=inner.diagnostics)
+                   "reduced to the critical reweighted law: " + inner.reason)

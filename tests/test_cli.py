@@ -157,6 +157,20 @@ def test_exit_weighted_verdicts(capsys):
     assert rec["verdict"] == "Infinite"
 
 
+@pytest.mark.parametrize("argv", [
+    ["finite", "--alpha", "0.7", "--r1-weighted"],
+    ["finite", "--alpha", "2.5", "--r1-weighted"],
+    ["exit", "--alpha", "0.5"],
+])
+def test_weighted_verdicts_with_a_tiny_tangency_point(capsys, argv):
+    # explicit [1e-30, 0, 1] has x0 = 1e-15; tilted there it is critical,
+    # with critical exponent 1/2
+    rec = run_json(capsys, [argv[0], "-m", '{"family": "explicit", "a": [1e-30, 0, 1]}',
+                            *argv[1:]])
+    assert rec["verdict"] == "Infinite"
+    assert rec["reason"].startswith("reduced to the critical reweighted law: ")
+
+
 def test_exit_pmf_csv(capsys):
     lines = run_lines(capsys, ["exit", "-m", GEO_QUARTER, "-N", "4", "--csv"])
     assert lines[0] == "n,P_L_n"

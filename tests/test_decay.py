@@ -201,3 +201,51 @@ def test_regime_follows_classify_at_the_critical_tolerance(offset):
 ], ids=lambda m: m.family)
 def test_find_x0_is_the_decay_tangency_point(model):
     assert rc.find_x0(model) == rc.decay_params(model).x0
+
+
+@pytest.mark.parametrize("a0", [1e-20, 1e-30, 1e-100, 1e-300])
+def test_transient_tangency_far_below_one(a0):
+    # explicit [a0, 0, 1]: xi = a0 - x^2, so x0 = sqrt(a0) and R1 = 1/(2 sqrt(a0));
+    # the bracket of a transient root reaches down to 0
+    model = rc.explicit([a0, 0.0, 1.0])
+    dp = rc.decay_params(model)
+    assert dp.case_label is rc.CaseLabel.TRANSIENT_TILT
+    root = math.sqrt(a0)
+    assert dp.x0 == pytest.approx(root, rel=1e-15, abs=0.0)
+    assert dp.R1 == pytest.approx(0.5 / root, rel=1e-15, abs=0.0)
+    assert rc.classify(rc.tilt_to_critical(model)) is rc.ChainClass.NULL_RECURRENT
+
+
+@pytest.mark.parametrize("a, k", [([1 - 2 ** -40, 0.0, 2 ** -40], 20),
+                                  ([1 - 2 ** -53, 0.0, 5e-324], 537)],
+                         ids=["2^20", "2^537"])
+def test_doubling_search_has_no_step_cap(a, k):
+    # xi = a_0 - a_2 x^2 with nothing to cancel (a_1 = 0), so
+    # x0 = sqrt(a_0 / a_2) = 2^k sqrt(a_0), k doublings out from 1
+    dp = rc.decay_params(rc.explicit(a))
+    assert dp.case_label is rc.CaseLabel.INTERIOR_CRITICAL
+    assert dp.x0 == pytest.approx(math.ldexp(math.sqrt(a[0]), k), rel=1e-15, abs=0.0)
+
+
+def _bisection_laws():
+    laws = {f"geometric({p})": rc.geometric(p)
+            for p in (0.05, 0.2, 0.3, 0.45, 0.55, 0.7, 0.9, 0.99)}
+    for x in (0.1, 0.5, 0.75, 0.9):
+        laws[f"tilt(half_stable,{x})"] = rc.tilt(rc.half_stable(), x)
+        laws[f"tilt(power_zeta(2.5),{x})"] = rc.tilt(rc.power_zeta(2.5), x)
+    laws["explicit[1e-30,0,1]"] = rc.explicit([1e-30, 0.0, 1.0])
+    rng = np.random.default_rng(20261018)
+    for i in range(40):
+        laws[f"explicit#{i}"] = rc.explicit(rng.dirichlet(np.ones(3 + i % 6)).tolist())
+    return laws
+
+
+BISECTION_LAWS = _bisection_laws()
+
+
+@pytest.mark.parametrize("model", BISECTION_LAWS.values(), ids=BISECTION_LAWS.keys())
+def test_bisected_x0_is_the_first_double_with_xi_not_positive(model):
+    dp = rc.decay_params(model)
+    if dp.case_label not in (rc.CaseLabel.TRANSIENT_TILT, rc.CaseLabel.INTERIOR_CRITICAL):
+        return
+    assert xi(model, dp.x0) <= 0.0 < xi(model, math.nextafter(dp.x0, 0.0))
