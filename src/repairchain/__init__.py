@@ -44,7 +44,6 @@ from .model import (
 from .return_time import (
     ExponentEstimate,
     MomentResult,
-    PsiFunction,
     ReturnAnalysis,
     Verdict,
     VerdictLabel,
@@ -94,7 +93,6 @@ __all__ = [
     "NotPositiveRecurrent",
     "NotTransient",
     "OutOfRadius",
-    "PsiFunction",
     "RepairChainError",
     "ReturnAnalysis",
     "SimReport",

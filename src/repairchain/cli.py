@@ -7,8 +7,7 @@ file holding one.  Output is JSON on stdout (CSV for the pmf verbs with
 byte-identical outputs.
 
 Exit status: 0 success, 1 usage error, 2 invalid model spec, 3 domain
-error (an operation that is meaningless for the given chain, or a
-divergent computation).
+error (an operation that is meaningless for the given chain).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from . import last_exit as exit_mod
 from . import return_time as rt
 from .errors import (
     InvalidSpec,
-    NoConvergence,
     NotNullRecurrent,
     NotPositiveRecurrent,
     NotTransient,
@@ -31,8 +29,7 @@ from .errors import (
 )
 from .model import JumpModel, build_model, classify
 
-_DOMAIN_ERRORS = (NotTransient, NotNullRecurrent, NotPositiveRecurrent,
-                  OutOfRadius, NoConvergence)
+_DOMAIN_ERRORS = (NotTransient, NotNullRecurrent, NotPositiveRecurrent, OutOfRadius)
 
 
 class _UsageError(Exception):

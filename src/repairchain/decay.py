@@ -22,10 +22,10 @@ coincide depends on the recurrence class, captured by ``CaseLabel``:
 Since xi' = -x G'' < 0, the bracket of x0 is known in advance: (0, 1)
 for a transient law, where xi(0) = a_0 > 0, and (1, R) otherwise, where
 the sign of xi at the radius R alone says whether the root is inside.
-One bisection on the sign of xi then pins x0 to adjacent doubles.
-
-Exponential reweighting (``tilt``, now in ``model``) maps a law onto
-{a_j x^j / G(x)}; tilting at x0 always lands on the critical line mu = 1.
+One bisection on the sign of xi, read from the family record (explicit
+laws sum a_0 - sum_(j>=2) (j-1) a_j x^j, with no a_1 term to cancel),
+then pins x0 to adjacent doubles.  Tilting at x0 (``tilt``) lands on the
+critical line mu = 1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import OutOfRadius
-from .model import ChainClass, JumpModel, classify, eval_G, tilt  # tilt is re-exported
+from .model import _FAMILIES, ChainClass, JumpModel, classify, eval_G, tilt  # tilt is re-exported
 
 
 class CaseLabel(str, Enum):
@@ -63,20 +63,13 @@ class DecayParams:
 
 
 def xi(model: JumpModel, x: float) -> float:
-    """Tangency function G(x) - x G'(x); its root is x0."""
-    g = eval_G(model, x, 0)
-    g1 = eval_G(model, x, 1)
-    if not (math.isfinite(g) and math.isfinite(g1)):
-        return -math.inf
-    return g - x * g1
+    """Tangency function G(x) - x G'(x), from the family record; its root is x0."""
+    return _FAMILIES[model.family].xi(model, x)
 
 
 def eta(model: JumpModel, x: float) -> float:
-    """Rate function x / G(x), maximized at the tangency point."""
-    g = eval_G(model, x, 0)
-    if not math.isfinite(g):
-        return 0.0
-    return x / g
+    """Rate function x / G(x), maximized at the tangency point; 0 where G diverges."""
+    return x / eval_G(model, x, 0)
 
 
 def _bisect(above, lo: float, hi: float) -> float:

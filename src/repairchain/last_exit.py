@@ -8,8 +8,8 @@ zero-state occupation sequence:
 
 Weighted moments E(R0^L L^k ...) sit on sharp thresholds: the plain
 exponential weight R0^L is always integrable, one extra factor of L
-already breaks it, and fractional powers in between reduce to the
-moment problem of the critically reweighted chain.
+already breaks it, and fractional powers in between are the verdicts on
+E(tau^alpha) of the law tilted to the critical line (``tilt_to_critical``).
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .decay import tilt_to_critical
 from .errors import NotTransient
 from .model import ChainClass, JumpModel, classify
 from .return_time import (
-    PsiFunction,
     ReturnAnalysis,
     Verdict,
     VerdictLabel,
@@ -41,17 +39,11 @@ DEFAULT_EXIT_N = 2048
 
 @dataclass(frozen=True)
 class ExitAnalysis:
-    """Exact last-exit law P(L = n) = q_exit * u_n for n = 0..N.
-
-    tilted_criterion exposes the drift functional of the critically
-    reweighted chain, whose inverse decides the fractional weighted
-    moments of L.
-    """
+    """Exact last-exit law P(L = n) = q_exit * u_n for n = 0..N."""
 
     q_exit: float
     pmf: np.ndarray
     occupation: ReturnAnalysis
-    tilted_criterion: PsiFunction
 
 
 def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
@@ -63,8 +55,7 @@ def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
     q = escape_prob(model)
     pmf = q * analysis.u
     pmf.setflags(write=False)
-    return ExitAnalysis(q_exit=q, pmf=pmf, occupation=analysis,
-                        tilted_criterion=PsiFunction(tilt_to_critical(model)))
+    return ExitAnalysis(q_exit=q, pmf=pmf, occupation=analysis)
 
 
 def exit_weighted_verdict(model: JumpModel, k: int = 0,

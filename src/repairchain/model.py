@@ -193,6 +193,14 @@ def _geometric_coefficients(m: JumpModel, count: int) -> np.ndarray:
     return m.p * (1.0 - m.p) ** np.arange(count, dtype=float)
 
 
+def _geometric_drift(m: JumpModel, h: float) -> tuple[float, float]:
+    # G(1-h) = p/(p + qh) over one denominator, with 2p - 1 = p - q
+    p, q = m.p, 1.0 - m.p
+    den = p + q * h
+    return (h * ((2.0 * p - 1.0) + q * h) / den,
+            (p * (2.0 * p - 1.0) + q * h * (2.0 * p + q * h)) / (den * den))
+
+
 def _geometric_table(m: JumpModel) -> tuple[np.ndarray, float]:
     # refused before allocating; q rounds to 1 for p below 2^-54
     q = 1.0 - m.p
@@ -337,6 +345,8 @@ def power_zeta(alpha: float) -> JumpModel:
 
 
 def _geometric_G(model: JumpModel, t: float, order: int) -> float:
+    if t == 1.0 and order == 0:  # G(1) = 1, though q rounds to 1 for p below 2^-54
+        return 1.0
     p = model.p
     q = 1.0 - p
     if q * t >= 1.0:
@@ -532,18 +542,39 @@ def _explicit_G(model: JumpModel, t: float, order: int) -> float:
     return acc
 
 
+def _explicit_xi(model: JumpModel, x: float) -> float:
+    # a_0 - sum_(j>=2) (j-1) a_j x^j by Horner, a_1 x - a_1 x dropped exactly
+    acc = 0.0
+    for j in range(len(model.a) - 1, -1, -1):
+        acc = acc * x + (1 - j) * model.a[j]
+    return acc
+
+
+@lru_cache(maxsize=64)
+def _explicit_drift_weights(a: tuple[float, ...]) -> tuple[float, tuple, tuple]:
+    """1 - mu and the weights P(J > k) and (k+1) a_(k+1), for k = 1..m-1."""
+    tails = tuple(itertools.accumulate(reversed(a[2:])))[::-1]
+    slopes = tuple(j * a[j] for j in range(2, len(a)))
+    return math.fsum(c * (1 - n) for n, c in enumerate(a)), tails, slopes
+
+
+def _explicit_drift(model: JumpModel, h: float) -> tuple[float, float]:
+    # G(x) - x = (1 - x)(1 - sum_k P(J > k) x^k), so with the root h = 0 divided
+    # out psi(h) = h [(1 - mu) + sum_k P(J > k) (1 - (1-h)^k)] and psi'(h) =
+    # (1 - mu) + sum_k (k+1) a_(k+1) (1 - (1-h)^k), sums of nonnegative terms
+    gap, tails, slopes = _explicit_drift_weights(model.a)
+    log_x = math.log1p(-h) if h < 1.0 else -math.inf
+    rises = [-math.expm1(k * log_x) for k in range(1, len(tails) + 1)]
+    return (h * (gap + sum(map(operator.mul, tails, rises))),
+            gap + sum(map(operator.mul, slopes, rises)))
+
+
 def _tilted_G(model: JumpModel, t: float, order: int) -> float:
     x = model.tilt_x
     inner = eval_G(model.base, x * t, order)
     if not math.isfinite(inner):
         return math.inf
     return x ** order * inner / eval_G(model.base, x, 0)
-
-
-def _tilted_gap(model: JumpModel) -> float:
-    x = model.tilt_x
-    gx = eval_G(model.base, x)
-    return (gx - x * eval_G(model.base, x, 1)) / gx
 
 
 def _explicit_reweight(model: JumpModel, x: float) -> JumpModel:
@@ -582,6 +613,18 @@ def _tilted_coefficients(m: JumpModel, count: int) -> np.ndarray:
             / eval_G(m.base, m.tilt_x))
 
 
+def _subtracted_drift(model: JumpModel, h: float) -> tuple[float, float]:
+    x = 1.0 - h
+    return eval_G(model, x, 0) - x, 1.0 - eval_G(model, x, 1)
+
+
+def _subtracted_xi(model: JumpModel, x: float) -> float:
+    g1 = eval_G(model, x, 1)
+    if not math.isfinite(g1):  # G is finite wherever G' is
+        return -math.inf
+    return eval_G(model, x, 0) - x * g1
+
+
 @dataclass(frozen=True)
 class _Family:
     """Everything the package knows about one family of jump laws.
@@ -600,6 +643,8 @@ class _Family:
     beta: float = 1.0               # 1 - G'(t) ~ (1-t)^beta as t -> 1, for a critical law
     tail: Callable = lambda m: math.inf  # model -> sup{s : E(J^s) < inf}; G^(k)(1) < inf below
     escape: Callable | None = None  # model -> closed-form P(tau = inf) for a transient law
+    drift: Callable = _subtracted_drift  # (model, h) -> psi(h) = G(1-h) - (1-h) and psi'(h)
+    xi: Callable = _subtracted_xi   # (model, x) -> G(x) - x G'(x), -inf where G' diverges
 
 
 _FAMILIES = {
@@ -608,8 +653,10 @@ _FAMILIES = {
         table=lambda m: (_freeze(m.a), 0.0),
         coefficients=_explicit_coefficients,
         G=_explicit_G,
-        gap=lambda m: math.fsum(c * (1 - n) for n, c in enumerate(m.a)),
+        gap=lambda m: _explicit_drift_weights(m.a)[0],
         reweight=_explicit_reweight,
+        drift=_explicit_drift,
+        xi=_explicit_xi,
     ),
     "geometric": _Family(
         fields=("p",), build=geometric,
@@ -620,6 +667,7 @@ _FAMILIES = {
         # p q^n x^n normalizes to a geometric law with ratio q x
         reweight=lambda m, x: geometric(1.0 - (1.0 - m.p) * x),
         escape=lambda m: (1.0 - 2.0 * m.p) / (1.0 - m.p),
+        drift=_geometric_drift,
     ),
     "half_stable": _Family(
         fields=(), build=half_stable,
@@ -629,6 +677,7 @@ _FAMILIES = {
         gap=lambda m: 0.0,
         beta=0.5,
         tail=lambda m: 1.5,
+        drift=lambda m, h: ((2.0 / 3.0) * h ** 1.5, math.sqrt(h)),
     ),
     "power_zeta": _Family(
         fields=("alpha",), build=power_zeta,
@@ -643,7 +692,7 @@ _FAMILIES = {
         table=_tilted_table,
         coefficients=_tilted_coefficients,
         G=_tilted_G,
-        gap=_tilted_gap,
+        gap=lambda m: _FAMILIES[m.base.family].xi(m.base, m.tilt_x) / eval_G(m.base, m.tilt_x),
         reweight=lambda m, x: _tilted(m.base, m.tilt_x * x),  # points compose
     ),
 }

@@ -9,8 +9,9 @@ From F everything else follows:
   f_n = (1/n) [x^(n-1)] G(x)^n,
 * the zero-state occupation sequence u_n = P(X_n = 0), tied to f by
   the renewal recursion (generating functions: U = 1/(1 - F)),
-* the drift functional psi(h) = G(1-h) - (1-h), whose inverse controls
-  1 - F(t) as t -> 1 for critical chains,
+* the drift psi(h) = G(1-h) - (1-h), evaluated by the family record,
+  and its inverse by a Newton descent, which controls 1 - F(t) as
+  t -> 1 for critical chains,
 * moments and moment-finiteness verdicts of tau, plain and weighted by
   the decay rate R1.
 """
@@ -91,30 +92,16 @@ def eval_F(model: JumpModel, t: float) -> float:
 def escape_prob(model: JumpModel) -> float:
     """P(tau = infinity) = 1 - F(1): zero for a recurrent law.
 
-    For a transient law, G(x) = x has the root 1 and a smaller one, the
-    return probability.  Dividing out the root at 1 leaves
-    1 - sum_k P(J > k) x^k = 0, whose root is simple.  It is solved for
-    h = 1 - x, as psi(h)/h = (1 - mu) + sum_k P(J > k) (1 - (1-h)^k) = 0,
-    so h keeps its relative accuracy near criticality, where it is far
-    below the spacing of doubles next to 1.  Geometric laws give
-    h = (1 - 2p)/q in closed form.  The only other transient laws are
-    explicit (the radius-1 families and their reweightings have
-    mu <= 1); their finite tail series is bisected down to adjacent
-    doubles.
+    For a transient law, the h in (0, 1) where psi(h) = G(1-h) - (1-h)
+    turns positive: (1 - 2p)/q for a geometric law, else (explicit laws)
+    bisected to adjacent doubles, as accurate near criticality as psi is.
     """
     if classify(model) is not ChainClass.TRANSIENT:
         return 0.0
-    closed_form = _FAMILIES[model.family].escape
-    if closed_form is not None:
-        return closed_form(model)
-    import numpy as np
-
-    a = model.coeffs
-    tails = np.cumsum(a[::-1])[::-1][1:]  # P(J > k), k = 0..m-1
-    k = np.arange(tails.size, dtype=float)
-    gap = mean_gap(model)  # 1 - mu < 0 at h = 0; psi(h)/h -> a_0 > 0 at h = 1
-    return _bisect(lambda h: gap + float(np.dot(tails, -np.expm1(k * math.log1p(-h)))) < 0.0,
-                   0.0, 1.0)
+    record = _FAMILIES[model.family]
+    if record.escape is not None:
+        return record.escape(model)
+    return _bisect(lambda h: record.drift(model, h)[0] < 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,52 +192,36 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
 # the drift functional psi and its inverse
 
 
-class PsiFunction:
-    """Evaluators for phi(h) = 1 - G'(1-h) and psi(h) = G(1-h) - (1-h).
-
-    psi is increasing on [0,1] with psi(0) = 0 and psi(1) = a_0 whenever
-    mu <= 1; its inverse (by bisection) drives the near-critical
-    asymptotics of 1 - F.  For mu > 1 the formula still evaluates but
-    loses monotonicity, so the inverse is meaningful only for recurrent
-    laws.
-    """
-
-    def __init__(self, model: JumpModel):
-        self.model = model
-        self.a0 = model.a0
-
-    def phi(self, h: float) -> float:
-        return 1.0 - eval_G(self.model, 1.0 - h, 1)
-
-    def psi(self, h: float) -> float:
-        h = float(h)
-        if not 0.0 <= h <= 1.0:
-            raise ValueError(f"psi argument must lie in [0,1], got {h!r}")
-        return eval_G(self.model, 1.0 - h, 0) - (1.0 - h)
-
-    def psi_inv(self, y: float) -> float:
-        """The h in [0,1] with psi(h) = y; clamps to 1 above psi(1) = a_0."""
-        y = float(y)
-        if y <= 0.0:
-            return 0.0
-        if y >= self.a0:
-            return 1.0
-        lo, hi = 0.0, 1.0
-        for _ in range(52):  # 2^-52 < the 1e-13 target with margin
-            mid = 0.5 * (lo + hi)
-            if self.psi(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-
 def psi(model: JumpModel, h: float) -> float:
-    return PsiFunction(model).psi(h)
+    """The drift psi(h) = G(1-h) - (1-h) on [0, 1], from the family record."""
+    h = float(h)
+    if not 0.0 <= h <= 1.0:
+        raise ValueError(f"psi argument must lie in [0,1], got {h!r}")
+    return _FAMILIES[model.family].drift(model, h)[0]
 
 
 def psi_inv(model: JumpModel, y: float) -> float:
-    return PsiFunction(model).psi_inv(y)
+    """The h in [0,1] with psi(h) = y, for a recurrent law; 0 for y <= 0, 1 for y >= a_0.
+
+    psi is convex and increases from psi(0) = 0 to psi(1) = a_0, with
+    psi(h) >= (1 - mu) h.  So Newton's method from h = min(1, y/(1 - mu))
+    descends to the root without overshooting; it stops at the first
+    step that does not decrease h, where rounding takes over.
+    """
+    y = float(y)
+    if y <= 0.0:
+        return 0.0
+    if y >= model.a0:
+        return 1.0
+    drift = _FAMILIES[model.family].drift
+    gap = mean_gap(model)
+    h = y / gap if gap > y else 1.0
+    while True:
+        value, slope = drift(model, h)
+        h_next = h - (value - y) / slope
+        if not 0.0 < h_next < h:
+            return h
+        h = h_next
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +260,8 @@ def asymptotic_exponent(model: JumpModel, method: str = "auto") -> ExponentEstim
         return ExponentEstimate(gamma=_critical_exponent(model), method="analytic")
     import numpy as np
 
-    pf = PsiFunction(model)
     s = np.geomspace(_FIT_LO, _FIT_HI, _FIT_POINTS)
-    inv = np.array([pf.psi_inv(v) for v in s])
+    inv = np.array([psi_inv(model, v) for v in s])
     slope = float(np.polyfit(np.log(s), np.log(inv), 1)[0])
     return ExponentEstimate(gamma=slope, method="fitted")
 

@@ -178,6 +178,33 @@ def geometric_F_mpmath(p: float, t: float, dps: int = 60) -> float:
         return float((1 - mp.sqrt(1 - 4 * p * q * t)) / (2 * q))
 
 
+def psi_exact(model, h: float) -> float:
+    """psi(h) = G(1-h) - (1-h) at the double h, rounded once from an exact value.
+
+    Explicit laws in Fraction, with a_1 read as 1 - a_0 - sum_(j>=2) a_j:
+    the law as its mean gap 1 - mu = sum_n (1 - n) a_n reads it, which
+    for coefficients summing to exactly 1 (every spec-built law below)
+    is the law itself.  A reweighted law's coefficients sum to 1 only up
+    to rounding, and its plain G(1) - 1 would leave a constant of about
+    1e-16 in psi.  Geometric laws as p/(p + qh) - (1-h) in Fraction,
+    half_stable as (2/3) h^(3/2) in 60-digit mpmath.
+    """
+    x = 1 - Fraction(h)
+    if model.family == "explicit":
+        a = [Fraction(c) for c in model.a]
+        a[1] = 1 - a[0] - sum(a[2:])
+        return float(sum(c * x ** n for n, c in enumerate(a)) - x)
+    if model.family == "geometric":
+        p = Fraction(model.p)
+        return float(p / (p + (1 - p) * Fraction(h)) - x)
+    if model.family == "half_stable":
+        import mpmath as mp
+
+        with mp.workdps(60):
+            return float(mp.mpf(2) / 3 * mp.mpf(h) ** 1.5)
+    raise ValueError(f"no exact psi for family {model.family!r}")
+
+
 def power_zeta_G_mpmath(alpha: float, t: float, orders, dps: int = 40) -> list[float]:
     """G^(n)(t) of power_zeta(alpha) for each n in orders, from mpmath.
 

@@ -227,6 +227,17 @@ def test_doubling_search_has_no_step_cap(a, k):
     assert dp.x0 == pytest.approx(math.ldexp(math.sqrt(a[0]), k), rel=1e-15, abs=0.0)
 
 
+def test_explicit_xi_drops_the_a1_term():
+    # xi = a_0 - a_2 x^2 exactly; G(x) - x G'(x) by subtraction leaves the
+    # rounding of a_1 x against a_1 x, about 1e-16 x, and put x0 at 1.35e16
+    model = rc.explicit([0.5, 0.5 - 2 ** -53, 1e-300])
+    dp = rc.decay_params(model)
+    assert dp.case_label is rc.CaseLabel.INTERIOR_CRITICAL
+    root = math.sqrt(0.5 / 1e-300)
+    assert dp.x0 == pytest.approx(root, rel=1e-15, abs=0.0)
+    assert dp.F_at_R1 == pytest.approx(root, rel=1e-15, abs=0.0)
+
+
 def _bisection_laws():
     laws = {f"geometric({p})": rc.geometric(p)
             for p in (0.05, 0.2, 0.3, 0.45, 0.55, 0.7, 0.9, 0.99)}

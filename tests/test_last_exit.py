@@ -65,12 +65,12 @@ def test_exit_pmf_rejects_recurrent():
 def test_tilted_criterion_is_the_critical_psi(geo_quarter):
     # psi of the tilted law, straight from the base G:
     # psi_x0(h) = G(x0 (1-h)) / G(x0) - (1-h)
-    ea = rc.exit_pmf(geo_quarter, 8)
+    tilted = rc.tilt_to_critical(geo_quarter)
     x0 = rc.decay_params(geo_quarter).x0
     gx0 = rc.eval_G(geo_quarter, x0)
     for h in np.linspace(0.0, 1.0, 21):
         want = rc.eval_G(geo_quarter, x0 * (1.0 - h)) / gx0 - (1.0 - h)
-        assert ea.tilted_criterion.psi(float(h)) == pytest.approx(want, abs=1e-12)
+        assert rc.psi(tilted, float(h)) == pytest.approx(want, abs=1e-12)
 
 
 def test_exit_weight_threshold_realized(geo_quarter, exit_quarter_full):

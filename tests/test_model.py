@@ -101,6 +101,12 @@ def test_geometric_table_budget(monkeypatch):
     assert rc.geometric(1e-5).coeffs.size == n_terms(1e-5)
 
 
+def test_geometric_G_at_one_for_tiny_p():
+    # q = 1 - p rounds to 1 and the stored radius 1/q to 1 below p = 2^-54,
+    # but G(1) = 1 for every law
+    assert rc.eval_G(rc.geometric(1e-17), 1.0) == 1.0
+
+
 LAZY_TABLE_CASES = {
     "geometric": lambda: rc.geometric(0.3),
     "half_stable": rc.half_stable,

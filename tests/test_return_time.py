@@ -193,50 +193,89 @@ def test_eval_F_rejects_bad_input(geo_half):
 
 def test_psi_geometric_closed_form(geo_half):
     # psi(h) = h^2 / (1 + h) when p = q = 1/2
-    pf = rc.PsiFunction(geo_half)
     for h in (0.0, 0.1, 0.5, 1.0):
-        assert pf.psi(h) == pytest.approx(h * h / (1.0 + h), abs=1e-15)
-    assert pf.psi(1.0) == pytest.approx(geo_half.a0, abs=1e-15)
-    assert pf.phi(0.5) == pytest.approx(1.0 - rc.eval_G(geo_half, 0.5, 1), abs=1e-15)
+        assert rc.psi(geo_half, h) == pytest.approx(h * h / (1.0 + h), abs=1e-15)
+    assert rc.psi(geo_half, 1.0) == pytest.approx(geo_half.a0, abs=1e-15)
 
 
 def test_psi_half_stable_closed_form():
-    pf = rc.PsiFunction(rc.half_stable())
     for h in (0.01, 0.25, 1.0):
-        assert pf.psi(h) == pytest.approx((2.0 / 3.0) * h**1.5, rel=1e-14)
+        assert rc.psi(rc.half_stable(), h) == pytest.approx((2.0 / 3.0) * h**1.5, rel=1e-14)
 
 
 def test_psi_inv_roundtrip(family_model):
-    pf = rc.PsiFunction(family_model)
     a0 = family_model.a0
     for y in np.geomspace(1e-10, a0 * 0.999, 12):
-        h = pf.psi_inv(float(y))
-        assert abs(pf.psi(h) - y) < 1e-13
-    assert pf.psi_inv(0.0) == 0.0
-    assert pf.psi_inv(-1.0) == 0.0
-    assert pf.psi_inv(a0) == 1.0
-    assert pf.psi_inv(a0 * 2.0) == 1.0
+        h = rc.psi_inv(family_model, float(y))
+        assert abs(rc.psi(family_model, h) - y) < 1e-13
+    assert rc.psi_inv(family_model, 0.0) == 0.0
+    assert rc.psi_inv(family_model, -1.0) == 0.0
+    assert rc.psi_inv(family_model, a0) == 1.0
+    assert rc.psi_inv(family_model, a0 * 2.0) == 1.0
 
 
 def test_psi_domain(geo_half):
-    pf = rc.PsiFunction(geo_half)
     with pytest.raises(ValueError):
-        pf.psi(-0.1)
+        rc.psi(geo_half, -0.1)
     with pytest.raises(ValueError):
-        pf.psi(1.1)
+        rc.psi(geo_half, 1.1)
 
 
-def test_free_function_wrappers(geo_half):
-    assert rc.psi(geo_half, 0.3) == rc.PsiFunction(geo_half).psi(0.3)
-    assert rc.psi_inv(geo_half, 0.2) == rc.PsiFunction(geo_half).psi_inv(0.2)
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+# laws with an exact psi oracle: explicit, geometric on both sides of
+# p = 1/2, half_stable, and the critical tilts of a transient explicit
+# and a transient geometric law
+_PSI_LAWS = {
+    "explicit": lambda: rc.explicit([0.5, 0.2, 0.3]),
+    "geometric(0.5)": lambda: rc.geometric(0.5),
+    "geometric(0.75)": lambda: rc.geometric(0.75),
+    "geometric(0.3)": lambda: rc.geometric(0.3),
+    "half_stable": rc.half_stable,
+    "explicit tilt": lambda: rc.tilt_to_critical(rc.explicit([0.25, 0.125, 0.25, 0.375])),
+    "geometric tilt": lambda: rc.tilt_to_critical(rc.geometric(0.3)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_PSI_LAWS))
+def test_psi_matches_exact_oracle_down_to_tiny_h(law):
+    # psi(h) = G(1-h) - (1-h) by subtraction loses everything once h is
+    # below the spacing of doubles next to 1; the family drifts keep
+    # rounding-level relative accuracy wherever psi is a normal double
+    model = _PSI_LAWS[law]()
+    for h in (1e-300, 1e-100, 1e-20, 1e-8, 1e-4, 0.5, 1.0):
+        want = oracles.psi_exact(model, h)
+        if abs(want) >= _SMALLEST_NORMAL:
+            assert rc.psi(model, h) == pytest.approx(want, rel=1e-13, abs=0.0), h
+
+
+@pytest.mark.parametrize("law", ["explicit", "geometric(0.5)", "half_stable",
+                                 "explicit tilt", "geometric tilt"])
+def test_psi_inv_round_trip_matches_exact_oracle(law):
+    # psi(psi_inv(y)) within 1e-13 of y, with psi taken from the exact
+    # oracle, from y = 1e-300 up to just below psi(1) = a_0.  Where the
+    # psi values of the doubles next to h = psi_inv(y) are already more
+    # than 1e-13 y apart, no double meets that bound; there h must be
+    # within one double of the root instead.  Only the explicit tilt
+    # gets there: its exact 1 - mu is -1.4e-16, so psi < 0 below
+    # h = 2e-16 and its slope at the root of psi = y <= 5e-36 is 1.4e-16.
+    model = _PSI_LAWS[law]()
+    for y in np.geomspace(1e-300, 0.99 * model.a0, 61):
+        y = float(y)
+        h = rc.psi_inv(model, y)
+        lo = oracles.psi_exact(model, math.nextafter(h, 0.0))
+        hi = oracles.psi_exact(model, math.nextafter(h, 1.0))
+        if hi - lo <= 1e-13 * y:
+            assert oracles.psi_exact(model, h) == pytest.approx(y, rel=1e-13, abs=0.0), y
+        else:
+            assert lo <= y <= hi, y
 
 
 def test_bounded_ratio_band_null_models():
     # 1 - F(1 - s) stays within a factor 2 of psi_inv(s)
     for model in (rc.geometric(0.5), rc.half_stable()):
-        pf = rc.PsiFunction(model)
         for s in np.geomspace(1e-6, 1e-2, 40):
-            ratio = (1.0 - rc.eval_F(model, 1.0 - float(s))) / pf.psi_inv(float(s))
+            ratio = (1.0 - rc.eval_F(model, 1.0 - float(s))) / rc.psi_inv(model, float(s))
             assert 0.5 <= ratio <= 2.0
 
 

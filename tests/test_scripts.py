@@ -40,3 +40,42 @@ def test_cli_matrix_writes_one_record_per_invocation():
         assert r["status"] in (0, 3), r
         assert bool(r["stdout"]) == (r["status"] == 0), r
         assert r["stderr"].startswith("domain error: ") == (r["status"] == 3), r
+
+
+def _bench_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(seed, metrics, failed=0, attempted=10):
+    # the last two stdout lines of perfbench/run.py
+    report = {"seed": seed, "environment": {"python": "3.11.7"}}
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
+              "metrics": {m: {"value": v, "unit": "s"} for m, v in metrics.items()}}
+    return "compiling\nreport: " + json.dumps(report) + "\n" + json.dumps(result) + "\n"
+
+
+def test_bench_summary_of_canned_runs():
+    bench = _bench_module()
+    walls = [0.5, 0.1, 0.4, 0.2, 0.3]
+    untraced = [bench.parse_run(_canned_run(7 + i, {"setup_s": 1.0 + i, "wall_s": w,
+                                                    "peak_rss_mb": 30.0}, failed=i % 2))
+                for i, w in enumerate(walls)]
+    traced = bench.parse_run(_canned_run(7, {"model.eval_G.calls": 123.0}, attempted=20))
+    entry = bench.summarize(untraced, traced)
+    assert entry["seeds"] == [7, 8, 9, 10, 11]
+    assert entry["end_to_end"]["wall_s"] == {"median": 0.3, "q1": 0.2, "q3": 0.4,
+                                             "values": walls}
+    assert entry["end_to_end"]["setup_s"]["median"] == 3.0
+    rss = entry["end_to_end"]["peak_rss_mb"]
+    assert rss["q1"] == rss["median"] == rss["q3"] == 30.0
+    assert (entry["failed"], entry["attempted"]) == (2, 70)
+    assert entry["per_layer"] == {"model.eval_G.calls": 123.0}
+    assert entry["traced_seed"] == 7
+    assert bench.quartiles([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5, "values": [2.5]}
+    with pytest.raises(ValueError):
+        bench.parse_run('{"correct": true}\n')

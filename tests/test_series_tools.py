@@ -67,9 +67,9 @@ def test_criterion_terms_match_hand_sum():
 
 def test_criterion_threshold_for_critical_geometric(geo_half):
     # psi_inv(1/n) ~ 1/sqrt(n): converges against n^a increments iff a < 1/2
-    pf = rc.PsiFunction(geo_half)
-    lo = criterion_terms(WeightFunction.power(0.4), pf.psi_inv, 4096)
-    hi = criterion_terms(WeightFunction.power(0.6), pf.psi_inv, 4096)
+    inv = lambda s: rc.psi_inv(geo_half, s)
+    lo = criterion_terms(WeightFunction.power(0.4), inv, 4096)
+    hi = criterion_terms(WeightFunction.power(0.6), inv, 4096)
     assert lo.impression == "appears summable"
     assert hi.impression == "appears divergent"
 
