@@ -5,17 +5,23 @@ Twelve models (four geometric laws, half_stable, two power_zeta laws and
 five explicit laws) times 24 verb forms give 288 invocations of
 ``repairchain.cli.run``.  Each one prints a JSON line with its argv,
 exit status, stdout and stderr, so two versions of the package compare
-with ``diff``:
+with ``diff`` or with ``--diff``, which prints one line per invocation whose
+record changed: its argv, any change of exit status or stderr, and each
+changed stdout key with the largest relative difference of its numbers
+(and the entries dropped or added, for lists and histograms).  It exits
+1 when some invocation changed, as ``diff`` does.
 
 Usage:
     PYTHONPATH=src python3 scripts/cli_matrix.py > after.jsonl
     PYTHONPATH=/path/to/other/src python3 scripts/cli_matrix.py > before.jsonl
-    diff before.jsonl after.jsonl
+    PYTHONPATH=src python3 scripts/cli_matrix.py --diff before.jsonl after.jsonl
 """
 
+import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 
 from repairchain import cli
@@ -71,7 +77,105 @@ def invoke(argv: list) -> dict:
             "stderr": err.getvalue()}
 
 
+def _stdout_record(stdout: str) -> dict:
+    """A JSON stdout as parsed; CSV as {"csv": rows of cells}, numbers as floats."""
+    if not stdout:  # a failed invocation prints nothing
+        return {}
+    try:
+        return json.loads(stdout)
+    except ValueError:
+        return {"csv": [[_number(cell) for cell in line.split(",")]
+                        for line in stdout.splitlines()]}
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _leaves(value, path=()) -> dict:
+    """{path: scalar} over nested dicts and lists."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    out = {}
+    for key, item in items:
+        out.update(_leaves(item, path + (key,)))
+    return out
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _relative(x: float, y: float) -> float:
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _describe(old, new) -> str:
+    """How one stdout value changed: its numbers' largest relative difference."""
+    a, b = _leaves(old), _leaves(new)
+    changed = [(a[p], b[p]) for p in a if p in b and a[p] != b[p]]
+    if not all(_is_number(x) and _is_number(y) for x, y in changed):
+        return f"{json.dumps(old)} -> {json.dumps(new)}"
+    worst = max((_relative(x, y) for x, y in changed), default=0.0)
+    out = f"largest relative difference {worst:.2g}"
+    if a.keys() != b.keys():
+        out += f", {len(a.keys() - b.keys())} entries dropped, {len(b.keys() - a.keys())} added"
+    return out
+
+
+def diff_lines(before: list, after: list) -> list:
+    """One line per invocation whose record differs between two matrix runs."""
+    old = {json.dumps(r["argv"]): r for r in before}
+    new = {json.dumps(r["argv"]): r for r in after}
+    lines = [f"{key}: only before" for key in old if key not in new]
+    for key, b in new.items():
+        a = old.get(key)
+        if a is None:
+            lines.append(f"{key}: only after")
+            continue
+        parts = []
+        if a["status"] != b["status"]:
+            parts.append(f"status {a['status']} -> {b['status']}")
+        if a["stderr"] != b["stderr"]:
+            parts.append(f"stderr {a['stderr']!r} -> {b['stderr']!r}")
+        if a["stdout"] != b["stdout"]:
+            x, y = _stdout_record(a["stdout"]), _stdout_record(b["stdout"])
+            if not (isinstance(x, dict) and isinstance(y, dict)):
+                x, y = {"stdout": x}, {"stdout": y}
+            for name in {**x, **y}:
+                if json.dumps(x.get(name)) != json.dumps(y.get(name)):
+                    parts.append(f"{name}: {_describe(x.get(name), y.get(name))}")
+        if parts:
+            lines.append(f"{key}: " + "; ".join(parts))
+    return lines
+
+
+def _read_records(path: str) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two recorded runs instead of running the matrix")
+    args = parser.parse_args()
+    if args.diff:
+        lines = diff_lines(*map(_read_records, args.diff))
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
     for spec in MODELS:
         for form in VERB_FORMS:
             record = invoke([form[0], "-m", spec, *form[1:]])

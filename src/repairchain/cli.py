@@ -27,7 +27,7 @@ from .errors import (
     NotTransient,
     OutOfRadius,
 )
-from .model import JumpModel, build_model, classify
+from .model import JumpModel, build_model, classify, exact_coefficients
 
 _DOMAIN_ERRORS = (NotTransient, NotNullRecurrent, NotPositiveRecurrent, OutOfRadius)
 
@@ -211,7 +211,9 @@ def _do_tilt(model, args):
         if x is None:
             raise OutOfRadius("no tangency point exists; pass --x explicitly")
     tilted = decay_mod.tilt(model, x)
-    head = [float(v) for v in tilted.coeffs[:16]]
+    head = [float(v) for v in exact_coefficients(tilted, 16)]
+    while head[-1] == 0.0:  # past an explicit law's last entry; a_0 > 0
+        head.pop()
     _emit({"x": float(x), "family": tilted.family, "mu": tilted.mu,
            "radius": tilted.radius, "a_head": head})
 

@@ -156,8 +156,7 @@ def explicit(a) -> JumpModel:
         raise InvalidSpec(f"explicit law sums to {total!r}, not 1")
     if a[0] <= 0.0:
         raise InvalidSpec("explicit law needs a_0 > 0")
-    a1 = a[1] if len(a) > 1 else 0.0
-    if a[0] + a1 >= 1.0:
+    if math.fsum(a[2:]) <= 0.0:  # 1 - a_0 - a_1, which a_0 + a_1 can round away
         raise InvalidSpec("explicit law needs a_0 + a_1 < 1")
     while len(a) > 1 and a[-1] == 0.0:  # trailing zeros carry no mass
         a.pop()
@@ -194,11 +193,12 @@ def _geometric_coefficients(m: JumpModel, count: int) -> np.ndarray:
 
 
 def _geometric_drift(m: JumpModel, h: float) -> tuple[float, float]:
-    # G(1-h) = p/(p + qh) over one denominator, with 2p - 1 = p - q
+    # G(1-h) = p/(p + qh) over one denominator, with 2p - 1 = p - q; the
+    # slope is written so that h = 0 gives 1 - mu = (2p - 1)/p exactly
     p, q = m.p, 1.0 - m.p
     den = p + q * h
     return (h * ((2.0 * p - 1.0) + q * h) / den,
-            (p * (2.0 * p - 1.0) + q * h * (2.0 * p + q * h)) / (den * den))
+            (2.0 * p - 1.0) / p * (p / den) ** 2 + q * h * (2.0 * p + q * h) / (den * den))
 
 
 def _geometric_table(m: JumpModel) -> tuple[np.ndarray, float]:
@@ -630,7 +630,8 @@ class _Family:
     """Everything the package knows about one family of jump laws.
 
     The callables take the model first.  ``build`` is None for the
-    internal ``tilted`` kind, which no spec can name.
+    internal ``tilted`` kind, which no spec can name.  1 - mu is the
+    drift's slope at 0, and the escape probability its positive root.
     """
 
     fields: tuple[str, ...]         # spec fields, in the order build takes them
@@ -638,11 +639,8 @@ class _Family:
     table: Callable                 # model -> (read-only a_0 .. a_N, certified tail mass after a_N)
     coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1)
     G: Callable                     # (model, t, order) -> G^(order)(t), +inf beyond the radius
-    gap: Callable                   # model -> 1 - mu without cancellation
     reweight: Callable = _tilted    # (model, x) -> a_j x^j / G(x), for x != 1 with G(x) < inf
-    beta: float = 1.0               # 1 - G'(t) ~ (1-t)^beta as t -> 1, for a critical law
     tail: Callable = lambda m: math.inf  # model -> sup{s : E(J^s) < inf}; G^(k)(1) < inf below
-    escape: Callable | None = None  # model -> closed-form P(tau = inf) for a transient law
     drift: Callable = _subtracted_drift  # (model, h) -> psi(h) = G(1-h) - (1-h) and psi'(h)
     xi: Callable = _subtracted_xi   # (model, x) -> G(x) - x G'(x), -inf where G' diverges
 
@@ -653,7 +651,6 @@ _FAMILIES = {
         table=lambda m: (_freeze(m.a), 0.0),
         coefficients=_explicit_coefficients,
         G=_explicit_G,
-        gap=lambda m: _explicit_drift_weights(m.a)[0],
         reweight=_explicit_reweight,
         drift=_explicit_drift,
         xi=_explicit_xi,
@@ -663,10 +660,8 @@ _FAMILIES = {
         table=_geometric_table,
         coefficients=_geometric_coefficients,
         G=_geometric_G,
-        gap=lambda m: (2.0 * m.p - 1.0) / m.p,
         # p q^n x^n normalizes to a geometric law with ratio q x
         reweight=lambda m, x: geometric(1.0 - (1.0 - m.p) * x),
-        escape=lambda m: (1.0 - 2.0 * m.p) / (1.0 - m.p),
         drift=_geometric_drift,
     ),
     "half_stable": _Family(
@@ -674,8 +669,6 @@ _FAMILIES = {
         table=lambda m: _half_stable_table(),
         coefficients=lambda m, count: _half_stable_coeffs(count),
         G=_half_stable_G,
-        gap=lambda m: 0.0,
-        beta=0.5,
         tail=lambda m: 1.5,
         drift=lambda m, h: ((2.0 / 3.0) * h ** 1.5, math.sqrt(h)),
     ),
@@ -684,7 +677,6 @@ _FAMILIES = {
         table=lambda m: _power_zeta_table(m.alpha),
         coefficients=lambda m, count: _power_zeta_coeffs(m.alpha, count),
         G=_power_zeta_G,
-        gap=lambda m: 2.0 - _zeta(m.alpha),
         tail=lambda m: m.alpha,
     ),
     "tilted": _Family(
@@ -692,7 +684,6 @@ _FAMILIES = {
         table=_tilted_table,
         coefficients=_tilted_coefficients,
         G=_tilted_G,
-        gap=lambda m: _FAMILIES[m.base.family].xi(m.base, m.tilt_x) / eval_G(m.base, m.tilt_x),
         reweight=lambda m, x: _tilted(m.base, m.tilt_x * x),  # points compose
     ),
 }
@@ -806,7 +797,7 @@ def mean_gap(model: JumpModel) -> float:
 
     Matters when mu is a ratio whose rounding survives the subtraction:
     geometric(3/4) stores mu = 1/3 off by half an ulp, and 1/(1 - mu)
-    then misses 3/2 by one ulp.  Each family record subtracts inside the
-    family's own exact parameters instead.
+    then misses 3/2 by one ulp.  It is the drift's slope psi'(0), which
+    each family record writes in the family's own exact parameters.
     """
-    return _FAMILIES[model.family].gap(model)
+    return _FAMILIES[model.family].drift(model, 0.0)[1]

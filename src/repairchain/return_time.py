@@ -10,8 +10,9 @@ From F everything else follows:
 * the zero-state occupation sequence u_n = P(X_n = 0), tied to f by
   the renewal recursion (generating functions: U = 1/(1 - F)),
 * the drift psi(h) = G(1-h) - (1-h), evaluated by the family record,
-  and its inverse by a Newton descent, which controls 1 - F(t) as
-  t -> 1 for critical chains,
+  and one Newton descent on it, which gives its inverse (controlling
+  1 - F(t) as t -> 1 for critical chains) and its positive root, the
+  escape probability of a transient chain,
 * moments and moment-finiteness verdicts of tau, plain and weighted by
   the decay rate R1.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .decay import CaseLabel, _bisect, decay_params, tilt_to_critical
+from .decay import CaseLabel, decay_params, tilt_to_critical
 from .errors import NotNullRecurrent, NotPositiveRecurrent
 from .model import (
     _FAMILIES,
@@ -92,16 +93,14 @@ def eval_F(model: JumpModel, t: float) -> float:
 def escape_prob(model: JumpModel) -> float:
     """P(tau = infinity) = 1 - F(1): zero for a recurrent law.
 
-    For a transient law, the h in (0, 1) where psi(h) = G(1-h) - (1-h)
-    turns positive: (1 - 2p)/q for a geometric law, else (explicit laws)
-    bisected to adjacent doubles, as accurate near criticality as psi is.
+    For a transient law, the positive root of the drift psi: psi is
+    convex with psi(1) = a_0 > 0, so ``_descend`` from h = 1 falls to it
+    monotonically.  That is the climb of ``eval_F`` at t = 1 in h = 1 - x,
+    and as accurate near criticality as the family's drift is.
     """
     if classify(model) is not ChainClass.TRANSIENT:
         return 0.0
-    record = _FAMILIES[model.family]
-    if record.escape is not None:
-        return record.escape(model)
-    return _bisect(lambda h: record.drift(model, h)[0] < 0.0, 0.0, 1.0)
+    return _descend(model, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +200,27 @@ def psi(model: JumpModel, h: float) -> float:
 
 
 def psi_inv(model: JumpModel, y: float) -> float:
-    """The h in [0,1] with psi(h) = y, for a recurrent law; 0 for y <= 0, 1 for y >= a_0.
+    """The h in [0,1] with psi(h) = y, for a recurrent law; 0 for y <= 0, 1 for y >= psi(1).
 
     psi is convex and increases from psi(0) = 0 to psi(1) = a_0, with
-    psi(h) >= (1 - mu) h.  So Newton's method from h = min(1, y/(1 - mu))
-    descends to the root without overshooting; it stops at the first
-    step that does not decrease h, where rounding takes over.
+    psi(h) >= (1 - mu) h.  So h = min(1, y/(1 - mu)) lies at or right of
+    the root, and ``_descend`` from there stays at 1 when y >= psi(1).
     """
     y = float(y)
     if y <= 0.0:
         return 0.0
-    if y >= model.a0:
-        return 1.0
-    drift = _FAMILIES[model.family].drift
     gap = mean_gap(model)
-    h = y / gap if gap > y else 1.0
+    return _descend(model, y, y / gap if gap > y else 1.0)
+
+
+def _descend(model: JumpModel, y: float, h: float) -> float:
+    """Newton's method on psi(h) = y from an h right of the root.
+
+    psi is convex and increasing there, so the descent falls to the root
+    without overshooting; it stops at the first step that does not
+    decrease h, where rounding takes over.
+    """
+    drift = _FAMILIES[model.family].drift
     while True:
         value, slope = drift(model, h)
         h_next = h - (value - y) / slope
@@ -231,12 +236,12 @@ def psi_inv(model: JumpModel, y: float) -> float:
 def _critical_exponent(model: JumpModel) -> float:
     """Analytic gamma with 1 - F(1-s) ~ s^gamma for a critical chain.
 
-    A derivative singularity 1 - G'(t) ~ (1-t)^beta gives 1/(1+beta);
-    a finite G''(1) means beta = 1 and gamma = 1/2.  Every family record
-    carries its beta: 1/2 for half_stable, 1 for the rest (the critical
-    geometric(1/2), explicit and tilted laws all have G''(1) < inf).
+    A jump tail with E(J^s) < inf exactly below s, for 1 < s < 2, gives
+    the derivative singularity 1 - G'(t) ~ (1-t)^(s-1) and gamma = 1/s;
+    a finite G''(1) (s >= 2) gives 1/2.  So gamma = 1/min(2, s), from
+    the family record's tail: 2/3 for half_stable, 1/2 for the rest.
     """
-    return 1.0 / (1.0 + _FAMILIES[model.family].beta)
+    return 1.0 / min(2.0, _FAMILIES[model.family].tail(model))
 
 
 @dataclass(frozen=True)
@@ -258,12 +263,13 @@ def asymptotic_exponent(model: JumpModel, method: str = "auto") -> ExponentEstim
         raise ValueError(f"method must be 'auto' or 'fitted', got {method!r}")
     if method == "auto":
         return ExponentEstimate(gamma=_critical_exponent(model), method="analytic")
-    import numpy as np
+    import statistics  # loaded where a fit runs, not on every CLI start
 
-    s = np.geomspace(_FIT_LO, _FIT_HI, _FIT_POINTS)
-    inv = np.array([psi_inv(model, v) for v in s])
-    slope = float(np.polyfit(np.log(s), np.log(inv), 1)[0])
-    return ExponentEstimate(gamma=slope, method="fitted")
+    ratio = _FIT_HI / _FIT_LO
+    s = [_FIT_LO * ratio ** (i / (_FIT_POINTS - 1)) for i in range(_FIT_POINTS)]
+    fit = statistics.linear_regression([math.log(v) for v in s],
+                                       [math.log(psi_inv(model, v)) for v in s])
+    return ExponentEstimate(gamma=fit.slope, method="fitted")
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,37 @@ def psi_exact(model, h: float) -> float:
     raise ValueError(f"no exact psi for family {model.family!r}")
 
 
+def escape_mpmath(a, dps: int = 50) -> float:
+    """P(tau = inf) of a transient explicit law a_0 .. a_m, from mpmath.
+
+    The positive root of psi(h)/h = a_0 - sum_(j>=2) (j-1) a_j
+    + sum_(k>=1) P(J > k) (1 - (1-h)^k), which is increasing in h and
+    reads no a_1, bisected at dps digits until the bracket is far below
+    the last digit kept.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = [mp.mpf(c) for c in a]  # a double converts exactly
+        tails = [mp.fsum(a[k + 1:]) for k in range(1, len(a) - 1)]
+        top = a[0] - mp.fsum((j - 1) * a[j] for j in range(2, len(a))) + mp.fsum(tails)
+
+        def deflated(h):  # top - sum_k P(J > k) (1-h)^k, by Horner
+            x, acc = 1 - h, mp.mpf(0)
+            for t in reversed(tails):
+                acc = acc * x + t
+            return top - x * acc
+
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            if deflated(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(hi)
+
+
 def power_zeta_G_mpmath(alpha: float, t: float, orders, dps: int = 40) -> list[float]:
     """G^(n)(t) of power_zeta(alpha) for each n in orders, from mpmath.
 

@@ -210,14 +210,38 @@ def test_simulate_beyond_histogram_budget(capsys):
 
 
 def test_geometric_beyond_table_budget_is_invalid_spec(capsys):
-    # p = 1e-7 would need 276M coefficients (2.06 GiB); only the verbs
-    # that read the table refuse it: simulate, and tilt where the tilted
-    # law is itself past the budget (near the radius 1/(1 - p))
-    for argv in (["simulate", "-m", GEO_TINY, "--samples", "10"],
-                 ["tilt", "-m", GEO_TINY, "--x", "1.0000001"]):
-        assert cli.run(argv) == 2
-        captured = capsys.readouterr()
-        assert "budget" in captured.err and captured.out == ""
+    # p = 1e-7 would need 276M coefficients (2.06 GiB); only simulate reads
+    # the table and refuses it
+    assert cli.run(["simulate", "-m", GEO_TINY, "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err and captured.out == ""
+    # tilt prints the head of the tilted law, even where that law is itself
+    # past the budget (near the radius 1/(1 - p))
+    assert cli.run(["tilt", "-m", GEO_TINY, "--x", "1.0000001"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    p = 1.0 - (1.0 - 1e-7) * 1.0000001
+    assert out["family"] == "geometric" and len(out["a_head"]) == 16
+    assert out["a_head"] == pytest.approx([p * (1.0 - p) ** n for n in range(16)], rel=1e-15)
+
+
+@pytest.mark.parametrize("argv", [["tilt"], ["finite", "--alpha", "0.5", "--r1-weighted"]])
+def test_tangency_tilt_with_a_0_plus_a_1_rounding_to_one_answers(capsys, argv):
+    # the critical tilt of this law has 1 - a_0 - a_1 = 1.4e-150: a valid
+    # law, though a_0 + a_1 rounds to 1
+    spec = '{"family": "explicit", "a": [0.5, 0.4999999999999999, 1e-300]}'
+    assert cli.run(argv + ["-m", spec]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if argv == ["tilt"]:
+        assert out["mu"] == 1.0 and out["x"] == pytest.approx(2.0 ** 0.5 * 5e149, rel=1e-15)
+        assert len(out["a_head"]) == 3 and out["a_head"][2] > 0.0
+    else:
+        assert out["verdict"] == "Infinite"
+
+
+def test_explicit_without_mass_above_one_is_refused(capsys):
+    spec = '{"family": "explicit", "a": [0.5, 0.4999999999999]}'
+    assert cli.run(["tilt", "-m", spec, "--x", "0.5"]) == 2
+    assert "a_0 + a_1 < 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, status", [
@@ -408,7 +432,7 @@ def test_runtime_imports_no_scipy():
 
 
 ANALYTIC_ARGV = [
-    ["classify"], ["decay"], ["moments", "-k", "1"], ["asym"],
+    ["classify"], ["decay"], ["moments", "-k", "1"], ["asym"], ["asym", "--fitted"],
     ["finite", "--alpha", "0.5"], ["finite", "--alpha", "2.5"],
     ["finite", "--alpha", "0.5", "--r1-weighted"],
     ["finite", "--alpha", "2.5", "--r1-weighted"],

@@ -63,11 +63,24 @@ def test_explicit_validation_and_trim():
         [0.5, 0.2, 0.2],            # does not sum to 1
         [],                         # empty
         [0.5, 0.2, math.nan, 0.3],  # not finite
+        [0.5, 0.5 - 1e-13],         # no mass above 1, though a_0 + a_1 < 1
+        [0.5, 0.5 - 1e-13, 0.0],
     ],
 )
 def test_explicit_rejects(bad):
     with pytest.raises(InvalidSpec):
         rc.explicit(bad)
+
+
+def test_explicit_keeps_mass_above_one_that_a_0_plus_a_1_rounds_away():
+    # a_0 + a_1 may round to 1 while a_2 > 0: the law the tangency tilt of
+    # [0.5, 0.5 - 2^-53, 1e-300] lands on has 1 - a_0 - a_1 = 1.4e-150
+    m = rc.explicit([0.5, 0.5, 1e-300])
+    assert m.a == (0.5, 0.5, 1e-300)
+    x0 = rc.find_x0(rc.explicit([0.5, 0.5 - 2.0 ** -53, 1e-300]))
+    tilted = rc.tilt(rc.explicit([0.5, 0.5 - 2.0 ** -53, 1e-300]), x0)
+    assert tilted.a[0] + tilted.a[1] == 1.0 and tilted.a[2] > 0.0
+    assert rc.classify(tilted) is rc.ChainClass.NULL_RECURRENT
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
@@ -369,6 +382,22 @@ def test_mean_gap_beats_naive_subtraction():
     m = rc.geometric(0.75)
     assert rc.mean_gap(m) == 0.5 / 0.75
     assert 1.0 / rc.mean_gap(m) == 1.5
+
+
+def test_mean_gap_is_the_drift_slope_at_zero_bit_for_bit():
+    # psi'(0) reads 1 - mu in each family's own exact parameters
+    from repairchain.model import _zeta
+
+    rng = np.random.default_rng(1203)
+    for p in [0.5, 0.75, 1e-17, 1.0 - 2.0 ** -53] + [float(p) for p in rng.uniform(0, 1, 500)]:
+        assert rc.mean_gap(rc.geometric(p)) == (2.0 * p - 1.0) / p, p
+    for alpha in [2.0000001, 2.1, 3.0, 40.0] + [float(a) for a in rng.uniform(2, 12, 200)]:
+        assert rc.mean_gap(rc.power_zeta(alpha)) == 2.0 - _zeta(alpha), alpha
+    for _ in range(200):
+        a = [float(c) for c in rng.dirichlet(np.ones(int(rng.integers(3, 30))))]
+        want = math.fsum(c * (1 - n) for n, c in enumerate(a))
+        assert rc.mean_gap(rc.explicit(a)) == want, a
+    assert rc.mean_gap(rc.half_stable()) == 0.0
 
 
 _EPS = np.finfo(float).eps

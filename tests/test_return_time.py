@@ -6,6 +6,7 @@ import pytest
 
 import repairchain as rc
 from repairchain.errors import NotNullRecurrent, NotPositiveRecurrent
+from repairchain.return_time import escape_prob
 
 import oracles
 
@@ -176,6 +177,62 @@ def test_return_prob_of_transient_geometric_matches_fraction(p):
     got = rc.eval_F(m, 1.0)
     assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * want
     assert rc.return_pmf(m, 4).return_prob == got
+
+
+def _geometric_escape_grid():
+    rng = np.random.default_rng(1201)
+    return ([k / 64 for k in range(1, 32)] + [0.5 - 10.0 ** -k for k in range(1, 12)]
+            + [1e-300, 1e-17, 1e-12, 1e-7, 1e-3] + [float(p) for p in rng.uniform(0.0, 0.5, 500)])
+
+
+def test_escape_prob_of_geometric_matches_fraction():
+    # P(tau = inf) = (1 - 2p)/q exactly, for p down to 1e-300 and up to
+    # 1e-11 below the critical p = 1/2
+    worst = Fraction(0)
+    for p in _geometric_escape_grid():
+        want = (1 - 2 * Fraction(p)) / (1 - Fraction(p))
+        worst = max(worst, abs(Fraction(escape_prob(rc.geometric(p))) - want) / want)
+    assert worst <= Fraction(45, 10 ** 17), float(worst)
+
+
+def _transient_explicit_laws():
+    rng = np.random.default_rng(1202)
+    laws = {}
+    while len(laws) < 20:
+        a = [float(c) for c in rng.dirichlet(np.ones(int(rng.integers(3, 12))))]
+        if rc.classify(rc.explicit(a)) is rc.ChainClass.TRANSIENT:
+            laws[f"seeded {len(laws)}"] = a
+    for e in (5e-12, 1e-10, 1e-6, 1e-3):  # mu - 1 = 2e: near the critical line
+        laws[f"near critical {e:g}"] = [0.5 - e, 0.0, 0.5 + e]
+    laws["400 terms"] = [float(c) for c in np.random.default_rng(1).dirichlet(0.05 * np.ones(400))]
+    return laws
+
+
+_ESCAPE_LAWS = _transient_explicit_laws()
+
+
+@pytest.mark.parametrize("law", sorted(_ESCAPE_LAWS))
+def test_escape_prob_of_explicit_matches_mpmath_in_few_drift_calls(law, monkeypatch):
+    # one Newton descent of the drift from h = 1: within 1e-13 of the
+    # 50-digit root, and in at most 45 drift evaluations even where
+    # mu - 1 is 1e-11 and the root sits near h = 0
+    from dataclasses import replace
+
+    from repairchain.model import _FAMILIES
+
+    model = rc.explicit(_ESCAPE_LAWS[law])
+    assert rc.classify(model) is rc.ChainClass.TRANSIENT
+    record = _FAMILIES["explicit"]
+    calls = []
+
+    def counted(m, h):
+        calls.append(h)
+        return record.drift(m, h)
+
+    monkeypatch.setitem(_FAMILIES, "explicit", replace(record, drift=counted))
+    got = escape_prob(model)
+    assert len(calls) <= 45
+    assert got == pytest.approx(oracles.escape_mpmath(model.a), rel=1e-13, abs=0.0)
 
 
 def test_eval_F_monotone_in_t(family_model):

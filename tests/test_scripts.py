@@ -42,13 +42,65 @@ def test_cli_matrix_writes_one_record_per_invocation():
         assert r["stderr"].startswith("domain error: ") == (r["status"] == 3), r
 
 
-def _bench_module():
+def _script_module(name):
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _record(argv, stdout, status=0, stderr=""):
+    return {"argv": argv, "status": status, "stdout": stdout, "stderr": stderr}
+
+
+_BEFORE = [
+    _record(["classify"], '{"class": "transient", "mu": 3.0}\n'),
+    _record(["exit"], '{"N": 2, "q_exit": 0.66666666666666663, "pmf": [0.0, 0.5, 0.25]}\n'),
+    _record(["tilt"], '{"family": "geometric", "a_head": [0.5, 0.25]}\n'),
+    _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25\n"),
+    _record(["finite"], '{"verdict": "Finite"}\n'),
+    _record(["decay"], "", 3, "domain error: no\n"),
+    _record(["asym"], '{"gamma": 0.5}\n'),
+    _record(["tilt", "--x", "2"], "", 2, "invalid model spec: budget\n"),
+]
+_AFTER = [
+    _record(["classify"], '{"class": "transient", "mu": 3.0}\n'),
+    _record(["exit"], '{"N": 2, "q_exit": 0.66666666666666674, "pmf": [0.0, 0.5, 0.25]}\n'),
+    _record(["tilt"], '{"family": "geometric", "a_head": [0.5, 0.25, 0.125, 0.0625]}\n'),
+    _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.5\n"),
+    _record(["finite"], '{"verdict": "Infinite"}\n'),
+    _record(["decay"], "", 2, "invalid model spec: no\n"),
+    _record(["moments"], '{"k": 1}\n'),
+    _record(["tilt", "--x", "2"], '{"mu": 2.0}\n'),
+]
+
+
+def test_cli_matrix_diff_of_canned_records(tmp_path):
+    matrix = _script_module("cli_matrix")
+    lines = matrix.diff_lines(_BEFORE, _AFTER)
+    assert lines == [
+        '["asym"]: only before',
+        '["exit"]: q_exit: largest relative difference 1.7e-16',
+        '["tilt"]: a_head: largest relative difference 0, 0 entries dropped, 2 added',
+        '["pmf", "--csv"]: csv: largest relative difference 0.5',
+        '["finite"]: verdict: "Finite" -> "Infinite"',
+        '["decay"]: status 3 -> 2; stderr \'domain error: no\\n\' -> '
+        '\'invalid model spec: no\\n\'',
+        '["moments"]: only after',
+        '["tilt", "--x", "2"]: status 2 -> 0; stderr \'invalid model spec: budget\\n\' -> \'\'; '
+        'mu: null -> 2.0',
+    ]
+    assert matrix.diff_lines(_BEFORE, _BEFORE) == []
+    paths = []
+    for name, records in (("before", _BEFORE), ("after", _AFTER)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(json.dumps(r) + "\n" for r in records))
+    proc = _run_script(["cli_matrix.py", "--diff", *map(str, paths)])
+    assert proc.returncode == 1 and proc.stdout.splitlines() == lines
+    proc = _run_script(["cli_matrix.py", "--diff", str(paths[0]), str(paths[0])])
+    assert proc.returncode == 0 and proc.stdout == ""
 
 
 def _canned_run(seed, metrics, failed=0, attempted=10):
@@ -60,7 +112,7 @@ def _canned_run(seed, metrics, failed=0, attempted=10):
 
 
 def test_bench_summary_of_canned_runs():
-    bench = _bench_module()
+    bench = _script_module("bench")
     walls = [0.5, 0.1, 0.4, 0.2, 0.3]
     untraced = [bench.parse_run(_canned_run(7 + i, {"setup_s": 1.0 + i, "wall_s": w,
                                                     "peak_rss_mb": 30.0}, failed=i % 2))
