@@ -8,8 +8,10 @@ exit status, stdout and stderr, so two versions of the package compare
 with ``diff`` or with ``--diff``, which prints one line per invocation whose
 record changed: its argv, any change of exit status or stderr, and each
 changed stdout key with the largest relative difference of its numbers
-(and the entries dropped or added, for lists and histograms).  It exits
-1 when some invocation changed, as ``diff`` does.
+(and the entries dropped or added, for lists and histograms), and then
+one summary line with the number of changed invocations per stdout key,
+exit status, stderr and presence.  It exits 1 when some invocation
+changed, as ``diff`` does.
 
 Usage:
     PYTHONPATH=src python3 scripts/cli_matrix.py > after.jsonl
@@ -18,6 +20,7 @@ Usage:
 """
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -134,31 +137,45 @@ def _describe(old, new) -> str:
     return out
 
 
-def diff_lines(before: list, after: list) -> list:
-    """One line per invocation whose record differs between two matrix runs."""
+def _changes(before: list, after: list):
+    """(invocation, [(what changed, how it reads)]) per invocation whose record differs."""
     old = {json.dumps(r["argv"]): r for r in before}
     new = {json.dumps(r["argv"]): r for r in after}
-    lines = [f"{key}: only before" for key in old if key not in new]
+    for key in old:
+        if key not in new:
+            yield key, [("only before", "only before")]
     for key, b in new.items():
         a = old.get(key)
         if a is None:
-            lines.append(f"{key}: only after")
+            yield key, [("only after", "only after")]
             continue
         parts = []
         if a["status"] != b["status"]:
-            parts.append(f"status {a['status']} -> {b['status']}")
+            parts.append(("status", f"status {a['status']} -> {b['status']}"))
         if a["stderr"] != b["stderr"]:
-            parts.append(f"stderr {a['stderr']!r} -> {b['stderr']!r}")
+            parts.append(("stderr", f"stderr {a['stderr']!r} -> {b['stderr']!r}"))
         if a["stdout"] != b["stdout"]:
             x, y = _stdout_record(a["stdout"]), _stdout_record(b["stdout"])
             if not (isinstance(x, dict) and isinstance(y, dict)):
                 x, y = {"stdout": x}, {"stdout": y}
             for name in {**x, **y}:
                 if json.dumps(x.get(name)) != json.dumps(y.get(name)):
-                    parts.append(f"{name}: {_describe(x.get(name), y.get(name))}")
+                    parts.append((name, f"{name}: {_describe(x.get(name), y.get(name))}"))
         if parts:
-            lines.append(f"{key}: " + "; ".join(parts))
-    return lines
+            yield key, parts
+
+
+def diff_lines(before: list, after: list) -> list:
+    """One line per invocation whose record differs between two matrix runs."""
+    return [f"{key}: " + "; ".join(how for _, how in parts)
+            for key, parts in _changes(before, after)]
+
+
+def summary_line(before: list, after: list) -> str:
+    """How many invocations changed each stdout key, status, stderr or presence."""
+    counts = collections.Counter(name for _, parts in _changes(before, after)
+                                 for name, _ in parts)
+    return "changed rows: " + ", ".join(f"{name}: {n}" for name, n in counts.items())
 
 
 def _read_records(path: str) -> list:
@@ -172,9 +189,12 @@ def main() -> int:
                         help="compare two recorded runs instead of running the matrix")
     args = parser.parse_args()
     if args.diff:
-        lines = diff_lines(*map(_read_records, args.diff))
+        before, after = map(_read_records, args.diff)
+        lines = diff_lines(before, after)
         for line in lines:
             print(line)
+        if lines:
+            print(summary_line(before, after))
         return 1 if lines else 0
     for spec in MODELS:
         for form in VERB_FORMS:

@@ -56,8 +56,7 @@ def main(argv=None) -> int:
     if transient:
         report = rc.sample_last_exit(model, args.seed, args.samples,
                                      horizon=args.horizon)
-        q = 1.0 - rc.eval_F(model, 1.0)
-        probs = q * rc.return_pmf(model, args.bins).u
+        probs = rc.exit_pmf(model, args.bins).pmf
         print(f"last exit time, {args.samples} walks, seed {args.seed}, "
               f"{report.censored} flagged near the horizon")
         flagged = compare(report.L_hist, report.samples, probs, 0, args.bins)

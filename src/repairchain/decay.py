@@ -14,18 +14,18 @@ coincide depends on the recurrence class, captured by ``CaseLabel``:
 * ``CriticalRadiusOne``  mu = 1, or positive recurrent with G-radius 1:
                          every parameter collapses to 1 (x0 = 1 at
                          criticality, no tangency point otherwise)
-* ``InteriorCritical``   mu < 1 with a tangency point inside (1, R):
+* ``InteriorCritical``   mu < 1 with a tangency point in (1, R]:
                          R0 = 1 < R1 = eta(x0)
-* ``BoundaryCase``       mu < 1, radius R finite, no interior tangency:
+* ``BoundaryCase``       mu < 1, radius R finite, no tangency point:
                          R1 = eta(R) attained at the boundary
 
 Since xi' = -x G'' < 0, the bracket of x0 is known in advance: (0, 1)
-for a transient law, where xi(0) = a_0 > 0, and (1, R) otherwise, where
+for a transient law, where xi(0) = a_0 > 0, and (1, R] otherwise, where
 the sign of xi at the radius R alone says whether the root is inside.
 One bisection on the sign of xi, read from the family record (explicit
 laws sum a_0 - sum_(j>=2) (j-1) a_j x^j, with no a_1 term to cancel),
-then pins x0 to adjacent doubles.  Tilting at x0 (``tilt``) lands on the
-critical line mu = 1.
+then pins x0 to adjacent doubles, unless the law at the radius (the
+record's ``boundary``) decides.  Tilting at x0 lands on the critical line.
 """
 
 from __future__ import annotations
@@ -90,14 +90,19 @@ def find_x0(model: JumpModel) -> float | None:
 
 
 def _interior_tangency(model: JumpModel) -> float | None:
-    """Root of xi in (1, R) for a positive recurrent law of radius R > 1.
+    """Root of xi in (1, R] for a positive recurrent law of radius R > 1.
 
     xi(1) = 1 - mu > 0 and xi decreases, so the root is inside exactly
     when xi(R) <= 0 (-inf where G diverges); None otherwise, where the
-    transform's singularity sits on the boundary of the G-domain.  R is
-    infinite only for explicit laws, whose xi is a polynomial with a
-    negative leading coefficient, so doubling from 2 ends.
+    transform's singularity sits on the boundary of the G-domain.  Where
+    G(R) is finite, xi(R) has the sign of 1 - mu of the law at R, so that
+    law's class decides, not the rounding of xi(R).  R is infinite only
+    for explicit laws, whose xi is a polynomial with a negative leading
+    coefficient, so doubling from 2 ends.
     """
+    boundary = _FAMILIES[model.family].boundary(model)
+    if boundary is not None:
+        return model.radius if classify(boundary) is ChainClass.NULL_RECURRENT else None
     lo, hi = 1.0, model.radius
     if math.isinf(hi):
         hi = 2.0
@@ -145,8 +150,14 @@ def _decay_params(model: JumpModel) -> DecayParams:
 
 
 def tilt_to_critical(model: JumpModel) -> JumpModel:
-    """Reweight at the tangency point, landing on the critical line."""
+    """Reweight at the tangency point, landing on the critical line.
+
+    On the radius that is the law there; tilt(model, R) would round x (1/x).
+    """
     x0 = decay_params(model).x0
     if x0 is None:
         raise OutOfRadius("no tangency point exists for this law")
+    boundary = _FAMILIES[model.family].boundary(model)
+    if boundary is not None and x0 == model.radius:
+        return boundary
     return tilt(model, x0)

@@ -6,10 +6,10 @@ zero-state occupation sequence:
 
     P(L = n) = q * u_n,   q = P(tau = infinity) = 1 - F(1).
 
-Weighted moments E(R0^L L^k ...) sit on sharp thresholds: the plain
-exponential weight R0^L is always integrable, one extra factor of L
-already breaks it, and fractional powers in between are the verdicts on
-E(tau^alpha) of the law tilted to the critical line (``tilt_to_critical``).
+A weighted moment E(R0^L L^e) is finite exactly when e is below the
+critical exponent gamma of the law tilted to the critical line
+(``tilt_to_critical``): the plain weight R0^L (e = 0) is integrable, and
+one full factor of L (e = 1 >= gamma) already breaks it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import ChainClass, JumpModel, classify
 from .return_time import (
     ReturnAnalysis,
     Verdict,
-    VerdictLabel,
     _critical_tilt_verdict,
     escape_prob,
     return_pmf,
@@ -62,12 +61,11 @@ def exit_weighted_verdict(model: JumpModel, k: int = 0,
                           alpha: float | None = None) -> Verdict:
     """Finiteness of E(R0^L L^k) or, with alpha, E(R0^L L^(k+alpha)).
 
-    The exponential part R0^L alone is always integrable, while any full
-    power of L on top of it diverges.  Strictly fractional powers are
-    settled by reweighting the law at its tangency point: the resulting
-    chain is critical, and the weighted moment is finite exactly when
-    that chain's return time has a finite moment of the same fractional
-    order.
+    Reweighting the law at its tangency point gives a critical chain,
+    and the weighted moment of order e = k + alpha is finite exactly when
+    that chain's return time has a finite moment of order e: when e is
+    below its critical exponent gamma, which lies in [1/2, 1).  So
+    E(R0^L) is finite and every full power of L on top of it diverges.
     """
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("weighted last-exit moments require a transient chain")
@@ -79,14 +77,5 @@ def exit_weighted_verdict(model: JumpModel, k: int = 0,
         if alpha <= 0.0 or not math.isfinite(alpha):
             raise ValueError(f"fractional exponent must be positive, got {alpha!r}")
     exponent = k + (alpha if alpha is not None else 0.0)
-    if exponent == 0.0:
-        quantity = "E(R0^L)"
-        return Verdict(quantity, VerdictLabel.FINITE,
-                       "the exit law decays at exactly the rate R0^(-n), "
-                       "with a summable polynomial correction")
-    quantity = f"E(R0^L L^{exponent:g})"
-    if exponent >= 1.0:
-        return Verdict(quantity, VerdictLabel.INFINITE,
-                       "already E(R0^L L) diverges: the weighted series "
-                       "loses its polynomial decay margin at a full power of L")
+    quantity = f"E(R0^L L^{exponent:g})" if exponent else "E(R0^L)"
     return _critical_tilt_verdict(model, exponent, quantity)

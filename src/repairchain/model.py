@@ -643,6 +643,7 @@ class _Family:
     tail: Callable = lambda m: math.inf  # model -> sup{s : E(J^s) < inf}; G^(k)(1) < inf below
     drift: Callable = _subtracted_drift  # (model, h) -> psi(h) = G(1-h) - (1-h) and psi'(h)
     xi: Callable = _subtracted_xi   # (model, x) -> G(x) - x G'(x), -inf where G' diverges
+    boundary: Callable = lambda m: None  # model -> its law at a radius R > 1 with G(R) < inf, or None
 
 
 _FAMILIES = {
@@ -685,6 +686,7 @@ _FAMILIES = {
         coefficients=_tilted_coefficients,
         G=_tilted_G,
         reweight=lambda m, x: _tilted(m.base, m.tilt_x * x),  # points compose
+        boundary=lambda m: m.base,  # x (1/x) is 1 in exact arithmetic
     ),
 }
 

@@ -309,7 +309,7 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
         raise ValueError("moment order must be a positive integer")
     if k == 1:
         return MomentResult(k=1, value=1.0 / mean_gap(model), tail_bound=0.0, flag="exact")
-    if k >= _FAMILIES[model.family].tail(model):
+    if k >= _moment_threshold(model)[1]:
         return MomentResult(k=k, value=math.inf, tail_bound=0.0, flag="exact")
     import numpy as np
 
@@ -369,17 +369,27 @@ class Verdict:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _null_verdict(model: JumpModel, alpha: float, quantity: str) -> Verdict:
-    # 1 - F(1-s) ~ s^gamma makes E(tau^alpha) finite exactly for alpha < gamma
-    if alpha >= 1.0:
-        return Verdict(quantity, VerdictLabel.INFINITE,
-                       "the mean return time of a critical chain already diverges")
-    threshold = _critical_exponent(model)
+def _moment_threshold(model: JumpModel) -> tuple[str, float]:
+    """Name and value of the exponent below which E(tau^alpha) is finite.
+
+    The critical exponent gamma of 1 - F(1-s) ~ s^gamma for a critical
+    law; for a positive recurrent one the jump-tail exponent, as E(tau^alpha)
+    and E(J^alpha) are finite together.  That exceeds 1 for every such law.
+    """
+    if classify(model) is ChainClass.NULL_RECURRENT:
+        return "critical exponent", _critical_exponent(model)
+    return "jump-tail exponent", _FAMILIES[model.family].tail(model)
+
+
+def _threshold_verdict(model: JumpModel, alpha: float, quantity: str,
+                       prefix: str = "") -> Verdict:
+    """Finite exactly when alpha is below ``_moment_threshold(model)``."""
+    name, threshold = _moment_threshold(model)
     if alpha < threshold:
         return Verdict(quantity, VerdictLabel.FINITE,
-                       f"below the critical exponent {threshold:g}")
+                       f"{prefix}below the {name} {threshold:g}")
     return Verdict(quantity, VerdictLabel.INFINITE,
-                   f"at or above the critical exponent {threshold:g}")
+                   f"{prefix}at or above the {name} {threshold:g}")
 
 
 def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
@@ -388,8 +398,9 @@ def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     # products do
     from .series_tools import block_ratio_diagnostic
 
-    # only tilts of radius-1 laws reach BoundaryCase (geometric laws have
-    # x0 = 1/(2q) < R, explicit ones R = inf); the stored a_n x^n / G(x)
+    # only tilts of power_zeta, positive recurrent at their radius, reach
+    # BoundaryCase (geometric laws have x0 = 1/(2q) < R, explicit ones
+    # R = inf, tilts of half_stable x0 = R); the stored a_n x^n / G(x)
     # underflow where R^n would rescue them, so weigh the base law by R x
     import numpy as np
 
@@ -400,7 +411,8 @@ def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     n = np.arange(1, n_top + 1, dtype=float)
     terms = np.zeros_like(a)
     pos = a > 0.0
-    terms[pos] = np.exp(np.log(a[pos]) + n[pos] * log_r + alpha * np.log(n[pos]) + offset)
+    with np.errstate(over="ignore"):  # a term past the largest double is inf
+        terms[pos] = np.exp(np.log(a[pos]) + n[pos] * log_r + alpha * np.log(n[pos]) + offset)
     cum = np.cumsum(terms)
     ratio, impression = block_ratio_diagnostic(terms)
     return {
@@ -414,10 +426,11 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
                      r1_weighted: bool = False) -> Verdict:
     """Is E(tau^alpha) finite?  With r1_weighted, is E(R1^tau tau^alpha)?
 
-    Analytic branches only ever decide; numerics are demoted to
-    diagnostics inside an Unknown verdict.  For transient laws the plain
-    quantity is read on {tau < infinity}, where it is always finite
-    because F then has radius strictly above 1.
+    alpha is compared with ``_moment_threshold`` of the law or, weighted,
+    of its tilt to the critical line; a BoundaryCase law has no such tilt
+    and its weighted verdict is Unknown, with numerics as diagnostics.
+    For transient laws the plain quantity is read on {tau < infinity},
+    where it is always finite because F then has radius strictly above 1.
     """
     alpha = float(alpha)
     if alpha <= 0.0 or not math.isfinite(alpha):
@@ -425,32 +438,11 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
     cls = classify(model)
     if r1_weighted:
         return _r1_weighted_verdict(model, alpha, cls)
-    quantity = f"E(tau^{alpha:g})"
-    if cls is ChainClass.NULL_RECURRENT:
-        return _null_verdict(model, alpha, quantity)
     if cls is ChainClass.TRANSIENT:
         return Verdict(f"E(tau^{alpha:g}; tau<inf)", VerdictLabel.FINITE,
                        "restricted to return, tau has a geometric tail: "
                        "the transform radius exceeds 1 for a transient law")
-    # positive recurrent
-    if alpha <= 1.0:
-        return Verdict(quantity, VerdictLabel.FINITE,
-                       "the mean return time 1/(1-mu) dominates")
-    tail = _FAMILIES[model.family].tail(model)
-    if alpha >= tail:
-        return Verdict(quantity, VerdictLabel.INFINITE,
-                       f"at or above the jump-tail exponent {tail:g}")
-    if math.isfinite(tail):
-        return Verdict(quantity, VerdictLabel.FINITE,
-                       f"below the jump-tail exponent {tail:g}")
-    if alpha == int(alpha):
-        return Verdict(quantity, VerdictLabel.FINITE, f"G^({alpha:g})(1) is finite")
-    # every positive recurrent law with no finite tail exponent has a
-    # radius above 1: geometric 1/(1-p), explicit infinity, a tilt at
-    # x < 1 of a radius-1 law 1/x
-    return Verdict(quantity, VerdictLabel.FINITE,
-                   "the jump law has a radius above 1, so every "
-                   "derivative of G at 1 is finite")
+    return _threshold_verdict(model, alpha, f"E(tau^{alpha:g})")
 
 
 def _r1_weighted_verdict(model: JumpModel, alpha: float, cls: ChainClass) -> Verdict:
@@ -458,9 +450,7 @@ def _r1_weighted_verdict(model: JumpModel, alpha: float, cls: ChainClass) -> Ver
     restricted = "; tau<inf" if cls is ChainClass.TRANSIENT else ""
     quantity = f"E(R1^tau tau^{alpha:g}{restricted})"
     if dp.case_label is CaseLabel.CRITICAL_RADIUS_ONE:
-        inner = tau_alpha_finite(model, alpha)
-        return Verdict(quantity, inner.verdict,
-                       "R1 = 1, so the weight is trivial: " + inner.reason)
+        return _threshold_verdict(model, alpha, quantity, "R1 = 1, so the weight is trivial: ")
     if dp.case_label in (CaseLabel.TRANSIENT_TILT, CaseLabel.INTERIOR_CRITICAL):
         # reweighting at the tangency point is exact here:
         # E(R1^tau tau^alpha) = x0 * E_tilted(tau^alpha), tilted critical
@@ -473,6 +463,5 @@ def _r1_weighted_verdict(model: JumpModel, alpha: float, cls: ChainClass) -> Ver
 
 def _critical_tilt_verdict(model: JumpModel, alpha: float, quantity: str) -> Verdict:
     """The verdict on E(tau^alpha) of the law tilted to the critical line, for ``quantity``."""
-    inner = tau_alpha_finite(tilt_to_critical(model), alpha)
-    return Verdict(quantity, inner.verdict,
-                   "reduced to the critical reweighted law: " + inner.reason)
+    return _threshold_verdict(tilt_to_critical(model), alpha, quantity,
+                              "reduced to the critical reweighted law: ")

@@ -341,6 +341,53 @@ def tilt_jumps(jumps, x: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# finiteness verdicts by the branch table that one threshold comparison
+# replaced: each regime answered by its own rule, with the jump-tail and
+# critical exponents written per family rather than read from the record
+
+def _jump_tail(model) -> float:
+    return {"half_stable": 1.5, "power_zeta": model.alpha}.get(model.family, math.inf)
+
+
+def branch_table_label(model, alpha: float, r1_weighted: bool = False) -> str:
+    """Label of E(tau^alpha), or of E(R1^tau tau^alpha), branch by branch."""
+    from repairchain import CaseLabel, ChainClass, classify, decay_params, tilt_to_critical
+
+    if r1_weighted:
+        label = decay_params(model).case_label
+        if label is CaseLabel.CRITICAL_RADIUS_ONE:
+            return branch_table_label(model, alpha)
+        if label in (CaseLabel.TRANSIENT_TILT, CaseLabel.INTERIOR_CRITICAL):
+            return branch_table_label(tilt_to_critical(model), alpha)
+        return "Unknown"
+    cls = classify(model)
+    if cls is ChainClass.NULL_RECURRENT:
+        if alpha >= 1.0:
+            return "Infinite"
+        gamma = 2.0 / 3.0 if model.family == "half_stable" else 0.5
+        return "Finite" if alpha < gamma else "Infinite"
+    if cls is ChainClass.TRANSIENT or alpha <= 1.0:
+        return "Finite"
+    if alpha >= _jump_tail(model):
+        return "Infinite"
+    # below a finite jump-tail exponent, or a radius above 1, where every
+    # derivative of G at 1 is finite
+    return "Finite"
+
+
+def branch_table_exit_label(model, k: int, alpha: float | None = None) -> str:
+    """Label of E(R0^L L^(k + alpha)) for a transient law, branch by branch."""
+    from repairchain import tilt_to_critical
+
+    exponent = k + (alpha or 0.0)
+    if exponent == 0.0:
+        return "Finite"
+    if exponent >= 1.0:
+        return "Infinite"
+    return branch_table_label(tilt_to_critical(model), exponent)
+
+
+# ---------------------------------------------------------------------------
 # step-by-step Monte Carlo: the samplers as they stood before block
 # stepping and the guide-table draw, kept as the reference those are
 # gated against (same counter-based draws, one numpy step per time step)

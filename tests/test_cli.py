@@ -6,6 +6,7 @@ what gets exercised, not a subprocess harness.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -355,14 +356,15 @@ def test_finite_past_the_largest_factorial(capsys):
     assert rec["verdict"] == "Finite"
 
 
-@pytest.mark.parametrize("alpha, reason", [("1e300", "G^(1e+300)(1) is finite"),
-                                           ("2", "G^(2)(1) is finite"),
-                                           ("171", "G^(171)(1) is finite")])
-def test_finite_reason_names_the_order_compactly(capsys, alpha, reason):
-    # the order is written like the quantity field, not as a 301-digit integer
+@pytest.mark.parametrize("alpha", ["1e300", "2", "171"])
+def test_finite_reason_names_the_order_compactly(capsys, alpha):
+    # the reason names the threshold, and the order is written like the
+    # quantity field, not as a 301-digit integer
     rec = run_json(capsys, ["finite", "-m", GEO_THREE_QUARTER, "--alpha", alpha])
-    assert rec["reason"] == reason
+    assert rec["verdict"] == "Finite"
+    assert rec["reason"] == "below the jump-tail exponent inf"
     assert rec["quantity"] == f"E(tau^{float(alpha):g})"
+    assert max(len(run) for run in re.findall(r"\d+", rec["reason"] + rec["quantity"])) <= 3
 
 
 def test_power_zeta_with_huge_alpha_classifies(capsys):

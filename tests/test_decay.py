@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 import repairchain as rc
 from repairchain.decay import eta, xi
 from repairchain.errors import OutOfRadius
+from repairchain.model import _FAMILIES
 from repairchain.return_time import escape_prob
 
 
@@ -259,4 +260,39 @@ def test_bisected_x0_is_the_first_double_with_xi_not_positive(model):
     dp = rc.decay_params(model)
     if dp.case_label not in (rc.CaseLabel.TRANSIENT_TILT, rc.CaseLabel.INTERIOR_CRITICAL):
         return
+    if dp.x0 == model.radius:
+        # not bisected: a critical law at the radius puts the tangency there
+        boundary = _FAMILIES[model.family].boundary(model)
+        assert rc.classify(boundary) is rc.ChainClass.NULL_RECURRENT
+        return
     assert xi(model, dp.x0) <= 0.0 < xi(model, math.nextafter(dp.x0, 0.0))
+
+
+def test_every_half_stable_tilt_is_tangent_at_its_radius():
+    # exactly, xi(1/x) = 0 and the law at the radius is half_stable itself;
+    # deciding on the rounding of xi(R) or of x (1/x) left about a quarter
+    # of these BoundaryCase, with an Unknown weighted verdict
+    half = rc.half_stable()
+    for x in np.random.default_rng(1).uniform(0.05, 0.99, 250):
+        m = rc.tilt(half, float(x))
+        dp = rc.decay_params(m)
+        assert dp.case_label is rc.CaseLabel.INTERIOR_CRITICAL, x
+        assert dp.x0 == dp.F_at_R1 == m.radius
+        assert dp.R1 == eta(m, m.radius)
+        assert rc.tilt_to_critical(m) is half
+        labels = [rc.tau_alpha_finite(m, a, r1_weighted=True).verdict.value
+                  for a in (0.3, 0.6, 0.7)]
+        assert labels == ["Finite", "Finite", "Infinite"], x
+
+
+def test_power_zeta_tilts_stay_on_the_boundary():
+    # a positive recurrent law at the radius leaves no tangency point
+    rng = np.random.default_rng(2)
+    for alpha in (2.5, 3.0):
+        for x in rng.uniform(0.05, 0.99, 50):
+            m = rc.tilt(rc.power_zeta(alpha), float(x))
+            dp = rc.decay_params(m)
+            assert dp.case_label is rc.CaseLabel.BOUNDARY_CASE and dp.x0 is None
+            assert dp.F_at_R1 == m.radius
+            with pytest.raises(OutOfRadius):
+                rc.tilt_to_critical(m)

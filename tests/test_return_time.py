@@ -514,3 +514,90 @@ def test_tau_alpha_rejects_bad_alpha(geo_half):
         rc.tau_alpha_finite(geo_half, 0.0)
     with pytest.raises(ValueError):
         rc.tau_alpha_finite(geo_half, -1.0)
+
+
+def _label_grid_laws():
+    laws = [rc.geometric(p) for p in (0.1, 0.25, 0.45, 0.5, 0.5000001, 0.6, 0.75, 0.9)]
+    laws += [rc.half_stable()] + [rc.power_zeta(a) for a in (2.1, 2.5, 3.0, 4.5)]
+    laws += [rc.explicit(a) for a in ([0.5, 0.2, 0.3], [0.5, 0.0, 0.5], [0.2, 0.3, 0.5],
+                                      [0.6, 0.1, 0.3], [1e-30, 0.0, 1.0])]
+    rng = np.random.default_rng(20261019)
+    laws += [rc.explicit(rng.dirichlet(np.ones(3 + i % 4)).tolist()) for i in range(8)]
+    laws += [rc.tilt(rc.half_stable(), x) for x in rng.uniform(0.05, 0.99, 2)]
+    laws += [rc.tilt(rc.power_zeta(a), x) for a, x in zip((3.0, 3.0, 2.5),
+                                                          rng.uniform(0.05, 0.99, 3))]
+    laws += [rc.tilt(rc.tilt(rc.power_zeta(2.5), 0.5), 1.5), rc.tilt(rc.geometric(0.25), 0.5),
+             rc.tilt(rc.geometric(0.75), 1.2), rc.tilt(rc.explicit([0.5, 0.2, 0.3]), 2.0),
+             rc.tilt_to_critical(rc.explicit([0.2, 0.3, 0.5])),
+             rc.tilt_to_critical(rc.geometric(0.25))]
+    return laws
+
+
+# the thresholds themselves (1/2, 2/3, 1, 3/2 and the power_zeta tails) and both sides
+_LABEL_ALPHAS = (0.1, 0.3, 0.5, 0.6, 2.0 / 3.0, 0.7, 1.0, 1.2, 1.5, 2.0, 2.1, 2.5, 3.0, 4.5,
+                 7.25, 171.0, 1e300)
+
+
+def test_one_threshold_gives_the_labels_of_the_branch_table():
+    laws = _label_grid_laws()
+    triples = 0
+    for m in laws:
+        for alpha in _LABEL_ALPHAS:
+            for weighted in (False, True):
+                got = rc.tau_alpha_finite(m, alpha, r1_weighted=weighted).verdict.value
+                assert got == oracles.branch_table_label(m, alpha, weighted), (m, alpha, weighted)
+                triples += 1
+        if rc.classify(m) is rc.ChainClass.TRANSIENT:
+            for k in (0, 1, 2):
+                for alpha in (None, *_LABEL_ALPHAS):
+                    got = rc.exit_weighted_verdict(m, k, alpha).verdict.value
+                    assert got == oracles.branch_table_exit_label(m, k, alpha), (m, k, alpha)
+    assert len(laws) >= 37 and triples >= 1000
+
+
+def test_every_positive_recurrent_law_has_a_jump_tail_above_one():
+    # the one threshold keeps E(tau) = 1/(1 - mu) finite only because no
+    # positive recurrent law has a jump tail at or below 1
+    from repairchain.errors import InvalidSpec
+    from repairchain.model import _FAMILIES
+    from repairchain.return_time import _moment_threshold
+
+    rng = np.random.default_rng(20261020)
+    laws = {
+        "geometric": [rc.geometric(p) for p in (0.5000001, *rng.uniform(0.5, 1.0, 20))],
+        "half_stable": [rc.half_stable()],
+        "power_zeta": [rc.power_zeta(a) for a in (2.0 + 2 ** -51, 2.1, 3.0, 50.0, 1e300)],
+        "explicit": [rc.explicit(rng.dirichlet(np.ones(3 + i % 5)).tolist())
+                     for i in range(20)],
+    }
+    assert set(laws) == {name for name, rec in _FAMILIES.items() if rec.build}
+    for bad in (2.0, math.nextafter(2.0, 0.0)):
+        with pytest.raises(InvalidSpec):
+            rc.power_zeta(bad)
+    seen = 0
+    for model in [m for group in laws.values() for m in group]:
+        for x in (1.0, 0.3, 0.9, 1.1):
+            if not math.isfinite(rc.eval_G(model, x)):
+                continue
+            m = rc.tilt(model, x)
+            if rc.classify(m) is not rc.ChainClass.POSITIVE_RECURRENT:
+                continue
+            name, threshold = _moment_threshold(m)
+            assert name == "jump-tail exponent"
+            assert threshold == (m.alpha if m.family == "power_zeta" else math.inf), m
+            assert threshold > 1.0
+            seen += 1
+    assert seen >= 100
+
+
+def test_boundary_diagnostics_raise_no_overflow_warning():
+    # R^n n^171 a_n passes the largest double inside the 4096-term window
+    import warnings
+
+    m = rc.tilt(rc.power_zeta(3.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (50.0, 171.0):
+            v = rc.tau_alpha_finite(m, alpha, r1_weighted=True)
+            assert v.verdict is rc.VerdictLabel.UNKNOWN
+            assert v.diagnostics["partial_sums"][4096] > 0.0

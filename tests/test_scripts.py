@@ -29,6 +29,19 @@ def test_script_runs(argv):
     assert proc.stdout
 
 
+def test_sim_vs_exact_reads_the_last_exit_law_from_exit_pmf():
+    import repairchain as rc
+
+    proc = _run_script(["sim_vs_exact.py", '{"family": "geometric", "p": 0.25}',
+                        "--samples", "2000", "--bins", "3", "--horizon", "300"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("last exit time")
+    rows = [line.split() for line in proc.stdout.splitlines()[2:6]]
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+    expected = 2000 * rc.exit_pmf(rc.geometric(0.25), 3).pmf
+    assert [float(r[1]) for r in rows] == pytest.approx(expected, abs=0.05)
+
+
 def test_cli_matrix_writes_one_record_per_invocation():
     proc = _run_script(["cli_matrix.py"])
     assert proc.returncode == 0, proc.stderr
@@ -93,12 +106,15 @@ def test_cli_matrix_diff_of_canned_records(tmp_path):
         'mu: null -> 2.0',
     ]
     assert matrix.diff_lines(_BEFORE, _BEFORE) == []
+    summary = ("changed rows: only before: 1, q_exit: 1, a_head: 1, csv: 1, verdict: 1, "
+               "status: 2, stderr: 2, only after: 1, mu: 1")
+    assert matrix.summary_line(_BEFORE, _AFTER) == summary
     paths = []
     for name, records in (("before", _BEFORE), ("after", _AFTER)):
         paths.append(tmp_path / f"{name}.jsonl")
         paths[-1].write_text("".join(json.dumps(r) + "\n" for r in records))
     proc = _run_script(["cli_matrix.py", "--diff", *map(str, paths)])
-    assert proc.returncode == 1 and proc.stdout.splitlines() == lines
+    assert proc.returncode == 1 and proc.stdout.splitlines() == [*lines, summary]
     proc = _run_script(["cli_matrix.py", "--diff", str(paths[0]), str(paths[0])])
     assert proc.returncode == 0 and proc.stdout == ""
 
