@@ -2,7 +2,7 @@
 """Run the CLI over a fixed matrix of models and verb forms, in-process.
 
 Twelve models (four geometric laws, half_stable, two power_zeta laws and
-five explicit laws) times 24 verb forms give 288 invocations of
+five explicit laws) times 26 verb forms give 312 invocations of
 ``repairchain.cli.run``.  Each one prints a JSON line with its argv,
 exit status, stdout and stderr, so two versions of the package compare
 with ``diff`` or with ``--diff``, which prints one line per invocation whose
@@ -69,6 +69,9 @@ VERB_FORMS = [
     ["asym", "--fitted"],
     ["simulate", "--tau", "--samples", "2000", "--cap", "500", "--seed", "1"],
     ["simulate", "--exit", "--samples", "2000", "--horizon", "500", "--seed", "1"],
+    # three chunks of samples each, so the thread pool runs
+    ["simulate", "--tau", "--samples", "140000", "--cap", "500", "--seed", "1"],
+    ["simulate", "--exit", "--samples", "140000", "--horizon", "500", "--seed", "1"],
 ]
 
 

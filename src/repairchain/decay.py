@@ -93,10 +93,12 @@ def _interior_tangency(model: JumpModel) -> float | None:
     """Root of xi in (1, R] for a positive recurrent law of radius R > 1.
 
     xi(1) = 1 - mu > 0 and xi decreases, so the root is inside exactly
-    when xi(R) <= 0 (-inf where G diverges); None otherwise, where the
-    transform's singularity sits on the boundary of the G-domain.  Where
-    G(R) is finite, xi(R) has the sign of 1 - mu of the law at R, so that
-    law's class decides, not the rounding of xi(R).  R is infinite only
+    when xi(R) <= 0; None otherwise, where the transform's singularity
+    sits on the boundary of the G-domain.  Where G(R) is finite, xi(R)
+    has the sign of 1 - mu of the law at R (the record's ``boundary``),
+    so that law's class decides, not the rounding of xi(R): it is the
+    only source of None.  Every other law of finite radius is geometric,
+    whose G' diverges at R, so xi(R) is far below 0.  R is infinite only
     for explicit laws, whose xi is a polynomial with a negative leading
     coefficient, so doubling from 2 ends.
     """
@@ -108,8 +110,6 @@ def _interior_tangency(model: JumpModel) -> float | None:
         hi = 2.0
         while xi(model, hi) > 0.0:
             lo, hi = hi, hi * 2.0
-    elif xi(model, hi) > 0.0:
-        return None
     return _bisect(lambda x: xi(model, x) > 0.0, lo, hi)
 
 

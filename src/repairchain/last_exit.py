@@ -15,6 +15,7 @@ one full factor of L (e = 1 >= gamma) already breaks it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -72,6 +73,8 @@ def exit_weighted_verdict(model: JumpModel, k: int = 0,
     k = int(k)
     if k < 0:
         raise ValueError("the integer weight power must be nonnegative")
+    if k > sys.float_info.max:  # k + alpha is a double
+        raise ValueError("the integer weight power must not exceed the largest double")
     if alpha is not None:
         alpha = float(alpha)
         if alpha <= 0.0 or not math.isfinite(alpha):

@@ -661,8 +661,9 @@ _FAMILIES = {
         table=_geometric_table,
         coefficients=_geometric_coefficients,
         G=_geometric_G,
-        # p q^n x^n normalizes to a geometric law with ratio q x
-        reweight=lambda m, x: geometric(1.0 - (1.0 - m.p) * x),
+        # p q^n x^n normalizes to a geometric law with ratio q x; its
+        # parameter 1 - q x is summed as (1 - x) + p x, exact terms near x = 1
+        reweight=lambda m, x: geometric((1.0 - x) + m.p * x),
         drift=_geometric_drift,
     ),
     "half_stable": _Family(

@@ -20,6 +20,7 @@ From F everything else follows:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -307,6 +308,8 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
     k = int(k)
     if k < 1:
         raise ValueError("moment order must be a positive integer")
+    if k > sys.float_info.max:  # n ** k takes k as a double
+        raise ValueError("moment order must not exceed the largest double")
     if k == 1:
         return MomentResult(k=1, value=1.0 / mean_gap(model), tail_bound=0.0, flag="exact")
     if k >= _moment_threshold(model)[1]:

@@ -37,16 +37,17 @@ escape level where the return probability drops below 1e-12, which
 keeps the horizon affordable without touching the counts at any
 believable resolution.
 
-Each worker thread keeps one histogram of cap + 1 (or horizon + 1)
-counts and the merge one more.  The thread count drops until those fit
-in HIST_BUDGET bytes; a cap or horizon whose two histograms (one thread)
-would not fit is refused before anything is allocated.
+A sampling call keeps one histogram of cap + 1 (or horizon + 1) counts,
+which every worker thread adds into under a lock, so its memory does not
+grow with the thread count.  A cap or horizon whose histogram would not
+fit in HIST_BUDGET bytes is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import weakref
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -60,8 +61,8 @@ from .return_time import eval_F
 
 _CHUNK = 1 << 16  # fixed work unit; never derived from the worker count
 
-# ceiling on the histogram arrays of one sampling call, in bytes
-HIST_BUDGET = 1 << 28
+# ceiling on the histogram of one sampling call, in bytes
+HIST_BUDGET = 1 << 27
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -149,29 +150,33 @@ def _chunks(samples: int):
     return [(lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK)]
 
 
-def _run_chunks(worker, samples: int, size: int) -> tuple[dict, int]:
-    """Run worker(span, counts) -> extra over every chunk; merge the results.
+def _run_chunks(worker, samples: int, size: int) -> dict:
+    """Run worker(span, add) over every chunk; return the sparse histogram.
 
-    Each thread adds its chunks into its own histogram of `size` counts,
-    so a call holds threads + 1 histograms whatever the sample count.
-    Fewer threads run when that many would not fit in HIST_BUDGET.
+    add(where, values) adds values into one histogram of `size` counts
+    at where (a slice or an index array, repeats adding up), under a
+    lock, so a call holds that one histogram whatever its thread count.
     """
+    if size * 8 > HIST_BUDGET:
+        raise ValueError(f"{size} histogram bins need {size * 8} bytes, "
+                         f"above the {HIST_BUDGET}-byte budget")
+    counts = np.zeros(size, dtype=np.int64)
+    lock = threading.Lock()
+
+    def add(where, values):
+        with lock:
+            np.add.at(counts, where, values)
+
     spans = _chunks(samples)
-    n_workers = min(_workers(), len(spans), HIST_BUDGET // (size * 8) - 1)
-    if n_workers < 1:
-        raise ValueError(f"{size} histogram bins need {size * 16} bytes on one "
-                         f"thread, above the {HIST_BUDGET}-byte budget")
-
-    def run(part):
-        counts = np.zeros(size, dtype=np.int64)
-        extra = sum(worker(span, counts) for span in part)
-        return counts, extra
-
-    parts = [spans[i::n_workers] for i in range(n_workers)]
+    n_workers = min(_workers(), len(spans))
     if n_workers == 1:
-        return _merge(map(run, parts), size)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return _merge(pool.map(run, parts), size)
+        for span in spans:
+            worker(span, add)
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(lambda span: worker(span, add), spans))
+    bins = np.nonzero(counts)[0]
+    return dict(zip(bins.tolist(), counts[bins].tolist()))
 
 
 @dataclass(frozen=True)
@@ -192,17 +197,6 @@ class SimReport:
     horizon: int | None = None
 
 
-def _merge(results, size: int) -> tuple[dict, int]:
-    """Sum per-chunk (counts, extra) pairs into a sparse histogram and a total."""
-    counts = np.zeros(size, dtype=np.int64)
-    extra = 0
-    for chunk_counts, chunk_extra in results:
-        counts += chunk_counts
-        extra += chunk_extra
-    bins = np.nonzero(counts)[0]
-    return dict(zip(bins.tolist(), counts[bins].tolist())), extra
-
-
 def sample_tau(model: JumpModel, seed: int, samples: int,
                cap: int = DEFAULT_TAU_CAP) -> SimReport:
     """First-return times of `samples` independent paths started at 0."""
@@ -214,10 +208,9 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
         raise ValueError("cap must be at least 1")
     draw = _jump_draw(model.coeffs)
 
-    def worker(span, counts):
+    def worker(span, add):
         keys = _sample_keys(seed, *span)
         level = np.zeros(keys.size, dtype=np.int64)
-        returned = 0
         step = 0
         while step < cap and keys.size:
             n = keys.size
@@ -235,8 +228,7 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
             rows = hits // b
             first = np.flatnonzero(np.diff(rows, prepend=-1))
             rows = rows[first]
-            returned += rows.size
-            counts[step + 1:step + 1 + b] += np.bincount(hits[first] - rows * b, minlength=b)
+            add(slice(step + 1, step + 1 + b), np.bincount(hits[first] - rows * b, minlength=b))
             step += b
             level = ends - target
             # a path higher than the steps left cannot return by the cap
@@ -244,11 +236,10 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
             kept[rows] = False
             keys = keys[kept]
             level = level[kept]
-        return span[1] - span[0] - returned
 
-    hist, censored = _run_chunks(worker, samples, cap + 1)
+    hist = _run_chunks(worker, samples, cap + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
-                     L_hist={}, censored=censored, cap=cap)
+                     L_hist={}, censored=samples - sum(hist.values()), cap=cap)
 
 
 def sample_last_exit(model: JumpModel, seed: int, samples: int,
@@ -268,32 +259,27 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
     escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
     flag_from = horizon - horizon // 10  # strictly above = final 10%
 
-    def worker(span, counts):
+    def worker(span, add):
         keys = _sample_keys(seed, *span)
         state = np.zeros(keys.size, dtype=np.int64)
         last_zero = np.zeros(keys.size, dtype=np.int64)
-        flagged = 0
         for step in range(horizon):
             offset = np.uint64((step * _GOLDEN) & _MASK)
             state = np.maximum(state - 1, 0) + draw(_mix64(keys + offset))
             now = step + 1
-            at_zero = state == 0
-            last_zero[at_zero] = now
+            last_zero[state == 0] = now
             done = (state >= escape_level) | (state > horizon - now)
-            if np.any(done) or now == horizon:
-                settled = last_zero[done] if now < horizon else last_zero
-                np.add.at(counts, settled, 1)
-                flagged += int(np.count_nonzero(settled > flag_from))
-                if now == horizon:
-                    break
+            if np.any(done):
+                add(last_zero[done], 1)
                 keep = ~done
                 keys = keys[keep]
                 state = state[keep]
                 last_zero = last_zero[keep]
                 if keys.size == 0:
                     break
-        return flagged
+        add(last_zero, 1)  # the paths still alive at the horizon
 
-    hist, censored = _run_chunks(worker, samples, horizon + 1)
+    hist = _run_chunks(worker, samples, horizon + 1)
+    censored = sum(c for n, c in hist.items() if n > flag_from)
     return SimReport(samples=samples, seed=int(seed), tau_hist={},
                      L_hist=hist, censored=censored, horizon=horizon)

@@ -350,6 +350,21 @@ def test_moments_past_the_largest_power(capsys, k):
         assert rec["flag"] == "lower bound only" and rec["tail_bound"] == float("inf")
 
 
+@pytest.mark.parametrize("argv", [["exit", "-m", GEO_QUARTER],
+                                  ["exit", "-m", GEO_QUARTER, "--alpha", "0.5"],
+                                  ["moments", "-m", GEO_THREE_QUARTER]],
+                         ids=["exit", "exit --alpha", "moments"])
+def test_integer_power_past_the_largest_double_is_a_usage_error(capsys, argv):
+    # k + alpha and n ** k take k as a double, which a 400-digit k has not
+    assert cli.run([*argv, "-k", "9" * 400]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+    # the largest double itself still answers, past the doubles for moments
+    rec = run_json(capsys, [*argv, "-k", str(int(sys.float_info.max))])
+    assert rec["verdict"] == "Infinite" if "verdict" in rec else rec["value"] == float("inf")
+
+
 def test_finite_past_the_largest_factorial(capsys):
     # 171! is not a double, G^(171)(1) is
     rec = run_json(capsys, ["finite", "-m", GEO_THREE_QUARTER, "--alpha", "171"])

@@ -87,6 +87,16 @@ def test_boundary_case_only_for_tilted_laws(factory):
     assert label is not rc.CaseLabel.BOUNDARY_CASE or m.family == "tilted"
 
 
+def test_geometric_xi_is_negative_at_the_radius():
+    # the laws of finite radius with no boundary law are geometric; G'
+    # diverges at R = 1/q, so xi(R) < 0 puts x0 inside (1, R]
+    ps = np.random.default_rng(14).uniform(0.5, 1.0, 20_000)
+    for p in [*ps[ps > 0.5].tolist(), 0.5 + 1e-15, 1.0 - 2.0 ** -53]:
+        m = rc.geometric(p)
+        assert _FAMILIES["geometric"].boundary(m) is None
+        assert xi(m, m.radius) < 0.0, p
+
+
 def test_explicit_transient_doubling_search():
     # polynomial G, infinite radius, mean 1.2: xi = 0.3 - 0.5 x^2
     m = rc.explicit([0.3, 0.2, 0.5])

@@ -328,6 +328,17 @@ def test_tilt_geometric_closure():
         assert abs(a[n] - 2.0 ** -(n + 1)) < 1e-12
 
 
+@pytest.mark.parametrize("p, x, rel", [(0.25, 1.33333333, 2.0 ** -53),
+                                       (1e-7, 1.0000001, 1e-9),
+                                       (0.25, 1.2, 2.0 ** -53)])
+def test_geometric_tilt_parameter_against_fraction(p, x, rel):
+    # p' = 1 - (1 - p) x on the two doubles, exactly; near the radius
+    # 1/(1 - p) it is the small difference of two numbers near 1
+    want = 1 - (1 - Fraction(p)) * Fraction(x)
+    got = Fraction(rc.tilt(rc.geometric(p), x).p)
+    assert abs(got - want) <= rel * want
+
+
 def test_tilt_keeps_explicit_laws_explicit():
     m = rc.tilt(rc.explicit([0.5, 0.2, 0.3]), 2.0)
     assert m.family == "explicit" and m.radius == math.inf and m.tail_bound == 0.0

@@ -46,7 +46,7 @@ def test_cli_matrix_writes_one_record_per_invocation():
     proc = _run_script(["cli_matrix.py"])
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(records) == 12 * 24
+    assert len(records) == 12 * 26
     assert len({json.dumps(r["argv"]) for r in records}) == len(records)
     for r in records:
         assert set(r) == {"argv", "status", "stdout", "stderr"}

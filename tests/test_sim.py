@@ -117,20 +117,6 @@ def test_simulation_validation(geo_half):
         rc.sample_last_exit(rc.geometric(0.25), seed=1, samples=100, horizon=0)
 
 
-def test_merged_histogram_matches_loop_reference():
-    from repairchain.sim import _merge
-
-    rng = np.random.default_rng(3)
-    chunks = [(rng.integers(0, 3, 50) * (rng.random(50) < 0.3), int(rng.integers(0, 5)))
-              for _ in range(4)]
-    total = sum(c for c, _ in chunks)
-    want = {n: int(c) for n, c in enumerate(total) if c > 0}
-    hist, extra = _merge(chunks, 50)
-    assert list(hist.items()) == list(want.items())
-    assert all(type(k) is int and type(v) is int for k, v in hist.items())
-    assert extra == sum(e for _, e in chunks)
-
-
 # the block-stepped samplers against the step-by-step ones they replaced
 ORACLE_LAWS = {
     "geometric(0.25)": lambda: rc.geometric(0.25),
@@ -244,28 +230,78 @@ def test_histogram_budget(monkeypatch):
     samples = 2 * sim._CHUNK + 1  # three chunks
     monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     want = rc.sample_tau(geo, 1, samples, cap=4)
-    # one worker histogram plus the merged one, each (cap + 1) int64 counts
-    monkeypatch.setattr(sim, "HIST_BUDGET", 5 * 8 * 2)
-    with pytest.raises(ValueError, match="budget"):
-        rc.sample_tau(geo, 1, 100, cap=5)
-    with pytest.raises(ValueError, match="budget"):
-        rc.sample_last_exit(rc.geometric(0.25), 1, 100, horizon=5)
-    # three threads would hold four histograms: the call runs on fewer
-    # threads instead, with the same report
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "3")
-    for budget in (5 * 8 * 2, 5 * 8 * 3, 5 * 8 * 4 - 1, 5 * 8 * 4):
-        monkeypatch.setattr(sim, "HIST_BUDGET", budget)
+    # one histogram of (cap + 1) int64 counts, whatever the thread count
+    monkeypatch.setattr(sim, "HIST_BUDGET", 5 * 8)
+    for threads in ("1", "3"):
+        monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
         assert rc.sample_tau(geo, 1, samples, cap=4) == want
+        with pytest.raises(ValueError, match="budget"):
+            rc.sample_tau(geo, 1, samples, cap=5)
+        with pytest.raises(ValueError, match="budget"):
+            rc.sample_last_exit(rc.geometric(0.25), 1, samples, horizon=5)
 
 
 def test_histogram_budget_admits_the_defaults_and_refuses_huge_caps():
     from repairchain import sim
 
-    # the default cap fits on the default worker count, at most eight
-    assert (sim.DEFAULT_TAU_CAP + 1) * 8 * (8 + 1) <= sim.HIST_BUDGET
-    assert (sim.DEFAULT_EXIT_HORIZON + 1) * 8 * (8 + 1) <= sim.HIST_BUDGET
+    # the default cap and horizon fit in the one histogram of a call
+    assert (sim.DEFAULT_TAU_CAP + 1) * 8 <= sim.HIST_BUDGET
+    assert (sim.DEFAULT_EXIT_HORIZON + 1) * 8 <= sim.HIST_BUDGET
     # refused before anything of that size is allocated
-    with pytest.raises(ValueError, match="budget"):
-        rc.sample_tau(rc.geometric(0.5), 1, 10, cap=10 ** 11)
-    with pytest.raises(ValueError, match="budget"):
-        rc.sample_last_exit(rc.geometric(0.25), 1, 10, horizon=10 ** 11)
+    for cap in (2 ** 24, 10 ** 11):  # the largest admitted is 2^24 - 1
+        with pytest.raises(ValueError, match="budget"):
+            rc.sample_tau(rc.geometric(0.5), 1, 10, cap=cap)
+        with pytest.raises(ValueError, match="budget"):
+            rc.sample_last_exit(rc.geometric(0.25), 1, 10, horizon=cap)
+
+
+def test_threads_lose_no_count_in_the_shared_histogram(monkeypatch):
+    # more threads than cores and a short switch interval: an add that
+    # raced another would change the histogram against one thread's
+    import sys
+
+    from repairchain import sim
+
+    samples = 6 * sim._CHUNK + 5
+
+    def tau():
+        return rc.sample_tau(rc.geometric(0.5), 8, samples, 1000)
+
+    def last_exit():
+        return rc.sample_last_exit(rc.geometric(0.25), 8, samples, 500)
+
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    want_tau, want_exit = tau(), last_exit()
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            assert tau() == want_tau
+            assert last_exit() == want_exit
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(want_exit.L_hist.values()) == samples
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_one_histogram_whatever_the_thread_count(threads, monkeypatch):
+    # at a cap this large the histogram dominates a call's allocations:
+    # three chunks on one or three threads still hold a single one
+    import tracemalloc
+
+    from repairchain import sim
+
+    size = 4 * 10 ** 6
+    samples = 2 * sim._CHUNK + 1
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
+    for sample, model in ((rc.sample_tau, rc.geometric(0.65)),
+                          (rc.sample_last_exit, rc.geometric(0.25))):
+        sample(model, 1, 10, 10)  # the jump sampler is built outside the trace
+        tracemalloc.start()
+        try:
+            sample(model, 1, samples, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (size + 1) * 8, (sample.__name__, peak)
