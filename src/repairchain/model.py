@@ -345,19 +345,20 @@ def power_zeta(alpha: float) -> JumpModel:
 
 
 def _geometric_G(model: JumpModel, t: float, order: int) -> float:
-    if t == 1.0 and order == 0:  # G(1) = 1, though q rounds to 1 for p below 2^-54
-        return 1.0
     p = model.p
     q = 1.0 - p
-    if q * t >= 1.0:
+    # 1 - q t as p + q (1 - t): q rounds to 1 for p below 2^-54, where
+    # 1 - q t would lose p, and G(1) = 1 and G'(1) = q/p with it
+    gap = p + q * (1.0 - t)
+    if gap <= 0.0:
         return math.inf
     if order <= 170:  # order! still converts to a double
-        den = (1.0 - q * t) ** (order + 1)
+        den = gap ** (order + 1)
         if den > 0.0:
             return p * math.factorial(order) * q ** order / den
     # log space: the value can be a double when order! or the power is not
     log_g = (math.log(p) + math.lgamma(order + 1.0) + order * math.log(q)
-             - (order + 1) * math.log1p(-q * t))
+             - (order + 1) * math.log(gap))
     try:
         return math.exp(log_g)
     except OverflowError:
@@ -392,11 +393,19 @@ def _half_stable_G(model: JumpModel, t: float, order: int) -> float:
 # and t^(i+2) S^(i) = prod_{j<i} (D - 2 - j) of that sum at s = alpha, with
 # D = d/dw.  Taking v = i + 2 there drops the terms m < i, which the
 # product annihilates anyway; left in, they cancel, and badly so for
-# large alpha.
+# large alpha.  The product itself cancels past order 3 (1e-3 relative
+# at order 15, t = 0.8), so higher orders sum the positive Taylor series
+# wherever it is short enough, in scaled form once its terms pass the
+# double range.
 
 _PZ_SWITCH = 0.75
 _PZ_W_TERMS = 32  # (5 |log 0.75|)^32 / 32! < 1e-30
 _EULER_GAMMA = 0.5772156649015329
+# highest order whose cached Taylor coefficients stay doubles: (j+n)!/j!
+# a_(j+n) passes 1e308 near n = 110 before the series stops at t = 3/4
+_PZ_SERIES_ORDERS = 100
+# most terms a Taylor sum above the switch may take, about (order + 40)/(1 - t)
+_PZ_TAYLOR_TERMS = 1 << 14
 
 
 @lru_cache(maxsize=64)
@@ -419,6 +428,43 @@ def _pz_series(alpha: float, order: int) -> tuple[float, ...]:
         if rho < 1.0 and c * power * rho / (1.0 - rho) <= 2.0 ** -56 * total:
             return tuple(coeffs)
         power *= _PZ_SWITCH
+
+
+def _pz_log_a(alpha: float, k: int) -> float:
+    # log a_k, a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha) without cancellation
+    return (-alpha * math.log(k + 1.0)
+            + math.log(-math.expm1(alpha * math.log1p(-1.0 / (k + 2)))))
+
+
+def _pz_scaled_taylor(alpha: float, t: float, order: int) -> float:
+    """G^(order)(t) = sum_j (j+order)!/j! a_(j+order) t^j for t < 1, or +inf.
+
+    The positive series of ``_pz_series``, summed at t itself and without
+    overflow where its terms pass the double range: the first term
+    order! a_order is kept as its logarithm and each term as its ratio to
+    that one, from term_(j+1)/term_j = t (k+1)/(j+1) a_(k+1)/a_k.  The
+    stopping rule is ``_pz_series``'s at t, and the value is
+    exp(log head + log sum).
+    """
+    log_a = _pz_log_a(alpha, order)
+    log_head = math.lgamma(order + 1.0) + log_a
+    total, term = 0.0, 1.0
+    for j in itertools.count():
+        k = j + order
+        total += term
+        rho = t * (k + 1) / (j + 1)
+        if rho < 1.0 and term * rho / (1.0 - rho) <= 2.0 ** -56 * total:
+            break
+        if total > 2.0 ** 600:  # rescale before the sum can overflow
+            total, term = total * 2.0 ** -600, term * 2.0 ** -600
+            log_head += 600 * math.log(2.0)
+        log_next = _pz_log_a(alpha, k + 1)
+        term *= rho * math.exp(log_next - log_a)
+        log_a = log_next
+    try:
+        return math.exp(log_head + math.log(total))
+    except OverflowError:
+        return math.inf
 
 
 @lru_cache(maxsize=64)
@@ -491,15 +537,29 @@ def _pz_S(alpha: float, i: int, t: float, w: float, pw: list[float]) -> float:
 
 
 def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
-    """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1."""
+    """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1.
+
+    Past the switch, orders above 3 sum the Taylor series too
+    (``_pz_scaled_taylor``) while it takes at most _PZ_TAYLOR_TERMS
+    terms; below it, so do orders above _PZ_SERIES_ORDERS.
+    """
     if t > 1.0:
         return math.inf
     alpha = model.alpha
     if t <= _PZ_SWITCH:
+        if order > _PZ_SERIES_ORDERS:
+            return _pz_scaled_taylor(alpha, t, order)
         acc = 0.0
         for c in reversed(_pz_series(alpha, order)):
             acc = acc * t + c
         return acc
+    if t < 1.0 and order > 3:
+        # G^(order) increases with t: +inf at the edge is +inf beyond it
+        edge = 1.0 - (order + 40) / _PZ_TAYLOR_TERMS
+        if t <= edge:
+            return _pz_scaled_taylor(alpha, t, order)
+        if edge > 0.0 and _pz_scaled_taylor(alpha, edge, order) == math.inf:
+            return math.inf
     if t < 1.0:
         w = math.log(t)
         # w-series terms run like (v w)^k / k! relative to the sum; stop
@@ -747,7 +807,10 @@ def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
     its Taylor series up to t = 3/4 and uses Jonquiere's expansion of the
     polylogarithm above (see ``_power_zeta_G``), to about 1e-14 relative
     for orders 0..3 and without the coefficient table; at t = 1 it uses an
-    exact zeta identity.
+    exact zeta identity.  Higher orders sum the Taylor series past 3/4 as
+    well, to about 2e-13 relative, and in log space where its terms pass
+    the double range, as geometric laws do; the value is then +inf once
+    it passes the largest double.
     """
     t = float(t)
     if t < 0.0 or not math.isfinite(t):

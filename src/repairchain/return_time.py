@@ -43,8 +43,11 @@ if TYPE_CHECKING:
 # series length for numeric moment partial sums
 _MOMENT_N = 1024
 
-# ceiling on the power tables of return_pmf, in bytes
+# ceiling on the arrays return_pmf holds, in bytes
 PMF_TABLE_BUDGET = 1 << 27
+
+# stripes of the truncated series product in return_pmf
+_STRIPES = 4
 
 # fitted-exponent regression window and grid size
 _FIT_LO, _FIT_HI, _FIT_POINTS = 1e-6, 1e-2, 50
@@ -128,11 +131,37 @@ class ReturnAnalysis:
 
 
 def pmf_table_bytes(n_max: int) -> int:
-    """Worst-case size in bytes of the power tables ``return_pmf`` holds.
+    """Peak size in bytes of the arrays ``return_pmf`` holds at once.
 
-    b = isqrt(N) baby steps plus the giant step, each at most N floats.
+    The b x (N + b) table of reversed baby powers, b = isqrt(N), and at
+    the giant steps 6.5 N more floats: the kernel, G^b, f, the giant
+    power and the next one, one stripe's product (at most N + N/4 terms)
+    and the reversed N/4-term stripe that np.convolve copies.  7 N also
+    covers the arrays' fixed overheads from N = 512 up.
     """
-    return (math.isqrt(n_max) + 1) * n_max * 8
+    b = math.isqrt(n_max)
+    return (b * (n_max + b) + 7 * n_max) * 8
+
+
+def _head_product(a: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """(a k)[:n], the product of two series cut at x^(n-1).
+
+    a is convolved in _STRIPES stripes, the stripe at offset o against k
+    cut to n - o terms, so only a stripe's own width spills past x^(n-1);
+    the stripes' partial sums add into one output.  Callers stripe the
+    factor that stays fixed (the kernel, G^b, U): the other one then
+    takes the role it has in one full np.convolve, whose summation order
+    kept f three times closer to the exact geometric law than striping
+    the growing power did.
+    """
+    import numpy as np
+
+    out = np.zeros(min(n, a.size + k.size - 1))
+    width = -(-min(a.size, n) // _STRIPES)
+    for o in range(0, min(a.size, n), width):
+        stripe, head = a[o:o + width], k[:n - o]
+        out[o:o + stripe.size + head.size - 1] += np.convolve(stripe, head)[:out.size - o]
+    return out
 
 
 def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
@@ -143,46 +172,61 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     step), so the kernel a_0..a_(N-1) makes every f_n exact up to float
     rounding, independent of the model's cached tail target.
 
-    Baby-step/giant-step split after Paterson and Stockmeyer: keep the
-    baby steps G^1..G^b with b = isqrt(N), advance the giant step G^m
-    in strides of b, and read f_(m+j) for j = 1..b as one dot product of
-    G^m with the reversed G^j over the window where both are nonzero.
-    Powers keep their natural length, cut at x^(N-1).  That is O(N^2.5)
-    time and O(N^1.5) memory; every operation is a product or sum of
-    nonnegative numbers, so each f_n keeps rounding-level relative
-    accuracy far into the tail.  Horizons whose tables would exceed
-    PMF_TABLE_BUDGET bytes are rejected before anything is allocated.
+    Baby-step/giant-step split after Paterson and Stockmeyer: the baby
+    steps G^1..G^b, b = isqrt(N), sit reversed and shifted in the rows
+    of one b x (N + b) table, and the giant step G^m advances in strides
+    of b.  f_(m+1)..f_(m+b) are then one matrix-vector product of a
+    window of that table with G^m.  Every power is cut at x^(N-1) by
+    ``_head_product``, which never forms the terms it would drop.  u
+    solves the renewal recursion u_n = sum_k f_k u_(n-k) by forward
+    substitution for its first s = isqrt(2N) + 1 terms; each later block
+    of s terms is the sum carried in from the solved terms, times
+    U = 1/(1 - F) cut to s terms, which inverts the block's own
+    recursion.  That is O(N^2.5) time and O(N^1.5) memory; every
+    operation is a product or sum of nonnegative numbers, so each f_n
+    and u_n keeps rounding-level relative accuracy far into the tail.
+    Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
+    (``pmf_table_bytes``) are rejected before anything is allocated.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("pmf horizon must be at least 1")
     need = pmf_table_bytes(n_max)
     if need > PMF_TABLE_BUDGET:
-        raise ValueError(f"pmf horizon {n_max} needs {need >> 20} MiB of power "
-                         f"tables, above the {PMF_TABLE_BUDGET >> 20} MiB budget")
+        raise ValueError(f"pmf horizon {n_max} needs {need >> 20} MiB of arrays, "
+                         f"above the {PMF_TABLE_BUDGET >> 20} MiB budget")
     import numpy as np
 
     kernel = exact_coefficients(model, n_max)
     kernel = np.trim_zeros(kernel, "b")  # exact float zeros carry nothing
     b = math.isqrt(n_max)
-    baby = [kernel]
-    for _ in range(1, b):
-        baby.append(np.convolve(baby[-1], kernel)[:n_max])
+    # row j - 1 holds G^j with x^i at column N + j - 2 - i, so the window
+    # from column N - 1 - m lines G^m[i] up with G^j[m + j - 1 - i]
+    table = np.zeros((b, n_max + b))
+    power = kernel
+    for j in range(1, b + 1):
+        table[j - 1, n_max + j - 1 - power.size:n_max + j - 1] = power[::-1]
+        if j < b:
+            power = _head_product(kernel, power, n_max)
     f = np.zeros(n_max + 1)
     giant = np.ones(1)
     for m in range(0, n_max, b):
-        for j in range(1, min(b, n_max - m) + 1):
-            n = m + j
-            power = baby[j - 1]
-            lo = max(0, n - power.size)
-            hi = min(n, giant.size)
-            f[n] = float(np.dot(giant[lo:hi], power[n - hi:n - lo][::-1])) / n
+        rows = min(b, n_max - m)
+        width = min(giant.size, m + b)
+        col = n_max - 1 - m
+        f[m + 1:m + rows + 1] = (table[:rows, col:col + width] @ giant[:width]
+                                 / np.arange(m + 1, m + rows + 1))
         if m + b < n_max:
-            giant = np.convolve(giant, baby[-1])[:n_max]
+            giant = _head_product(power, giant, n_max)
     u = np.zeros(n_max + 1)
     u[0] = 1.0
-    for n in range(1, n_max + 1):
+    s = math.isqrt(2 * n_max) + 1
+    for n in range(1, min(s, n_max + 1)):
         u[n] = float(np.dot(f[1:n + 1], u[n - 1::-1]))
+    for lo in range(s, n_max + 1, s):
+        hi = min(lo + s, n_max + 1)
+        carried = np.convolve(f[1:hi], u[:lo], "valid")
+        u[lo:hi] = _head_product(u[:hi - lo], carried, hi - lo)
     f.setflags(write=False)
     u.setflags(write=False)
     return ReturnAnalysis(f=f, u=u, return_prob=eval_F(model, 1.0))

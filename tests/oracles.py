@@ -9,6 +9,7 @@ iteration.  Slow and obvious on purpose.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -124,6 +125,20 @@ def convolution_chain_pmf(jumps, n_max: int) -> np.ndarray:
     return f
 
 
+def renewal_forward(f) -> np.ndarray:
+    """u_0..u_N from f by forward substitution in u_n = sum_(k=1..n) f_k u_(n-k).
+
+    One dot product per n, u_0 = 1: the solve the library used before
+    its blocked one, kept as the reference that solve is gated against.
+    """
+    f = np.asarray(f, dtype=float)
+    u = np.zeros(f.size)
+    u[0] = 1.0
+    for n in range(1, f.size):
+        u[n] = float(np.dot(f[1:n + 1], u[n - 1::-1]))
+    return u
+
+
 def geometric_first_return(p_num: int, p_den: int, n_max: int) -> np.ndarray:
     """f_n = C(2n-2, n-1) p^n q^(n-1) / n for p = p_num/p_den, correctly rounded.
 
@@ -176,6 +191,28 @@ def geometric_F_mpmath(p: float, t: float, dps: int = 60) -> float:
         p, t = mp.mpf(p), mp.mpf(t)
         q = 1 - p
         return float((1 - mp.sqrt(1 - 4 * p * q * t)) / (2 * q))
+
+
+def _power_zeta_G_taylor_mpmath(alpha: float, t: float, n: int, dps: int) -> float:
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, x = mp.mpf(alpha), mp.mpf(t)
+        top, tol = mp.mpf(2) ** 1024, mp.mpf(10) ** (5 - dps)
+        total, fall, xj = mp.mpf(0), mp.factorial(n), mp.mpf(1)  # (j+n)!/j! and t^j at j = 0
+        head = mp.mpf(n + 1) ** -a
+        for j in itertools.count():
+            k = j + n
+            tail = mp.mpf(k + 2) ** -a
+            term = fall * (head - tail) * xj
+            total += term
+            if total >= top:
+                return math.inf
+            # a_(k+1) <= a_k: later terms shrink at least by rho each
+            rho = x * (k + 1) / (j + 1)
+            if rho < 1 and term * rho <= tol * total * (1 - rho):
+                return float(total)
+            fall, xj, head = fall * (k + 1) / (j + 1), xj * x, tail
 
 
 def psi_exact(model, h: float) -> float:
@@ -244,10 +281,17 @@ def power_zeta_G_mpmath(alpha: float, t: float, orders, dps: int = 40) -> list[f
     Stirling numbers of the first kind) needs only Li_(alpha-j)(t) for
     j <= n.  The cancellation that costs doubles their digits is absorbed
     by working at dps digits.
+
+    That cancellation grows like n! 2^n, past any affordable dps, so
+    order lists that reach above 3 are summed instead from the Taylor
+    series sum_j (j+n)!/j! a_(j+n) t^j at dps digits, whose terms are all
+    positive; the sum stops at +inf once it passes the largest double.
     """
     import mpmath as mp
 
     orders = list(orders)
+    if max(orders) > 3:
+        return [_power_zeta_G_taylor_mpmath(alpha, t, n, dps) for n in orders]
     with mp.workdps(dps):
         a, x = mp.mpf(alpha), mp.mpf(t)
         if x == 0:  # G^(n)(0) = n! a_n

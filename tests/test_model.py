@@ -116,8 +116,13 @@ def test_geometric_table_budget(monkeypatch):
 
 def test_geometric_G_at_one_for_tiny_p():
     # q = 1 - p rounds to 1 and the stored radius 1/q to 1 below p = 2^-54,
-    # but G(1) = 1 for every law
-    assert rc.eval_G(rc.geometric(1e-17), 1.0) == 1.0
+    # but G(1) = 1 for every law, and G'(1) = q/p, G''(1) = 2 q^2/p^2
+    m = rc.geometric(1e-17)
+    assert rc.eval_G(m, 1.0) == 1.0
+    p = Fraction(1e-17)
+    q = 1 - p
+    for order, want in ((1, q / p), (2, 2 * q ** 2 / p ** 2)):
+        assert abs(Fraction(rc.eval_G(m, 1.0, order)) / want - 1) <= 1e-15, order
 
 
 LAZY_TABLE_CASES = {
@@ -240,7 +245,9 @@ def test_eval_G_geometric_closed_form():
     for t in (0.0, 0.3, 0.9, 1.0, 1.2):
         assert rc.eval_G(m, t) == pytest.approx(0.25 / (1 - 0.75 * t), rel=1e-15)
         assert rc.eval_G(m, t, 1) == pytest.approx(0.25 * 0.75 / (1 - 0.75 * t) ** 2, rel=1e-14)
-    assert rc.eval_G(m, 4.0 / 3.0) == math.inf
+    # the double nearest 4/3 lies inside the radius, where 1 - q t = 2^-54
+    assert rc.eval_G(m, 4.0 / 3.0) == 2.0 ** 52
+    assert rc.eval_G(m, math.nextafter(4.0 / 3.0, 2.0)) == math.inf
     assert rc.eval_G(m, 2.0) == math.inf
 
 
@@ -470,6 +477,23 @@ def test_eval_G_power_zeta_matches_mpmath(alpha):
         for n, want in zip(orders, oracles.power_zeta_G_mpmath(alpha, t, orders)):
             rel = 1e-14 if n == 0 else 1e-12
             assert rc.eval_G(m, t, n) == pytest.approx(want, rel=rel, abs=0.0), (t, n)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9])
+def test_eval_G_power_zeta_high_orders(t):
+    # (j+n)!/j! a_(j+n) passes the double range from about n = 110, and
+    # Jonquiere's expansion cancels at such orders; the value is a double
+    # up to n = 153 at t = 0.5 and n = 120 at t = 0.9, +inf beyond
+    m = rc.power_zeta(3.0)
+    orders = range(100, 401)
+    wants = oracles.power_zeta_G_mpmath(3.0, t, orders, dps=25)
+    assert math.isfinite(wants[0]) and wants[-1] == math.inf
+    for n, want in zip(orders, wants):
+        got = rc.eval_G(m, t, n)
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), n
+        else:
+            assert got == math.inf, n
 
 
 @pytest.mark.parametrize("alpha, t, order, table_error", [

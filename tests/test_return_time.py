@@ -76,15 +76,19 @@ GATE_MODELS = {
     "explicit_gap": lambda: rc.explicit([0.5, 0.0, 0.5]),
     "explicit_gaps": lambda: rc.explicit([0.4, 0.0, 0.0, 0.3, 0.0, 0.3]),
 }
-GATE_HORIZONS = [*range(1, 10), 16, 17, 100, 511, 512]
+GATE_HORIZONS = [*range(1, 10), 16, 17, 100, 511, 512, 1023, 1025]
 
 
 @pytest.mark.parametrize("name", sorted(GATE_MODELS))
 def test_pmf_kernel_matches_convolution_chain(name):
+    # f_n reads only a_0..a_(n-1), so one chain to the largest horizon
+    # holds the oracle for every smaller one
     model = GATE_MODELS[name]()
+    top = max(GATE_HORIZONS)
+    chain = oracles.convolution_chain_pmf(rc.exact_coefficients(model, top), top)
     for n_max in GATE_HORIZONS:
         got = rc.return_pmf(model, n_max).f
-        want = oracles.convolution_chain_pmf(rc.exact_coefficients(model, n_max), n_max)
+        want = chain[:n_max + 1]
         assert np.array_equal(got == 0.0, want == 0.0), n_max
         nz = want != 0.0
         assert np.all(np.abs(got[nz] - want[nz]) <= 1e-12 * want[nz]), n_max
@@ -99,11 +103,44 @@ def test_pmf_kernel_far_tail_closed_form():
     assert np.all(np.abs(got[1:] - want[1:]) <= 1e-12 * want[1:])
 
 
+def _assert_renewal_matches_forward(analysis, n_max):
+    want = oracles.renewal_forward(analysis.f)
+    assert np.array_equal(analysis.u == 0.0, want == 0.0), n_max
+    nz = want != 0.0
+    assert np.all(np.abs(analysis.u[nz] - want[nz]) <= 1e-12 * want[nz]), n_max
+
+
+# the renewal solve runs in blocks of isqrt(2N) + 1 terms; at these
+# horizons N + 1 is a multiple of the block size, so the last block is full
+RENEWAL_FULL_BLOCKS = [7, 9, 511, 2047]
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pmf_occupation_matches_forward_renewal(name):
+    assert all((n + 1) % (math.isqrt(2 * n) + 1) == 0 for n in RENEWAL_FULL_BLOCKS)
+    model = GATE_MODELS[name]()
+    edges = {*RENEWAL_FULL_BLOCKS, *(n + 1 for n in RENEWAL_FULL_BLOCKS)}
+    for n_max in sorted({*GATE_HORIZONS, 2048, *edges}):
+        _assert_renewal_matches_forward(rc.return_pmf(model, n_max), n_max)
+
+
+def test_pmf_occupation_far_tail():
+    # transient geometric(1/4): u_n falls to about 1e-261 at N = 2048,
+    # through every block of the solve
+    got = rc.return_pmf(rc.geometric(0.25), 2048)
+    assert 1e-263 < got.u[-1] < 1e-259
+    _assert_renewal_matches_forward(got, 2048)
+
+
 def test_pmf_table_budget(monkeypatch):
     from repairchain import return_time
 
     for n in (1, 2, 99, 2048, 65536):
-        assert return_time.pmf_table_bytes(n) == (math.isqrt(n) + 1) * n * 8
+        b = math.isqrt(n)
+        assert return_time.pmf_table_bytes(n) == (b * (n + b) + 7 * n) * 8
+    # the refusal threshold README quotes
+    assert return_time.pmf_table_bytes(64281) <= return_time.PMF_TABLE_BUDGET
+    assert return_time.pmf_table_bytes(64282) > return_time.PMF_TABLE_BUDGET
     # the library's own default horizons fit
     assert return_time.pmf_table_bytes(rc.last_exit.DEFAULT_EXIT_N) <= return_time.PMF_TABLE_BUDGET
     assert return_time.pmf_table_bytes(return_time._MOMENT_N) <= return_time.PMF_TABLE_BUDGET
@@ -112,6 +149,30 @@ def test_pmf_table_budget(monkeypatch):
     monkeypatch.setattr(return_time, "exact_coefficients", None)  # must not be reached
     with pytest.raises(ValueError, match="budget"):
         rc.return_pmf(rc.geometric(0.5), 64)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "geometric", "p": 0.5},
+    {"family": "half_stable"},
+    {"family": "explicit", "a": [0.5, 0.2, 0.3]},
+], ids=lambda s: s["family"])
+def test_pmf_table_bytes_is_the_real_peak(spec):
+    # traced peak of one call on a model whose coefficient table is built
+    import tracemalloc
+
+    from repairchain import return_time
+
+    model = rc.build_model(spec)
+    for n_max in (512, 1025, 2048):
+        rc.exact_coefficients(model, n_max)
+        tracemalloc.start()
+        try:
+            rc.return_pmf(model, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = return_time.pmf_table_bytes(n_max)
+        assert 0.9 * bound <= peak <= bound, (n_max, peak, bound)
 
 
 def test_return_prob_by_class():
