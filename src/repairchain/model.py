@@ -395,17 +395,23 @@ def _half_stable_G(model: JumpModel, t: float, order: int) -> float:
 # product annihilates anyway; left in, they cancel, and badly so for
 # large alpha.  The product itself cancels past order 3 (1e-3 relative
 # at order 15, t = 0.8), so higher orders sum the positive Taylor series
-# wherever it is short enough, in scaled form once its terms pass the
-# double range.
+# on both sides of the switch wherever it is short enough, in scaled
+# form since its terms pass the double range from about order 110.
 
 _PZ_SWITCH = 0.75
 _PZ_W_TERMS = 32  # (5 |log 0.75|)^32 / 32! < 1e-30
 _EULER_GAMMA = 0.5772156649015329
-# highest order whose cached Taylor coefficients stay doubles: (j+n)!/j!
-# a_(j+n) passes 1e308 near n = 110 before the series stops at t = 3/4
-_PZ_SERIES_ORDERS = 100
 # most terms a Taylor sum above the switch may take, about (order + 40)/(1 - t)
 _PZ_TAYLOR_TERMS = 1 << 14
+
+
+def _pz_a_factors(alpha: float, k: int) -> tuple[float, float]:
+    """a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha) as k + 1 and its second factor.
+
+    The second factor is formed without cancellation; callers take
+    a_k = (k+1)^-alpha times it, or its logarithm where a_k underflows.
+    """
+    return k + 1.0, -math.expm1(alpha * math.log1p(-1.0 / (k + 2)))
 
 
 @lru_cache(maxsize=64)
@@ -418,8 +424,8 @@ def _pz_series(alpha: float, order: int) -> tuple[float, ...]:
     coeffs, total, power = [], 0.0, 1.0
     for j in itertools.count():
         k = j + order
-        # a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha), without cancellation
-        a = (k + 1.0) ** -alpha * -math.expm1(alpha * math.log1p(-1.0 / (k + 2)))
+        base, drop = _pz_a_factors(alpha, k)
+        a = base ** -alpha * drop
         c = math.perm(k, order) * a
         coeffs.append(c)
         total += c * power
@@ -431,9 +437,8 @@ def _pz_series(alpha: float, order: int) -> tuple[float, ...]:
 
 
 def _pz_log_a(alpha: float, k: int) -> float:
-    # log a_k, a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha) without cancellation
-    return (-alpha * math.log(k + 1.0)
-            + math.log(-math.expm1(alpha * math.log1p(-1.0 / (k + 2)))))
+    base, drop = _pz_a_factors(alpha, k)
+    return -alpha * math.log(base) + math.log(drop)
 
 
 def _pz_scaled_taylor(alpha: float, t: float, order: int) -> float:
@@ -539,27 +544,20 @@ def _pz_S(alpha: float, i: int, t: float, w: float, pw: list[float]) -> float:
 def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
     """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1.
 
-    Past the switch, orders above 3 sum the Taylor series too
-    (``_pz_scaled_taylor``) while it takes at most _PZ_TAYLOR_TERMS
-    terms; below it, so do orders above _PZ_SERIES_ORDERS.
+    Orders above 3 sum the Taylor series (``_pz_scaled_taylor``) up to
+    the switch, and past it while the series takes at most
+    _PZ_TAYLOR_TERMS terms.
     """
     if t > 1.0:
         return math.inf
     alpha = model.alpha
+    if order > 3 and t <= max(_PZ_SWITCH, 1.0 - (order + 40) / _PZ_TAYLOR_TERMS):
+        return _pz_scaled_taylor(alpha, t, order)
     if t <= _PZ_SWITCH:
-        if order > _PZ_SERIES_ORDERS:
-            return _pz_scaled_taylor(alpha, t, order)
         acc = 0.0
         for c in reversed(_pz_series(alpha, order)):
             acc = acc * t + c
         return acc
-    if t < 1.0 and order > 3:
-        # G^(order) increases with t: +inf at the edge is +inf beyond it
-        edge = 1.0 - (order + 40) / _PZ_TAYLOR_TERMS
-        if t <= edge:
-            return _pz_scaled_taylor(alpha, t, order)
-        if edge > 0.0 and _pz_scaled_taylor(alpha, edge, order) == math.inf:
-            return math.inf
     if t < 1.0:
         w = math.log(t)
         # w-series terms run like (v w)^k / k! relative to the sum; stop
@@ -807,10 +805,10 @@ def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
     its Taylor series up to t = 3/4 and uses Jonquiere's expansion of the
     polylogarithm above (see ``_power_zeta_G``), to about 1e-14 relative
     for orders 0..3 and without the coefficient table; at t = 1 it uses an
-    exact zeta identity.  Higher orders sum the Taylor series past 3/4 as
-    well, to about 2e-13 relative, and in log space where its terms pass
-    the double range, as geometric laws do; the value is then +inf once
-    it passes the largest double.
+    exact zeta identity.  Higher orders sum the Taylor series, past 3/4
+    as well, to about 2e-13 relative, and in log space where its terms
+    pass the double range, as geometric laws do; the value is then +inf
+    once it passes the largest double.
     """
     t = float(t)
     if t < 0.0 or not math.isfinite(t):

@@ -149,7 +149,7 @@ def _head_product(a: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     a is convolved in _STRIPES stripes, the stripe at offset o against k
     cut to n - o terms, so only a stripe's own width spills past x^(n-1);
     the stripes' partial sums add into one output.  Callers stripe the
-    factor that stays fixed (the kernel, G^b, U): the other one then
+    factor that stays fixed (the kernel, G^b): the other one then
     takes the role it has in one full np.convolve, whose summation order
     kept f three times closer to the exact geometric law than striping
     the growing power did.
@@ -179,12 +179,10 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     window of that table with G^m.  Every power is cut at x^(N-1) by
     ``_head_product``, which never forms the terms it would drop.  u
     solves the renewal recursion u_n = sum_k f_k u_(n-k) by forward
-    substitution for its first s = isqrt(2N) + 1 terms; each later block
-    of s terms is the sum carried in from the solved terms, times
-    U = 1/(1 - F) cut to s terms, which inverts the block's own
-    recursion.  That is O(N^2.5) time and O(N^1.5) memory; every
-    operation is a product or sum of nonnegative numbers, so each f_n
-    and u_n keeps rounding-level relative accuracy far into the tail.
+    substitution, one dot product per n.  That is O(N^2.5) time and
+    O(N^1.5) memory; every operation is a product or sum of nonnegative
+    numbers, so each f_n and u_n keeps rounding-level relative accuracy
+    far into the tail.
     Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
     (``pmf_table_bytes``) are rejected before anything is allocated.
     """
@@ -220,13 +218,8 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
             giant = _head_product(power, giant, n_max)
     u = np.zeros(n_max + 1)
     u[0] = 1.0
-    s = math.isqrt(2 * n_max) + 1
-    for n in range(1, min(s, n_max + 1)):
+    for n in range(1, n_max + 1):
         u[n] = float(np.dot(f[1:n + 1], u[n - 1::-1]))
-    for lo in range(s, n_max + 1, s):
-        hi = min(lo + s, n_max + 1)
-        carried = np.convolve(f[1:hi], u[:lo], "valid")
-        u[lo:hi] = _head_product(u[:hi - lo], carried, hi - lo)
     f.setflags(write=False)
     u.setflags(write=False)
     return ReturnAnalysis(f=f, u=u, return_prob=eval_F(model, 1.0))

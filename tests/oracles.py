@@ -128,8 +128,8 @@ def convolution_chain_pmf(jumps, n_max: int) -> np.ndarray:
 def renewal_forward(f) -> np.ndarray:
     """u_0..u_N from f by forward substitution in u_n = sum_(k=1..n) f_k u_(n-k).
 
-    One dot product per n, u_0 = 1: the solve the library used before
-    its blocked one, kept as the reference that solve is gated against.
+    One dot product per n, u_0 = 1: the reference any faster solve of
+    the recursion in ``return_pmf`` is gated against.
     """
     f = np.asarray(f, dtype=float)
     u = np.zeros(f.size)
