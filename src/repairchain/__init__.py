@@ -1,9 +1,9 @@
 """Exact and asymptotic return-time and last-exit analysis for the
 repair-shop Markov chain X_(k+1) = (X_k - 1)^+ + J.
 
-The Monte Carlo sampler and the series diagnostics are numpy through and
-through; their names resolve on first access (PEP 562), so importing the
-package loads no numpy.
+The Monte Carlo sampler and the two summability diagnostics, which no
+verdict reads, are numpy through and through; their names resolve on
+first access (PEP 562), so importing the package loads no numpy.
 """
 
 import importlib
@@ -20,7 +20,6 @@ from .decay import (
 )
 from .errors import (
     InvalidSpec,
-    NoConvergence,
     NotNullRecurrent,
     NotPositiveRecurrent,
     NotTransient,
@@ -56,10 +55,7 @@ from .return_time import (
     tau_moment,
 )
 _LAZY = {
-    "CriterionSeries": "series_tools",
-    "WeightFunction": "series_tools",
     "block_ratio_diagnostic": "series_tools",
-    "criterion_terms": "series_tools",
     "partial_sum_ratio": "series_tools",
     "SimReport": "sim",
     "sample_last_exit": "sim",
@@ -81,14 +77,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseLabel",
     "ChainClass",
-    "CriterionSeries",
     "DecayParams",
     "ExitAnalysis",
     "ExponentEstimate",
     "InvalidSpec",
     "JumpModel",
     "MomentResult",
-    "NoConvergence",
     "NotNullRecurrent",
     "NotPositiveRecurrent",
     "NotTransient",
@@ -98,12 +92,10 @@ __all__ = [
     "SimReport",
     "Verdict",
     "VerdictLabel",
-    "WeightFunction",
     "asymptotic_exponent",
     "block_ratio_diagnostic",
     "build_model",
     "classify",
-    "criterion_terms",
     "decay_params",
     "eta",
     "eval_F",

@@ -234,8 +234,6 @@ def _verdict_record(v) -> dict:
 
 
 def _do_finite(model, args):
-    if args.alpha <= 0:
-        raise _UsageError("--alpha must be positive")
     verdict = rt.tau_alpha_finite(model, args.alpha, r1_weighted=args.r1_weighted)
     _emit(_verdict_record(verdict))
 

@@ -9,14 +9,6 @@ class InvalidSpec(RepairChainError):
     """A jump-model spec violates the validity constraints."""
 
 
-class NoConvergence(RepairChainError):
-    """An iteration budget was exhausted before reaching tolerance.
-
-    Nothing in the package raises it now; it stays importable for
-    callers that catch it.
-    """
-
-
 class OutOfRadius(RepairChainError):
     """An evaluation point lies outside the domain where G is finite."""
 

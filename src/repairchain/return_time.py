@@ -435,13 +435,11 @@ def _threshold_verdict(model: JumpModel, alpha: float, quantity: str,
 def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     # partial sums of R^n n^alpha a_n, the series deciding the weighted
     # moment; per-term log space, the factors overflow long before the
-    # products do
-    from .series_tools import block_ratio_diagnostic
-
-    # only tilts of power_zeta, positive recurrent at their radius, reach
-    # BoundaryCase (geometric laws have x0 = 1/(2q) < R, explicit ones
-    # R = inf, tilts of half_stable x0 = R); the stored a_n x^n / G(x)
-    # underflow where R^n would rescue them, so weigh the base law by R x
+    # products do.  Only tilts of power_zeta, positive recurrent at their
+    # radius, reach BoundaryCase (geometric laws have x0 = 1/(2q) < R,
+    # explicit ones R = inf, tilts of half_stable x0 = R); the stored
+    # a_n x^n / G(x) underflow where R^n would rescue them, so weigh the
+    # base law by R x
     import numpy as np
 
     n_top = 4096
@@ -454,12 +452,7 @@ def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     with np.errstate(over="ignore"):  # a term past the largest double is inf
         terms[pos] = np.exp(np.log(a[pos]) + n[pos] * log_r + alpha * np.log(n[pos]) + offset)
     cum = np.cumsum(terms)
-    ratio, impression = block_ratio_diagnostic(terms)
-    return {
-        "partial_sums": {1000: float(cum[999]), n_top: float(cum[-1])},
-        "block_ratio": ratio,
-        "impression": impression,
-    }
+    return {"partial_sums": {1000: float(cum[999]), n_top: float(cum[-1])}}
 
 
 def tau_alpha_finite(model: JumpModel, alpha: float,
@@ -468,7 +461,7 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
 
     alpha is compared with ``_moment_threshold`` of the law or, weighted,
     of its tilt to the critical line; a BoundaryCase law has no such tilt
-    and its weighted verdict is Unknown, with numerics as diagnostics.
+    and its weighted verdict is Unknown, with partial sums as diagnostics.
     For transient laws the plain quantity is read on {tau < infinity},
     where it is always finite because F then has radius strictly above 1.
     """

@@ -1,77 +1,21 @@
-"""Weight sequences and summability diagnostics for moment criteria.
+"""Summability diagnostics: block-sum ratios and partial-sum comparisons.
 
-The moment criteria all take the shape "sum of -n * (second difference
-of the weight at n+1) * g(1/n)", where g is some inverse drift
-functional and the weight w is nonnegative, increasing, with decreasing
-increments that vanish at infinity.  Two parametric weight families are
-shipped: w(n) = n^alpha with 0 < alpha <= 1, and w(n) = log(1 + n).
-
-None of the numeric machinery here ever decides convergence; block-sum
-ratios are reported as an impression string and nothing more.
+The module holds diagnostics only, and no verdict reads them: every
+Finite/Infinite verdict in the package is one analytic threshold
+comparison.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
-
-from .errors import InvalidSpec
-
-_CHECKPOINTS = (10 ** 3, 10 ** 4, 10 ** 5)
 
 # Block-sum comparison uses quadrupling blocks (M/4, M] against
 # (M/16, M/4].  Doubling blocks cannot tell n^(-1.1) from n^(-0.9) at
 # the 0.9 cutoff (their ratios land at 0.93 and 1.07); quadrupling
 # pushes them to 0.87 and 1.15, cleanly straddling it.
 _BLOCK_CUTOFF = 0.9
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Weight sequence in the admissible class, as a parametric family."""
-
-    family: str  # "power" or "log"
-    alpha: float | None = None
-
-    @staticmethod
-    def power(alpha: float) -> "WeightFunction":
-        alpha = float(alpha)
-        if not (0.0 < alpha <= 1.0):
-            raise InvalidSpec(f"power weight needs alpha in (0,1], got {alpha!r}")
-        return WeightFunction(family="power", alpha=alpha)
-
-    @staticmethod
-    def log() -> "WeightFunction":
-        return WeightFunction(family="log")
-
-    def w(self, n):
-        n = np.asarray(n, dtype=float)
-        if self.family == "power":
-            return n ** self.alpha
-        return np.log1p(n)
-
-    def delta(self, n):
-        """Increment w(n) - w(n-1)."""
-        n = np.asarray(n, dtype=float)
-        return self.w(n) - self.w(n - 1)
-
-    def delta2(self, n):
-        """Second difference w(n) - 2w(n-1) + w(n-2); nonpositive here."""
-        n = np.asarray(n, dtype=float)
-        return self.w(n) - 2.0 * self.w(n - 1) + self.w(n - 2)
-
-
-@dataclass(frozen=True)
-class CriterionSeries:
-    """Terms and partial sums of a weighted summability criterion."""
-
-    terms: np.ndarray            # term for n = 1..N at index n-1
-    partial_sums: Mapping[int, float]
-    block_ratio: float
-    impression: str              # "appears summable" / "appears divergent"
 
 
 def block_ratio_diagnostic(terms: np.ndarray) -> tuple[float, str]:
@@ -92,33 +36,6 @@ def block_ratio_diagnostic(terms: np.ndarray) -> tuple[float, str]:
     if ratio < _BLOCK_CUTOFF:
         return ratio, "appears summable"
     return ratio, "appears divergent"
-
-
-def criterion_terms(w: WeightFunction, g: Callable[[float], float], n_max: int,
-                    checkpoints: tuple[int, ...] = _CHECKPOINTS) -> CriterionSeries:
-    """Terms -n * delta2 w(n+1) * g(1/n) for n = 1..n_max, plus summaries.
-
-    All terms are nonnegative for admissible weights (the second
-    difference is nonpositive).  Partial sums are reported at the
-    requested checkpoints clipped to n_max; the block-ratio impression
-    is diagnostic only.
-    """
-    n_max = int(n_max)
-    if n_max < 2:
-        raise ValueError("need at least two terms to form the series")
-    n = np.arange(1, n_max + 1, dtype=float)
-    weights = -n * w.delta2(n + 1)
-    gvals = np.array([g(1.0 / v) for v in n])
-    terms = weights * gvals
-    cum = np.cumsum(terms)
-    partial = {}
-    for cp in checkpoints:
-        if cp <= n_max:
-            partial[int(cp)] = float(cum[cp - 1])
-    partial[n_max] = float(cum[-1])
-    ratio, impression = block_ratio_diagnostic(terms)
-    return CriterionSeries(terms=terms, partial_sums=partial,
-                           block_ratio=ratio, impression=impression)
 
 
 def partial_sum_ratio(a, n: int) -> float:

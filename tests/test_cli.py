@@ -448,6 +448,19 @@ def test_runtime_imports_no_scipy():
     assert _child_stdout(code).strip() == "[]"
 
 
+def test_boundary_verdict_loads_no_series_tools():
+    # the Unknown verdict of a BoundaryCase law reads no numeric impression
+    code = ("import sys, repairchain as rc; "
+            "v = rc.tau_alpha_finite(rc.tilt(rc.power_zeta(3.0), 0.5), 0.5, r1_weighted=True); "
+            "print(v.verdict.value, 'repairchain.series_tools' in sys.modules)")
+    assert _child_stdout(code).strip() == "Unknown False"
+
+
+def test_every_exported_name_resolves():
+    for name in repairchain.__all__:
+        assert getattr(repairchain, name) is not None, name
+
+
 ANALYTIC_ARGV = [
     ["classify"], ["decay"], ["moments", "-k", "1"], ["asym"], ["asym", "--fitted"],
     ["finite", "--alpha", "0.5"], ["finite", "--alpha", "2.5"],

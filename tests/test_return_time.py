@@ -651,13 +651,17 @@ def test_every_positive_recurrent_law_has_a_jump_tail_above_one():
 
 
 def test_boundary_diagnostics_raise_no_overflow_warning():
-    # R^n n^171 a_n passes the largest double inside the 4096-term window
+    # R^n n^171 a_n passes the largest double inside the 4096-term window;
+    # the diagnostics are partial sums alone, each positive or +inf, never NaN
     import warnings
 
     m = rc.tilt(rc.power_zeta(3.0), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for alpha in (50.0, 171.0):
+        for alpha in (0.5, 50.0, 171.0, 1e300):
             v = rc.tau_alpha_finite(m, alpha, r1_weighted=True)
             assert v.verdict is rc.VerdictLabel.UNKNOWN
-            assert v.diagnostics["partial_sums"][4096] > 0.0
+            assert list(v.diagnostics) == ["partial_sums"]
+            sums = v.diagnostics["partial_sums"]
+            assert sorted(sums) == [1000, 4096]
+            assert all(type(x) is float and x > 0.0 for x in sums.values()), (alpha, sums)

@@ -4,74 +4,19 @@ import numpy as np
 import pytest
 
 import repairchain as rc
-from repairchain.errors import InvalidSpec
-from repairchain.series_tools import (
-    WeightFunction,
-    block_ratio_diagnostic,
-    criterion_terms,
-    partial_sum_ratio,
-)
-
-
-def test_power_weight_values():
-    w = WeightFunction.power(0.5)
-    n = np.array([1.0, 4.0, 9.0])
-    assert np.allclose(w.w(n), [1.0, 2.0, 3.0], atol=1e-15)
-    assert w.delta(np.array([4.0]))[0] == pytest.approx(2.0 - math.sqrt(3), abs=1e-14)
-
-
-def test_log_weight_values():
-    w = WeightFunction.log()
-    n = np.array([0.0, math.e - 1.0])
-    assert np.allclose(w.w(n), [0.0, 1.0], atol=1e-14)
-
-
-@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.inf])
-def test_power_weight_domain(alpha):
-    with pytest.raises(InvalidSpec):
-        WeightFunction.power(alpha)
-
-
-def test_admissible_weights_have_concave_increments():
-    n = np.arange(2.0, 200.0)
-    for w in (WeightFunction.power(0.3), WeightFunction.power(1.0), WeightFunction.log()):
-        d = w.delta(n)
-        assert np.all(d > 0.0)
-        assert np.all(np.diff(d) < 1e-15)
-        assert np.all(w.delta2(n) <= 1e-15)
-
-
-def test_criterion_terms_shape_and_checkpoints():
-    w = WeightFunction.power(0.5)
-    series = criterion_terms(w, lambda s: s, 2000, checkpoints=(1000, 5000))
-    assert series.terms.size == 2000
-    assert set(series.partial_sums) == {1000, 2000}
-    assert series.partial_sums[2000] >= series.partial_sums[1000]
-    assert np.all(series.terms >= 0.0)
-    with pytest.raises(ValueError):
-        criterion_terms(w, lambda s: s, 1)
-
-
-def test_criterion_terms_match_hand_sum():
-    # w(n) = n and g = identity: -n * delta2 w = 0 everywhere
-    w = WeightFunction.power(1.0)
-    series = criterion_terms(w, lambda s: s, 64)
-    assert series.partial_sums[64] == pytest.approx(0.0, abs=1e-15)
-    # w(n) = sqrt(n), g(s) = s: terms -n (d2 sqrt)(n+1) / n computed directly
-    w = WeightFunction.power(0.5)
-    series = criterion_terms(w, lambda s: s, 8)
-    for i, n in enumerate(range(1, 9)):
-        d2 = math.sqrt(n + 1) - 2.0 * math.sqrt(n) + math.sqrt(n - 1)
-        assert series.terms[i] == pytest.approx(-n * d2 * (1.0 / n), rel=1e-12)
+from repairchain.series_tools import block_ratio_diagnostic, partial_sum_ratio
 
 
 def test_criterion_threshold_for_critical_geometric(geo_half):
-    # psi_inv(1/n) ~ 1/sqrt(n): converges against n^a increments iff a < 1/2
-    inv = lambda s: rc.psi_inv(geo_half, s)
-    lo = criterion_terms(WeightFunction.power(0.4), inv, 4096)
-    hi = criterion_terms(WeightFunction.power(0.6), inv, 4096)
-    assert lo.impression == "appears summable"
-    assert hi.impression == "appears divergent"
+    # the paper's criterion: sum of -n * (second difference of w at n+1)
+    # * psi_inv(1/n).  psi_inv(1/n) ~ 1/sqrt(n), so with w(n) = n^a it
+    # converges iff a < 1/2
+    n = np.arange(1.0, 4097.0)
+    inv = np.array([rc.psi_inv(geo_half, 1.0 / v) for v in n])
+    for a, want in ((0.4, "appears summable"), (0.6, "appears divergent")):
+        d2 = (n + 1.0) ** a - 2.0 * n ** a + (n - 1.0) ** a
+        _, impression = block_ratio_diagnostic(-n * d2 * inv)
+        assert impression == want
 
 
 def test_block_ratio_on_power_tails():
