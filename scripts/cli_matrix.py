@@ -3,10 +3,12 @@
 
 Twelve models (four geometric laws, half_stable, two power_zeta laws and
 five explicit laws) times 26 verb forms give 312 invocations of
-``repairchain.cli.run``.  Each one prints a JSON line with its argv,
-exit status, stdout and stderr, so two versions of the package compare
-with ``diff`` or with ``--diff``, which prints one line per invocation whose
-record changed: its argv, any change of exit status or stderr, and each
+``repairchain.cli.run``; times six invalid verb forms they give 72 more,
+each of which should be a usage error (exit 1) on every law.  Each
+invocation prints a JSON line with its argv, exit status, stdout and
+stderr, so two versions of the package compare with ``diff`` or with
+``--diff``, which prints one line per invocation whose record changed:
+its argv, any change of exit status or stderr, and each
 changed stdout key with the largest relative difference of its numbers
 (and the entries dropped or added, for lists and histograms), and then
 one summary line with the number of changed invocations per stdout key,
@@ -72,6 +74,16 @@ VERB_FORMS = [
     # three chunks of samples each, so the thread pool runs
     ["simulate", "--tau", "--samples", "140000", "--cap", "500", "--seed", "1"],
     ["simulate", "--exit", "--samples", "140000", "--horizon", "500", "--seed", "1"],
+]
+
+# flag values the library refuses before it classifies the law
+INVALID_FORMS = [
+    ["pmf", "-N", "0"],
+    ["exit", "-N", "0"],
+    ["moments", "-k", "0"],
+    ["exit", "-k", "-1"],
+    ["exit", "--alpha", "nan"],
+    ["simulate", "--exit", "--samples", "1", "--horizon", "0"],
 ]
 
 
@@ -199,10 +211,11 @@ def main() -> int:
         if lines:
             print(summary_line(before, after))
         return 1 if lines else 0
-    for spec in MODELS:
-        for form in VERB_FORMS:
-            record = invoke([form[0], "-m", spec, *form[1:]])
-            sys.stdout.write(json.dumps(record) + "\n")
+    for forms in (VERB_FORMS, INVALID_FORMS):
+        for spec in MODELS:
+            for form in forms:
+                record = invoke([form[0], "-m", spec, *form[1:]])
+                sys.stdout.write(json.dumps(record) + "\n")
     return 0
 
 

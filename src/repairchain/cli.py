@@ -7,7 +7,10 @@ file holding one.  Output is JSON on stdout (CSV for the pmf verbs with
 byte-identical outputs.
 
 Exit status: 0 success, 1 usage error, 2 invalid model spec, 3 domain
-error (an operation that is meaningless for the given chain).
+error (an operation that is meaningless for the given chain).  Flag
+values go to the library unchecked: it refuses a bad one with
+ValueError before it classifies the law, so that is exit 1 on every
+law.  The spec is read first, so a spec error (exit 2) comes before it.
 """
 
 from __future__ import annotations
@@ -106,12 +109,6 @@ def _load_model(raw: str) -> JumpModel:
     return build_model(spec)
 
 
-def _positive(parsed_value: int, flag: str) -> int:
-    if parsed_value < 1:
-        raise _UsageError(f"{flag} must be at least 1")
-    return parsed_value
-
-
 def _build_parser() -> _Parser:
     top = _Parser(prog="repairchain", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="verb", required=True, metavar="verb")
@@ -179,21 +176,20 @@ def _do_classify(model, args):
 
 
 def _do_pmf(model, args):
-    n = _positive(args.N, "-N")
     if args.exit_:
-        analysis = exit_mod.exit_pmf(model, n)
+        analysis = exit_mod.exit_pmf(model, args.N)
         if args.csv:
             _emit_csv("n,P_L_n", ((i, float(p)) for i, p in enumerate(analysis.pmf)))
         else:
-            _emit({"N": n, "q_exit": analysis.q_exit,
+            _emit({"N": args.N, "q_exit": analysis.q_exit,
                    "pmf": [float(v) for v in analysis.pmf]})
         return
-    analysis = rt.return_pmf(model, n)
+    analysis = rt.return_pmf(model, args.N)
     if args.csv:
         _emit_csv("n,f_n,u_n", ((i, float(analysis.f[i]), float(analysis.u[i]))
-                                for i in range(n + 1)))
+                                for i in range(args.N + 1)))
     else:
-        _emit({"N": n, "f": [float(v) for v in analysis.f],
+        _emit({"N": args.N, "f": [float(v) for v in analysis.f],
                "u": [float(v) for v in analysis.u],
                "return_prob": analysis.return_prob})
 
@@ -219,8 +215,6 @@ def _do_tilt(model, args):
 
 
 def _do_moments(model, args):
-    if args.k < 1:
-        raise _UsageError("-k must be at least 1")
     res = rt.tau_moment(model, args.k)
     _emit({"k": res.k, "value": res.value, "tail_bound": res.tail_bound,
            "flag": res.flag})
@@ -241,29 +235,22 @@ def _do_finite(model, args):
 def _do_exit(model, args):
     if args.k is None and args.alpha is None:
         return _do_pmf(model, args)
-    k = args.k if args.k is not None else 0
-    if k < 0:
-        raise _UsageError("-k must be nonnegative")
-    if args.alpha is not None and args.alpha <= 0:
-        raise _UsageError("--alpha must be positive")
-    verdict = exit_mod.exit_weighted_verdict(model, k=k, alpha=args.alpha)
+    verdict = exit_mod.exit_weighted_verdict(model, k=args.k or 0, alpha=args.alpha)
     _emit(_verdict_record(verdict))
 
 
 def _do_simulate(model, args):
     from . import sim as sim_mod
 
-    samples = _positive(args.samples, "--samples")
     if args.exit_:
         horizon = args.horizon if args.horizon is not None else sim_mod.DEFAULT_EXIT_HORIZON
-        report = sim_mod.sample_last_exit(model, args.seed, samples,
-                                          horizon=_positive(horizon, "--horizon"))
+        report = sim_mod.sample_last_exit(model, args.seed, args.samples, horizon=horizon)
         _emit({"samples": report.samples, "seed": report.seed,
                "L_hist": report.L_hist, "censored": report.censored,
                "horizon": report.horizon})
         return
     cap = args.cap if args.cap is not None else sim_mod.DEFAULT_TAU_CAP
-    report = sim_mod.sample_tau(model, args.seed, samples, cap=_positive(cap, "--cap"))
+    report = sim_mod.sample_tau(model, args.seed, args.samples, cap=cap)
     _emit({"samples": report.samples, "seed": report.seed,
            "tau_hist": report.tau_hist, "censored": report.censored,
            "cap": report.cap})

@@ -14,8 +14,6 @@ one full factor of L (e = 1 >= gamma) already breaks it.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,6 +23,9 @@ from .return_time import (
     ReturnAnalysis,
     Verdict,
     _critical_tilt_verdict,
+    _exponent,
+    _horizon,
+    _integer,
     escape_prob,
     return_pmf,
 )
@@ -47,7 +48,8 @@ class ExitAnalysis:
 
 
 def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
-    """Last-exit law up to n_max; requires a transient chain."""
+    """Last-exit law up to n_max of a transient chain; a bad n_max raises ValueError first."""
+    n_max = _horizon(n_max)
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("the last exit time is almost surely infinite "
                            "unless the chain is transient")
@@ -67,18 +69,11 @@ def exit_weighted_verdict(model: JumpModel, k: int = 0,
     that chain's return time has a finite moment of order e: when e is
     below its critical exponent gamma, which lies in [1/2, 1).  So
     E(R0^L) is finite and every full power of L on top of it diverges.
+    Bad k or alpha raise ValueError before the law is classified.
     """
+    k = _integer(k, 0, "integer weight power")
+    exponent = k + (0.0 if alpha is None else _exponent(alpha, "fractional exponent"))
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("weighted last-exit moments require a transient chain")
-    k = int(k)
-    if k < 0:
-        raise ValueError("the integer weight power must be nonnegative")
-    if k > sys.float_info.max:  # k + alpha is a double
-        raise ValueError("the integer weight power must not exceed the largest double")
-    if alpha is not None:
-        alpha = float(alpha)
-        if alpha <= 0.0 or not math.isfinite(alpha):
-            raise ValueError(f"fractional exponent must be positive, got {alpha!r}")
-    exponent = k + (alpha if alpha is not None else 0.0)
     quantity = f"E(R0^L L^{exponent:g})" if exponent else "E(R0^L)"
     return _critical_tilt_verdict(model, exponent, quantity)

@@ -54,6 +54,38 @@ _FIT_LO, _FIT_HI, _FIT_POINTS = 1e-6, 1e-2, 50
 
 
 # ---------------------------------------------------------------------------
+# argument checks, run by every entry point before it classifies the law
+
+
+def _exponent(alpha: float, what: str) -> float:
+    """alpha as a float, refused unless positive and finite."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {alpha!r}")
+    return alpha
+
+
+def _integer(k: int, lo: int, what: str) -> int:
+    """k as an int from lo up to the largest double (n ** k takes k as a double)."""
+    k = int(k)
+    if k < lo:
+        raise ValueError(f"{what} must be at least {lo}")
+    if k > sys.float_info.max:
+        raise ValueError(f"{what} must not exceed the largest double")
+    return k
+
+
+def _horizon(n_max: int) -> int:
+    """n_max as an int from 1 up to the last horizon within PMF_TABLE_BUDGET."""
+    n_max = _integer(n_max, 1, "pmf horizon")
+    need = pmf_table_bytes(n_max)
+    if need > PMF_TABLE_BUDGET:
+        raise ValueError(f"pmf horizon {n_max} needs {need >> 20} MiB of arrays, "
+                         f"above the {PMF_TABLE_BUDGET >> 20} MiB budget")
+    return n_max
+
+
+# ---------------------------------------------------------------------------
 # the transform F
 
 
@@ -184,15 +216,9 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     numbers, so each f_n and u_n keeps rounding-level relative accuracy
     far into the tail.
     Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
-    (``pmf_table_bytes``) are rejected before anything is allocated.
+    (``pmf_table_bytes``) raise ValueError before anything is allocated.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError("pmf horizon must be at least 1")
-    need = pmf_table_bytes(n_max)
-    if need > PMF_TABLE_BUDGET:
-        raise ValueError(f"pmf horizon {n_max} needs {need >> 20} MiB of arrays, "
-                         f"above the {PMF_TABLE_BUDGET >> 20} MiB budget")
+    n_max = _horizon(n_max)
     import numpy as np
 
     kernel = exact_coefficients(model, n_max)
@@ -293,12 +319,13 @@ def asymptotic_exponent(model: JumpModel, method: str = "auto") -> ExponentEstim
 
     "auto" takes the analytic value of ``_critical_exponent``.  The
     fitted branch regresses log psi_inv(s) on log s over the asymptotic
-    window, available on demand to cross-check the analytic value.
+    window, available on demand to cross-check the analytic value.  Any
+    other method raises ValueError before the law is classified.
     """
-    if classify(model) is not ChainClass.NULL_RECURRENT:
-        raise NotNullRecurrent("asymptotic exponent is defined for critical chains only")
     if method not in ("auto", "fitted"):
         raise ValueError(f"method must be 'auto' or 'fitted', got {method!r}")
+    if classify(model) is not ChainClass.NULL_RECURRENT:
+        raise NotNullRecurrent("asymptotic exponent is defined for critical chains only")
     if method == "auto":
         return ExponentEstimate(gamma=_critical_exponent(model), method="analytic")
     import statistics  # loaded where a fit runs, not on every CLI start
@@ -338,15 +365,12 @@ def tau_moment(model: JumpModel, k: int, n_max: int = _MOMENT_N) -> MomentResult
     exactly when G^(k)(1) is (k at or above the jump-tail exponent),
     otherwise it is summed from the exact pmf with a geometric tail
     certificate f_n <= F(R1) R1^(-n) when R1 > 1 and the bound fits a
-    double (in log space once (n_max + 1)^k alone does not).
+    double.  Bad k or n_max raise ValueError before the law is classified.
     """
+    k = _integer(k, 1, "moment order")
+    n_max = _horizon(n_max)
     if classify(model) is not ChainClass.POSITIVE_RECURRENT:
         raise NotPositiveRecurrent("tau moments are finite-mean territory; classify first")
-    k = int(k)
-    if k < 1:
-        raise ValueError("moment order must be a positive integer")
-    if k > sys.float_info.max:  # n ** k takes k as a double
-        raise ValueError("moment order must not exceed the largest double")
     if k == 1:
         return MomentResult(k=1, value=1.0 / mean_gap(model), tail_bound=0.0, flag="exact")
     if k >= _moment_threshold(model)[1]:
@@ -373,13 +397,9 @@ def _moment_tail(F_R1: float, r: float, k: int, n_max: int) -> float:
 
     The terms shrink at least by ratio = r ((n_max + 1)/n_max)^k, so the
     tail is at most F(R1) (n_max + 1)^k r^(n_max + 1) / (1 - ratio);
-    +inf when ratio >= 1 or the bound passes the largest double.
+    +inf when ratio >= 1 or the bound passes the largest double (formed in
+    log space, where (n_max + 1)^k cannot overflow).
     """
-    if k * math.log(n_max + 1.0) < 709.0:  # (n_max + 1)^k is a double: e^709 < 1.8e308
-        ratio = r * ((n_max + 1.0) / n_max) ** k
-        if ratio >= 1.0:
-            return math.inf
-        return F_R1 * (n_max + 1.0) ** k * r ** (n_max + 1) / (1.0 - ratio)
     log_ratio = math.log(r) + k * math.log1p(1.0 / n_max)
     if log_ratio >= 0.0:
         return math.inf
@@ -464,10 +484,9 @@ def tau_alpha_finite(model: JumpModel, alpha: float,
     and its weighted verdict is Unknown, with partial sums as diagnostics.
     For transient laws the plain quantity is read on {tau < infinity},
     where it is always finite because F then has radius strictly above 1.
+    A bad alpha raises ValueError before the law is classified.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise ValueError(f"moment exponent must be positive and finite, got {alpha!r}")
+    alpha = _exponent(alpha, "moment exponent")
     cls = classify(model)
     if r1_weighted:
         return _r1_weighted_verdict(model, alpha, cls)

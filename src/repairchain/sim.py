@@ -40,7 +40,8 @@ believable resolution.
 A sampling call keeps one histogram of cap + 1 (or horizon + 1) counts,
 which every worker thread adds into under a lock, so its memory does not
 grow with the thread count.  A cap or horizon whose histogram would not
-fit in HIST_BUDGET bytes is refused before anything is allocated.
+fit in HIST_BUDGET bytes, like a count below 1, is refused with
+ValueError before the law is classified or its table built.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import NotTransient
 from .model import ChainClass, JumpModel, classify
-from .return_time import eval_F
+from .return_time import _integer, eval_F
 
 _CHUNK = 1 << 16  # fixed work unit; never derived from the worker count
 
@@ -150,6 +151,15 @@ def _chunks(samples: int):
     return [(lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK)]
 
 
+def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
+    """samples and the cap or horizon as ints of at least 1, the histogram within HIST_BUDGET."""
+    samples, bound = _integer(samples, 1, "sample count"), _integer(bound, 1, name)
+    if (bound + 1) * 8 > HIST_BUDGET:
+        raise ValueError(f"{bound + 1} histogram bins need {(bound + 1) * 8} bytes, "
+                         f"above the {HIST_BUDGET}-byte budget")
+    return samples, bound
+
+
 def _run_chunks(worker, samples: int, size: int) -> dict:
     """Run worker(span, add) over every chunk; return the sparse histogram.
 
@@ -157,9 +167,6 @@ def _run_chunks(worker, samples: int, size: int) -> dict:
     at where (a slice or an index array, repeats adding up), under a
     lock, so a call holds that one histogram whatever its thread count.
     """
-    if size * 8 > HIST_BUDGET:
-        raise ValueError(f"{size} histogram bins need {size * 8} bytes, "
-                         f"above the {HIST_BUDGET}-byte budget")
     counts = np.zeros(size, dtype=np.int64)
     lock = threading.Lock()
 
@@ -199,13 +206,8 @@ class SimReport:
 
 def sample_tau(model: JumpModel, seed: int, samples: int,
                cap: int = DEFAULT_TAU_CAP) -> SimReport:
-    """First-return times of `samples` independent paths started at 0."""
-    samples = int(samples)
-    cap = int(cap)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    """First-return times of `samples` paths from 0; bad sizes raise ValueError first."""
+    samples, cap = _run_size(samples, cap, "cap")
     draw = _jump_draw(model.coeffs)
 
     def worker(span, add):
@@ -244,15 +246,10 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
 
 def sample_last_exit(model: JumpModel, seed: int, samples: int,
                      horizon: int = DEFAULT_EXIT_HORIZON) -> SimReport:
-    """Last visits to 0 over a fixed horizon, for a transient chain."""
+    """Last visits to 0 of a transient chain by `horizon`; bad sizes raise ValueError first."""
+    samples, horizon = _run_size(samples, horizon, "horizon")
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("last-exit sampling needs a transient chain")
-    samples = int(samples)
-    horizon = int(horizon)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     draw = _jump_draw(model.coeffs)
     # above this level the probability of ever returning to 0 is < 1e-12
     return_prob = eval_F(model, 1.0)

@@ -299,13 +299,30 @@ USAGE_CASES = [
     ["simulate", "-m", GEO_HALF, "--samples", "0"],
     ["simulate", "-m", GEO_HALF, "--cap", "0"],
     ["simulate", "--exit", "-m", GEO_QUARTER, "--horizon", "0"],
+    # the same bad values on laws of another recurrence class: the library
+    # refuses them before it classifies the law
+    ["moments", "-m", GEO_QUARTER, "-k", "0"],
+    ["exit", "-m", GEO_HALF, "-k", "-2"],
+    ["exit", "-m", GEO_HALF, "--alpha", "-0.5"],
+    ["pmf", "--exit", "-m", GEO_HALF, "-N", "0"],
+    ["simulate", "--exit", "-m", GEO_HALF, "--horizon", "0"],
+    ["exit", "-m", GEO_HALF, "--alpha", "nan"],
+    pytest.param(["exit", "-m", GEO_HALF, "-k", "9" * 400], id="exit geometric(0.5) -k 400 nines"),
+    pytest.param(["moments", "-m", GEO_QUARTER, "-k", "9" * 400],
+                 id="moments geometric(0.25) -k 400 nines"),
+    ["exit", "-m", GEO_HALF, "-N", "1000000000"],
+    ["simulate", "--exit", "-m", GEO_HALF, "--horizon", "100000000000"],
+    # the cap is refused before the table that is past its own budget
+    ["simulate", "-m", GEO_TINY, "--cap", "100000000000"],
 ]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda a: " ".join(a))
 def test_usage_errors(capsys, argv):
     assert cli.run(argv) == 1
-    assert capsys.readouterr().err != ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
 
 
 SPEC_CASES = [

@@ -143,6 +143,27 @@ def test_pmf_table_budget(monkeypatch):
         rc.return_pmf(rc.geometric(0.5), 64)
 
 
+BAD_ARGUMENTS = {
+    "tau_moment k=0": lambda m: rc.tau_moment(m, 0),
+    "tau_moment n_max=0": lambda m: rc.tau_moment(m, 2, n_max=0),
+    "exit_weighted_verdict k=-1": lambda m: rc.exit_weighted_verdict(m, k=-1),
+    "exit_weighted_verdict alpha=nan": lambda m: rc.exit_weighted_verdict(m, alpha=math.nan),
+    "exit_pmf past the budget": lambda m: rc.exit_pmf(m, 10 ** 9),
+    "sample_tau samples=0": lambda m: rc.sample_tau(m, 0, 0),
+    "sample_last_exit horizon=0": lambda m: rc.sample_last_exit(m, 0, 10, horizon=0),
+    "asymptotic_exponent bogus": lambda m: rc.asymptotic_exponent(m, method="bogus"),
+}
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise_before_classifying(call, p):
+    # the same ValueError on a transient, a critical and a positive recurrent
+    # law: arguments are checked before the law's class is read
+    with pytest.raises(ValueError):
+        call(rc.geometric(p))
+
+
 @pytest.mark.parametrize("spec", [
     {"family": "geometric", "p": 0.5},
     {"family": "half_stable"},

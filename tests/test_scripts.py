@@ -46,13 +46,16 @@ def test_cli_matrix_writes_one_record_per_invocation():
     proc = _run_script(["cli_matrix.py"])
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(records) == 12 * 26
+    assert len(records) == 12 * 32
     assert len({json.dumps(r["argv"]) for r in records}) == len(records)
     for r in records:
         assert set(r) == {"argv", "status", "stdout", "stderr"}
-        assert r["status"] in (0, 3), r
+        assert r["status"] in (0, 1, 3), r
         assert bool(r["stdout"]) == (r["status"] == 0), r
         assert r["stderr"].startswith("domain error: ") == (r["status"] == 3), r
+        assert r["stderr"].startswith("usage error: ") == (r["status"] == 1), r
+    # the last 72 are the invalid forms, a usage error on every law
+    assert [r["status"] for r in records[12 * 26:]] == [1] * 72
 
 
 def _script_module(name):

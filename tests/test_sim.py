@@ -255,6 +255,15 @@ def test_histogram_budget_admits_the_defaults_and_refuses_huge_caps():
             rc.sample_last_exit(rc.geometric(0.25), 1, 10, horizon=cap)
 
 
+def test_huge_cap_is_refused_before_the_table_is_built():
+    # geometric(1e-7)'s own table is past its budget; the histogram's
+    # budget is checked first, and the table is never built
+    geo = rc.geometric(1e-7)
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_tau(geo, 0, 10, cap=10 ** 11)
+    assert "coeffs" not in geo.__dict__
+
+
 def test_threads_lose_no_count_in_the_shared_histogram(monkeypatch):
     # more threads than cores and a short switch interval: an add that
     # raced another would change the histogram against one thread's
