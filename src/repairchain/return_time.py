@@ -20,6 +20,7 @@ From F everything else follows:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,6 +50,11 @@ PMF_TABLE_BUDGET = 1 << 27
 # stripes of the truncated series product in return_pmf
 _STRIPES = 4
 
+# return_pmf zeros kernel and power entries below this on the critical
+# scale; its square is the smallest normal double, so no product of kept
+# entries is subnormal
+_FLUSH = 2.0 ** -511
+
 # fitted-exponent regression window and grid size
 _FIT_LO, _FIT_HI, _FIT_POINTS = 1e-6, 1e-2, 50
 
@@ -66,8 +72,18 @@ def _exponent(alpha: float, what: str) -> float:
 
 
 def _integer(k: int, lo: int, what: str) -> int:
-    """k as an int from lo up to the largest double (n ** k takes k as a double)."""
-    k = int(k)
+    """k as an int from lo up to the largest double (n ** k takes k as a double).
+
+    A value that is not integral, such as 2.7, inf or nan, is refused,
+    not truncated.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        value = float(k)
+        if not value.is_integer():
+            raise ValueError(f"{what} must be an integer, got {k!r}") from None
+        k = int(value)
     if k < lo:
         raise ValueError(f"{what} must be at least {lo}")
     if k > sys.float_info.max:
@@ -175,25 +191,124 @@ def pmf_table_bytes(n_max: int) -> int:
     return (b * (n_max + b) + 7 * n_max) * 8
 
 
-def _head_product(a: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """(a k)[:n], the product of two series cut at x^(n-1).
+def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
+    """The series (lo, c) without the zero coefficients at either end."""
+    if c.size and c[0] and c[-1]:
+        return lo, c
+    kept = c != 0.0
+    if not kept.any():
+        return lo, c[:0]
+    first = int(kept.argmax())
+    return lo + first, c[first:c.size - int(kept[::-1].argmax())]
 
-    a is convolved in _STRIPES stripes, the stripe at offset o against k
-    cut to n - o terms, so only a stripe's own width spills past x^(n-1);
-    the stripes' partial sums add into one output.  Callers stripe the
-    factor that stays fixed (the kernel, G^b): the other one then
+
+def _head_product(a: tuple[int, np.ndarray], k: tuple[int, np.ndarray], n: int,
+                  flush: float) -> tuple[int, np.ndarray]:
+    """The product of two series cut at x^(n-1), entries below flush zeroed.
+
+    A series is a pair (lo, c) whose coefficient of x^(lo + i) is c[i],
+    all others 0.  With flush > 0 the product drops the zeros at its
+    ends, so the products formed from it never form them.  a is
+    convolved in _STRIPES stripes, the stripe at offset o against k cut
+    to the terms below x^(n-1), so only a stripe's own width spills past
+    it; the stripes' partial sums add into one output.  Callers stripe
+    the factor that stays fixed (the kernel, G^b): the other one then
     takes the role it has in one full np.convolve, whose summation order
     kept f three times closer to the exact geometric law than striping
     the growing power did.
     """
     import numpy as np
 
-    out = np.zeros(min(n, a.size + k.size - 1))
-    width = -(-min(a.size, n) // _STRIPES)
-    for o in range(0, min(a.size, n), width):
-        stripe, head = a[o:o + width], k[:n - o]
+    (lo, a), (k_lo, k) = a, k
+    lo += k_lo
+    m = n - lo  # terms left below x^(n-1)
+    if m <= 0 or not a.size or not k.size:
+        return lo, a[:0]
+    out = np.zeros(min(m, a.size + k.size - 1))
+    width = -(-min(a.size, m) // _STRIPES)
+    for o in range(0, min(a.size, m), width):
+        stripe, head = a[o:o + width], k[:m - o]
         out[o:o + stripe.size + head.size - 1] += np.convolve(stripe, head)[:out.size - o]
-    return out
+    if not flush:
+        return lo, out
+    out[out < flush] = 0.0
+    return _trimmed(lo, out)
+
+
+def _series_pmf(law: JumpModel, n_max: int, flush: float) -> np.ndarray:
+    """f_0..f_N of law from its kernel a_0..a_(N-1), every entry below flush zeroed.
+
+    Baby-step/giant-step split after Paterson and Stockmeyer: the baby
+    steps G^1..G^b, b = isqrt(N), sit reversed and shifted in the rows
+    of one b x (N + b) table, and the giant step G^m advances in strides
+    of b.  f_(m+1)..f_(m+b) are then one matrix-vector product of a
+    window of that table with G^m.  Every power is cut at x^(N-1) by
+    ``_head_product``, which never forms the terms it would drop.  With
+    flush = 0 nothing is zeroed and only the kernel's trailing zeros are
+    dropped.
+    """
+    import numpy as np
+
+    kernel = exact_coefficients(law, n_max)
+    kernel = _trimmed(0, np.where(kernel < flush, 0.0, kernel))
+    b = math.isqrt(n_max)
+    # row j - 1 holds G^j with x^i at column N + j - 2 - i, so the window
+    # from column N - 1 - m lines G^m[i] up with G^j[m + j - 1 - i]
+    table = np.zeros((b, n_max + b))
+    power = kernel
+    for j in range(1, b + 1):
+        lo, c = power
+        table[j - 1, n_max + j - 1 - lo - c.size:n_max + j - 1 - lo] = c[::-1]
+        if j < b:
+            power = _head_product(kernel, power, n_max, flush)
+    f = np.zeros(n_max + 1)
+    giant = (0, np.ones(1))
+    for m in range(0, n_max, b):
+        rows = min(b, n_max - m)
+        lo, c = giant
+        width = max(0, min(c.size, m + b - lo))
+        col = n_max - 1 - m + lo
+        f[m + 1:m + rows + 1] = (table[:rows, col:col + width] @ c[:width]
+                                 / np.arange(m + 1, m + rows + 1))
+        if m + b < n_max:
+            giant = _head_product(power, giant, n_max, flush)
+    return f
+
+
+def _certified(f: np.ndarray, law: JumpModel) -> bool:
+    """Whether f, computed with T = ``_FLUSH``, is within eps of the unflushed f.
+
+    Every power of a law has mass at most 1, so the errors of two factors
+    add in their product, and zeroing an output adds less than N T.  The
+    baby steps G^j take at most 2 b N T from the kernel and their own
+    outputs, and each of the N/b giant steps adds the error of G^b and
+    its own, so n f_n = [x^(n-1)] G^n moves by about 2 N^2 T at most:
+    at most eps relative where the computed n f_n is at least
+    2 N^2 T / eps.  An n below that passes only when f_n is zero in exact
+    arithmetic, that is when n - 1 is not a sum of positive jumps (a sum
+    of at most n - 1 of them, as each is at least 1).
+    """
+    import numpy as np
+
+    n_max = f.size - 1
+    low = np.flatnonzero(f[1:] * np.arange(1, n_max + 1)
+                         < 2.0 * n_max * n_max * _FLUSH / sys.float_info.epsilon)
+    if low.size == 0:
+        return True
+    # sums of positive jumps below N, one jump size at a time: shifts by
+    # s, 2s, 4s, ... add every multiple of s to what is reachable
+    reach = np.zeros(n_max, dtype=bool)
+    reach[0] = True
+    for s in np.flatnonzero(exact_coefficients(law, n_max)[1:]) + 1:
+        if reach[s]:
+            continue
+        shift = s
+        while shift < n_max:
+            reach[shift:] |= reach[:n_max - shift]
+            shift *= 2
+        if reach[s:].all():  # larger jumps reach nothing new
+            break
+    return not reach[low].any()
 
 
 def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
@@ -204,48 +319,50 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     step), so the kernel a_0..a_(N-1) makes every f_n exact up to float
     rounding, independent of the model's cached tail target.
 
-    Baby-step/giant-step split after Paterson and Stockmeyer: the baby
-    steps G^1..G^b, b = isqrt(N), sit reversed and shifted in the rows
-    of one b x (N + b) table, and the giant step G^m advances in strides
-    of b.  f_(m+1)..f_(m+b) are then one matrix-vector product of a
-    window of that table with G^m.  Every power is cut at x^(N-1) by
-    ``_head_product``, which never forms the terms it would drop.  u
-    solves the renewal recursion u_n = sum_k f_k u_(n-k) by forward
-    substitution, one dot product per n.  That is O(N^2.5) time and
-    O(N^1.5) memory; every operation is a product or sum of nonnegative
-    numbers, so each f_n and u_n keeps rounding-level relative accuracy
-    far into the tail.
+    The powers are taken on the critical scale, where f_n decays no
+    faster than a power of n.  A law with decay rate R1 > 1 is replaced
+    by its tilt to the tangency point (``tilt_to_critical``) or, where
+    there is none (BoundaryCase), by its law at the radius; with y =
+    F(R1), the exponential tilt gives f_n = y f^(y)_n R1^(-n), and that
+    restores the rate.  There, every entry of the kernel and of each
+    power below T = 2^-511 is zeroed: T^2 is the smallest normal double,
+    so no product of kept entries is subnormal, and the zeros at the
+    ends of a power are dropped, so no later product forms them.  The
+    result is kept only when ``_certified`` shows the zeroing moved no
+    f_n by more than eps relative; otherwise, as for an explicit law
+    with a_0 = 1e-300, the same loop runs again with nothing zeroed.
+    So f differs from the
+    untilted computation by the rounding of R1^(-n), up to about n eps,
+    and entries below 2^-1022 may differ in their subnormal digits (the
+    smallest of them may round to 0 on one side only).
+
+    ``_series_pmf`` computes the powers in O(N^2.5) time and O(N^1.5)
+    memory.  u solves the renewal recursion u_n = sum_k f_k u_(n-k) by
+    forward substitution, one dot product per n.  Every operation is a
+    product or sum of nonnegative numbers, so each f_n and u_n keeps
+    rounding-level relative accuracy far into the tail.
     Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
     (``pmf_table_bytes``) raise ValueError before anything is allocated.
     """
     n_max = _horizon(n_max)
     import numpy as np
 
-    kernel = exact_coefficients(model, n_max)
-    kernel = np.trim_zeros(kernel, "b")  # exact float zeros carry nothing
-    b = math.isqrt(n_max)
-    # row j - 1 holds G^j with x^i at column N + j - 2 - i, so the window
-    # from column N - 1 - m lines G^m[i] up with G^j[m + j - 1 - i]
-    table = np.zeros((b, n_max + b))
-    power = kernel
-    for j in range(1, b + 1):
-        table[j - 1, n_max + j - 1 - power.size:n_max + j - 1] = power[::-1]
-        if j < b:
-            power = _head_product(kernel, power, n_max)
-    f = np.zeros(n_max + 1)
-    giant = np.ones(1)
-    for m in range(0, n_max, b):
-        rows = min(b, n_max - m)
-        width = min(giant.size, m + b)
-        col = n_max - 1 - m
-        f[m + 1:m + rows + 1] = (table[:rows, col:col + width] @ giant[:width]
-                                 / np.arange(m + 1, m + rows + 1))
-        if m + b < n_max:
-            giant = _head_product(power, giant, n_max)
+    dp = decay_params(model)
+    law = model
+    if dp.R1 > 1.0:
+        law = (tilt_to_critical(model) if dp.x0 is not None
+               else _FAMILIES[model.family].boundary(model))
+    f = _series_pmf(law, n_max, _FLUSH)
+    if not _certified(f, law):
+        del f  # freed first, so the second run peaks as the first did
+        f = _series_pmf(law, n_max, 0.0)
+    if law is not model:
+        f *= dp.F_at_R1 * dp.R1 ** -np.arange(n_max + 1.0)
     u = np.zeros(n_max + 1)
     u[0] = 1.0
+    dot, tail = np.dot, f[1:]
     for n in range(1, n_max + 1):
-        u[n] = float(np.dot(f[1:n + 1], u[n - 1::-1]))
+        u[n] = dot(tail[:n], u[n - 1::-1])
     f.setflags(write=False)
     u.setflags(write=False)
     return ReturnAnalysis(f=f, u=u, return_prob=eval_F(model, 1.0))

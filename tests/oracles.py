@@ -139,6 +139,22 @@ def renewal_forward(f) -> np.ndarray:
     return u
 
 
+def renewal_longdouble(f) -> np.ndarray:
+    """u_0..u_N from f by the forward substitution of ``renewal_forward`` in np.longdouble.
+
+    Where longdouble is the x87 80-bit format, its 64-bit significand
+    leaves the double solve's rounding about 2^-11 of its size, and its
+    exponent range holds tails that underflow in doubles; where
+    longdouble is plain double, this is ``renewal_forward`` itself.
+    """
+    f = np.asarray(f, dtype=np.longdouble)
+    u = np.zeros(f.size, dtype=np.longdouble)
+    u[0] = 1
+    for n in range(1, f.size):
+        u[n] = np.dot(f[1:n + 1], u[n - 1::-1])
+    return u
+
+
 def geometric_first_return(p_num: int, p_den: int, n_max: int) -> np.ndarray:
     """f_n = C(2n-2, n-1) p^n q^(n-1) / n for p = p_num/p_den, correctly rounded.
 

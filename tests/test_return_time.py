@@ -124,6 +124,122 @@ def test_pmf_occupation_far_tail():
     _assert_renewal_matches_forward(got, 2048)
 
 
+# every gate below is c N eps relative at horizon N, with this one c: the
+# rate R1^(-n) restored after the tilt carries the rounding of R1 n times
+EXACT_C = 1.0
+EPS = np.finfo(float).eps
+EXACT_HORIZONS = (100, 512, 1025, 2048)
+
+
+def _assert_within(got, want, n_max):
+    assert np.array_equal(got == 0.0, want == 0.0), n_max
+    nz = want != 0.0
+    assert np.all(np.abs(got[nz] - want[nz]) <= EXACT_C * n_max * EPS * want[nz]), n_max
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_pmf_matches_the_exact_law_of_the_float_parameter(p):
+    # non-dyadic p: the reference is the law of the double p, not of 3/10,
+    # whose rounding n amplifies; both laws have R1 > 1 and take the tilt
+    want = oracles.geometric_first_return(*p.as_integer_ratio(), max(EXACT_HORIZONS))
+    for n_max in EXACT_HORIZONS:
+        _assert_within(rc.return_pmf(rc.geometric(p), n_max).f, want[:n_max + 1], n_max)
+
+
+def test_pmf_boundary_case_rate_identity():
+    # tilt(power_zeta(3), x) has no tangency point; its f_n is
+    # x^(n-1) f^base_n / G_base(x)^n, with G_base(x) = 1/x + (x - 1) Li_3(x)/x^2
+    import mpmath as mp
+
+    x = 0.9
+    model = rc.tilt(rc.power_zeta(3.0), x)
+    assert rc.decay_params(model).case_label is rc.CaseLabel.BOUNDARY_CASE
+    base = rc.return_pmf(rc.power_zeta(3.0), max(EXACT_HORIZONS)).f
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        rate = xm / (1 / xm + (xm - 1) * mp.polylog(3, xm) / xm ** 2)
+        want = np.array([0.0] + [float(rate ** n / xm * mp.mpf(float(base[n])))
+                                 for n in range(1, base.size)])
+    for n_max in EXACT_HORIZONS:
+        _assert_within(rc.return_pmf(model, n_max).f, want[:n_max + 1], n_max)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pmf_occupation_matches_long_double_renewal(name):
+    # geometric(1/4) reaches u_n of about 1e-261 at N = 2048
+    got = rc.return_pmf(GATE_MODELS[name](), 2048)
+    want = oracles.renewal_longdouble(got.f)
+    _assert_within(got.u, want, 2048)
+
+
+def _spy_flushes(monkeypatch):
+    from repairchain import return_time
+
+    flushes, zeroed = [], []
+    series, product = return_time._series_pmf, return_time._head_product
+
+    def spy_series(law, n_max, flush):
+        flushes.append(flush)
+        return series(law, n_max, flush)
+
+    def spy_product(a, k, n, flush):
+        out = product(a, k, n, flush)
+        zeroed.append(np.count_nonzero(product(a, k, n, 0.0)[1]) - np.count_nonzero(out[1]))
+        return out
+
+    monkeypatch.setattr(return_time, "_series_pmf", spy_series)
+    monkeypatch.setattr(return_time, "_head_product", spy_product)
+    return flushes, zeroed
+
+
+def test_pmf_unflushable_law_runs_unflushed(monkeypatch):
+    # a_0 = 1e-300 is below the flush: the flushed loop finds f_1 = 0,
+    # the certificate refuses it, and the loop runs again with nothing zeroed
+    from repairchain import return_time
+
+    flushes, _ = _spy_flushes(monkeypatch)
+    model = rc.explicit([1e-300, 1.0 - 2e-300, 1e-300])
+    got = rc.return_pmf(model, 512)
+    assert flushes == [return_time._FLUSH, 0.0]
+    _assert_within(got.f, oracles.convolution_chain_pmf(rc.exact_coefficients(model, 512), 512),
+                   512)
+    assert np.array_equal(got.u, oracles.renewal_forward(got.f))
+
+
+def test_pmf_unflushed_rerun_keeps_the_peak(monkeypatch):
+    # power_zeta(50) has f_n near n^-50, below the certificate's floor
+    # from n = 500 on, so it runs twice; the first f must be gone by then
+    import tracemalloc
+
+    from repairchain import return_time
+
+    model = rc.power_zeta(50.0)
+    rc.return_pmf(model, 16)  # numpy's first-call caches are not the kernel's
+    rc.exact_coefficients(model, 2048)
+    tracemalloc.start()
+    try:
+        rc.return_pmf(model, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= return_time.pmf_table_bytes(2048)
+    flushes, _ = _spy_flushes(monkeypatch)
+    rc.return_pmf(model, 2048)
+    assert flushes == [return_time._FLUSH, 0.0]
+
+
+def test_pmf_certificate_passes_structural_zeros(monkeypatch):
+    # jumps 3 and 5 only: f_n = 0 exactly for n - 1 in {1, 2, 4, 7}, which
+    # the certificate must accept; at N = 2048 the flush zeroes entries
+    from repairchain import return_time
+
+    flushes, zeroed = _spy_flushes(monkeypatch)
+    model = rc.explicit([0.4, 0.0, 0.0, 0.3, 0.0, 0.3])
+    got = rc.return_pmf(model, 2048).f
+    assert flushes == [return_time._FLUSH] and sum(zeroed) > 0
+    assert np.flatnonzero(got[1:] == 0.0).tolist() == [1, 2, 4, 7]
+
+
 def test_pmf_table_budget(monkeypatch):
     from repairchain import return_time
 
@@ -152,6 +268,16 @@ BAD_ARGUMENTS = {
     "sample_tau samples=0": lambda m: rc.sample_tau(m, 0, 0),
     "sample_last_exit horizon=0": lambda m: rc.sample_last_exit(m, 0, 10, horizon=0),
     "asymptotic_exponent bogus": lambda m: rc.asymptotic_exponent(m, method="bogus"),
+    # integers are refused, not truncated, when not integral
+    "return_pmf n_max=2.5": lambda m: rc.return_pmf(m, 2.5),
+    "exit_pmf n_max=inf": lambda m: rc.exit_pmf(m, math.inf),
+    "tau_moment k=2.7": lambda m: rc.tau_moment(m, 2.7),
+    "tau_moment k=nan": lambda m: rc.tau_moment(m, math.nan),
+    "exit_weighted_verdict k=-inf": lambda m: rc.exit_weighted_verdict(m, k=-math.inf),
+    "exit_weighted_verdict k=1.5": lambda m: rc.exit_weighted_verdict(m, k=1.5),
+    "sample_tau samples=10.9": lambda m: rc.sample_tau(m, 0, 10.9, cap=4),
+    "sample_tau cap=3.5": lambda m: rc.sample_tau(m, 0, 10, cap=3.5),
+    "sample_last_exit horizon=inf": lambda m: rc.sample_last_exit(m, 0, 10, horizon=math.inf),
 }
 
 
