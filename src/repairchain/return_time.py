@@ -47,8 +47,8 @@ _MOMENT_N = 1024
 # ceiling on the arrays return_pmf holds, in bytes
 PMF_TABLE_BUDGET = 1 << 27
 
-# stripes of the truncated series product in return_pmf
-_STRIPES = 4
+# terms per stripe of the truncated series product in return_pmf
+_STRIPE = 256
 
 # return_pmf zeros kernel and power entries below this on the critical
 # scale; its square is the smallest normal double, so no product of kept
@@ -182,13 +182,13 @@ def pmf_table_bytes(n_max: int) -> int:
     """Peak size in bytes of the arrays ``return_pmf`` holds at once.
 
     The b x (N + b) table of reversed baby powers, b = isqrt(N), and at
-    the giant steps 6.5 N more floats: the kernel, G^b, f, the giant
-    power and the next one, one stripe's product (at most N + N/4 terms)
-    and the reversed N/4-term stripe that np.convolve copies.  7 N also
-    covers the arrays' fixed overheads from N = 512 up.
+    the giant steps 6 N + 2 ``_STRIPE`` more floats: the kernel, G^b, f,
+    the giant power and the next one, one stripe's product (at most
+    N + _STRIPE terms) and the reversed stripe that np.convolve copies.
+    Two more stripes' worth, 4 KiB, covers the arrays' fixed overheads.
     """
     b = math.isqrt(n_max)
-    return (b * (n_max + b) + 7 * n_max) * 8
+    return (b * (n_max + b) + 6 * n_max + 4 * _STRIPE) * 8
 
 
 def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
@@ -209,13 +209,14 @@ def _head_product(a: tuple[int, np.ndarray], k: tuple[int, np.ndarray], n: int,
     A series is a pair (lo, c) whose coefficient of x^(lo + i) is c[i],
     all others 0.  With flush > 0 the product drops the zeros at its
     ends, so the products formed from it never form them.  a is
-    convolved in _STRIPES stripes, the stripe at offset o against k cut
-    to the terms below x^(n-1), so only a stripe's own width spills past
-    it; the stripes' partial sums add into one output.  Callers stripe
-    the factor that stays fixed (the kernel, G^b): the other one then
-    takes the role it has in one full np.convolve, whose summation order
-    kept f three times closer to the exact geometric law than striping
-    the growing power did.
+    convolved in stripes of ``_STRIPE`` terms, the stripe at offset o
+    against k cut to the terms below x^(n-1), so only a stripe's own
+    width spills past it; the stripes' partial sums add into one output.
+    A fixed width means few calls on short products and a small spill on
+    long ones.  Callers stripe the factor that stays fixed (the kernel,
+    G^b): the other one then takes the role it has in one full
+    np.convolve, whose summation order kept f three times closer to the
+    exact geometric law than striping the growing power did.
     """
     import numpy as np
 
@@ -225,9 +226,8 @@ def _head_product(a: tuple[int, np.ndarray], k: tuple[int, np.ndarray], n: int,
     if m <= 0 or not a.size or not k.size:
         return lo, a[:0]
     out = np.zeros(min(m, a.size + k.size - 1))
-    width = -(-min(a.size, m) // _STRIPES)
-    for o in range(0, min(a.size, m), width):
-        stripe, head = a[o:o + width], k[:m - o]
+    for o in range(0, min(a.size, m), _STRIPE):
+        stripe, head = a[o:o + _STRIPE], k[:m - o]
         out[o:o + stripe.size + head.size - 1] += np.convolve(stripe, head)[:out.size - o]
     if not flush:
         return lo, out
@@ -337,10 +337,13 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     smallest of them may round to 0 on one side only).
 
     ``_series_pmf`` computes the powers in O(N^2.5) time and O(N^1.5)
-    memory.  u solves the renewal recursion u_n = sum_k f_k u_(n-k) by
-    forward substitution, one dot product per n.  Every operation is a
-    product or sum of nonnegative numbers, so each f_n and u_n keeps
-    rounding-level relative accuracy far into the tail.
+    memory.  u solves the renewal recursion u_n = sum_k f_k u_(n-k) in
+    blocks of b, the first by forward substitution: a later block
+    [s, s + w) is V = C + F V, with C what u_0..u_(s-1) feed into it, so
+    V = C U cut to w terms, U = 1/(1 - F): one correlation and one
+    convolution per block.  Every operation is a product or sum of
+    nonnegative numbers, so each f_n and u_n keeps rounding-level
+    relative accuracy far into the tail.
     Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
     (``pmf_table_bytes``) raise ValueError before anything is allocated.
     """
@@ -360,9 +363,13 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
         f *= dp.F_at_R1 * dp.R1 ** -np.arange(n_max + 1.0)
     u = np.zeros(n_max + 1)
     u[0] = 1.0
-    dot, tail = np.dot, f[1:]
-    for n in range(1, n_max + 1):
-        u[n] = dot(tail[:n], u[n - 1::-1])
+    b = math.isqrt(n_max)
+    for n in range(1, b):
+        u[n] = np.dot(f[1:n + 1], u[n - 1::-1])
+    for s in range(b, n_max + 1, b):
+        w = min(b, n_max + 1 - s)
+        c = np.correlate(f[1:s + w], u[s - 1::-1], "valid")
+        u[s:s + w] = np.convolve(c, u[:w])[:w]
     f.setflags(write=False)
     u.setflags(write=False)
     return ReturnAnalysis(f=f, u=u, return_prob=eval_F(model, 1.0))
@@ -384,14 +391,27 @@ def psi_inv(model: JumpModel, y: float) -> float:
     """The h in [0,1] with psi(h) = y, for a recurrent law; 0 for y <= 0, 1 for y >= psi(1).
 
     psi is convex and increases from psi(0) = 0 to psi(1) = a_0, with
-    psi(h) >= (1 - mu) h.  So h = min(1, y/(1 - mu)) lies at or right of
-    the root, and ``_descend`` from there stays at 1 when y >= psi(1).
+    psi(h) >= (1 - mu) h, so ``_descend`` may start at y/(1 - mu) when
+    that is below 1.  Otherwise the start comes down from h = 1 in steps
+    to h sqrt(2y/psi(h)): psi(h)/h^2 does not increase with h, as
+    psi'' = G''(1-h) does not, so such a step keeps psi >= 2y in exact
+    arithmetic, and it is taken only when the computed psi is >= y.
     """
     y = float(y)
     if y <= 0.0:
         return 0.0
     gap = mean_gap(model)
-    return _descend(model, y, y / gap if gap > y else 1.0)
+    if gap > y:
+        return _descend(model, y, y / gap)
+    drift, h = _FAMILIES[model.family].drift, 1.0
+    value = drift(model, h)[0]
+    while value > 4.0 * y:
+        step = h * math.sqrt(2.0 * y / value)
+        value = drift(model, step)[0]
+        if not value >= y:
+            break
+        h = step
+    return _descend(model, y, h)
 
 
 def _descend(model: JumpModel, y: float, h: float) -> float:

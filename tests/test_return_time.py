@@ -172,6 +172,22 @@ def test_pmf_occupation_matches_long_double_renewal(name):
     _assert_within(got.u, want, 2048)
 
 
+@pytest.mark.parametrize("model", [rc.geometric(0.1), rc.explicit([0.05, 0.05, 0.0, 0.9])],
+                         ids=["geometric_0.1", "explicit_transient"])
+@pytest.mark.parametrize("n_max", [1025, 2048])
+def test_pmf_occupation_where_it_underflows(model, n_max):
+    # transient laws whose u_n leaves the double range before N; 1025 ends
+    # in a partial block of the renewal solve.  Zeros fall where the
+    # forward solve's do, and normal entries meet the 80-bit solve
+    got = rc.return_pmf(model, n_max)
+    forward = oracles.renewal_forward(got.f)
+    assert (forward == 0.0).sum() > 100
+    assert np.array_equal(got.u == 0.0, forward == 0.0)
+    want = oracles.renewal_longdouble(got.f)
+    normal = want >= _SMALLEST_NORMAL
+    _assert_within(got.u[normal], want[normal].astype(float), n_max)
+
+
 def _spy_flushes(monkeypatch):
     from repairchain import return_time
 
@@ -245,10 +261,10 @@ def test_pmf_table_budget(monkeypatch):
 
     for n in (1, 2, 99, 2048, 65536):
         b = math.isqrt(n)
-        assert return_time.pmf_table_bytes(n) == (b * (n + b) + 7 * n) * 8
+        assert return_time.pmf_table_bytes(n) == (b * (n + b) + 6 * n + 1024) * 8
     # the refusal threshold README quotes
-    assert return_time.pmf_table_bytes(64281) <= return_time.PMF_TABLE_BUDGET
-    assert return_time.pmf_table_bytes(64282) > return_time.PMF_TABLE_BUDGET
+    assert return_time.pmf_table_bytes(64515) <= return_time.PMF_TABLE_BUDGET
+    assert return_time.pmf_table_bytes(64516) > return_time.PMF_TABLE_BUDGET
     # the library's own default horizons fit
     assert return_time.pmf_table_bytes(rc.last_exit.DEFAULT_EXIT_N) <= return_time.PMF_TABLE_BUDGET
     assert return_time.pmf_table_bytes(return_time._MOMENT_N) <= return_time.PMF_TABLE_BUDGET
@@ -305,7 +321,7 @@ def test_pmf_table_bytes_is_the_real_peak(spec):
     # numpy keeps a few hundred bytes of caches from its first convolve
     # and dot in a process; they are not the kernel's arrays
     rc.return_pmf(model, 16)
-    for n_max in (512, 1025, 2048):
+    for n_max in (200, 512, 1025, 2048):  # at 200 one stripe is the whole factor
         rc.exact_coefficients(model, n_max)
         tracemalloc.start()
         try:
@@ -533,6 +549,36 @@ def test_psi_inv_round_trip_matches_exact_oracle(law):
             assert oracles.psi_exact(model, h) == pytest.approx(y, rel=1e-13, abs=0.0), y
         else:
             assert lo <= y <= hi, y
+
+
+@pytest.mark.parametrize("law", ["geometric(0.5)", "half_stable", "explicit tilt"])
+def test_psi_inv_descends_from_right_of_the_root_in_few_drift_calls(law, monkeypatch):
+    # a critical law has 1 - mu = 0, so the start comes down from h = 1;
+    # the descent is monotone only from an h whose computed psi is at
+    # least y, and it is short only when that h is near the root
+    from dataclasses import replace
+
+    from repairchain import return_time
+    from repairchain.model import _FAMILIES
+
+    model = _PSI_LAWS[law]()
+    record = _FAMILIES[model.family]
+    calls, starts = [], []
+
+    def counted(m, h):
+        calls.append(h)
+        return record.drift(m, h)
+
+    descend = return_time._descend
+    monkeypatch.setattr(return_time, "_descend",
+                        lambda m, y, h: starts.append((y, h)) or descend(m, y, h))
+    for y in np.geomspace(1e-300, 0.99 * model.a0, 61):
+        rc.psi_inv(model, float(y))
+    assert all(record.drift(model, h)[0] >= y for y, h in starts)
+    if law != "explicit tilt":  # its psi < 0 below h = 2e-16 refuses the steps there
+        monkeypatch.setitem(_FAMILIES, model.family, replace(record, drift=counted))
+        rc.psi_inv(model, 1e-300)
+        assert len(calls) <= 40
 
 
 def test_bounded_ratio_band_null_models():
