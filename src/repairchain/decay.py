@@ -150,14 +150,8 @@ def _decay_params(model: JumpModel) -> DecayParams:
 
 
 def tilt_to_critical(model: JumpModel) -> JumpModel:
-    """Reweight at the tangency point, landing on the critical line.
-
-    On the radius that is the law there; tilt(model, R) would round x (1/x).
-    """
+    """Reweight at the tangency point, landing on the critical line."""
     x0 = decay_params(model).x0
     if x0 is None:
         raise OutOfRadius("no tangency point exists for this law")
-    boundary = _FAMILIES[model.family].boundary(model)
-    if boundary is not None and x0 == model.radius:
-        return boundary
     return tilt(model, x0)

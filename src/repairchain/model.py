@@ -744,8 +744,9 @@ _FAMILIES = {
         table=_tilted_table,
         coefficients=_tilted_coefficients,
         G=_tilted_G,
-        reweight=lambda m, x: _tilted(m.base, m.tilt_x * x),  # points compose
-        boundary=lambda m: m.base,  # x (1/x) is 1 in exact arithmetic
+        # points compose; at the radius, x (1/x) is 1 in exact arithmetic
+        reweight=lambda m, x: m.base if x == m.radius else _tilted(m.base, m.tilt_x * x),
+        boundary=lambda m: m.base,
     ),
 }
 

@@ -36,6 +36,7 @@ from .model import (
     eval_G,
     exact_coefficients,
     mean_gap,
+    tilt,
 )
 
 if TYPE_CHECKING:
@@ -207,11 +208,11 @@ def _head_product(a: tuple[int, np.ndarray], k: tuple[int, np.ndarray], n: int,
     """The product of two series cut at x^(n-1), entries below flush zeroed.
 
     A series is a pair (lo, c) whose coefficient of x^(lo + i) is c[i],
-    all others 0.  With flush > 0 the product drops the zeros at its
-    ends, so the products formed from it never form them.  a is
-    convolved in stripes of ``_STRIPE`` terms, the stripe at offset o
-    against k cut to the terms below x^(n-1), so only a stripe's own
-    width spills past it; the stripes' partial sums add into one output.
+    all others 0.  The product drops the zeros at its ends, so the
+    products formed from it never form them.  a is convolved in stripes
+    of ``_STRIPE`` terms, the stripe at offset o against k cut to the
+    terms below x^(n-1), so only a stripe's own width spills past it;
+    the stripes' partial sums add into one output.
     A fixed width means few calls on short products and a small spill on
     long ones.  Callers stripe the factor that stays fixed (the kernel,
     G^b): the other one then takes the role it has in one full
@@ -229,8 +230,6 @@ def _head_product(a: tuple[int, np.ndarray], k: tuple[int, np.ndarray], n: int,
     for o in range(0, min(a.size, m), _STRIPE):
         stripe, head = a[o:o + _STRIPE], k[:m - o]
         out[o:o + stripe.size + head.size - 1] += np.convolve(stripe, head)[:out.size - o]
-    if not flush:
-        return lo, out
     out[out < flush] = 0.0
     return _trimmed(lo, out)
 
@@ -244,8 +243,8 @@ def _series_pmf(law: JumpModel, n_max: int, flush: float) -> np.ndarray:
     of b.  f_(m+1)..f_(m+b) are then one matrix-vector product of a
     window of that table with G^m.  Every power is cut at x^(N-1) by
     ``_head_product``, which never forms the terms it would drop.  With
-    flush = 0 nothing is zeroed and only the kernel's trailing zeros are
-    dropped.
+    flush = 0 nothing is zeroed, and only exact zeros at the ends of a
+    series are dropped.
     """
     import numpy as np
 
@@ -320,18 +319,17 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     rounding, independent of the model's cached tail target.
 
     The powers are taken on the critical scale, where f_n decays no
-    faster than a power of n.  A law with decay rate R1 > 1 is replaced
-    by its tilt to the tangency point (``tilt_to_critical``) or, where
-    there is none (BoundaryCase), by its law at the radius; with y =
-    F(R1), the exponential tilt gives f_n = y f^(y)_n R1^(-n), and that
-    restores the rate.  There, every entry of the kernel and of each
-    power below T = 2^-511 is zeroed: T^2 is the smallest normal double,
-    so no product of kept entries is subnormal, and the zeros at the
-    ends of a power are dropped, so no later product forms them.  The
-    result is kept only when ``_certified`` shows the zeroing moved no
-    f_n by more than eps relative; otherwise, as for an explicit law
-    with a_0 = 1e-300, the same loop runs again with nothing zeroed.
-    So f differs from the
+    faster than a power of n: on the tilt of the law at y = F(R1), which
+    is the tangency point x0, the radius where there is none
+    (BoundaryCase), or 1 where R1 = 1 (no tilt).  The exponential tilt
+    gives f_n = y f^(y)_n R1^(-n), and that restores the rate.  There,
+    every entry of the kernel and of each power below T = 2^-511 is
+    zeroed: T^2 is the smallest normal double, so no product of kept
+    entries is subnormal, and the zeros at the ends of a power are
+    dropped, so no later product forms them.  The result is kept only
+    when ``_certified`` shows the zeroing moved no f_n by more than eps
+    relative; otherwise, as for an explicit law with a_0 = 1e-300, the
+    same loop runs again with nothing zeroed.  So f differs from the
     untilted computation by the rounding of R1^(-n), up to about n eps,
     and entries below 2^-1022 may differ in their subnormal digits (the
     smallest of them may round to 0 on one side only).
@@ -351,10 +349,7 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
     import numpy as np
 
     dp = decay_params(model)
-    law = model
-    if dp.R1 > 1.0:
-        law = (tilt_to_critical(model) if dp.x0 is not None
-               else _FAMILIES[model.family].boundary(model))
+    law = tilt(model, dp.F_at_R1)
     f = _series_pmf(law, n_max, _FLUSH)
     if not _certified(f, law):
         del f  # freed first, so the second run peaks as the first did
@@ -419,15 +414,16 @@ def _descend(model: JumpModel, y: float, h: float) -> float:
 
     psi is convex and increasing there, so the descent falls to the root
     without overshooting; it stops at the first step that does not
-    decrease h, where rounding takes over.
+    decrease h, or whose psi reads as the last one did, where rounding
+    takes over (a flat computed psi would otherwise creep an ulp a step).
     """
-    drift = _FAMILIES[model.family].drift
+    drift, last = _FAMILIES[model.family].drift, None
     while True:
         value, slope = drift(model, h)
         h_next = h - (value - y) / slope
-        if not 0.0 < h_next < h:
+        if not 0.0 < h_next < h or value == last:
             return h
-        h = h_next
+        h, last = h_next, value
 
 
 # ---------------------------------------------------------------------------
@@ -591,23 +587,23 @@ def _threshold_verdict(model: JumpModel, alpha: float, quantity: str,
 
 def _weighted_criterion_diagnostics(model: JumpModel, alpha: float) -> dict:
     # partial sums of R^n n^alpha a_n, the series deciding the weighted
-    # moment; per-term log space, the factors overflow long before the
-    # products do.  Only tilts of power_zeta, positive recurrent at their
+    # moment.  Only tilts of power_zeta, positive recurrent at their
     # radius, reach BoundaryCase (geometric laws have x0 = 1/(2q) < R,
     # explicit ones R = inf, tilts of half_stable x0 = R); the stored
-    # a_n x^n / G(x) underflow where R^n would rescue them, so weigh the
-    # base law by R x
+    # a_n underflow where R^n would rescue them, so read R^n a_n as
+    # G(R) a^(R)_n, from the law at the radius and G(R) = F(R1)/R1.
+    # Per-term log space: n^alpha overflows long before the products do
     import numpy as np
 
     n_top = 4096
-    a = exact_coefficients(model.base, n_top + 1)[1:]
-    log_r = math.log(model.base.radius)
-    offset = -math.log(eval_G(model.base, model.tilt_x))
+    dp = decay_params(model)
+    a = exact_coefficients(tilt(model, model.radius), n_top + 1)[1:]
+    offset = math.log(dp.F_at_R1 / dp.R1)
     n = np.arange(1, n_top + 1, dtype=float)
     terms = np.zeros_like(a)
     pos = a > 0.0
     with np.errstate(over="ignore"):  # a term past the largest double is inf
-        terms[pos] = np.exp(np.log(a[pos]) + n[pos] * log_r + alpha * np.log(n[pos]) + offset)
+        terms[pos] = np.exp(np.log(a[pos]) + alpha * np.log(n[pos]) + offset)
     cum = np.cumsum(terms)
     return {"partial_sums": {1000: float(cum[999]), n_top: float(cum[-1])}}
 

@@ -14,8 +14,13 @@ for u = r 2^-53.  cum[k] <= u exactly when t_k = ceil(cum[k] 2^53) <= r
 thresholds t_k <= r, capped at the last table index.  A guide of 2^16
 buckets on the top 16 bits of r gives that count directly whenever no
 threshold falls strictly inside the bucket; only draws in the other
-buckets binary-search the table (0.0015% of draws on geometric(1/2),
-0.07% on geometric(0.2), 0.13% on half_stable).
+buckets binary-search the thresholds (0.0015% of draws on geometric(1/2),
+0.07% on geometric(0.2), 0.13% on half_stable).  Each sampling call
+forms thresholds only for the jumps below `ends` (the cap, or the
+smaller of the escape level and horizon + 1), never more than its
+histogram holds, and caches nothing: down-steps being at most 1, a
+jump of `ends` or more ends a path whatever its size, so a draw past
+them takes the jump `ends` (capped as above).
 
 Paths step by X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1).
 First-return sampling advances all active paths of a chunk in blocks of
@@ -49,8 +54,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import weakref
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,9 +79,6 @@ _R_SHIFT = np.uint64(11)
 _GUIDE_SHIFT = np.uint64(48)
 _BUCKET = 1 << 37  # values of r per bucket
 
-# id(coeffs) -> (weak reference to coeffs, its jump sampler)
-_DRAWS: dict[int, tuple[weakref.ref, Callable]] = {}
-
 DEFAULT_TAU_CAP = 10 ** 6
 DEFAULT_EXIT_HORIZON = 10 ** 4
 
@@ -99,28 +99,16 @@ def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return _mix64(base + idx * _NP_GOLDEN)
 
 
-def _jump_draw(coeffs: np.ndarray):
+def _jump_draw(coeffs: np.ndarray, ends: int):
     """Inverse-CDF jump sampler: 64-bit draw words -> jumps (see module doc).
 
-    Kept for as long as the table lives, so sampling again on a shared
-    table (half_stable's, power_zeta's) builds no table-sized threshold
-    array.  Freeing one per call would raise glibc's mmap threshold and
-    leave the next ones to fragment the heap.
+    Thresholds cover coeffs[:ends] only: a draw below the ends-th one gets
+    the jump the whole table gives, any other the jump min(ends, top).
     """
-    key = id(coeffs)
-    hit = _DRAWS.get(key)
-    if hit is not None and hit[0]() is coeffs:
-        return hit[1]
-    draw = _build_jump_draw(coeffs)
-    _DRAWS[key] = (weakref.ref(coeffs, lambda _, key=key: _DRAWS.pop(key, None)), draw)
-    return draw
-
-
-def _build_jump_draw(coeffs: np.ndarray):
-    thresholds = np.cumsum(coeffs)  # becomes t_k in place: no second table
+    thresholds = np.cumsum(coeffs[:ends])  # becomes t_k in place: no second array
     thresholds *= 2.0 ** 53
     np.ceil(thresholds, out=thresholds)
-    top = thresholds.size - 1
+    top = coeffs.size - 1
     edges = np.arange(1 << 16, dtype=float) * _BUCKET  # lowest r of each bucket
     lo = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
     hi = np.minimum(np.searchsorted(thresholds, edges + (_BUCKET - 1), side="right"), top)
@@ -208,7 +196,7 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
                cap: int = DEFAULT_TAU_CAP) -> SimReport:
     """First-return times of `samples` paths from 0; bad sizes raise ValueError first."""
     samples, cap = _run_size(samples, cap, "cap")
-    draw = _jump_draw(model.coeffs)
+    draw = _jump_draw(model.coeffs, cap)
 
     def worker(span, add):
         keys = _sample_keys(seed, *span)
@@ -250,10 +238,10 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
     samples, horizon = _run_size(samples, horizon, "horizon")
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("last-exit sampling needs a transient chain")
-    draw = _jump_draw(model.coeffs)
     # above this level the probability of ever returning to 0 is < 1e-12
     return_prob = eval_F(model, 1.0)
     escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
+    draw = _jump_draw(model.coeffs, min(escape_level, horizon + 1))
     flag_from = horizon - horizon // 10  # strictly above = final 10%
 
     def worker(span, add):

@@ -372,6 +372,15 @@ def test_tilt_identity_and_composition():
     assert np.max(np.abs(a - b)) < 1e-15
 
 
+@pytest.mark.parametrize("x", [0.013, 0.021, 0.029])
+def test_tilt_at_the_radius_of_a_tilt_is_its_base(x):
+    # x (1/x) rounds to 1 - 2^-53 here; composing the points would give a
+    # tilt at 0.9999999999999999 instead of the law at the radius
+    assert x * (1.0 / x) != 1.0
+    t = rc.tilt(rc.power_zeta(3.0), x)
+    assert rc.tilt(t, t.radius) is t.base
+
+
 def test_tilt_domain_errors():
     with pytest.raises(OutOfRadius):
         rc.tilt(rc.geometric(0.75), 5.0)

@@ -581,6 +581,30 @@ def test_psi_inv_descends_from_right_of_the_root_in_few_drift_calls(law, monkeyp
         assert len(calls) <= 40
 
 
+@pytest.mark.parametrize("alpha", [2.1, 2.6, 3.0])
+def test_psi_inv_stops_where_the_computed_psi_is_flat(alpha, monkeypatch):
+    # power_zeta's computed psi reads the same across neighbouring doubles
+    # near these roots; a descent that waited for h to stop decreasing
+    # crept an ulp per drift evaluation (54 of them at alpha = 3, y = 1e-3)
+    from dataclasses import replace
+
+    from repairchain.model import _FAMILIES
+
+    model = rc.power_zeta(alpha)
+    record = _FAMILIES[model.family]
+    calls = []
+
+    def counted(m, h):
+        calls.append(h)
+        return record.drift(m, h)
+
+    monkeypatch.setitem(_FAMILIES, model.family, replace(record, drift=counted))
+    for y in (1e-3, 5e-3, 2e-2):
+        calls.clear()
+        rc.psi_inv(model, y)
+        assert len(calls) <= 8, (y, len(calls))
+
+
 def test_bounded_ratio_band_null_models():
     # 1 - F(1 - s) stays within a factor 2 of psi_inv(s)
     for model in (rc.geometric(0.5), rc.half_stable()):

@@ -172,9 +172,11 @@ def test_guide_draw_is_exact_at_every_threshold(model):
     r = np.concatenate(([0, 2 ** 53 - 1], t - 1, t, t + 1))
     r = r[(r >= 0) & (r < 2 ** 53)].astype(np.uint64)
     low = np.arange(r.size, dtype=np.uint64) & np.uint64(0x7FF)  # ignored bits
-    got = _jump_draw(model.coeffs)((r << np.uint64(11)) | low)
+    bits = (r << np.uint64(11)) | low
     want = np.minimum(np.searchsorted(cum, r * 2.0 ** -53, side="right"), top)
-    assert np.array_equal(got, want)
+    assert np.array_equal(_jump_draw(model.coeffs, cum.size)(bits), want)
+    # thresholds for a prefix only: every draw past the seventh returns 7
+    assert np.array_equal(_jump_draw(model.coeffs, 7)(bits), np.minimum(want, 7))
 
 
 def test_block_arrays_stay_within_a_chunk(monkeypatch):
@@ -195,21 +197,26 @@ def test_block_arrays_stay_within_a_chunk(monkeypatch):
     assert len(sizes) < 100  # far fewer blocks than the 5000 steps
 
 
-def test_jump_draw_kept_while_its_table_lives():
-    from repairchain import sim
+def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
+    # the tilt has its own 2^21-entry table, shared with no earlier call;
+    # at cap 100 the call needs thresholds for 100 jumps, not for the table
+    import tracemalloc
 
-    table = rc.geometric(0.3).coeffs
-    draw = sim._jump_draw(table)
-    assert sim._jump_draw(table) is draw
-    assert sim._jump_draw(rc.geometric(0.3).coeffs) is not draw  # another table
-    key = id(table)
-    del table
-    assert key not in sim._DRAWS
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    model = rc.tilt(rc.half_stable(), 0.9)
+    table = model.coeffs
+    tracemalloc.start()
+    try:
+        rc.sample_tau(model, 1, 4096, cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes // 4
 
 
 def test_sampling_again_on_a_shared_table_builds_no_threshold_array(monkeypatch):
-    # half_stable's 16 MiB table is shared by every half_stable model; a
-    # second sampling call must not build (and free) a copy of its size
+    # half_stable's 16 MiB table is shared by every half_stable model and
+    # built by the first call; the next must not build a copy of its size
     import tracemalloc
 
     monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
@@ -306,7 +313,7 @@ def test_one_histogram_whatever_the_thread_count(threads, monkeypatch):
     monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
     for sample, model in ((rc.sample_tau, rc.geometric(0.65)),
                           (rc.sample_last_exit, rc.geometric(0.25))):
-        sample(model, 1, 10, 10)  # the jump sampler is built outside the trace
+        sample(model, 1, 10, 10)  # the table is built outside the trace
         tracemalloc.start()
         try:
             sample(model, 1, samples, size)
