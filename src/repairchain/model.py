@@ -22,10 +22,12 @@ A fifth internal kind, ``tilted``, is produced by ``tilt``: the
 exponential reweighting a_j x^j / G(x) of a half_stable or power_zeta
 law.  Models are immutable once built and safe to share between threads.
 
-A model is its parameters plus exact summaries (mu, radius).  Its
-truncated coefficient table ``coeffs`` is built on first use, and only
-the code that builds arrays imports numpy, so classifying a law,
-tilting it or evaluating its G allocates no table and loads no numpy.
+A model is its parameters plus exact summaries (mu, radius).  Arrays of
+coefficients come from ``exact_coefficients``, as long as the caller
+asks, and only the code that builds arrays imports numpy, so
+classifying a law, tilting it or evaluating its G allocates no array
+and loads no numpy.  The truncated table ``coeffs`` stays for API
+users; no function of the package reads it.
 
 All per-family knowledge lives in one table, ``_FAMILIES``, one record
 per family (see ``_Family``).  Public functions validate, then do one
@@ -52,20 +54,20 @@ if TYPE_CHECKING:
 # Chains with |mu - 1| below this tolerance are treated as critical.
 CRITICAL_TOL = 1e-12
 
-# Certified tail-mass target for cached coefficient arrays.
+# Certified tail-mass target of the geometric ``coeffs`` table.
 _TAIL_TARGET = 1e-12
 
 # The half_stable tail decays like n^{-3/2}; reaching 1e-12 would need
-# ~3e7 coefficients.  Cap the cache and keep the certified bound that
+# ~3e7 coefficients.  Cap the table and keep the certified bound that
 # the cap actually achieves (about 6e-11, still inside the 1e-10 budget
-# on the cached sum).
+# on the table's sum).
 _HALF_STABLE_CAP = 1 << 21
 
 # entries per block of the half_stable ratios: 32 KiB temporaries
 _BUILD_BLOCK = 1 << 12
 
-# ceiling on a geometric coefficient table, in bytes (p below about
-# 1.6e-6 would need more to reach the tail target)
+# ceiling on a ``coeffs`` table, in bytes (only a geometric law with p
+# below about 1.6e-6 needs more to reach the tail target)
 GEOMETRIC_TABLE_BUDGET = 1 << 27
 
 # Euler-Maclaurin zeta: head sum below _ZETA_HEAD, then B_2j / (2j)! for
@@ -85,10 +87,12 @@ class JumpModel:
     """Immutable jump law plus its exact summaries.
 
     ``mu`` and ``radius`` are exact where the family allows (they always
-    do for the bundled families).  ``coeffs`` holds a_0 .. a_{N} with
-    certified tail mass at most ``tail_bound``; that table is built on
-    first use, so a model that is only classified, tilted or evaluated
-    through G never allocates it.
+    do for the bundled families).  ``coeffs`` holds a_0 .. a_(n-1) with
+    certified tail mass at most ``tail_bound``, n from the family's size
+    rule; it is built on first use and kept with the model.  No function
+    of the package reads it: the sampler builds only the prefix it draws
+    from.  It stays for API users and for the benchmark's tracer, which
+    reads its size, until that tracer is revised.
     """
 
     family: str
@@ -102,16 +106,19 @@ class JumpModel:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        """Read-only a_0 .. a_N, built on first use by the family record."""
-        coeffs, tail = _FAMILIES[self.family].table(self)
-        self.__dict__["_tail_bound"] = tail
+        """Read-only ``exact_coefficients(self, n)``; past the budget, InvalidSpec."""
+        n = _table_size(self)
+        if n * 8 > GEOMETRIC_TABLE_BUDGET:
+            raise InvalidSpec(f"{self!r} needs {n} coefficients, above the "
+                              f"{GEOMETRIC_TABLE_BUDGET >> 20} MiB table budget")
+        coeffs = exact_coefficients(self, n)
+        coeffs.setflags(write=False)
         return coeffs
 
     @property
     def tail_bound(self) -> float:
         """Certified bound on the mass after ``coeffs``; builds the table."""
-        self.coeffs
-        return self.__dict__["_tail_bound"]
+        return _FAMILIES[self.family].table_tail(self, self.coeffs.size)
 
     @property
     def a0(self) -> float:
@@ -128,16 +135,8 @@ class JumpModel:
         return f"JumpModel({self.family}{extra}, mu={self.mu:.6g})"
 
 
-def _freeze(arr) -> np.ndarray:
-    import numpy as np
-
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 # ---------------------------------------------------------------------------
-# family constructors and their coefficient tables
+# family constructors and their coefficients
 
 
 def explicit(a) -> JumpModel:
@@ -201,24 +200,18 @@ def _geometric_drift(m: JumpModel, h: float) -> tuple[float, float]:
             (2.0 * p - 1.0) / p * (p / den) ** 2 + q * h * (2.0 * p + q * h) / (den * den))
 
 
-def _geometric_table(m: JumpModel) -> tuple[np.ndarray, float]:
-    # refused before allocating; q rounds to 1 for p below 2^-54
+def _geometric_size(m: JumpModel) -> float:
+    # terms to a tail mass of _TAIL_TARGET; none suffice where q rounds to 1
+    # (p below 2^-54)
     q = 1.0 - m.p
-    n_terms = math.ceil(math.log(_TAIL_TARGET) / math.log(q)) if q < 1.0 else math.inf
-    if n_terms * 8 > GEOMETRIC_TABLE_BUDGET:
-        raise InvalidSpec(f"geometric({m.p!r}) needs {n_terms} coefficients, above the "
-                          f"{GEOMETRIC_TABLE_BUDGET >> 20} MiB table budget")
-    return _freeze(_geometric_coefficients(m, n_terms)), q ** n_terms
+    return math.ceil(math.log(_TAIL_TARGET) / math.log(q)) if q < 1.0 else math.inf
 
 
-@lru_cache(maxsize=1)
-def _half_stable_table() -> tuple[np.ndarray, float]:
-    coeffs = _half_stable_coeffs(_HALF_STABLE_CAP)
-    n = coeffs.size
-    # a_k * k^{5/2} decreases, so the tail after the cache is at most
+@lru_cache(maxsize=1)  # one float, keyed on n alone: it keeps no model or table alive
+def _half_stable_tail(n: int) -> float:
+    # a_k * k^{5/2} decreases, so the tail after a_{n-1} is at most
     # a_{n-1} (n-1)^{5/2} * integral_{n-1}^inf x^{-5/2} dx = (2/3) a_{n-1} (n-1)
-    tail = (2.0 / 3.0) * float(coeffs[-1]) * (n - 1)
-    return _freeze(coeffs), tail
+    return (2.0 / 3.0) * float(_half_stable_coeffs(n)[-1]) * (n - 1)
 
 
 def _half_stable_coeffs(count: int) -> np.ndarray:
@@ -315,14 +308,6 @@ def _expm1_over(x: float) -> float:
 
 def _log1p_over(x: float) -> float:
     return math.log1p(x) / x if x else 1.0
-
-
-@lru_cache(maxsize=16)
-def _power_zeta_table(alpha: float) -> tuple[np.ndarray, float]:
-    n_terms = int(math.ceil(10.0 ** (12.0 / alpha)))
-    coeffs = _power_zeta_coeffs(alpha, n_terms)
-    tail = float(n_terms + 1) ** (-alpha)  # telescoping, exact
-    return _freeze(coeffs), tail
 
 
 def _power_zeta_coeffs(alpha: float, count: int) -> np.ndarray:
@@ -654,14 +639,9 @@ def _tilted(base: JumpModel, x: float) -> JumpModel:
     )
 
 
-def _tilted_table(m: JumpModel) -> tuple[np.ndarray, float]:
-    import numpy as np
-
+def _tilted_tail(m: JumpModel, n: int) -> float:
     base, x = m.base, m.tilt_x
-    gx = eval_G(base, x, 0)
-    n = np.arange(base.coeffs.size, dtype=float)
-    tail = float(base.tail_bound * x ** base.coeffs.size / gx)
-    return _freeze(base.coeffs * np.power(x, n) / gx), max(tail, 5e-324)
+    return max(_FAMILIES[base.family].table_tail(base, n) * x ** n / eval_G(base, x, 0), 5e-324)
 
 
 def _tilted_coefficients(m: JumpModel, count: int) -> np.ndarray:
@@ -694,7 +674,8 @@ class _Family:
 
     fields: tuple[str, ...]         # spec fields, in the order build takes them
     build: Callable | None          # the constructor
-    table: Callable                 # model -> (read-only a_0 .. a_N, certified tail mass after a_N)
+    table_size: Callable            # model -> n, the length of ``coeffs``, without building it
+    table_tail: Callable            # (model, n) -> certified mass after a_(n-1)
     coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1)
     G: Callable                     # (model, t, order) -> G^(order)(t), +inf beyond the radius
     reweight: Callable = _tilted    # (model, x) -> a_j x^j / G(x), for x != 1 with G(x) < inf
@@ -707,7 +688,7 @@ class _Family:
 _FAMILIES = {
     "explicit": _Family(
         fields=("a",), build=explicit,
-        table=lambda m: (_freeze(m.a), 0.0),
+        table_size=lambda m: len(m.a), table_tail=lambda m, n: 0.0,
         coefficients=_explicit_coefficients,
         G=_explicit_G,
         reweight=_explicit_reweight,
@@ -716,7 +697,7 @@ _FAMILIES = {
     ),
     "geometric": _Family(
         fields=("p",), build=geometric,
-        table=_geometric_table,
+        table_size=_geometric_size, table_tail=lambda m, n: (1.0 - m.p) ** n,
         coefficients=_geometric_coefficients,
         G=_geometric_G,
         # p q^n x^n normalizes to a geometric law with ratio q x; its
@@ -726,7 +707,7 @@ _FAMILIES = {
     ),
     "half_stable": _Family(
         fields=(), build=half_stable,
-        table=lambda m: _half_stable_table(),
+        table_size=lambda m: _HALF_STABLE_CAP, table_tail=lambda m, n: _half_stable_tail(n),
         coefficients=lambda m, count: _half_stable_coeffs(count),
         G=_half_stable_G,
         tail=lambda m: 1.5,
@@ -734,14 +715,15 @@ _FAMILIES = {
     ),
     "power_zeta": _Family(
         fields=("alpha",), build=power_zeta,
-        table=lambda m: _power_zeta_table(m.alpha),
+        table_size=lambda m: math.ceil(10.0 ** (12.0 / m.alpha)),
+        table_tail=lambda m, n: float(n + 1) ** -m.alpha,  # telescoping, exact
         coefficients=lambda m, count: _power_zeta_coeffs(m.alpha, count),
         G=_power_zeta_G,
         tail=lambda m: m.alpha,
     ),
     "tilted": _Family(
         fields=(), build=None,
-        table=_tilted_table,
+        table_size=lambda m: _table_size(m.base), table_tail=_tilted_tail,
         coefficients=_tilted_coefficients,
         G=_tilted_G,
         # points compose; at the radius, x (1/x) is 1 in exact arithmetic
@@ -785,13 +767,19 @@ def build_model(spec: Mapping) -> JumpModel:
         raise InvalidSpec(f"bad fields for family {fam!r}: {exc}") from exc
 
 
+def _table_size(model: JumpModel) -> float:
+    """Length of ``model.coeffs`` by the family's size rule, building nothing."""
+    return _FAMILIES[model.family].table_size(model)
+
+
 def exact_coefficients(model: JumpModel, count: int) -> np.ndarray:
     """First ``count`` jump probabilities a_0 .. a_{count-1}, exact per family.
 
     Unlike ``model.coeffs`` this is not truncated at a tail-mass target:
-    every requested index is filled from the family formula.  Convolution
-    work that must be exact termwise (the return-time law up to horizon N
-    only ever sees jumps < N) uses this accessor.
+    every requested index is filled from the family formula, into a fresh
+    array the caller owns.  Work that only ever sees the first jumps (the
+    return-time law up to horizon N sees jumps < N, a sampled path jumps
+    below its cap) uses this accessor.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -7,20 +7,24 @@ the index range across workers, and any grouping of steps into blocks,
 produces the identical merged report; REPAIRCHAIN_THREADS only changes
 how fast it arrives.
 
-Jumps J are drawn by inverse CDF on the model's coefficient table, in
-integers.  A draw keeps the top 53 bits r of its 64-bit word and stands
-for u = r 2^-53.  cum[k] <= u exactly when t_k = ceil(cum[k] 2^53) <= r
-(scaling by a power of two is exact), so the jump is the number of
-thresholds t_k <= r, capped at the last table index.  A guide of 2^16
-buckets on the top 16 bits of r gives that count directly whenever no
-threshold falls strictly inside the bucket; only draws in the other
-buckets binary-search the thresholds (0.0015% of draws on geometric(1/2),
-0.07% on geometric(0.2), 0.13% on half_stable).  Each sampling call
-forms thresholds only for the jumps below `ends` (the cap, or the
-smaller of the escape level and horizon + 1), never more than its
-histogram holds, and caches nothing: down-steps being at most 1, a
-jump of `ends` or more ends a path whatever its size, so a draw past
-them takes the jump `ends` (capped as above).
+Jumps J are drawn by inverse CDF, in integers, on the coefficients
+a_0 .. a_(ends-1) that each sampling call builds from the family formula,
+where `ends` is the cap, or the smaller of the escape level and
+horizon + 1: down-steps being at most 1, a jump of `ends` or more ends a
+path whatever its size.  A draw keeps the top 53 bits r of its 64-bit
+word and stands for u = r 2^-53.  cum[k] <= u exactly when
+t_k = ceil(cum[k] 2^53) <= r (scaling by a power of two is exact), so the
+jump is the number of thresholds t_k <= r, capped at `ends`, or at the
+last index of the model's ``coeffs`` table where that table (whose size
+the family record gives without building it) is not longer: the draws
+are those of that table.  A guide of 2^g buckets on the top g bits of r
+gives that count directly whenever no threshold falls strictly inside
+the bucket; only draws in the other buckets binary-search the thresholds
+(0.0015% of draws on geometric(1/2), 0.07% on geometric(0.2), 0.13% on
+half_stable).  g is 16, or the bit length of the threshold count plus 10
+where that is less, so no more than one bucket in 1024 holds a
+threshold.  Nothing is cached: the coefficients, turned into thresholds
+in place, are never more than the call's histogram holds.
 
 Paths step by X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1).
 First-return sampling advances all active paths of a chunk in blocks of
@@ -46,7 +50,7 @@ A sampling call keeps one histogram of cap + 1 (or horizon + 1) counts,
 which every worker thread adds into under a lock, so its memory does not
 grow with the thread count.  A cap or horizon whose histogram would not
 fit in HIST_BUDGET bytes, like a count below 1, is refused with
-ValueError before the law is classified or its table built.
+ValueError before the law is classified or a coefficient built.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTransient
-from .model import ChainClass, JumpModel, classify
+from .model import ChainClass, JumpModel, _table_size, classify, exact_coefficients
 from .return_time import _integer, eval_F
 
 _CHUNK = 1 << 16  # fixed work unit; never derived from the worker count
@@ -74,10 +78,8 @@ _NP_GOLDEN = np.uint64(_GOLDEN)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# a 64-bit draw keeps r = bits >> 11; its top 16 bits pick the guide bucket
+# a 64-bit draw keeps r = bits >> 11, of 53 bits
 _R_SHIFT = np.uint64(11)
-_GUIDE_SHIFT = np.uint64(48)
-_BUCKET = 1 << 37  # values of r per bucket
 
 DEFAULT_TAU_CAP = 10 ** 6
 DEFAULT_EXIT_HORIZON = 10 ** 4
@@ -99,23 +101,29 @@ def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return _mix64(base + idx * _NP_GOLDEN)
 
 
-def _jump_draw(coeffs: np.ndarray, ends: int):
+def _jump_draw(model: JumpModel, ends: int):
     """Inverse-CDF jump sampler: 64-bit draw words -> jumps (see module doc).
 
-    Thresholds cover coeffs[:ends] only: a draw below the ends-th one gets
-    the jump the whole table gives, any other the jump min(ends, top).
+    Thresholds cover a_0 .. a_(m-1), m = min(ends, n) for the n entries of
+    ``model.coeffs``: a draw below the last of them gets the jump that
+    table gives, any other the cap top = min(ends, n - 1).
     """
-    thresholds = np.cumsum(coeffs[:ends])  # becomes t_k in place: no second array
+    n = _table_size(model)
+    thresholds = exact_coefficients(model, min(ends, n))  # becomes t_k in place
+    np.cumsum(thresholds, out=thresholds)
     thresholds *= 2.0 ** 53
     np.ceil(thresholds, out=thresholds)
-    top = coeffs.size - 1
-    edges = np.arange(1 << 16, dtype=float) * _BUCKET  # lowest r of each bucket
+    top = min(ends, n - 1)
+    bucket_bits = min(16, thresholds.size.bit_length() + 10)
+    width = 1 << (53 - bucket_bits)  # values of r per bucket
+    edges = np.arange(1 << bucket_bits, dtype=float) * width  # lowest r of each bucket
     lo = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
-    hi = np.minimum(np.searchsorted(thresholds, edges + (_BUCKET - 1), side="right"), top)
+    hi = np.minimum(np.searchsorted(thresholds, edges + (width - 1), side="right"), top)
     guide = np.where(lo == hi, lo, -1)
+    shift = np.uint64(64 - bucket_bits)
 
     def draw(bits: np.ndarray) -> np.ndarray:
-        jump = np.take(guide, (bits >> _GUIDE_SHIFT).view(np.int64))
+        jump = np.take(guide, (bits >> shift).view(np.int64))
         miss = np.flatnonzero(jump < 0)
         if miss.size:
             r = (bits[miss] >> _R_SHIFT).astype(float)  # exact: r < 2^53
@@ -196,7 +204,7 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
                cap: int = DEFAULT_TAU_CAP) -> SimReport:
     """First-return times of `samples` paths from 0; bad sizes raise ValueError first."""
     samples, cap = _run_size(samples, cap, "cap")
-    draw = _jump_draw(model.coeffs, cap)
+    draw = _jump_draw(model, cap)
 
     def worker(span, add):
         keys = _sample_keys(seed, *span)
@@ -207,9 +215,11 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
             b = min(cap - step, step + 1, max(1, _CHUNK // n))
             offsets = np.arange(step, step + b, dtype=np.uint64) * _NP_GOLDEN
             # one row of b draws per path, flat; running sums of J - 1
-            walk = draw(_mix64(keys[:, None] + offsets).ravel())
-            walk -= 1
-            np.cumsum(walk, out=walk)
+            steps = draw(_mix64(keys[:, None] + offsets).ravel())
+            steps -= 1
+            # into a second array: two threads summing in place ran no
+            # faster than one
+            walk = np.cumsum(steps)
             ends = walk[b - 1::b]
             # path i is at 0 where its running sum, less the sum carried in
             # from the rows before it, reaches -max(X_i, 1)
@@ -241,7 +251,7 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
     # above this level the probability of ever returning to 0 is < 1e-12
     return_prob = eval_F(model, 1.0)
     escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
-    draw = _jump_draw(model.coeffs, min(escape_level, horizon + 1))
+    draw = _jump_draw(model, min(escape_level, horizon + 1))
     flag_from = horizon - horizon // 10  # strictly above = final 10%
 
     def worker(span, add):

@@ -21,7 +21,7 @@ GEO_HALF = '{"family": "geometric", "p": 0.5}'
 GEO_QUARTER = '{"family": "geometric", "p": 0.25}'
 GEO_THREE_QUARTER = '{"family": "geometric", "p": 0.75}'
 POWER_ZETA_3 = '{"family": "power_zeta", "alpha": 3.0}'
-GEO_TINY = '{"family": "geometric", "p": 1e-7}'  # its table is past the budget
+GEO_TINY = '{"family": "geometric", "p": 1e-7}'  # its ``coeffs`` table is past the budget
 
 
 def run_json(capsys, argv):
@@ -211,11 +211,15 @@ def test_simulate_beyond_histogram_budget(capsys):
 
 
 def test_geometric_beyond_table_budget_is_invalid_spec(capsys):
-    # p = 1e-7 would need 276M coefficients (2.06 GiB); only simulate reads
-    # the table and refuses it
-    assert cli.run(["simulate", "-m", GEO_TINY, "--samples", "10"]) == 2
-    captured = capsys.readouterr()
-    assert "budget" in captured.err and captured.out == ""
+    # p = 1e-7 would need 276M coefficients (2.06 GiB): its table is still
+    # refused, but no verb builds it.  simulate draws from the coefficients
+    # below its cap, and a first jump of about 1e7 puts 9 of the 10 paths
+    # past it at once
+    with pytest.raises(repairchain.InvalidSpec, match="budget"):
+        repairchain.build_model(json.loads(GEO_TINY)).coeffs
+    rec = run_json(capsys, ["simulate", "-m", GEO_TINY, "--samples", "10"])
+    assert rec == {"samples": 10, "seed": 0, "tau_hist": {"1": 1}, "censored": 9,
+                   "cap": 10 ** 6}
     # tilt prints the head of the tilted law, even where that law is itself
     # past the budget (near the radius 1/(1 - p))
     assert cli.run(["tilt", "-m", GEO_TINY, "--x", "1.0000001"]) == 0

@@ -166,17 +166,45 @@ def test_guide_draw_is_exact_at_every_threshold(model):
     from repairchain.sim import _jump_draw
 
     cum = np.cumsum(model.coeffs)
-    top = cum.size - 1
+    n = cum.size
     # the integer thresholds t_k; below cum = 1/2, cum 2^53 need not be whole
     t = np.ceil(cum * 2.0 ** 53).astype(np.int64)
     r = np.concatenate(([0, 2 ** 53 - 1], t - 1, t, t + 1))
     r = r[(r >= 0) & (r < 2 ** 53)].astype(np.uint64)
     low = np.arange(r.size, dtype=np.uint64) & np.uint64(0x7FF)  # ignored bits
     bits = (r << np.uint64(11)) | low
-    want = np.minimum(np.searchsorted(cum, r * 2.0 ** -53, side="right"), top)
-    assert np.array_equal(_jump_draw(model.coeffs, cum.size)(bits), want)
-    # thresholds for a prefix only: every draw past the seventh returns 7
-    assert np.array_equal(_jump_draw(model.coeffs, 7)(bits), np.minimum(want, 7))
+    want = np.searchsorted(cum, r * 2.0 ** -53, side="right")
+    # ends not below the table: the jump the table gives, capped at its last
+    # index; below it, every draw past the ends-th threshold returns ends.
+    # The guide has 2^11, 2^13 or 2^16 buckets across these ends.
+    for ends in (n, n + 1):
+        assert np.array_equal(_jump_draw(model, ends)(bits), np.minimum(want, n - 1)), ends
+    for ends in (1, 3, 7, 100, n - 1):
+        if ends < n:
+            assert np.array_equal(_jump_draw(model, ends)(bits), np.minimum(want, ends)), ends
+
+
+def _closure(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+@pytest.mark.parametrize("model", [
+    rc.geometric(0.5), rc.geometric(0.2), rc.half_stable(), rc.power_zeta(2.1),
+    rc.power_zeta(3.0), rc.explicit([0.1, 0.3, 0.0, 0.6]), rc.tilt(rc.half_stable(), 0.9),
+    rc.tilt(rc.power_zeta(2.5), 0.7)],
+    ids=["geometric(0.5)", "geometric(0.2)", "half_stable", "power_zeta(2.1)",
+         "power_zeta(3)", "explicit", "tilt half_stable", "tilt power_zeta"])
+def test_thresholds_are_those_of_the_table_prefix(model):
+    # built from exact_coefficients, bit for bit the thresholds and cap the
+    # table gives, whether the table is longer than ends or not
+    from repairchain.sim import _jump_draw
+
+    n = model.coeffs.size
+    for ends in (5, 100, 10 ** 5):
+        draw = _jump_draw(model, ends)
+        want = np.ceil(np.cumsum(model.coeffs[:ends]) * 2.0 ** 53)
+        assert _closure(draw, "thresholds").tobytes() == want.tobytes(), ends
+        assert _closure(draw, "top") == (ends if n > ends else n - 1), ends
 
 
 def test_block_arrays_stay_within_a_chunk(monkeypatch):
@@ -215,8 +243,8 @@ def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
 
 
 def test_sampling_again_on_a_shared_table_builds_no_threshold_array(monkeypatch):
-    # half_stable's 16 MiB table is shared by every half_stable model and
-    # built by the first call; the next must not build a copy of its size
+    # no half_stable model shares a table any more: each call at cap 100
+    # builds 100 coefficients, never anything of the 16 MiB table's size
     import tracemalloc
 
     monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
@@ -228,6 +256,42 @@ def test_sampling_again_on_a_shared_table_builds_no_threshold_array(monkeypatch)
     finally:
         tracemalloc.stop()
     assert peak < rc.half_stable().coeffs.nbytes // 4
+
+
+@pytest.mark.parametrize("model", [rc.half_stable, lambda: rc.power_zeta(2.0123)],
+                         ids=["half_stable", "power_zeta(2.0123)"])
+def test_sampling_keeps_no_coefficient_array(model, monkeypatch):
+    # the call builds a_0 .. a_(n-1) once, into the array that becomes its
+    # thresholds, and nothing outlives the model: no function-level cache
+    # keeps a table (2^21 entries for half_stable, 9.2e5 for this alpha)
+    import gc
+    import tracemalloc
+
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    tracemalloc.start()
+    try:
+        m = model()
+        rc.sample_tau(m, 5, 64, cap=4 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+        del m
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6 and held < 2e6, (peak, held)
+
+
+def test_sampling_a_law_past_the_table_budget():
+    # geometric(1e-7)'s table would be 2.06 GiB; the sampler builds only the
+    # coefficients below its cap, and the table itself is still refused
+    from repairchain.errors import InvalidSpec
+
+    geo = rc.geometric(1e-7)
+    rep = rc.sample_tau(geo, 0, 10)
+    assert rep.tau_hist == {1: 1} and rep.censored == 9
+    assert "coeffs" not in geo.__dict__
+    with pytest.raises(InvalidSpec, match="budget"):
+        geo.coeffs
 
 
 def test_histogram_budget(monkeypatch):
@@ -313,7 +377,7 @@ def test_one_histogram_whatever_the_thread_count(threads, monkeypatch):
     monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
     for sample, model in ((rc.sample_tau, rc.geometric(0.65)),
                           (rc.sample_last_exit, rc.geometric(0.25))):
-        sample(model, 1, 10, 10)  # the table is built outside the trace
+        sample(model, 1, 10, 10)  # warmed up outside the trace
         tracemalloc.start()
         try:
             sample(model, 1, samples, size)
