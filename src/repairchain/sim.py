@@ -1,55 +1,44 @@
 """Monte Carlo sampling of first-return and last-exit times.
 
 Sampling is counter-based: sample i derives its own key from the master
-seed by a 64-bit mixing function, and the draw at step j of that sample
-mixes the key with j.  No generator state is shared, so any partition of
-the index range across workers, and any grouping of steps into blocks,
-produces the identical merged report; REPAIRCHAIN_THREADS only changes
-how fast it arrives.
+seed by SplitMix64, and its draw at step j mixes the key with j.  No
+generator state is shared, so any partition of the samples across
+workers, and any grouping of steps into blocks, gives the identical
+merged report; REPAIRCHAIN_THREADS only changes how fast it arrives.
 
 Jumps J are drawn by inverse CDF, in integers, on the coefficients
-a_0 .. a_(ends-1) that each sampling call builds from the family formula,
-where `ends` is the cap, or the smaller of the escape level and
-horizon + 1: down-steps being at most 1, a jump of `ends` or more ends a
-path whatever its size.  A draw keeps the top 53 bits r of its 64-bit
-word and stands for u = r 2^-53.  cum[k] <= u exactly when
-t_k = ceil(cum[k] 2^53) <= r (scaling by a power of two is exact), so the
-jump is the number of thresholds t_k <= r, capped at `ends`, or at the
-last index of the model's ``coeffs`` table where that table (whose size
-the family record gives without building it) is not longer: the draws
-are those of that table.  A guide of 2^g buckets on the top g bits of r
-gives that count directly whenever no threshold falls strictly inside
-the bucket; only draws in the other buckets binary-search the thresholds
-(0.0015% of draws on geometric(1/2), 0.07% on geometric(0.2), 0.13% on
-half_stable).  g is 16, or the bit length of the threshold count plus 10
-where that is less, so no more than one bucket in 1024 holds a
-threshold.  Nothing is cached: the coefficients, turned into thresholds
-in place, are never more than the call's histogram holds.
+a_0 .. a_(ends-1) each call builds from the family formula, `ends` being
+the cap, or the smaller of the escape level and horizon + 1 (a larger
+jump ends a path whatever its size).  A draw keeps the top 53 bits r of
+its 64-bit word and stands for u = r 2^-53: cum[k] <= u exactly when
+t_k = ceil(cum[k] 2^53) <= r, so the jump is the number of thresholds
+t_k <= r, capped as _jump_draw says.  A guide of 2^g buckets on the top
+g bits of r gives that count unless a threshold falls strictly inside
+the bucket, where the draw binary-searches (0.0015% of draws on
+geometric(1/2), 0.13% on half_stable); g = min(16, bit length of the
+threshold count + 10).  The guide reads no bit that the last step of
+SplitMix64, z ^= z >> 31, changes, so only the draws that miss it take
+that step.  Nothing is cached.
 
-Paths step by X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1).
-First-return sampling advances all active paths of a chunk in blocks of
-b steps.  Above 0 a path moves by J - 1 >= -1, so it cannot jump over 0:
-within a block its level after k + 1 steps is max(X, 1) plus the running
-sum of J - 1, up to the first zero of that sequence, which is the return.
-The block length is b = min(cap - step, step + 1, max(1, _CHUNK // active)):
-a block array never exceeds _CHUNK entries, young blocks stay short while
-most paths are still returning, and the thin null-recurrent tail runs in
-a few wide blocks rather than one Python step per time step.  A path
-higher than the steps left before the cap cannot return in time and is
-censored at once; the rest are censored at the cap.
-
+A worker draws every block of its chunk of paths into one working set
+allocated once: three arrays of _CHUNK entries for the draw words (then
+the levels), a scratch array and the jumps.  Paths step by
+X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1), down at most 1 a
+step, so first-return sampling advances all active paths in blocks of b
+steps: max(X, 1) plus the running sums of J - 1 are a path's levels in
+the block until it returns, where they first reach 0, which it does
+exactly when their minimum is at most 0.  b = min(cap - step, step + 1,
+max(1, _CHUNK // active)) keeps young blocks short and runs the thin
+null-recurrent tail in a few wide ones.  A path higher than the steps
+left before the cap, or on a transient law higher than the escape level
+(from where a return has probability below 1e-12), is censored at
+once, the rest at the cap.
 Last-exit sampling (transient chains only) steps one time unit at a
-time and records the last visit to 0 over a fixed horizon; paths are
-retired early once they either sit higher than the steps remaining (a
-return is then impossible, down-steps being at most 1) or clear the
-escape level where the return probability drops below 1e-12, which
-keeps the horizon affordable without touching the counts at any
-believable resolution.
-
-A sampling call keeps one histogram of cap + 1 (or horizon + 1) counts,
-which every worker thread adds into under a lock, so its memory does not
-grow with the thread count.  A cap or horizon whose histogram would not
-fit in HIST_BUDGET bytes, like a count below 1, is refused with
+time, records the last visit to 0 by the horizon, and retires a path
+that sits higher than the steps left or reaches the escape level.  A
+call keeps one histogram of cap + 1 (or horizon + 1) counts, which
+every worker adds into under a lock; a cap or horizon whose histogram
+would pass HIST_BUDGET bytes, like a count below 1, is refused with
 ValueError before the law is classified or a coefficient built.
 """
 
@@ -85,28 +74,33 @@ DEFAULT_TAU_CAP = 10 ** 6
 DEFAULT_EXIT_HORIZON = 10 ** 4
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, applied in place to a freshly built array."""
-    z ^= z >> np.uint64(30)
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer in place on z, but for its last z ^= z >> 31."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
     return z
 
 
-def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    base = np.uint64(seed & _MASK)
-    idx = np.arange(start, stop, dtype=np.uint64)
-    return _mix64(base + idx * _NP_GOLDEN)
+def _sample_keys(seed: int, start: int, stop: int, scratch: np.ndarray) -> np.ndarray:
+    keys = np.arange(start, stop, dtype=np.uint64) * _NP_GOLDEN
+    keys += np.uint64(seed & _MASK)
+    _mix64(keys, scratch[:keys.size])
+    keys ^= np.right_shift(keys, np.uint64(31), out=scratch[:keys.size])
+    return keys
+
+
+def _escape_level(model: JumpModel) -> int:
+    """Least L >= 1 with F(1)^L < 1e-12 on a transient law: the chance of a return from L."""
+    return max(1, math.ceil(math.log(1e-12) / math.log(eval_F(model, 1.0))))
 
 
 def _jump_draw(model: JumpModel, ends: int):
-    """Inverse-CDF jump sampler: 64-bit draw words -> jumps (see module doc).
+    """Inverse-CDF sampler draw(words, scratch, out): jumps into out (see module doc).
 
     Thresholds cover a_0 .. a_(m-1), m = min(ends, n) for the n entries of
-    ``model.coeffs``: a draw below the last of them gets the jump that
-    table gives, any other the cap top = min(ends, n - 1).
+    ``model.coeffs``; a draw past the last of them gets top = min(ends, n - 1).
     """
     n = _table_size(model)
     thresholds = exact_coefficients(model, min(ends, n))  # becomes t_k in place
@@ -117,18 +111,21 @@ def _jump_draw(model: JumpModel, ends: int):
     bucket_bits = min(16, thresholds.size.bit_length() + 10)
     width = 1 << (53 - bucket_bits)  # values of r per bucket
     edges = np.arange(1 << bucket_bits, dtype=float) * width  # lowest r of each bucket
-    lo = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
-    hi = np.minimum(np.searchsorted(thresholds, edges + (width - 1), side="right"), top)
-    guide = np.where(lo == hi, lo, -1)
+    guide = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
+    edges += width - 1  # highest
+    guide[guide != np.minimum(np.searchsorted(thresholds, edges, side="right"), top)] = -1
     shift = np.uint64(64 - bucket_bits)
 
-    def draw(bits: np.ndarray) -> np.ndarray:
-        jump = np.take(guide, (bits >> shift).view(np.int64))
-        miss = np.flatnonzero(jump < 0)
-        if miss.size:
-            r = (bits[miss] >> _R_SHIFT).astype(float)  # exact: r < 2^53
-            jump[miss] = np.minimum(np.searchsorted(thresholds, r, side="right"), top)
-        return jump
+    def draw(words: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _mix64(words, scratch)
+        np.right_shift(words, shift, out=scratch)
+        np.take(guide, scratch.view(np.int64), out=out, mode="clip")
+        if out.min() < 0:
+            miss = np.flatnonzero(out < 0)
+            bits = words[miss]  # take the mix's last step; r < 2^53 is exact as a float
+            r = ((bits ^ (bits >> np.uint64(31))) >> _R_SHIFT).astype(float)
+            out[miss] = np.minimum(np.searchsorted(thresholds, r, side="right"), top)
+        return out
 
     return draw
 
@@ -141,6 +138,12 @@ def _workers() -> int:
         except ValueError:
             pass
     return min(8, os.cpu_count() or 1)
+
+
+def _working_set():
+    """A worker's draw words, scratch and jumps (see module doc)."""
+    return (np.empty(_CHUNK, dtype=np.uint64), np.empty(_CHUNK, dtype=np.uint64),
+            np.empty(_CHUNK, dtype=np.int64))
 
 
 def _chunks(samples: int):
@@ -159,9 +162,8 @@ def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
 def _run_chunks(worker, samples: int, size: int) -> dict:
     """Run worker(span, add) over every chunk; return the sparse histogram.
 
-    add(where, values) adds values into one histogram of `size` counts
-    at where (a slice or an index array, repeats adding up), under a
-    lock, so a call holds that one histogram whatever its thread count.
+    add(where, values) adds values at where (a slice or an index array,
+    repeats adding up) into the call's one histogram, under a lock.
     """
     counts = np.zeros(size, dtype=np.int64)
     lock = threading.Lock()
@@ -205,37 +207,37 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
     """First-return times of `samples` paths from 0; bad sizes raise ValueError first."""
     samples, cap = _run_size(samples, cap, "cap")
     draw = _jump_draw(model, cap)
+    # from above this level a path returns by the cap with probability below 1e-12
+    escape = _escape_level(model) if classify(model) is ChainClass.TRANSIENT else cap
 
     def worker(span, add):
-        keys = _sample_keys(seed, *span)
+        words, scratch, jumps = _working_set()
+        keys = _sample_keys(seed, *span, scratch)
         level = np.zeros(keys.size, dtype=np.int64)
         step = 0
         while step < cap and keys.size:
             n = keys.size
             b = min(cap - step, step + 1, max(1, _CHUNK // n))
             offsets = np.arange(step, step + b, dtype=np.uint64) * _NP_GOLDEN
-            # one row of b draws per path, flat; running sums of J - 1
-            steps = draw(_mix64(keys[:, None] + offsets).ravel())
+            # one row of b draws per path; running sums of J - 1 (flat) into the spent words
+            np.add(keys[:, None], offsets, out=words[:n * b].reshape(n, b))
+            steps = draw(words[:n * b], scratch[:n * b], jumps[:n * b])
             steps -= 1
-            # into a second array: two threads summing in place ran no
-            # faster than one
-            walk = np.cumsum(steps)
-            ends = walk[b - 1::b]
-            # path i is at 0 where its running sum, less the sum carried in
-            # from the rows before it, reaches -max(X_i, 1)
-            target = np.concatenate(([0], ends[:-1])) - np.maximum(level, 1)
-            hits = np.flatnonzero(walk.reshape(n, b) == target[:, None])
-            rows = hits // b
-            first = np.flatnonzero(np.diff(rows, prepend=-1))
-            rows = rows[first]
-            add(slice(step + 1, step + 1 + b), np.bincount(hits[first] - rows * b, minlength=b))
+            rows = np.cumsum(steps, out=words.view(np.int64)[:n * b]).reshape(n, b)
+            # less the sum carried in (a row's first sum less its first step),
+            # plus max(X, 1): each path's level after each step of the block
+            carry = np.subtract(steps[::b], rows[:, 0], out=scratch.view(np.int64)[:n])
+            carry += np.maximum(level, 1, out=level)
+            rows += carry[:, None]
+            back = np.flatnonzero(np.min(rows, axis=1, out=jumps[:n]) <= 0)
+            below = np.take(rows, back, axis=0, out=jumps[:back.size * b].reshape(-1, b),
+                            mode="clip") <= 0
+            add(slice(step + 1, step + 1 + b), np.bincount(np.argmax(below, axis=1), minlength=b))
             step += b
-            level = ends - target
-            # a path higher than the steps left cannot return by the cap
-            kept = level <= cap - step
-            kept[rows] = False
+            kept = rows[:, -1] <= min(cap - step, escape)
+            kept[back] = False
             keys = keys[kept]
-            level = level[kept]
+            level = rows[kept, -1]
 
     hist = _run_chunks(worker, samples, cap + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
@@ -248,25 +250,27 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
     samples, horizon = _run_size(samples, horizon, "horizon")
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("last-exit sampling needs a transient chain")
-    # above this level the probability of ever returning to 0 is < 1e-12
-    return_prob = eval_F(model, 1.0)
-    escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
+    escape_level = _escape_level(model)
     draw = _jump_draw(model, min(escape_level, horizon + 1))
     flag_from = horizon - horizon // 10  # strictly above = final 10%
 
     def worker(span, add):
-        keys = _sample_keys(seed, *span)
-        state = np.zeros(keys.size, dtype=np.int64)
-        last_zero = np.zeros(keys.size, dtype=np.int64)
-        for step in range(horizon):
-            offset = np.uint64((step * _GOLDEN) & _MASK)
-            state = np.maximum(state - 1, 0) + draw(_mix64(keys + offset))
-            now = step + 1
+        words, scratch, jumps = _working_set()
+        keys = _sample_keys(seed, *span, scratch)
+        state = np.zeros(keys.size, dtype=np.int32)
+        last_zero = np.zeros(keys.size, dtype=np.int32)
+        for now in range(1, horizon + 1):
+            n = keys.size
+            np.add(keys, np.uint64(((now - 1) * _GOLDEN) & _MASK), out=words[:n])
+            state -= 1
+            np.maximum(state, 0, out=state)
+            state += draw(words[:n], scratch[:n], jumps[:n])
             last_zero[state == 0] = now
-            done = (state >= escape_level) | (state > horizon - now)
+            # at or above the escape level, or higher than the steps left
+            done = state > min(escape_level - 1, horizon - now)
             if np.any(done):
                 add(last_zero[done], 1)
-                keep = ~done
+                keep = np.logical_not(done, out=done)
                 keys = keys[keep]
                 state = state[keep]
                 last_zero = last_zero[keep]

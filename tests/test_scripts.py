@@ -150,3 +150,33 @@ def test_bench_summary_of_canned_runs():
     assert bench.quartiles([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5, "values": [2.5]}
     with pytest.raises(ValueError):
         bench.parse_run('{"correct": true}\n')
+
+
+def test_bench_pairs_of_canned_runs():
+    # two sides alternate at running first; the table reads each side's
+    # median [q1, q3] (inclusive method) and counts the pairs read lower
+    bench = _script_module("bench")
+    rss = {"parent": [52.0, 51.0, 53.0, 52.5], "change": [47.0, 47.5, 53.5, 46.0]}
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, seconds, trace))
+        i = seed - 40
+        metrics = {"setup_s": 0.2, "wall_s": 6.0 - (checkout == "change") * i,
+                   "peak_rss_mb": rss[checkout][i]}
+        return bench.parse_run(_canned_run(seed, metrics, failed=int(checkout == "change" and i == 3)))
+
+    pairs = bench.run_pairs("parent", "change", "mc_sample", 4, 40, 18, run=run)
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent"] * 2
+    assert [c[2] for c in calls] == [40, 40, 41, 41, 42, 42, 43, 43]
+    assert {c[1] for c in calls} == {"mc_sample"} and {c[3:] for c in calls} == {(18, 0)}
+    assert [p[0]["result"]["metrics"]["peak_rss_mb"]["value"] for p in pairs] == rss["parent"]
+    assert bench.paired_lines(pairs) == [
+        "setup_s: 0.2 [0.2, 0.2] -> 0.2 [0.2, 0.2], lower in 0/4 pairs, medians +0 "
+        "against a parent interquartile distance of 0",
+        "wall_s: 6 [6, 6] -> 4.5 [3.75, 5.25], lower in 3/4 pairs, medians -1.5 "
+        "against a parent interquartile distance of 0",
+        "peak_rss_mb: 52.25 [51.75, 52.62] -> 47.25 [46.75, 49], lower in 3/4 pairs, "
+        "medians -5 against a parent interquartile distance of 0.875",
+        "failed: 0 of 40 -> 1 of 40",
+    ]

@@ -159,6 +159,38 @@ def test_sample_last_exit_matches_stepwise_oracle(name, monkeypatch):
                 assert got == want, (samples, horizon, threads)
 
 
+def _unxorshift(z, k):
+    # x with x ^ (x >> k) = z: the xor of z >> jk over jk < 64
+    x = z.copy()
+    for s in range(k, 64, k):
+        x ^= z >> np.uint64(s)
+    return x
+
+
+def _unmix64(words):
+    """The counters whose full SplitMix64 mix is `words`: the finalizer run backwards."""
+    z = _unxorshift(words, 31) * np.uint64(pow(0x94D049BB133111EB, -1, 1 << 64))
+    z = _unxorshift(z, 27) * np.uint64(pow(0xBF58476D1CE4E5B9, -1, 1 << 64))
+    return _unxorshift(z, 30)
+
+
+def _draw(draw, counters):
+    """The jumps draw gives for `counters`, through buffers of their size."""
+    return draw(counters.copy(), np.empty_like(counters), np.empty(counters.size, np.int64))
+
+
+def _threshold_words(cum, low_bits):
+    """Draw words whose r = word >> 11 is t - 1, t and t + 1 for every threshold t.
+
+    Below cum = 1/2, cum 2^53 need not be whole; t = ceil(cum 2^53).  The low 11
+    bits, which no draw reads, are `low_bits`.
+    """
+    t = np.ceil(cum * 2.0 ** 53).astype(np.int64)
+    r = np.concatenate(([0, 2 ** 53 - 1], t - 1, t, t + 1))
+    r = r[(r >= 0) & (r < 2 ** 53)].astype(np.uint64)
+    return (r << np.uint64(11)) | (low_bits(r.size) & np.uint64(0x7FF))
+
+
 @pytest.mark.parametrize("model", [rc.geometric(0.5), rc.half_stable(),
                                    rc.explicit([0.1, 0.3, 0.0, 0.6])],
                          ids=["geometric(0.5)", "half_stable", "explicit internal zeros"])
@@ -167,21 +199,51 @@ def test_guide_draw_is_exact_at_every_threshold(model):
 
     cum = np.cumsum(model.coeffs)
     n = cum.size
-    # the integer thresholds t_k; below cum = 1/2, cum 2^53 need not be whole
-    t = np.ceil(cum * 2.0 ** 53).astype(np.int64)
-    r = np.concatenate(([0, 2 ** 53 - 1], t - 1, t, t + 1))
-    r = r[(r >= 0) & (r < 2 ** 53)].astype(np.uint64)
-    low = np.arange(r.size, dtype=np.uint64) & np.uint64(0x7FF)  # ignored bits
-    bits = (r << np.uint64(11)) | low
-    want = np.searchsorted(cum, r * 2.0 ** -53, side="right")
+    words = _threshold_words(cum, lambda size: np.arange(size, dtype=np.uint64))
+    counters = _unmix64(words)
+    assert np.array_equal(oracles._mix64(counters), words)
+    want = np.searchsorted(cum, (words >> np.uint64(11)) * 2.0 ** -53, side="right")
     # ends not below the table: the jump the table gives, capped at its last
     # index; below it, every draw past the ends-th threshold returns ends.
     # The guide has 2^11, 2^13 or 2^16 buckets across these ends.
     for ends in (n, n + 1):
-        assert np.array_equal(_jump_draw(model, ends)(bits), np.minimum(want, n - 1)), ends
+        assert np.array_equal(_draw(_jump_draw(model, ends), counters),
+                              np.minimum(want, n - 1)), ends
     for ends in (1, 3, 7, 100, n - 1):
         if ends < n:
-            assert np.array_equal(_jump_draw(model, ends)(bits), np.minimum(want, ends)), ends
+            assert np.array_equal(_draw(_jump_draw(model, ends), counters),
+                                  np.minimum(want, ends)), ends
+
+
+@pytest.mark.parametrize("model", [
+    rc.geometric(0.5), rc.geometric(0.2), rc.half_stable(), rc.power_zeta(2.1),
+    rc.explicit([0.1, 0.3, 0.0, 0.6]), rc.tilt(rc.power_zeta(2.5), 0.7)],
+    ids=["geometric(0.5)", "geometric(0.2)", "half_stable", "power_zeta(2.1)", "explicit",
+         "tilt power_zeta"])
+def test_partial_mix_draw_is_the_full_splitmix_draw(model):
+    # the draw skips SplitMix64's last z ^= z >> 31 on guide hits; every jump
+    # must still be searchsorted(cum, (full mix >> 11) 2^-53), on random
+    # counters and on those whose words sit at t - 1, t and t + 1 of every
+    # threshold, where the guide misses
+    from repairchain.sim import _jump_draw
+
+    rng = np.random.default_rng(20240611)
+    ends = 5000
+    cum = np.cumsum(model.coeffs[:ends])
+    top = min(ends, model.coeffs.size - 1)
+
+    def bits(size):
+        return rng.integers(0, 2 ** 64, size=size, dtype=np.uint64)
+
+    counters = np.concatenate((bits(10 ** 5), _unmix64(_threshold_words(cum, bits))))
+    words = oracles._mix64(counters)
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    want = np.minimum(np.searchsorted(cum, u, side="right"), top)
+    draw = _jump_draw(model, ends)
+    assert np.array_equal(_draw(draw, counters), want)
+    # both kinds of draw were made: guide hits and misses
+    misses = _closure(draw, "guide")[(words >> _closure(draw, "shift")).astype(np.int64)] < 0
+    assert 0 < np.count_nonzero(misses) < misses.size // 2
 
 
 def _closure(fn, name):
@@ -207,22 +269,41 @@ def test_thresholds_are_those_of_the_table_prefix(model):
         assert _closure(draw, "top") == (ends if n > ends else n - 1), ends
 
 
+def _record_draws(monkeypatch, limit=10 ** 4):
+    """Record every sampler draw: a list of (size, words, scratch and out addresses).
+
+    A call that makes more than `limit` draws fails at once.
+    """
+    from repairchain import sim
+
+    calls = []
+    jump_draw = sim._jump_draw
+
+    def recording_jump_draw(model, ends):
+        draw = jump_draw(model, ends)
+
+        def recording_draw(words, scratch, out):
+            calls.append((words.size, words.ctypes.data, scratch.ctypes.data, out.ctypes.data))
+            assert len(calls) <= limit, "still stepping"
+            return draw(words, scratch, out)
+
+        return recording_draw
+
+    monkeypatch.setattr(sim, "_jump_draw", recording_jump_draw)
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    return calls
+
+
 def test_block_arrays_stay_within_a_chunk(monkeypatch):
     from repairchain import sim
 
-    sizes = []
-    mix = sim._mix64
-
-    def recording_mix(z):
-        sizes.append(z.size)
-        return mix(z)
-
-    monkeypatch.setattr(sim, "_mix64", recording_mix)
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    calls = _record_draws(monkeypatch)
     rc.sample_tau(rc.geometric(0.5), 3, 4096, cap=5000)
     # blocks widen as paths return, but never past one chunk of draws
-    assert max(sizes) <= sim._CHUNK
-    assert len(sizes) < 100  # far fewer blocks than the 5000 steps
+    assert max(size for size, *_ in calls) <= sim._CHUNK
+    assert len(calls) < 100  # far fewer blocks than the 5000 steps
+    # and every block of the one chunk draws into the same three arrays
+    assert len({tuple(addresses) for _, *addresses in calls}) == 1
 
 
 def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
@@ -385,3 +466,69 @@ def test_one_histogram_whatever_the_thread_count(threads, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (size + 1) * 8, (sample.__name__, peak)
+
+
+@pytest.mark.parametrize("model", [
+    rc.geometric(0.25), rc.geometric(0.45), rc.explicit([0.2, 0.3, 0.5]),
+    rc.explicit([0.5 - 5e-7, 0.0, 0.5 + 5e-7])],
+    ids=["geometric(0.25)", "geometric(0.45)", "explicit [0.2, 0.3, 0.5]", "mu - 1 = 1e-6"])
+def test_escape_level_is_the_first_level_below_1e_12(model):
+    # from level L a transient chain ever returns to 0 with probability F(1)^L;
+    # both samplers retire paths from the first L where that is below 1e-12
+    from repairchain.sim import _escape_level
+
+    assert model.mu > 1.0
+    r = rc.eval_F(model, 1.0)
+    level = _escape_level(model)
+    assert r ** level < 1e-12 <= r ** (level - 1), (r, level)
+
+
+def test_transient_paths_are_censored_at_the_escape_level(geo_quarter, monkeypatch):
+    # a path above the escape level is retired, not stepped on until it is
+    # higher than the steps left: at the default cap of 10^6, 2/3 of the
+    # paths of geometric(1/4) escape, and they leave within a few blocks
+    want = rc.sample_tau(geo_quarter, 3, 20_000, cap=1000)
+    calls = _record_draws(monkeypatch, limit=1000)
+    rep = rc.sample_tau(geo_quarter, 3, 20_000)
+    assert len(calls) < 100
+    assert rep.tau_hist == want.tau_hist and rep.censored == want.censored
+
+
+# tracemalloc peak, in MB, of one call on 2^17 samples (two chunks) at one
+# and at two threads.  A kernel that built fresh temporaries for every
+# block read 5.1 / 7.3-8.9 (median 8.6), 5.6 / 9.8-10.2 and 4.1 / 7.4-7.9
+# MB here; with both threads at their first block at once, the working
+# sets read 3.8 / 7.1, 4.3 / 7.9 and 3.6 / 6.8 MB at most.
+MEMORY_CASES = {
+    "sample_tau geometric(0.5) cap 8000": (rc.sample_tau, lambda: rc.geometric(0.5), 8000),
+    "sample_tau power_zeta(3.12) cap 10^4": (rc.sample_tau, lambda: rc.power_zeta(3.12), 10 ** 4),
+    "sample_last_exit geometric(0.22)": (rc.sample_last_exit, lambda: rc.geometric(0.22), 10 ** 4),
+}
+MEMORY_BOUNDS = {
+    ("sample_tau geometric(0.5) cap 8000", "1"): 4.6,
+    ("sample_tau geometric(0.5) cap 8000", "2"): 8.0,
+    ("sample_tau power_zeta(3.12) cap 10^4", "1"): 4.9,
+    ("sample_tau power_zeta(3.12) cap 10^4", "2"): 9.0,
+    ("sample_last_exit geometric(0.22)", "1"): 3.9,
+    ("sample_last_exit geometric(0.22)", "2"): 7.0,
+}
+
+
+@pytest.mark.parametrize("case, threads", sorted(MEMORY_BOUNDS))
+def test_working_set_peak(case, threads, monkeypatch):
+    # each worker draws into one working set of three chunk-sized arrays;
+    # the peak is about one working set and the chunk's path arrays per
+    # thread, plus the guide
+    import tracemalloc
+
+    sample, model, size = MEMORY_CASES[case]
+    model = model()
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
+    sample(model, 1, 10, 10)  # warmed up outside the trace
+    tracemalloc.start()
+    try:
+        sample(model, 7, 1 << 17, size)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < MEMORY_BOUNDS[case, threads], peak
