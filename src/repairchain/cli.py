@@ -66,8 +66,6 @@ def _to_json(value) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return _fmt_float(value)
     if isinstance(value, int):
@@ -221,10 +219,7 @@ def _do_moments(model, args):
 
 
 def _verdict_record(v) -> dict:
-    rec = {"quantity": v.quantity, "verdict": v.verdict.value, "reason": v.reason}
-    if v.diagnostics:
-        rec["diagnostics"] = v.diagnostics
-    return rec
+    return {"quantity": v.quantity, "verdict": v.verdict.value, "reason": v.reason}
 
 
 def _do_finite(model, args):

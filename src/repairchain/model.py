@@ -27,7 +27,8 @@ coefficients come from ``exact_coefficients``, as long as the caller
 asks, and only the code that builds arrays imports numpy, so
 classifying a law, tilting it or evaluating its G allocates no array
 and loads no numpy.  The truncated table ``coeffs`` stays for API
-users; no function of the package reads it.
+users and for the benchmark's tracer, which reads its size; no function
+of the package reads it.
 
 All per-family knowledge lives in one table, ``_FAMILIES``, one record
 per family (see ``_Family``).  Public functions validate, then do one
@@ -54,13 +55,12 @@ if TYPE_CHECKING:
 # Chains with |mu - 1| below this tolerance are treated as critical.
 CRITICAL_TOL = 1e-12
 
-# Certified tail-mass target of the geometric ``coeffs`` table.
+# Tail-mass target of the geometric ``coeffs`` table's size rule.
 _TAIL_TARGET = 1e-12
 
 # The half_stable tail decays like n^{-3/2}; reaching 1e-12 would need
-# ~3e7 coefficients.  Cap the table and keep the certified bound that
-# the cap actually achieves (about 6e-11, still inside the 1e-10 budget
-# on the table's sum).
+# ~3e7 coefficients, so the table stops at 2^21 of them, leaving out a
+# mass of about 6e-11.
 _HALF_STABLE_CAP = 1 << 21
 
 # entries per block of the half_stable ratios: 32 KiB temporaries
@@ -87,12 +87,12 @@ class JumpModel:
     """Immutable jump law plus its exact summaries.
 
     ``mu`` and ``radius`` are exact where the family allows (they always
-    do for the bundled families).  ``coeffs`` holds a_0 .. a_(n-1) with
-    certified tail mass at most ``tail_bound``, n from the family's size
-    rule; it is built on first use and kept with the model.  No function
-    of the package reads it: the sampler builds only the prefix it draws
-    from.  It stays for API users and for the benchmark's tracer, which
-    reads its size, until that tracer is revised.
+    do for the bundled families).  ``coeffs`` holds a_0 .. a_(n-1), n
+    from the family's size rule; it is built on first use and kept with
+    the model.  No function of the package reads it: the sampler builds
+    only the prefix it draws from, capped at n.  It stays for API users
+    and for the benchmark's tracer, which reads its size, until that
+    tracer is revised.
     """
 
     family: str
@@ -106,7 +106,8 @@ class JumpModel:
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        """Read-only ``exact_coefficients(self, n)``; past the budget, InvalidSpec."""
+        """Read-only ``exact_coefficients(self, n)``, for API users and the
+        benchmark's tracer; past the budget, InvalidSpec."""
         n = _table_size(self)
         if n * 8 > GEOMETRIC_TABLE_BUDGET:
             raise InvalidSpec(f"{self!r} needs {n} coefficients, above the "
@@ -116,15 +117,10 @@ class JumpModel:
         return coeffs
 
     @property
-    def tail_bound(self) -> float:
-        """Certified bound on the mass after ``coeffs``; builds the table."""
-        return _FAMILIES[self.family].table_tail(self, self.coeffs.size)
-
-    @property
     def a0(self) -> float:
         return float(exact_coefficients(self, 1)[0])
 
-    def __repr__(self) -> str:  # keep reprs short, the cache can be huge
+    def __repr__(self) -> str:  # the family, its parameter and mu
         extra = ""
         if self.p is not None:
             extra = f", p={self.p}"
@@ -205,13 +201,6 @@ def _geometric_size(m: JumpModel) -> float:
     # (p below 2^-54)
     q = 1.0 - m.p
     return math.ceil(math.log(_TAIL_TARGET) / math.log(q)) if q < 1.0 else math.inf
-
-
-@lru_cache(maxsize=1)  # one float, keyed on n alone: it keeps no model or table alive
-def _half_stable_tail(n: int) -> float:
-    # a_k * k^{5/2} decreases, so the tail after a_{n-1} is at most
-    # a_{n-1} (n-1)^{5/2} * integral_{n-1}^inf x^{-5/2} dx = (2/3) a_{n-1} (n-1)
-    return (2.0 / 3.0) * float(_half_stable_coeffs(n)[-1]) * (n - 1)
 
 
 def _half_stable_coeffs(count: int) -> np.ndarray:
@@ -639,11 +628,6 @@ def _tilted(base: JumpModel, x: float) -> JumpModel:
     )
 
 
-def _tilted_tail(m: JumpModel, n: int) -> float:
-    base, x = m.base, m.tilt_x
-    return max(_FAMILIES[base.family].table_tail(base, n) * x ** n / eval_G(base, x, 0), 5e-324)
-
-
 def _tilted_coefficients(m: JumpModel, count: int) -> np.ndarray:
     import numpy as np
 
@@ -675,7 +659,6 @@ class _Family:
     fields: tuple[str, ...]         # spec fields, in the order build takes them
     build: Callable | None          # the constructor
     table_size: Callable            # model -> n, the length of ``coeffs``, without building it
-    table_tail: Callable            # (model, n) -> certified mass after a_(n-1)
     coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1)
     G: Callable                     # (model, t, order) -> G^(order)(t), +inf beyond the radius
     reweight: Callable = _tilted    # (model, x) -> a_j x^j / G(x), for x != 1 with G(x) < inf
@@ -688,7 +671,7 @@ class _Family:
 _FAMILIES = {
     "explicit": _Family(
         fields=("a",), build=explicit,
-        table_size=lambda m: len(m.a), table_tail=lambda m, n: 0.0,
+        table_size=lambda m: len(m.a),
         coefficients=_explicit_coefficients,
         G=_explicit_G,
         reweight=_explicit_reweight,
@@ -697,7 +680,7 @@ _FAMILIES = {
     ),
     "geometric": _Family(
         fields=("p",), build=geometric,
-        table_size=_geometric_size, table_tail=lambda m, n: (1.0 - m.p) ** n,
+        table_size=_geometric_size,
         coefficients=_geometric_coefficients,
         G=_geometric_G,
         # p q^n x^n normalizes to a geometric law with ratio q x; its
@@ -707,7 +690,7 @@ _FAMILIES = {
     ),
     "half_stable": _Family(
         fields=(), build=half_stable,
-        table_size=lambda m: _HALF_STABLE_CAP, table_tail=lambda m, n: _half_stable_tail(n),
+        table_size=lambda m: _HALF_STABLE_CAP,
         coefficients=lambda m, count: _half_stable_coeffs(count),
         G=_half_stable_G,
         tail=lambda m: 1.5,
@@ -716,14 +699,13 @@ _FAMILIES = {
     "power_zeta": _Family(
         fields=("alpha",), build=power_zeta,
         table_size=lambda m: math.ceil(10.0 ** (12.0 / m.alpha)),
-        table_tail=lambda m, n: float(n + 1) ** -m.alpha,  # telescoping, exact
         coefficients=lambda m, count: _power_zeta_coeffs(m.alpha, count),
         G=_power_zeta_G,
         tail=lambda m: m.alpha,
     ),
     "tilted": _Family(
         fields=(), build=None,
-        table_size=lambda m: _table_size(m.base), table_tail=_tilted_tail,
+        table_size=lambda m: _table_size(m.base),
         coefficients=_tilted_coefficients,
         G=_tilted_G,
         # points compose; at the radius, x (1/x) is 1 in exact arithmetic

@@ -368,8 +368,9 @@ def half_stable_coeffs(count: int) -> np.ndarray:
 
 
 def eager_table(model) -> tuple[np.ndarray, float]:
-    """(coeffs, tail_bound) as the constructors built them eagerly, by the
-    same expressions, before tables were built on first use."""
+    """(coeffs, tail) as the constructors built them eagerly, by the same
+    expressions, before tables were built on first use: the table of
+    ``model.coeffs`` and a certified bound on the mass after it."""
     from repairchain.model import eval_G
 
     if model.family == "explicit":  # the stored list is the whole law

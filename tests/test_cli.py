@@ -5,11 +5,13 @@ what gets exercised, not a subprocess harness.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repairchain
@@ -524,3 +526,73 @@ def test_array_verbs_load_numpy(argv):
             f"status = cli.run({argv!r} + ['-m', {GEO_HALF!r}]); "
             f"print(status, 'numpy' in sys.modules)")
     assert _child_stdout(code).splitlines()[-1] == "0 True"
+
+
+# ---------------------------------------------------------------------------
+# what no spec reaches
+
+
+def _spec_grids():
+    """Specs of every family a spec can name: edges of each parameter range,
+    and seeded explicit laws, positive recurrent ones with long supports
+    among them."""
+    rng = np.random.default_rng(23)
+    explicit = []
+    for i in range(300):
+        w = rng.exponential(size=int(rng.integers(3, 8 if i % 3 else 400)))
+        if i % 3 == 0:  # w_0 above sum n w_n: mu < 1 whatever the support's length
+            w[0] = (np.arange(w.size) * w).sum() * rng.uniform(1.0, 5.0)
+        a = (w / math.fsum(w)).tolist()
+        a[0] += 1.0 - math.fsum(a)
+        if a[0] + a[1] < 0.999:
+            explicit.append({"family": "explicit", "a": a})
+    ps = [1e-7, 1e-4, 0.01, 0.1, 0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.7, 0.9, 1.0 - 1e-9]
+    alphas = [2.0 + 1e-9, 2.0 + 1e-6, 2.01, 2.5, 3.0, 4.5, 7.0, 12.0, 25.0, 50.0]
+    return {
+        "explicit": explicit,
+        "geometric": [{"family": "geometric", "p": p} for p in ps],
+        "half_stable": [{"family": "half_stable"}],
+        "power_zeta": [{"family": "power_zeta", "alpha": a} for a in alphas],
+    }
+
+
+def test_no_spec_reaches_the_boundary_case(capsys):
+    # only a law with a boundary law at its radius (a library tilt of
+    # half_stable or power_zeta) can be BoundaryCase, so no CLI record
+    # carries the diagnostics of its R1-weighted verdict
+    from repairchain.decay import CaseLabel, decay_params
+    from repairchain.model import _FAMILIES
+
+    grids = _spec_grids()
+    assert set(grids) == {name for name, rec in _FAMILIES.items() if rec.build}
+    assert len(grids["explicit"]) >= 250
+    labels = set()
+    for name, specs in grids.items():
+        for spec in specs:
+            model = repairchain.build_model(spec)
+            assert _FAMILIES[name].boundary(model) is None, spec
+            label = decay_params(model).case_label
+            assert label is not CaseLabel.BOUNDARY_CASE, spec
+            labels.add(label)
+            verdict = repairchain.tau_alpha_finite(model, 0.5, r1_weighted=True)
+            assert verdict.diagnostics == {}, spec
+            rec = run_json(capsys, ["finite", "-m", json.dumps(spec), "--alpha", "0.5",
+                                    "--r1-weighted"])
+            assert set(rec) == {"quantity", "verdict", "reason"}, spec
+    assert labels == set(CaseLabel) - {CaseLabel.BOUNDARY_CASE}
+
+
+def test_main_exits_with_the_status_of_run(monkeypatch, capsys):
+    import runpy
+    import warnings
+
+    for argv, status in (([], 1), (["classify", "-m", GEO_HALF], 0)):
+        monkeypatch.setattr(sys, "argv", ["repairchain", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == status
+        with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # cli is already imported
+            runpy.run_module("repairchain.cli", run_name="__main__")
+        assert exc.value.code == status
+    assert capsys.readouterr().out.splitlines() == ['{"class": "null_recurrent", "mu": 1.0}'] * 2

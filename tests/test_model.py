@@ -17,7 +17,7 @@ def test_geometric_cache_matches_closed_form():
     want = oracles.geometric_jumps(0.25, m.coeffs.size)
     # vectorized powers may differ from scalar powers by an ulp
     assert np.all(np.abs(m.coeffs - want) <= np.spacing(want))
-    assert m.tail_bound < 1e-12
+    assert 0.0 < 1.0 - math.fsum(m.coeffs) < 1e-12
     assert m.a0 == 0.25
     assert m.radius == pytest.approx(4.0 / 3.0, abs=1e-15)
 
@@ -32,8 +32,8 @@ def test_half_stable_cache_matches_rational_oracle():
     got = m.coeffs[:200]
     assert np.max(np.abs(got - want)) < 1e-17
     # cache cannot reach the 1e-12 tail target for a 3/2-power law;
-    # the certified bound it does carry is still honest
-    assert m.tail_bound < 1e-10
+    # the mass it leaves out stays below 1e-10
+    assert 0.0 < 1.0 - math.fsum(m.coeffs) < 1e-10
     assert m.mu == 1.0
     assert m.radius == 1.0
 
@@ -43,7 +43,7 @@ def test_power_zeta_cache_and_mu():
     want = oracles.power_zeta_jumps(3.0, 50)
     assert np.max(np.abs(m.coeffs[:50] - want)) == 0.0
     assert m.mu == pytest.approx(oracles.zeta_by_summation(3.0) - 1.0, abs=1e-13)
-    assert m.tail_bound <= 1e-12
+    assert 0.0 < 1.0 - math.fsum(m.coeffs) <= 1e-12
     assert m.radius == 1.0
 
 
@@ -109,8 +109,6 @@ def test_geometric_table_budget(monkeypatch):
         assert m.mu == (1.0 - p) / p
         with pytest.raises(InvalidSpec, match="budget"):
             m.coeffs
-        with pytest.raises(InvalidSpec, match="budget"):
-            m.tail_bound
     assert rc.geometric(1e-5).coeffs.size == n_terms(1e-5)
 
 
@@ -140,11 +138,10 @@ LAZY_TABLE_CASES = {
 @pytest.mark.parametrize("name", sorted(LAZY_TABLE_CASES))
 def test_table_built_on_first_use_matches_eager_construction(name):
     m = LAZY_TABLE_CASES[name]()
-    assert "coeffs" not in vars(m) and "_tail_bound" not in vars(m)
+    assert "coeffs" not in vars(m)
     a0 = m.a0  # from exact_coefficients, so it builds no table either
     assert "coeffs" not in vars(m)
-    want, tail = oracles.eager_table(m)
-    assert m.tail_bound == tail
+    want, _ = oracles.eager_table(m)
     assert m.coeffs.dtype == want.dtype and m.coeffs.tobytes() == want.tobytes()
     assert not m.coeffs.flags.writeable
     assert a0 == m.coeffs[0]
@@ -224,7 +221,7 @@ def test_build_model_schema():
 def test_cache_mass_accounts_for_tail(family_model):
     total = math.fsum(family_model.coeffs)
     assert total <= 1.0 + 1e-12
-    assert total + family_model.tail_bound >= 1.0 - 1e-10
+    assert total + oracles.eager_table(family_model)[1] >= 1.0 - 1e-10
 
 
 def test_exact_coefficients_extends_geometric():
@@ -348,7 +345,8 @@ def test_geometric_tilt_parameter_against_fraction(p, x, rel):
 
 def test_tilt_keeps_explicit_laws_explicit():
     m = rc.tilt(rc.explicit([0.5, 0.2, 0.3]), 2.0)
-    assert m.family == "explicit" and m.radius == math.inf and m.tail_bound == 0.0
+    assert m.family == "explicit" and m.radius == math.inf
+    assert math.fsum(m.coeffs) == pytest.approx(1.0, abs=1e-15)
     assert list(m.coeffs) == pytest.approx([0.5 / 2.1, 0.4 / 2.1, 1.2 / 2.1], rel=1e-15)
 
 
@@ -518,3 +516,38 @@ def test_eval_G_power_zeta_past_its_table(alpha, t, order, table_error):
     want = oracles.power_zeta_G_mpmath(alpha, t, [order])[0]
     assert abs(oracles.eval_G_by_series(m, t, order) / want - 1.0) > table_error
     assert rc.eval_G(m, t, order) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_composed_tilt_that_rounds_to_one_is_the_base():
+    # 1.5384615384615385 is one ulp above the radius 1/0.65 of the inner
+    # tilt, so not its radius, but 0.65 times it rounds to exactly 1
+    base = rc.half_stable()
+    inner = rc.tilt(base, 0.65)
+    x = 1.5384615384615385
+    assert x != inner.radius and 0.65 * x == 1.0
+    assert rc.tilt(inner, x) is base
+
+
+def test_tilted_G_past_the_radius_is_inf_where_the_scale_underflows():
+    # x^2 = 1e-600 underflows to 0, and 0 * inf would be nan
+    m = rc.tilt(rc.half_stable(), 1e-300)
+    assert 2e300 > m.radius
+    assert rc.eval_G(m, 2e300, 2) == math.inf
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: rc.build_model([1]), InvalidSpec, "must be a mapping"),
+    (lambda: rc.exact_coefficients(rc.explicit([0.5, 0.2, 0.3]), 0), ValueError, "at least 1"),
+    (lambda: rc.eval_G(rc.explicit([0.5, 0.2, 0.3]), -1.0), ValueError, "nonnegative real"),
+    (lambda: rc.eval_G(rc.explicit([0.5, 0.2, 0.3]), 0.5, -1), ValueError, "order must"),
+], ids=["build_model list", "exact_coefficients 0", "eval_G t=-1", "eval_G order=-1"])
+def test_model_entry_points_refuse_bad_arguments(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
+
+
+def test_repr_names_the_parameter():
+    assert repr(rc.geometric(0.25)) == "JumpModel(geometric, p=0.25, mu=3)"
+    assert repr(rc.power_zeta(3.0)) == "JumpModel(power_zeta, alpha=3.0, mu=0.202057)"
+    assert repr(rc.tilt(rc.power_zeta(2.5), 0.9)) == "JumpModel(tilted, tilt_x=0.9, mu=0.243556)"
+    assert repr(rc.half_stable()) == "JumpModel(half_stable, mu=1)"

@@ -256,6 +256,46 @@ def test_pmf_certificate_passes_structural_zeros(monkeypatch):
     assert np.flatnonzero(got[1:] == 0.0).tolist() == [1, 2, 4, 7]
 
 
+@pytest.mark.parametrize("a", [[0.5, 0.0, 0.2, 0.0, 0.2, 0.1], [0.6, 0.0, 0.0, 0.4]])
+def test_pmf_certificate_reads_sums_of_jumps(a):
+    # a zero f_n is accepted exactly where n - 1 is no sum of positive
+    # jumps; with jumps 2, 4 and 5, 4 is a jump and a sum of 2s too
+    from repairchain import return_time
+
+    law = rc.explicit(a)
+    sums = {0}
+    for _ in range(64):
+        sums |= {s + j for s in sums for j in range(1, len(a)) if a[j] and s + j < 64}
+    structural = [i for i in range(64) if i not in sums]
+    f = rc.return_pmf(law, 64).f
+    assert np.flatnonzero(f[1:] == 0.0).tolist() == structural
+    assert return_time._certified(f, law)
+    for n in range(1, 65):
+        planted = f.copy()
+        planted[n] = 0.0
+        assert return_time._certified(planted, law) == (n - 1 in structural), n
+
+
+def test_series_products_of_nothing_are_empty():
+    # a series flushed to nothing, and a product that starts past x^(n-1)
+    from repairchain.return_time import _head_product, _trimmed
+
+    lo, c = _trimmed(3, np.zeros(4))
+    assert lo == 3 and c.size == 0
+    lo, c = _head_product((0, np.ones(2)), (0, np.full(3, 1e-300)), 4, 1e-200)
+    assert c.size == 0
+    for a, k in (((5, np.ones(2)), (0, np.ones(3))), ((0, np.ones(2)), (0, np.ones(0)))):
+        lo, c = _head_product(a, k, 4, 0.0)
+        assert c.size == 0, (a, k)
+
+
+def test_integral_floats_are_taken_as_their_integers():
+    m = rc.geometric(0.75)
+    got, want = rc.tau_moment(m, 2.0), rc.tau_moment(m, 2)
+    assert got == want and type(got.k) is int
+    assert rc.return_pmf(m, 16.0).f.tobytes() == rc.return_pmf(m, 16).f.tobytes()
+
+
 def test_pmf_table_budget(monkeypatch):
     from repairchain import return_time
 

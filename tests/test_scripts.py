@@ -180,3 +180,19 @@ def test_bench_pairs_of_canned_runs():
         "medians -5 against a parent interquartile distance of 0.875",
         "failed: 0 of 40 -> 1 of 40",
     ]
+
+
+def test_line_coverage_lists_the_statements_a_run_never_reaches():
+    # test_series_tools.py never feeds block_ratio_diagnostic an early
+    # block of zeros before a late block that is not
+    proc = _run_script(["line_coverage.py", "-q", "-p", "no:cacheprovider",
+                        str(ROOT / "tests" / "test_series_tools.py")])
+    assert proc.returncode == 0, proc.stderr
+    listed = [line for line in proc.stdout.splitlines() if line.startswith("src/repairchain/")]
+    tools = [line for line in listed if line.startswith("src/repairchain/series_tools.py:")]
+    assert any(line.endswith(': return math.inf, "appears divergent"') for line in tools)
+    assert not any(line.endswith(': return ratio, "appears summable"') for line in tools)
+    # the samplers never run here, but definitions and docstrings are not
+    # statements that run, the nested worker functions' included
+    assert any(line.startswith("src/repairchain/sim.py:") for line in listed)
+    assert not any(": def " in line or ': """' in line for line in listed)

@@ -50,6 +50,9 @@ def test_partial_sum_ratio_validation():
         partial_sum_ratio(np.array([0.5, 1.0]), 4)  # increasing
     with pytest.raises(ValueError):
         partial_sum_ratio(np.array([0.5, -0.1]), 4)  # negative
+    for bad in (np.array([[0.5, 0.2], [0.1, 0.0]]), np.array([])):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            partial_sum_ratio(bad, 4)
 
 
 def test_partial_sum_ratio_stays_banded(family_model):

@@ -81,6 +81,17 @@ def test_worker_count_does_not_change_results(geo_half, geo_quarter, monkeypatch
     assert exits[0] == exits[1] == exits[2]
 
 
+@pytest.mark.parametrize("raw, want", [("3", 3), ("0", 1), (" 2 ", 2), ("abc", None), ("", None)])
+def test_worker_count_from_the_environment(raw, want, monkeypatch):
+    # a value that is no integer falls back to the default, as no value does
+    import os
+
+    from repairchain import sim
+
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", raw)
+    assert sim._workers() == (want or min(8, os.cpu_count() or 1))
+
+
 def test_sample_count_not_multiple_of_chunk(geo_half):
     # chunking is an implementation detail; odd sizes must still foot
     rep = rc.sample_tau(geo_half, seed=4, samples=70_001, cap=32)
