@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the sampler reports of a fixed grid.
+
+Two versions of the package sample alike exactly when their hashes are
+equal.  The grid, in order:
+
+- ``sample_tau`` on every law of ``ORACLE_LAWS`` and ``sample_last_exit``
+  on every law of ``EXIT_LAWS`` (both from tests/test_sim.py), 70,001
+  samples (a full chunk and a short one) on seed 17, at caps and
+  horizons 1, 2, 3, 100 and 5000;
+- mc_sample's job list for seed 1101 (perfbench/workloads.py, at
+  BENCHMARK.json's run_seconds),
+
+each call on 1 and on 2 threads.  Each report is hashed as one line of
+sorted-key JSON of its fields.
+
+Usage:
+    PYTHONPATH=src python3 scripts/sim_hash.py
+    python3 scripts/sim_hash.py --against /path/to/parent
+
+With ``--against PARENT`` the grid runs twice, in child processes with
+PYTHONPATH set to this checkout's src and to PARENT's; it prints both
+hashes and exits 1 when they differ.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BOUNDS = (1, 2, 3, 100, 5000)
+THREADS = (1, 2)
+SAMPLES = 70_001
+SEED = 17
+MC_SEED = 1101
+
+
+def grid(rc) -> list:
+    """(sampler name, model factory, seed, samples, cap or horizon or None, threads)."""
+    if str(ROOT / "tests") not in sys.path:
+        sys.path.insert(0, str(ROOT / "tests"))  # test_sim imports its oracles from there
+    from test_sim import EXIT_LAWS, ORACLE_LAWS
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = []
+    for kind, laws in (("sample_tau", ORACLE_LAWS), ("sample_last_exit", EXIT_LAWS)):
+        for name in sorted(laws):
+            calls += [(kind, laws[name], SEED, SAMPLES, bound, threads)
+                      for bound in BOUNDS for threads in THREADS]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    for job in workloads.make_jobs("mc_sample", MC_SEED, seconds):
+        calls.append((job["kind"], lambda spec=job["model"]: rc.build_model(spec),
+                      job["seed"], job["samples"], job.get("cap"), job["threads"]))
+    return calls
+
+
+def report_hash(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        line = json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def run_grid() -> str:
+    """The hash of the grid on the repairchain this process imports."""
+    import repairchain as rc
+
+    reports = []
+    for kind, model, seed, samples, bound, threads in grid(rc):
+        os.environ["REPAIRCHAIN_THREADS"] = str(threads)
+        sample = getattr(rc, kind)
+        reports.append(sample(model(), seed, samples) if bound is None
+                       else sample(model(), seed, samples, bound))
+    return report_hash(reports)
+
+
+def run_checkout(checkout: str) -> str:
+    """The hash of the grid on checkout's src, from a child process."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.strip()
+
+
+def compare(checkout: str, parent: str, run=run_checkout) -> tuple[list[str], int]:
+    """The lines --against prints and the exit status: 0 when the hashes are equal."""
+    hashes = {side: run(side) for side in (parent, checkout)}
+    same = hashes[parent] == hashes[checkout]
+    lines = [f"{side}: {hashes[side]}" for side in (parent, checkout)]
+    return lines + ["equal" if same else "different"], 0 if same else 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", help="parent checkout: hash both and compare")
+    args = parser.parse_args()
+    if args.against is None:
+        print(run_grid())
+        return 0
+    lines, status = compare(str(ROOT), os.path.abspath(args.against))
+    print("\n".join(lines))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

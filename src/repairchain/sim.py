@@ -13,26 +13,28 @@ jump ends a path whatever its size).  A draw keeps the top 53 bits r of
 its 64-bit word and stands for u = r 2^-53: cum[k] <= u exactly when
 t_k = ceil(cum[k] 2^53) <= r, so the jump is the number of thresholds
 t_k <= r, capped as _jump_draw says.  A guide of 2^g buckets on the top
-g bits of r gives that count unless a threshold falls strictly inside
-the bucket, where the draw binary-searches (0.0015% of draws on
-geometric(1/2), 0.13% on half_stable); g = min(16, bit length of the
-threshold count + 10).  The guide reads no bit that the last step of
-SplitMix64, z ^= z >> 31, changes, so only the draws that miss it take
-that step.  Nothing is cached.
+g bits of r, built by counting the thresholds per bucket, gives that
+count unless a threshold falls strictly inside the bucket, where the
+draw binary-searches (0.0015% of draws on geometric(1/2), 0.13% on
+half_stable); g = min(16, bit length of the threshold count + 10).  The
+guide reads no bit that SplitMix64's last step, z ^= z >> 31, changes,
+so only the draws that miss it take that step.  Nothing is cached.
 
 A worker draws every block of its chunk of paths into one working set
-allocated once: three arrays of _CHUNK entries for the draw words (then
-the levels), a scratch array and the jumps.  Paths step by
+allocated once: three arrays of _CHUNK entries for the draw words, a
+scratch array and the jumps (then the levels).  Paths step by
 X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1), down at most 1 a
-step, so first-return sampling advances all active paths in blocks of b
-steps: max(X, 1) plus the running sums of J - 1 are a path's levels in
-the block until it returns, where they first reach 0, which it does
-exactly when their minimum is at most 0.  b = min(cap - step, step + 1,
-max(1, _CHUNK // active)) keeps young blocks short and runs the thin
-null-recurrent tail in a few wide ones.  A path higher than the steps
-left before the cap, or on a transient law higher than the escape level
-(from where a return has probability below 1e-12), is censored at
-once, the rest at the cap.
+step, so first-return sampling advances all n active paths in blocks of
+b steps, stored step-major (row j holds every path's draw at step + j)
+so that no pass pays per path.  max(X, 1) added to row 0, then running
+sums of J - 1 down the steps (b - 1 row adds while b <= n, one cumsum
+once b > n), are a path's levels in the block until it returns, where
+they first reach 0, which it does exactly when their minimum down the
+steps is at most 0.  b = min(cap - step, step + 1, max(1, _CHUNK // n))
+keeps young blocks short and runs the thin null-recurrent tail in a few
+wide ones.  A path higher than the steps left before the cap, or on a
+transient law higher than the escape level (from where a return has
+probability below 1e-12), is censored at once, the rest at the cap.
 Last-exit sampling (transient chains only) steps one time unit at a
 time, records the last visit to 0 by the horizon, and retires a path
 that sits higher than the steps left or reaches the escape level.  A
@@ -109,11 +111,13 @@ def _jump_draw(model: JumpModel, ends: int):
     np.ceil(thresholds, out=thresholds)
     top = min(ends, n - 1)
     bucket_bits = min(16, thresholds.size.bit_length() + 10)
-    width = 1 << (53 - bucket_bits)  # values of r per bucket
-    edges = np.arange(1 << bucket_bits, dtype=float) * width  # lowest r of each bucket
-    guide = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
-    edges += width - 1  # highest
-    guide[guide != np.minimum(np.searchsorted(thresholds, edges, side="right"), top)] = -1
+    buckets, width = 1 << bucket_bits, 1 << (53 - bucket_bits)  # width: values of r per bucket
+    cells = (thresholds // width).astype(np.int64)  # the bucket each threshold falls in
+    # #(t <= highest r of each bucket), and #(t <= lowest r): less those strictly above it
+    highest = np.cumsum(np.bincount(cells, minlength=buckets)[:buckets])
+    lowest = highest - np.bincount(cells[thresholds % width != 0], minlength=buckets)[:buckets]
+    guide = np.minimum(lowest, top)
+    guide[guide != np.minimum(highest, top)] = -1
     shift = np.uint64(64 - bucket_bits)
 
     def draw(words: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -188,9 +192,11 @@ def _run_chunks(worker, samples: int, size: int) -> dict:
 class SimReport:
     """Empirical histogram report; merging across chunks is exact.
 
-    Exactly one of tau_hist / L_hist is populated.  censored counts
-    tau > cap paths for return sampling, and last visits inside the
-    final tenth of the horizon (bias guard) for last-exit sampling.
+    Exactly one of tau_hist / L_hist is populated.  censored counts,
+    for return sampling, the paths with tau > cap and, on a transient
+    law, those retired at the escape level, whose chance of returning by
+    the cap is below 1e-12; for last-exit sampling, last visits inside
+    the final tenth of the horizon (bias guard).
     """
 
     samples: int
@@ -219,25 +225,28 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
             n = keys.size
             b = min(cap - step, step + 1, max(1, _CHUNK // n))
             offsets = np.arange(step, step + b, dtype=np.uint64) * _NP_GOLDEN
-            # one row of b draws per path; running sums of J - 1 (flat) into the spent words
-            np.add(keys[:, None], offsets, out=words[:n * b].reshape(n, b))
-            steps = draw(words[:n * b], scratch[:n * b], jumps[:n * b])
-            steps -= 1
-            rows = np.cumsum(steps, out=words.view(np.int64)[:n * b]).reshape(n, b)
-            # less the sum carried in (a row's first sum less its first step),
-            # plus max(X, 1): each path's level after each step of the block
-            carry = np.subtract(steps[::b], rows[:, 0], out=scratch.view(np.int64)[:n])
-            carry += np.maximum(level, 1, out=level)
-            rows += carry[:, None]
-            back = np.flatnonzero(np.min(rows, axis=1, out=jumps[:n]) <= 0)
-            below = np.take(rows, back, axis=0, out=jumps[:back.size * b].reshape(-1, b),
-                            mode="clip") <= 0
-            add(slice(step + 1, step + 1 + b), np.bincount(np.argmax(below, axis=1), minlength=b))
+            # step-major: row j holds every path's draw at step + j
+            np.add(offsets[:, None], keys, out=words[:n * b].reshape(b, n))
+            levels = draw(words[:n * b], scratch[:n * b], jumps[:n * b]).reshape(b, n)
+            levels -= 1
+            levels[0] += np.maximum(level, 1, out=level)
+            # each path's level after each step: sums down the steps, by row adds
+            # while b <= n, past which one cumsum over axis 0 is cheaper
+            if b <= n:
+                for j in range(1, b):
+                    np.add(levels[j], levels[j - 1], out=levels[j])
+            else:
+                np.cumsum(levels, axis=0, out=levels)
+            back = np.flatnonzero(np.minimum.reduce(levels, axis=0,
+                                                    out=scratch.view(np.int64)[:n]) <= 0)
+            below = np.take(levels, back, axis=1, mode="clip",
+                            out=words.view(np.int64)[:b * back.size].reshape(b, -1)) <= 0
+            add(slice(step + 1, step + 1 + b), np.bincount(np.argmax(below, axis=0), minlength=b))
             step += b
-            kept = rows[:, -1] <= min(cap - step, escape)
+            kept = levels[-1] <= min(cap - step, escape)
             kept[back] = False
             keys = keys[kept]
-            level = rows[kept, -1]
+            level = levels[-1, kept]
 
     hist = _run_chunks(worker, samples, cap + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist=hist,

@@ -182,6 +182,41 @@ def test_bench_pairs_of_canned_runs():
     ]
 
 
+def test_sim_hash_of_canned_reports_and_runs():
+    # one hash over the reports in grid order; --against prints both
+    # hashes and exits 1 when they differ
+    import hashlib
+
+    import repairchain as rc
+    from repairchain.sim import SimReport
+
+    sim_hash = _script_module("sim_hash")
+    one = SimReport(samples=3, seed=1, tau_hist={1: 2}, L_hist={}, censored=1, cap=5)
+    two = SimReport(samples=3, seed=1, tau_hist={1: 1, 2: 1}, L_hist={}, censored=1, cap=5)
+    line = ('{"L_hist": {}, "cap": 5, "censored": 1, "horizon": null, "samples": 3, '
+            '"seed": 1, "tau_hist": {"1": 2}}\n')
+    assert sim_hash.report_hash([one]) == hashlib.sha256(line.encode()).hexdigest()
+    assert sim_hash.report_hash([one, two]) != sim_hash.report_hash([two, one])
+    runs = []
+
+    def run(checkout):
+        runs.append(checkout)
+        return {"parent": "aa", "same": "aa", "changed": "bb"}[checkout]
+
+    assert sim_hash.compare("same", "parent", run=run) == (["parent: aa", "same: aa", "equal"], 0)
+    assert sim_hash.compare("changed", "parent", run=run) == (
+        ["parent: aa", "changed: bb", "different"], 1)
+    assert runs == ["parent", "same", "parent", "changed"]
+    # the grid: 8 tau laws and 3 exit laws at 5 bounds, then mc_sample's
+    # 80 jobs, each on 1 and 2 threads
+    calls = sim_hash.grid(rc)
+    assert len(calls) == (8 + 3) * 5 * 2 + 80
+    assert [c[4] for c in calls[:10]] == [1, 1, 2, 2, 3, 3, 100, 100, 5000, 5000]
+    assert [c[5] for c in calls] == [1, 2] * (len(calls) // 2)
+    assert {c[0] for c in calls[80:110]} == {"sample_last_exit"}
+    assert {c[3] for c in calls[110:]} == {1 << 17}
+
+
 def test_line_coverage_lists_the_statements_a_run_never_reaches():
     # test_series_tools.py never feeds block_ratio_diagnostic an early
     # block of zeros before a late block that is not

@@ -202,10 +202,25 @@ def _threshold_words(cum, low_bits):
     return (r << np.uint64(11)) | (low_bits(r.size) & np.uint64(0x7FF))
 
 
+def _searched_guide(draw):
+    """draw's guide rebuilt by binary search of each bucket's lowest and highest r."""
+    thresholds, top = _closure(draw, "thresholds"), _closure(draw, "top")
+    bucket_bits = 64 - int(_closure(draw, "shift"))
+    width = 1 << (53 - bucket_bits)
+    edges = np.arange(1 << bucket_bits, dtype=float) * width
+    lowest = np.minimum(np.searchsorted(thresholds, edges, side="right"), top)
+    highest = np.minimum(np.searchsorted(thresholds, edges + (width - 1), side="right"), top)
+    return np.where(lowest == highest, lowest, -1)
+
+
 @pytest.mark.parametrize("model", [rc.geometric(0.5), rc.half_stable(),
-                                   rc.explicit([0.1, 0.3, 0.0, 0.6])],
-                         ids=["geometric(0.5)", "half_stable", "explicit internal zeros"])
+                                   rc.explicit([0.1, 0.3, 0.0, 0.6]),
+                                   rc.explicit([0.5, 0.25, 0.25])],
+                         ids=["geometric(0.5)", "half_stable", "explicit internal zeros",
+                              "explicit dyadic"])
 def test_guide_draw_is_exact_at_every_threshold(model):
+    # the dyadic law's thresholds 2^52, 3 2^51 and 2^53 each sit exactly on
+    # the lowest r of a bucket, at its 2^11 and 2^12 buckets
     from repairchain.sim import _jump_draw
 
     cum = np.cumsum(model.coeffs)
@@ -218,12 +233,14 @@ def test_guide_draw_is_exact_at_every_threshold(model):
     # index; below it, every draw past the ends-th threshold returns ends.
     # The guide has 2^11, 2^13 or 2^16 buckets across these ends.
     for ends in (n, n + 1):
-        assert np.array_equal(_draw(_jump_draw(model, ends), counters),
-                              np.minimum(want, n - 1)), ends
+        draw = _jump_draw(model, ends)
+        assert np.array_equal(_closure(draw, "guide"), _searched_guide(draw)), ends
+        assert np.array_equal(_draw(draw, counters), np.minimum(want, n - 1)), ends
     for ends in (1, 3, 7, 100, n - 1):
         if ends < n:
-            assert np.array_equal(_draw(_jump_draw(model, ends), counters),
-                                  np.minimum(want, ends)), ends
+            draw = _jump_draw(model, ends)
+            assert np.array_equal(_closure(draw, "guide"), _searched_guide(draw)), ends
+            assert np.array_equal(_draw(draw, counters), np.minimum(want, ends)), ends
 
 
 @pytest.mark.parametrize("model", [
@@ -315,6 +332,38 @@ def test_block_arrays_stay_within_a_chunk(monkeypatch):
     assert len(calls) < 100  # far fewer blocks than the 5000 steps
     # and every block of the one chunk draws into the same three arrays
     assert len({tuple(addresses) for _, *addresses in calls}) == 1
+
+
+def test_both_running_sums_match_the_stepwise_oracle(monkeypatch):
+    # blocks are step-major, b rows of n paths: summed by row adds while
+    # b <= n and by one cumsum down the steps once b > n.  One call runs
+    # one-step blocks of a full chunk, both forms, and must still be the
+    # step-by-step report
+    import sys
+
+    from repairchain import sim
+
+    shapes = []
+    jump_draw = sim._jump_draw
+
+    def recording_jump_draw(model, ends):
+        draw = jump_draw(model, ends)
+
+        def recording_draw(words, scratch, out):
+            block = sys._getframe(1).f_locals  # the sampler's worker
+            shapes.append((block["b"], block["n"]))
+            return draw(words, scratch, out)
+
+        return recording_draw
+
+    monkeypatch.setattr(sim, "_jump_draw", recording_jump_draw)
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    model = rc.geometric(0.5)
+    want = oracles.stepwise_sample_tau(model, 17, 70_001, 1000)
+    assert rc.sample_tau(model, 17, 70_001, 1000) == want
+    assert (1, sim._CHUNK) in shapes
+    assert any(1 < b <= n for b, n in shapes)
+    assert any(b > n for b, n in shapes)
 
 
 def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
