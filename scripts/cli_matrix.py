@@ -69,9 +69,10 @@ VERB_FORMS = [
     ["exit", "--alpha", "0.5"],
     ["asym"],
     ["asym", "--fitted"],
-    ["simulate", "--tau", "--samples", "2000", "--cap", "500", "--seed", "1"],
-    ["simulate", "--exit", "--samples", "2000", "--horizon", "500", "--seed", "1"],
-    # three chunks of samples each, so the thread pool runs
+    # the CLI's default seed
+    ["simulate", "--tau", "--samples", "2000", "--cap", "500"],
+    ["simulate", "--exit", "--samples", "2000", "--horizon", "500"],
+    # three chunks of samples each, so a helper thread runs
     ["simulate", "--tau", "--samples", "140000", "--cap", "500", "--seed", "1"],
     ["simulate", "--exit", "--samples", "140000", "--horizon", "500", "--seed", "1"],
 ]

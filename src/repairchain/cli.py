@@ -109,17 +109,18 @@ def _load_model(raw: str) -> JumpModel:
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="repairchain", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="verb", required=True, metavar="verb")
+    sub = top.add_subparsers(required=True, metavar="verb")
 
-    def add(name, help_text):
+    def add(name, help_text, body):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("-m", "--model", required=True,
                        help="inline model-spec JSON, or @path to a file")
+        p.set_defaults(body=body)
         return p
 
-    add("classify", "recurrence class and mean jump")
+    add("classify", "recurrence class and mean jump", _do_classify)
 
-    p = add("pmf", "exact return-time (or last-exit) pmf")
+    p = add("pmf", "exact return-time (or last-exit) pmf", _do_pmf)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tau", action="store_true", help="return-time pmf (default)")
     group.add_argument("--exit", dest="exit_", action="store_true",
@@ -127,28 +128,28 @@ def _build_parser() -> _Parser:
     p.add_argument("-N", type=int, default=64, help="horizon (default 64)")
     p.add_argument("--csv", action="store_true")
 
-    add("decay", "tangency point, decay radii, and case label")
+    add("decay", "tangency point, decay radii, and case label", _do_decay)
 
-    p = add("tilt", "exponentially reweighted model")
+    p = add("tilt", "exponentially reweighted model", _do_tilt)
     p.add_argument("--x", type=float, default=None,
                    help="reweighting point (default: the tangency point)")
 
-    p = add("moments", "E(tau^k) with certification")
+    p = add("moments", "E(tau^k) with certification", _do_moments)
     p.add_argument("-k", type=int, default=1, help="moment order (default 1)")
 
-    p = add("finite", "finiteness verdict for E(tau^alpha)")
+    p = add("finite", "finiteness verdict for E(tau^alpha)", _do_finite)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--r1-weighted", action="store_true",
                    help="weigh by R1^tau before taking the power")
 
-    p = add("exit", "last-exit pmf or weighted-moment verdict")
+    p = add("exit", "last-exit pmf or weighted-moment verdict", _do_exit)
     p.add_argument("-N", type=int, default=exit_mod.DEFAULT_EXIT_N)
     p.add_argument("-k", type=int, default=None, help="integer weight power")
     p.add_argument("--alpha", type=float, default=None, help="fractional weight power")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(exit_=True)  # without -k/--alpha, exit is pmf --exit
 
-    p = add("simulate", "Monte Carlo histogram of tau or L")
+    p = add("simulate", "Monte Carlo histogram of tau or L", _do_simulate)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tau", action="store_true", help="sample tau (default)")
     group.add_argument("--exit", dest="exit_", action="store_true", help="sample L")
@@ -158,7 +159,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
 
-    p = add("asym", "exponent of 1 - F(1-s) for a critical chain")
+    p = add("asym", "exponent of 1 - F(1-s) for a critical chain", _do_asym)
     p.add_argument("--fitted", action="store_true",
                    help="force the log-log regression branch")
 
@@ -256,19 +257,6 @@ def _do_asym(model, args):
     _emit({"gamma": est.gamma, "method": est.method})
 
 
-_VERBS = {
-    "classify": _do_classify,
-    "pmf": _do_pmf,
-    "decay": _do_decay,
-    "tilt": _do_tilt,
-    "moments": _do_moments,
-    "finite": _do_finite,
-    "exit": _do_exit,
-    "simulate": _do_simulate,
-    "asym": _do_asym,
-}
-
-
 def run(argv=None) -> int:
     """Parse argv, dispatch, and return the process exit status."""
     parser = _build_parser()
@@ -281,8 +269,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         model = _load_model(args.model)
-        _VERBS[args.verb](model, args)
-    except (_UsageError, ValueError) as exc:
+        args.body(model, args)
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except InvalidSpec as exc:

@@ -611,7 +611,17 @@ def _tilted_G(model: JumpModel, t: float, order: int) -> float:
 
 def _explicit_reweight(model: JumpModel, x: float) -> JumpModel:
     gx = eval_G(model, x, 0)
-    return explicit([c * x ** n / gx for n, c in enumerate(model.a)])
+    return explicit([_scaled_power(c, x, n) / gx for n, c in enumerate(model.a)])
+
+
+def _scaled_power(c: float, x: float, n: int) -> float:
+    """c x^n, also where x^n alone overflows: c x^n <= G(x) is finite."""
+    try:
+        return c * x ** n
+    except OverflowError:  # x > 1, so the running product only grows to c x^n
+        for _ in range(n):
+            c *= x
+        return c
 
 
 def _tilted(base: JumpModel, x: float) -> JumpModel:
@@ -805,7 +815,10 @@ def tilt(model: JumpModel, x: float) -> JumpModel:
         return model
     if not math.isfinite(eval_G(model, x, 0)):
         raise OutOfRadius(f"G({x!r}) diverges, cannot reweight there")
-    return _FAMILIES[model.family].reweight(model, x)
+    try:
+        return _FAMILIES[model.family].reweight(model, x)
+    except InvalidSpec as exc:  # a valid law, but its reweight rounds to no law
+        raise ValueError(f"reweighting at {x!r} leaves no representable law: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

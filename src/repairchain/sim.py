@@ -1,10 +1,12 @@
 """Monte Carlo sampling of first-return and last-exit times.
 
-Sampling is counter-based: sample i derives its own key from the master
-seed by SplitMix64, and its draw at step j mixes the key with j.  No
+Sampling is counter-based: sample i is keyed by SplitMix64's output
+i + 1, mix(seed + (i + 1) G) for the increment G, so seed 0 keys no
+sample with mix(0) = 0; its draw at step j mixes the key with j.  No
 generator state is shared, so any partition of the samples across
 workers, and any grouping of steps into blocks, gives the identical
 merged report; REPAIRCHAIN_THREADS only changes how fast it arrives.
+Its n workers are the calling thread, always, and n - 1 helper threads.
 
 Jumps J are drawn by inverse CDF, in integers, on the coefficients
 a_0 .. a_(ends-1) each call builds from the family formula, `ends` being
@@ -86,7 +88,7 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _sample_keys(seed: int, start: int, stop: int, scratch: np.ndarray) -> np.ndarray:
-    keys = np.arange(start, stop, dtype=np.uint64) * _NP_GOLDEN
+    keys = np.arange(start + 1, stop + 1, dtype=np.uint64) * _NP_GOLDEN
     keys += np.uint64(seed & _MASK)
     _mix64(keys, scratch[:keys.size])
     keys ^= np.right_shift(keys, np.uint64(31), out=scratch[:keys.size])
@@ -150,10 +152,6 @@ def _working_set():
             np.empty(_CHUNK, dtype=np.int64))
 
 
-def _chunks(samples: int):
-    return [(lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK)]
-
-
 def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
     """samples and the cap or horizon as ints of at least 1, the histogram within HIST_BUDGET."""
     samples, bound = _integer(samples, 1, "sample count"), _integer(bound, 1, name)
@@ -166,6 +164,8 @@ def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
 def _run_chunks(worker, samples: int, size: int) -> dict:
     """Run worker(span, add) over every chunk; return the sparse histogram.
 
+    The calling thread and n - 1 helpers take chunks from one hand-out,
+    each the next one left; a one-worker call starts no thread.
     add(where, values) adds values at where (a slice or an index array,
     repeats adding up) into the call's one histogram, under a lock.
     """
@@ -176,14 +176,23 @@ def _run_chunks(worker, samples: int, size: int) -> dict:
         with lock:
             np.add.at(counts, where, values)
 
-    spans = _chunks(samples)
-    n_workers = min(_workers(), len(spans))
-    if n_workers == 1:
-        for span in spans:
-            worker(span, add)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda span: worker(span, add), spans))
+    starts = range(0, samples, _CHUNK)
+    hand_out = iter(starts)
+
+    def take():
+        while True:
+            with lock:
+                lo = next(hand_out, None)
+            if lo is None:
+                return
+            worker((lo, min(lo + _CHUNK, samples)), add)
+
+    n_workers = min(_workers(), len(starts))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:  # threads start per submit: n - 1
+        helpers = [pool.submit(take) for _ in range(n_workers - 1)]
+        take()
+    for helper in helpers:
+        helper.result()
     bins = np.nonzero(counts)[0]
     return dict(zip(bins.tolist(), counts[bins].tolist()))
 

@@ -469,7 +469,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _sample_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.uint64)
+    idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
     return _mix64(np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
 
 

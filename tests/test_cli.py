@@ -215,12 +215,12 @@ def test_simulate_beyond_histogram_budget(capsys):
 def test_geometric_beyond_table_budget_is_invalid_spec(capsys):
     # p = 1e-7 would need 276M coefficients (2.06 GiB): its table is still
     # refused, but no verb builds it.  simulate draws from the coefficients
-    # below its cap, and a first jump of about 1e7 puts 9 of the 10 paths
-    # past it at once
+    # below its cap, and a first jump of mean 1e7 puts a path past it at
+    # once with probability 0.905: here all 10
     with pytest.raises(repairchain.InvalidSpec, match="budget"):
         repairchain.build_model(json.loads(GEO_TINY)).coeffs
     rec = run_json(capsys, ["simulate", "-m", GEO_TINY, "--samples", "10"])
-    assert rec == {"samples": 10, "seed": 0, "tau_hist": {"1": 1}, "censored": 9,
+    assert rec == {"samples": 10, "seed": 0, "tau_hist": {}, "censored": 10,
                    "cap": 10 ** 6}
     # tilt prints the head of the tilted law, even where that law is itself
     # past the budget (near the radius 1/(1 - p))
@@ -580,6 +580,50 @@ def test_no_spec_reaches_the_boundary_case(capsys):
                                     "--r1-weighted"])
             assert set(rec) == {"quantity", "verdict", "reason"}, spec
     assert labels == set(CaseLabel) - {CaseLabel.BOUNDARY_CASE}
+
+
+def _extreme_specs():
+    """Valid specs at the edges of each family's range, fixed and seeded."""
+    rng = np.random.default_rng(25)
+    ps = [1e-300, 1e-17, 0.5 - 1e-15, 0.5 + 1e-15, 1.0 - 2.0 ** -52,
+          10.0 ** -rng.uniform(8.0, 300.0), 0.5 + rng.uniform(-1e-9, 1e-9),
+          1.0 - 10.0 ** -rng.uniform(8.0, 15.0)]
+    alphas = [2.0 + 1e-12, 2.0 + 10.0 ** -rng.uniform(6.0, 15.0), 1e3,
+              10.0 ** rng.uniform(10.0, 300.0)]
+    laws = [[1.0, 8.192369242794122e-203, 1.066085711e-314],  # x0 = 9.7e156: x0^2 overflows
+            [5e-324, 0.5, 0.5], [0.5, 5e-324, 0.5], [1.0, 0.0, 5e-324]]
+    while len(laws) < 8:  # entries of every scale down to the subnormals
+        w = 10.0 ** -rng.uniform(0.0, 323.0, size=int(rng.integers(3, 7)))
+        a = (w / math.fsum(w)).tolist()
+        if a[0] > 0.0 and math.fsum(a[2:]) > 0.0:
+            laws.append(a)
+    return ([{"family": "geometric", "p": p} for p in ps] + [{"family": "half_stable"}]
+            + [{"family": "power_zeta", "alpha": a} for a in alphas]
+            + [{"family": "explicit", "a": a} for a in laws])
+
+
+def test_extreme_valid_specs_end_in_a_documented_status():
+    # a valid spec is never called invalid (exit 2), and no verb ends in
+    # a traceback: tilt --x 1e-17 on geometric(1e-300) rounds p to 1, and
+    # x0^2 overflows in the reweight of the first explicit law
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cli_matrix.py")
+    spec = importlib.util.spec_from_file_location("cli_matrix", path)
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    forms = (matrix.VERB_FORMS + matrix.INVALID_FORMS
+             + [["tilt", "--x", x] for x in ("1e-300", "1e-17", "1e300")])
+    for law in _extreme_specs():
+        repairchain.build_model(law)
+        for form in forms:
+            r = matrix.invoke([form[0], "-m", json.dumps(law), *form[1:]])
+            assert r["status"] in (0, 1, 3), r
+            if r["status"]:
+                assert r["stderr"].count("\n") == 1, r
+                assert r["stderr"].startswith(("usage error: ", "domain error: ")), r
+            else:
+                assert r["stdout"] and not r["stderr"], r
 
 
 def test_main_exits_with_the_status_of_run(monkeypatch, capsys):

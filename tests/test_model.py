@@ -390,6 +390,30 @@ def test_tilt_domain_errors():
         rc.tilt(rc.geometric(0.5), 0.0)
 
 
+@pytest.mark.parametrize("model, x", [(rc.geometric(0.25), 1e-17),
+                                      (rc.explicit([0.5, 0.2, 0.3]), 1e-170)])
+def test_tilt_whose_mass_above_one_underflows_is_refused(model, x):
+    # the reweighted law is 1 - O(x) at 0 and O(x) at 1, and its mass above
+    # 1 rounds to 0: a point no law answers, not an invalid spec
+    with pytest.raises(ValueError, match=f"reweighting at {x!r} "):
+        rc.tilt(model, x)
+
+
+def test_explicit_tilt_where_x_to_the_n_overflows():
+    # x0 = 9.685e156: x0^2 overflows, while a_2 x0^2 = G(x0) / 2
+    law = rc.explicit([1.0, 8.192369242794122e-203, 1.066085711e-314])
+    x0 = rc.find_x0(law)
+    gx = sum(Fraction(c) * Fraction(x0) ** n for n, c in enumerate(law.a))
+    want = [Fraction(c) * Fraction(x0) ** n / gx for n, c in enumerate(law.a)]
+    got = rc.tilt(law, x0).a
+    assert got == pytest.approx([0.5, 0.0, 0.5], abs=1e-15)
+    assert all(abs(Fraction(g) - w) <= 1e-15 * w for g, w in zip(got, want)), got
+    # where x^n is finite, the reweight is c x^n / G(x), bit for bit
+    m = rc.explicit([0.5, 0.2, 0.3])
+    for x in (1e-100, 0.5, 2.0, 1e150):
+        assert rc.tilt(m, x).a == tuple(c * x ** n / rc.eval_G(m, x) for n, c in enumerate(m.a))
+
+
 def test_classify():
     assert rc.classify(rc.geometric(0.75)) is rc.ChainClass.POSITIVE_RECURRENT
     assert rc.classify(rc.geometric(0.5)) is rc.ChainClass.NULL_RECURRENT

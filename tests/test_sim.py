@@ -70,6 +70,21 @@ def test_same_seed_same_report(geo_half):
     assert c != a
 
 
+def test_no_small_seed_keys_a_sample_at_the_mix_fixed_point():
+    # SplitMix64's finalizer maps 0 to 0, and a key of 0 draws its step-0
+    # jump from the word 0, the smallest jump whatever the law.  Sample i
+    # is keyed from seed + (i + 1) G, so that seed 0 is no such seed
+    from repairchain import sim
+
+    law = rc.explicit([1e-300, 0.0, 1.0])  # a return at step 1 has probability 1e-300
+    assert rc.sample_tau(law, 0, 100_000, 3).tau_hist == {}
+    assert rc.sample_last_exit(law, 0, 10).L_hist == {0: 10}
+    n = 1 << 20
+    counters = _unmix64(sim._sample_keys(0, 0, n, np.empty(n, dtype=np.uint64)))
+    zero_seeds = np.uint64(0) - counters  # the seed that keys sample i with 0
+    assert int(zero_seeds.min()) == 9_914_950_484_664 >= 1 << 32
+
+
 def test_worker_count_does_not_change_results(geo_half, geo_quarter, monkeypatch):
     reports = []
     exits = []
@@ -429,7 +444,7 @@ def test_sampling_a_law_past_the_table_budget():
 
     geo = rc.geometric(1e-7)
     rep = rc.sample_tau(geo, 0, 10)
-    assert rep.tau_hist == {1: 1} and rep.censored == 9
+    assert rep.tau_hist == {} and rep.censored == 10
     assert "coeffs" not in geo.__dict__
     with pytest.raises(InvalidSpec, match="budget"):
         geo.coeffs
@@ -503,6 +518,38 @@ def test_threads_lose_no_count_in_the_shared_histogram(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sum(want_exit.L_hist.values()) == samples
+
+
+def test_the_calling_thread_takes_chunks_beside_its_helpers(monkeypatch):
+    # n workers are the calling thread and n - 1 helper threads; chunks 0
+    # and 1 each wait for the other, so two threads must have taken them
+    import threading
+
+    from repairchain import sim
+
+    samples = 4 * sim._CHUNK
+    both_taken = threading.Barrier(2, timeout=10)
+
+    def runs(threads):
+        monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
+        taken, started = [], threading.active_count()
+
+        def worker(span, add):
+            taken.append((span[0] // sim._CHUNK, threading.get_ident()))
+            if threads == "2" and span[0] < 2 * sim._CHUNK:
+                both_taken.wait()
+            else:
+                assert threading.active_count() == started + int(threads) - 1
+            add(0, 1)
+
+        assert sim._run_chunks(worker, samples, 1) == {0: 4}
+        assert sorted(chunk for chunk, _ in taken) == [0, 1, 2, 3]
+        return {ident for _, ident in taken}
+
+    caller = threading.get_ident()
+    assert runs("1") == {caller}
+    took = runs("2")
+    assert caller in took and len(took - {caller}) == 1
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
