@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the sampler reports of a fixed grid.
+"""Print one SHA-256 over the sampler reports of a fixed grid, then one per call.
 
 Two versions of the package sample alike exactly when their hashes are
 equal.  The grid, in order:
@@ -12,7 +12,9 @@ equal.  The grid, in order:
   BENCHMARK.json's run_seconds),
 
 each call on 1 and on 2 threads.  Each report is hashed as one line of
-sorted-key JSON of its fields.
+sorted-key JSON of its fields.  After the grid's hash comes one line per
+call: its own report's hash, its index in the grid, the sampler, the
+law, the cap or horizon and the thread count.
 
 Usage:
     PYTHONPATH=src python3 scripts/sim_hash.py
@@ -20,7 +22,8 @@ Usage:
 
 With ``--against PARENT`` the grid runs twice, in child processes with
 PYTHONPATH set to this checkout's src and to PARENT's; it prints both
-hashes and exits 1 when they differ.
+grid hashes, then each call whose report differs, and exits 1 when they
+differ.
 """
 
 import argparse
@@ -42,7 +45,7 @@ MC_SEED = 1101
 
 
 def grid(rc) -> list:
-    """(sampler name, model factory, seed, samples, cap or horizon or None, threads)."""
+    """(sampler name, model factory, seed, samples, cap or horizon or None, threads, law)."""
     if str(ROOT / "tests") not in sys.path:
         sys.path.insert(0, str(ROOT / "tests"))  # test_sim imports its oracles from there
     from test_sim import EXIT_LAWS, ORACLE_LAWS
@@ -53,12 +56,14 @@ def grid(rc) -> list:
     calls = []
     for kind, laws in (("sample_tau", ORACLE_LAWS), ("sample_last_exit", EXIT_LAWS)):
         for name in sorted(laws):
-            calls += [(kind, laws[name], SEED, SAMPLES, bound, threads)
+            calls += [(kind, laws[name], SEED, SAMPLES, bound, threads, name)
                       for bound in BOUNDS for threads in THREADS]
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     for job in workloads.make_jobs("mc_sample", MC_SEED, seconds):
-        calls.append((job["kind"], lambda spec=job["model"]: rc.build_model(spec),
-                      job["seed"], job["samples"], job.get("cap"), job["threads"]))
+        spec = job["model"]
+        law = f"{spec['family']}({', '.join(str(v) for k, v in spec.items() if k != 'family')})"
+        calls.append((job["kind"], lambda spec=spec: rc.build_model(spec),
+                      job["seed"], job["samples"], job.get("cap"), job["threads"], law))
     return calls
 
 
@@ -70,32 +75,37 @@ def report_hash(reports) -> str:
     return digest.hexdigest()
 
 
-def run_grid() -> str:
-    """The hash of the grid on the repairchain this process imports."""
+def run_grid() -> list[str]:
+    """The grid's hash, then one line per call, on the repairchain this process imports."""
     import repairchain as rc
 
-    reports = []
-    for kind, model, seed, samples, bound, threads in grid(rc):
+    reports, lines = [], []
+    for index, (kind, model, seed, samples, bound, threads, law) in enumerate(grid(rc)):
         os.environ["REPAIRCHAIN_THREADS"] = str(threads)
         sample = getattr(rc, kind)
         reports.append(sample(model(), seed, samples) if bound is None
                        else sample(model(), seed, samples, bound))
-    return report_hash(reports)
+        lines.append(f"{report_hash(reports[-1:])} #{index} {kind} {law} "
+                     f"bound={'default' if bound is None else bound} threads={threads}")
+    return [report_hash(reports)] + lines
 
 
-def run_checkout(checkout: str) -> str:
-    """The hash of the grid on checkout's src, from a child process."""
+def run_checkout(checkout: str) -> list[str]:
+    """run_grid's lines on checkout's src, from a child process."""
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
     proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                           text=True, check=True)
-    return proc.stdout.strip()
+    return proc.stdout.splitlines()
 
 
 def compare(checkout: str, parent: str, run=run_checkout) -> tuple[list[str], int]:
-    """The lines --against prints and the exit status: 0 when the hashes are equal."""
-    hashes = {side: run(side) for side in (parent, checkout)}
-    same = hashes[parent] == hashes[checkout]
-    lines = [f"{side}: {hashes[side]}" for side in (parent, checkout)]
+    """The lines --against prints and the exit status: 0 when the grid hashes are equal."""
+    runs = {side: run(side) for side in (parent, checkout)}
+    old, new = runs[parent], runs[checkout]
+    same = old[0] == new[0]
+    lines = [f"{side}: {runs[side][0]}" for side in (parent, checkout)]
+    # both sides ran this script's grid, so call k is line k on each
+    lines += ["differs: " + b.split(" ", 1)[1] for a, b in zip(old[1:], new[1:]) if a != b]
     return lines + ["equal" if same else "different"], 0 if same else 1
 
 
@@ -104,7 +114,7 @@ def main() -> int:
     parser.add_argument("--against", help="parent checkout: hash both and compare")
     args = parser.parse_args()
     if args.against is None:
-        print(run_grid())
+        print("\n".join(run_grid()))
         return 0
     lines, status = compare(str(ROOT), os.path.abspath(args.against))
     print("\n".join(lines))

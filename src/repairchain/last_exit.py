@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NotTransient
-from .model import ChainClass, JumpModel, classify
+from .model import ChainClass, JumpModel, _integer, classify
 from .return_time import (
     ReturnAnalysis,
     Verdict,
     _critical_tilt_verdict,
     _exponent,
     _horizon,
-    _integer,
     escape_prob,
     return_pmf,
 )

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -194,6 +195,14 @@ def _geometric_drift(m: JumpModel, h: float) -> tuple[float, float]:
     den = p + q * h
     return (h * ((2.0 * p - 1.0) + q * h) / den,
             (2.0 * p - 1.0) / p * (p / den) ** 2 + q * h * (2.0 * p + q * h) / (den * den))
+
+
+def _geometric_reweight(m: JumpModel, x: float) -> JumpModel:
+    # p q^n x^n normalizes to a geometric law with ratio q x; its parameter
+    # 1 - q x is rounded once, from the doubles' exact ratios, as a float sum
+    # would cancel near the radius 1/q
+    (pn, pd), (xn, xd) = m.p.as_integer_ratio(), x.as_integer_ratio()
+    return geometric((pd * xd - (pd - pn) * xn) / (pd * xd))
 
 
 def _geometric_size(m: JumpModel) -> float:
@@ -693,9 +702,7 @@ _FAMILIES = {
         table_size=_geometric_size,
         coefficients=_geometric_coefficients,
         G=_geometric_G,
-        # p q^n x^n normalizes to a geometric law with ratio q x; its
-        # parameter 1 - q x is summed as (1 - x) + p x, exact terms near x = 1
-        reweight=lambda m, x: geometric((1.0 - x) + m.p * x),
+        reweight=_geometric_reweight,
         drift=_geometric_drift,
     ),
     "half_stable": _Family(
@@ -727,6 +734,26 @@ _FAMILIES = {
 
 # ---------------------------------------------------------------------------
 # public entry points: validate, then one table lookup
+
+
+def _integer(k: int, lo: int, what: str) -> int:
+    """k as an int from lo up to the largest double (n ** k takes k as a double).
+
+    A value that is not integral, such as 2.7, inf or nan, is refused,
+    not truncated.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        value = float(k)
+        if not value.is_integer():
+            raise ValueError(f"{what} must be an integer, got {k!r}") from None
+        k = int(value)
+    if k < lo:
+        raise ValueError(f"{what} must be at least {lo}")
+    if k > sys.float_info.max:
+        raise ValueError(f"{what} must not exceed the largest double")
+    return k
 
 
 def build_model(spec: Mapping) -> JumpModel:
@@ -794,9 +821,7 @@ def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"evaluation point must be a finite nonnegative real, got {t!r}")
-    order = int(order)
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
+    order = _integer(order, 0, "derivative order")
     return _FAMILIES[model.family].G(model, t, order)
 
 

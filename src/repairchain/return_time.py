@@ -20,7 +20,6 @@ From F everything else follows:
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,6 +31,7 @@ from .model import (
     _FAMILIES,
     ChainClass,
     JumpModel,
+    _integer,
     classify,
     eval_G,
     exact_coefficients,
@@ -70,26 +70,6 @@ def _exponent(alpha: float, what: str) -> float:
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {alpha!r}")
     return alpha
-
-
-def _integer(k: int, lo: int, what: str) -> int:
-    """k as an int from lo up to the largest double (n ** k takes k as a double).
-
-    A value that is not integral, such as 2.7, inf or nan, is refused,
-    not truncated.
-    """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        value = float(k)
-        if not value.is_integer():
-            raise ValueError(f"{what} must be an integer, got {k!r}") from None
-        k = int(value)
-    if k < lo:
-        raise ValueError(f"{what} must be at least {lo}")
-    if k > sys.float_info.max:
-        raise ValueError(f"{what} must not exceed the largest double")
-    return k
 
 
 def _horizon(n_max: int) -> int:

@@ -8,19 +8,25 @@ workers, and any grouping of steps into blocks, gives the identical
 merged report; REPAIRCHAIN_THREADS only changes how fast it arrives.
 Its n workers are the calling thread, always, and n - 1 helper threads.
 
+A call reads r = F(1), the return probability, once.  On a transient law
+(r < 1) paths walk the chain conditioned to return, the tilt at r, where
+G(r) = r, with jumps a_j r^(j-1); at each visit to 0, at time t, the
+path's word at step -1 - t, which no jump uses, says whether it ever
+returns (when its R, below, is under ceil(r 2^53)), so f_n = r f^(r)_n
+exactly.  On a recurrent law r is exactly 1 and neither is done.
 Jumps J are drawn by inverse CDF, in integers, on the coefficients
-a_0 .. a_(ends-1) each call builds from the family formula, `ends` being
-the cap, or the smaller of the escape level and horizon + 1 (a larger
-jump ends a path whatever its size).  A draw keeps the top 53 bits r of
-its 64-bit word and stands for u = r 2^-53: cum[k] <= u exactly when
-t_k = ceil(cum[k] 2^53) <= r, so the jump is the number of thresholds
-t_k <= r, capped as _jump_draw says.  A guide of 2^g buckets on the top
-g bits of r, built by counting the thresholds per bucket, gives that
-count unless a threshold falls strictly inside the bucket, where the
-draw binary-searches (0.0015% of draws on geometric(1/2), 0.13% on
-half_stable); g = min(16, bit length of the threshold count + 10).  The
-guide reads no bit that SplitMix64's last step, z ^= z >> 31, changes,
-so only the draws that miss it take that step.  Nothing is cached.
+a_0 .. a_(ends-1) each call builds from the family formula, `ends`
+being the cap or horizon + 1 (a larger jump ends a path whatever its
+size).  A draw keeps the top 53 bits R of its 64-bit word and stands
+for u = R 2^-53: cum[k] <= u exactly when t_k = ceil(cum[k] 2^53) <= R,
+so the jump is the number of thresholds t_k <= R, capped as _jump_draw
+says.  A guide of 2^g buckets on the top g bits of R, built by counting
+the thresholds per bucket, gives that count unless a threshold falls
+strictly inside the bucket, where the draw binary-searches (0.0015% of
+draws on geometric(1/2), 0.13% on half_stable); g = min(16, bit length
+of the threshold count + 10).  The guide reads no bit that SplitMix64's
+last step, z ^= z >> 31, changes, so only the draws that miss it take
+that step.  Nothing is cached.
 
 A worker draws every block of its chunk of paths into one working set
 allocated once: three arrays of _CHUNK entries for the draw words, a
@@ -34,16 +40,16 @@ once b > n), are a path's levels in the block until it returns, where
 they first reach 0, which it does exactly when their minimum down the
 steps is at most 0.  b = min(cap - step, step + 1, max(1, _CHUNK // n))
 keeps young blocks short and runs the thin null-recurrent tail in a few
-wide ones.  A path higher than the steps left before the cap, or on a
-transient law higher than the escape level (from where a return has
-probability below 1e-12), is censored at once, the rest at the cap.
-Last-exit sampling (transient chains only) steps one time unit at a
-time, records the last visit to 0 by the horizon, and retires a path
-that sits higher than the steps left or reaches the escape level.  A
-call keeps one histogram of cap + 1 (or horizon + 1) counts, which
-every worker adds into under a lock; a cap or horizon whose histogram
-would pass HIST_BUDGET bytes, like a count below 1, is refused with
-ValueError before the law is classified or a coefficient built.
+wide ones.  A path whose time-0 draw fails is censored before a step,
+one higher than the steps left before the cap at once, the rest at the
+cap.  Last-exit sampling (transient chains only) steps one time unit at
+a time, records the last visit to 0 by the horizon, and retires a path
+at the visit whose draw fails (its last exit) or when it sits higher
+than the steps left.  A call keeps one histogram of cap + 1 (or
+horizon + 1) counts, which every worker adds into under a lock; a cap
+or horizon whose histogram would pass HIST_BUDGET bytes, like a count
+below 1, is refused with ValueError before the law is classified or a
+coefficient built.
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTransient
-from .model import ChainClass, JumpModel, _table_size, classify, exact_coefficients
-from .return_time import _integer, eval_F
+from .model import ChainClass, JumpModel, _integer, _table_size, classify, exact_coefficients
+from .return_time import eval_F
 
 _CHUNK = 1 << 16  # fixed work unit; never derived from the worker count
 
@@ -70,9 +76,6 @@ _MASK = (1 << 64) - 1
 _NP_GOLDEN = np.uint64(_GOLDEN)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-# a 64-bit draw keeps r = bits >> 11, of 53 bits
-_R_SHIFT = np.uint64(11)
 
 DEFAULT_TAU_CAP = 10 ** 6
 DEFAULT_EXIT_HORIZON = 10 ** 4
@@ -95,27 +98,35 @@ def _sample_keys(seed: int, start: int, stop: int, scratch: np.ndarray) -> np.nd
     return keys
 
 
-def _escape_level(model: JumpModel) -> int:
-    """Least L >= 1 with F(1)^L < 1e-12 on a transient law: the chance of a return from L."""
-    return max(1, math.ceil(math.log(1e-12) / math.log(eval_F(model, 1.0))))
+def _returns(keys, visit: int, r: float, words, scratch) -> np.ndarray:
+    """Whether each path at 0 at time `visit` ever returns, as a view of scratch (module doc)."""
+    words, scratch = words[:keys.size], scratch[:keys.size]
+    np.add(keys, np.uint64(((-1 - visit) * _GOLDEN) & _MASK), out=words)
+    _mix64(words, scratch)
+    words ^= np.right_shift(words, np.uint64(31), out=scratch)
+    words >>= np.uint64(11)  # R: ceil(r 2^53) 2^11 would pass 2^64 - 1 at r = 1
+    return np.less(words, np.uint64(math.ceil(r * 2.0 ** 53)), out=scratch.view(bool)[:keys.size])
 
 
-def _jump_draw(model: JumpModel, ends: int):
-    """Inverse-CDF sampler draw(words, scratch, out): jumps into out (see module doc).
+def _jump_draw(model: JumpModel, ends: int, r: float):
+    """Inverse-CDF draw(words, scratch, out) of a_j r^(j-1), r = F(1) or 1: jumps into out.
 
     Thresholds cover a_0 .. a_(m-1), m = min(ends, n) for the n entries of
     ``model.coeffs``; a draw past the last of them gets top = min(ends, n - 1).
     """
     n = _table_size(model)
     thresholds = exact_coefficients(model, min(ends, n))  # becomes t_k in place
+    if r < 1.0:  # a_0 / r apart: 1 / r overflows where r is subnormal
+        thresholds[0] /= r
+        thresholds[1:] *= np.power(r, np.arange(thresholds.size - 1.0))
     np.cumsum(thresholds, out=thresholds)
     thresholds *= 2.0 ** 53
     np.ceil(thresholds, out=thresholds)
     top = min(ends, n - 1)
     bucket_bits = min(16, thresholds.size.bit_length() + 10)
-    buckets, width = 1 << bucket_bits, 1 << (53 - bucket_bits)  # width: values of r per bucket
+    buckets, width = 1 << bucket_bits, 1 << (53 - bucket_bits)  # width: values of R per bucket
     cells = (thresholds // width).astype(np.int64)  # the bucket each threshold falls in
-    # #(t <= highest r of each bucket), and #(t <= lowest r): less those strictly above it
+    # #(t <= highest R of each bucket), and #(t <= lowest R): less those strictly above it
     highest = np.cumsum(np.bincount(cells, minlength=buckets)[:buckets])
     lowest = highest - np.bincount(cells[thresholds % width != 0], minlength=buckets)[:buckets]
     guide = np.minimum(lowest, top)
@@ -128,22 +139,19 @@ def _jump_draw(model: JumpModel, ends: int):
         np.take(guide, scratch.view(np.int64), out=out, mode="clip")
         if out.min() < 0:
             miss = np.flatnonzero(out < 0)
-            bits = words[miss]  # take the mix's last step; r < 2^53 is exact as a float
-            r = ((bits ^ (bits >> np.uint64(31))) >> _R_SHIFT).astype(float)
-            out[miss] = np.minimum(np.searchsorted(thresholds, r, side="right"), top)
+            bits = words[miss]  # take the mix's last step; R < 2^53 is exact as a float
+            big_r = ((bits ^ (bits >> np.uint64(31))) >> np.uint64(11)).astype(float)
+            out[miss] = np.minimum(np.searchsorted(thresholds, big_r, side="right"), top)
         return out
 
     return draw
 
 
 def _workers() -> int:
-    raw = os.environ.get("REPAIRCHAIN_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    try:  # int() strips spaces, and refuses an empty or unset value
+        return max(1, int(os.environ.get("REPAIRCHAIN_THREADS", "")))
+    except ValueError:
+        return min(8, os.cpu_count() or 1)
 
 
 def _working_set():
@@ -202,10 +210,9 @@ class SimReport:
     """Empirical histogram report; merging across chunks is exact.
 
     Exactly one of tau_hist / L_hist is populated.  censored counts,
-    for return sampling, the paths with tau > cap and, on a transient
-    law, those retired at the escape level, whose chance of returning by
-    the cap is below 1e-12; for last-exit sampling, last visits inside
-    the final tenth of the horizon (bias guard).
+    for return sampling, the paths with tau > cap, those that never
+    return included; for last-exit sampling, last visits inside the
+    final tenth of the horizon (bias guard).
     """
 
     samples: int
@@ -221,13 +228,14 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
                cap: int = DEFAULT_TAU_CAP) -> SimReport:
     """First-return times of `samples` paths from 0; bad sizes raise ValueError first."""
     samples, cap = _run_size(samples, cap, "cap")
-    draw = _jump_draw(model, cap)
-    # from above this level a path returns by the cap with probability below 1e-12
-    escape = _escape_level(model) if classify(model) is ChainClass.TRANSIENT else cap
+    r = eval_F(model, 1.0)
+    draw = _jump_draw(model, cap, r)
 
     def worker(span, add):
         words, scratch, jumps = _working_set()
         keys = _sample_keys(seed, *span, scratch)
+        if r < 1.0:  # the paths that never return are censored before a step
+            keys = keys[_returns(keys, 0, r, words, scratch)]
         level = np.zeros(keys.size, dtype=np.int64)
         step = 0
         while step < cap and keys.size:
@@ -252,7 +260,7 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
                             out=words.view(np.int64)[:b * back.size].reshape(b, -1)) <= 0
             add(slice(step + 1, step + 1 + b), np.bincount(np.argmax(below, axis=0), minlength=b))
             step += b
-            kept = levels[-1] <= min(cap - step, escape)
+            kept = levels[-1] <= cap - step
             kept[back] = False
             keys = keys[kept]
             level = levels[-1, kept]
@@ -268,32 +276,36 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
     samples, horizon = _run_size(samples, horizon, "horizon")
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("last-exit sampling needs a transient chain")
-    escape_level = _escape_level(model)
-    draw = _jump_draw(model, min(escape_level, horizon + 1))
+    r = eval_F(model, 1.0)
+    draw = _jump_draw(model, horizon + 1, r)
     flag_from = horizon - horizon // 10  # strictly above = final 10%
 
     def worker(span, add):
         words, scratch, jumps = _working_set()
         keys = _sample_keys(seed, *span, scratch)
+        again = _returns(keys, 0, r, words, scratch)
+        add(0, keys.size - np.count_nonzero(again))  # never back: the last exit is 0
+        keys = keys[again]
         state = np.zeros(keys.size, dtype=np.int32)
         last_zero = np.zeros(keys.size, dtype=np.int32)
-        for now in range(1, horizon + 1):
+        now = 0
+        while now < horizon and keys.size:
+            now += 1
             n = keys.size
             np.add(keys, np.uint64(((now - 1) * _GOLDEN) & _MASK), out=words[:n])
             state -= 1
             np.maximum(state, 0, out=state)
             state += draw(words[:n], scratch[:n], jumps[:n])
-            last_zero[state == 0] = now
-            # at or above the escape level, or higher than the steps left
-            done = state > min(escape_level - 1, horizon - now)
+            done = state > horizon - now
+            at0 = np.flatnonzero(state == 0)
+            last_zero[at0] = now  # a visit; the one whose draw fails is the last exit
+            done[at0] = ~_returns(np.take(keys, at0, out=words[:at0.size]), now, r, words, scratch)
             if np.any(done):
                 add(last_zero[done], 1)
                 keep = np.logical_not(done, out=done)
                 keys = keys[keep]
                 state = state[keep]
                 last_zero = last_zero[keep]
-                if keys.size == 0:
-                    break
         add(last_zero, 1)  # the paths still alive at the horizon
 
     hist = _run_chunks(worker, samples, horizon + 1)

@@ -489,14 +489,31 @@ def _stepwise_report(worker, samples: int, size: int) -> tuple[dict, int]:
     return dict(zip(bins.tolist(), counts[bins].tolist())), extra
 
 
+def _conditioned_cum(model) -> tuple[np.ndarray, float]:
+    """Cumulative a_j r^(j-1) over ``model.coeffs``, r = F(1): the chain conditioned to return.
+
+    r is 1 on a recurrent law, which leaves the law itself.
+    """
+    r = eval_F(model, 1.0)
+    weighted = model.coeffs / np.append(r, np.ones(model.coeffs.size - 1))
+    weighted[1:] *= r ** np.arange(model.coeffs.size - 1.0)
+    return np.cumsum(weighted), r
+
+
+def _never_again(keys: np.ndarray, visit: int, r: float) -> np.ndarray:
+    """Whether paths at 0 at time `visit` never return: their draw at step -1 - visit."""
+    return _uniforms(keys, -1 - visit) >= r
+
+
 def stepwise_sample_tau(model, seed: int, samples: int, cap: int):
     """sim.sample_tau one time step at a time, on one thread."""
-    cum = np.cumsum(model.coeffs)
+    cum, r = _conditioned_cum(model)
     top = cum.size - 1
 
     def worker(span):
         lo, hi = span
         keys = _sample_keys(seed, lo, hi)
+        keys = keys[~_never_again(keys, 0, r)]
         state = np.zeros(keys.size, dtype=np.int64)
         counts = np.zeros(cap + 1, dtype=np.int64)
         for step in range(cap):
@@ -510,7 +527,7 @@ def stepwise_sample_tau(model, seed: int, samples: int, cap: int):
             state = state[still]
             if keys.size == 0:
                 break
-        return counts, keys.size
+        return counts, (hi - lo) - int(counts.sum())
 
     hist, censored = _stepwise_report(worker, samples, cap + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
@@ -519,10 +536,8 @@ def stepwise_sample_tau(model, seed: int, samples: int, cap: int):
 
 def stepwise_sample_last_exit(model, seed: int, samples: int, horizon: int):
     """sim.sample_last_exit with its searchsorted draw, on one thread."""
-    cum = np.cumsum(model.coeffs)
+    cum, r = _conditioned_cum(model)
     top = cum.size - 1
-    return_prob = eval_F(model, 1.0)
-    escape_level = max(1, math.ceil(math.log(1e-12) / math.log(return_prob)))
     flag_from = horizon - horizon // 10
 
     def worker(span):
@@ -532,26 +547,28 @@ def stepwise_sample_last_exit(model, seed: int, samples: int, horizon: int):
         last_zero = np.zeros(keys.size, dtype=np.int64)
         counts = np.zeros(horizon + 1, dtype=np.int64)
         flagged = 0
-        for step in range(horizon):
-            u = _uniforms(keys, step)
-            jump = np.minimum(np.searchsorted(cum, u, side="right"), top)
-            state = np.maximum(state - 1, 0) + jump
-            now = step + 1
+        for now in range(horizon + 1):
+            if now:
+                u = _uniforms(keys, now - 1)
+                jump = np.minimum(np.searchsorted(cum, u, side="right"), top)
+                state = np.maximum(state - 1, 0) + jump
             at_zero = state == 0
             last_zero[at_zero] = now
-            done = (state >= escape_level) | (state > horizon - now)
-            if np.any(done) or now == horizon:
-                settled = last_zero[done] if now < horizon else last_zero
-                counts += np.bincount(settled, minlength=horizon + 1)
-                flagged += int(np.count_nonzero(settled > flag_from))
-                if now == horizon:
-                    break
-                keep = ~done
-                keys = keys[keep]
-                state = state[keep]
-                last_zero = last_zero[keep]
-                if keys.size == 0:
-                    break
+            # settled: never back after this visit, higher than the steps
+            # left, or still on at the horizon
+            done = state > horizon - now
+            done[at_zero] = _never_again(keys[at_zero], now, r)
+            if now == horizon:
+                done[:] = True
+            settled = last_zero[done]
+            counts += np.bincount(settled, minlength=horizon + 1)
+            flagged += int(np.count_nonzero(settled > flag_from))
+            keep = ~done
+            keys = keys[keep]
+            state = state[keep]
+            last_zero = last_zero[keep]
+            if keys.size == 0:
+                break
         return counts, flagged
 
     hist, censored = _stepwise_report(worker, samples, horizon + 1)

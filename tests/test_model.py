@@ -343,6 +343,39 @@ def test_geometric_tilt_parameter_against_fraction(p, x, rel):
     assert abs(got - want) <= rel * want
 
 
+def _geometric_tilt_grid():
+    # p near 0, 1/2 and 1, and seeded; x inside, next to and just past the
+    # radius 1/q, where 1 - q x is the small difference of two large numbers
+    rng = np.random.default_rng(20261019)
+    ps = [1e-7, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-9, 0.9999999999999998]
+    for p in ps + [float(p) for p in rng.uniform(0.0, 1.0, 6)]:
+        radius = 1.0 / (1.0 - p)
+        xs = [0.3, 0.9, 1.1, 0.5 * radius, radius * (1.0 - 1e-9), radius * (1.0 - 1e-15),
+              math.nextafter(radius, math.inf)]
+        x = radius
+        for _ in range(6):
+            x = math.nextafter(x, 0.0)
+            xs.append(x)
+        yield from ((p, x) for x in xs)
+
+
+def test_geometric_tilt_is_the_exact_parameter_rounded_once():
+    # p' = 1 - (1 - p) x of the two doubles, rounded once; a point where
+    # it is not positive is refused.  At p = 1 - 2^-52, x = 2^52 - 1/2 the
+    # sum (1 - x) + p x cancelled to 0, where p' is 2^-53
+    tilted = 0
+    for p, x in _geometric_tilt_grid():
+        want = 1 - (1 - Fraction(p)) * Fraction(x)
+        if want <= 0:
+            with pytest.raises((OutOfRadius, ValueError)):
+                rc.tilt(rc.geometric(p), x)
+            continue
+        assert rc.tilt(rc.geometric(p), x).p == float(want), (p, x)
+        tilted += 1
+    assert tilted > 150
+    assert rc.tilt(rc.geometric(0.9999999999999998), 4503599627370495.5).p == 2.0 ** -53
+
+
 def test_tilt_keeps_explicit_laws_explicit():
     m = rc.tilt(rc.explicit([0.5, 0.2, 0.3]), 2.0)
     assert m.family == "explicit" and m.radius == math.inf
@@ -564,7 +597,11 @@ def test_tilted_G_past_the_radius_is_inf_where_the_scale_underflows():
     (lambda: rc.exact_coefficients(rc.explicit([0.5, 0.2, 0.3]), 0), ValueError, "at least 1"),
     (lambda: rc.eval_G(rc.explicit([0.5, 0.2, 0.3]), -1.0), ValueError, "nonnegative real"),
     (lambda: rc.eval_G(rc.explicit([0.5, 0.2, 0.3]), 0.5, -1), ValueError, "order must"),
-], ids=["build_model list", "exact_coefficients 0", "eval_G t=-1", "eval_G order=-1"])
+    # an order that is not integral is refused, not truncated to G''(0.5)
+    (lambda: rc.eval_G(rc.geometric(0.5), 0.5, 2.7), ValueError, "order must be an integer"),
+    (lambda: rc.eval_G(rc.geometric(0.5), 0.5, math.inf), ValueError, "order must be an integer"),
+], ids=["build_model list", "exact_coefficients 0", "eval_G t=-1", "eval_G order=-1",
+        "eval_G order=2.7", "eval_G order=inf"])
 def test_model_entry_points_refuse_bad_arguments(call, error, text):
     with pytest.raises(error, match=text):
         call()

@@ -183,8 +183,9 @@ def test_bench_pairs_of_canned_runs():
 
 
 def test_sim_hash_of_canned_reports_and_runs():
-    # one hash over the reports in grid order; --against prints both
-    # hashes and exits 1 when they differ
+    # one hash over the reports in grid order, then one per call; --against
+    # prints both grid hashes and each call that differs, and exits 1 when
+    # they differ
     import hashlib
 
     import repairchain as rc
@@ -198,23 +199,29 @@ def test_sim_hash_of_canned_reports_and_runs():
     assert sim_hash.report_hash([one]) == hashlib.sha256(line.encode()).hexdigest()
     assert sim_hash.report_hash([one, two]) != sim_hash.report_hash([two, one])
     runs = []
+    calls = ["#0 sample_tau half_stable bound=1 threads=1",
+             "#1 sample_last_exit geometric(0.25) bound=default threads=2"]
 
     def run(checkout):
         runs.append(checkout)
-        return {"parent": "aa", "same": "aa", "changed": "bb"}[checkout]
+        return {"parent": ["aa", "c0 " + calls[0], "c1 " + calls[1]],
+                "same": ["aa", "c0 " + calls[0], "c1 " + calls[1]],
+                "changed": ["bb", "c0 " + calls[0], "d1 " + calls[1]]}[checkout]
 
     assert sim_hash.compare("same", "parent", run=run) == (["parent: aa", "same: aa", "equal"], 0)
     assert sim_hash.compare("changed", "parent", run=run) == (
-        ["parent: aa", "changed: bb", "different"], 1)
+        ["parent: aa", "changed: bb", "differs: " + calls[1], "different"], 1)
     assert runs == ["parent", "same", "parent", "changed"]
     # the grid: 8 tau laws and 3 exit laws at 5 bounds, then mc_sample's
-    # 80 jobs, each on 1 and 2 threads
+    # 80 jobs, each on 1 and 2 threads, each named by its law
     calls = sim_hash.grid(rc)
     assert len(calls) == (8 + 3) * 5 * 2 + 80
     assert [c[4] for c in calls[:10]] == [1, 1, 2, 2, 3, 3, 100, 100, 5000, 5000]
     assert [c[5] for c in calls] == [1, 2] * (len(calls) // 2)
     assert {c[0] for c in calls[80:110]} == {"sample_last_exit"}
     assert {c[3] for c in calls[110:]} == {1 << 17}
+    assert calls[0][6] == "explicit a_1 = 0" and calls[80][6] == "explicit a_1 = 0"
+    assert {c[6] for c in calls[110:]} >= {"geometric(0.5)", "half_stable()"}
 
 
 def test_line_coverage_lists_the_statements_a_run_never_reaches():

@@ -37,7 +37,7 @@ def test_tau_censoring_matches_survival(geo_half):
 
 def test_tau_on_transient_chain_censors_the_escape(geo_quarter):
     rep = rc.sample_tau(geo_quarter, seed=55, samples=50_000, cap=256)
-    # tau = inf with probability 2/3; those walks all hit the cap
+    # tau = inf with probability 2/3; those paths are censored before a step
     frac = rep.censored / rep.samples
     assert abs(frac - 2.0 / 3.0) < 0.01
 
@@ -248,12 +248,12 @@ def test_guide_draw_is_exact_at_every_threshold(model):
     # index; below it, every draw past the ends-th threshold returns ends.
     # The guide has 2^11, 2^13 or 2^16 buckets across these ends.
     for ends in (n, n + 1):
-        draw = _jump_draw(model, ends)
+        draw = _jump_draw(model, ends, 1.0)
         assert np.array_equal(_closure(draw, "guide"), _searched_guide(draw)), ends
         assert np.array_equal(_draw(draw, counters), np.minimum(want, n - 1)), ends
     for ends in (1, 3, 7, 100, n - 1):
         if ends < n:
-            draw = _jump_draw(model, ends)
+            draw = _jump_draw(model, ends, 1.0)
             assert np.array_equal(_closure(draw, "guide"), _searched_guide(draw)), ends
             assert np.array_equal(_draw(draw, counters), np.minimum(want, ends)), ends
 
@@ -282,7 +282,7 @@ def test_partial_mix_draw_is_the_full_splitmix_draw(model):
     words = oracles._mix64(counters)
     u = (words >> np.uint64(11)) * 2.0 ** -53
     want = np.minimum(np.searchsorted(cum, u, side="right"), top)
-    draw = _jump_draw(model, ends)
+    draw = _jump_draw(model, ends, 1.0)
     assert np.array_equal(_draw(draw, counters), want)
     # both kinds of draw were made: guide hits and misses
     misses = _closure(draw, "guide")[(words >> _closure(draw, "shift")).astype(np.int64)] < 0
@@ -296,20 +296,26 @@ def _closure(fn, name):
 @pytest.mark.parametrize("model", [
     rc.geometric(0.5), rc.geometric(0.2), rc.half_stable(), rc.power_zeta(2.1),
     rc.power_zeta(3.0), rc.explicit([0.1, 0.3, 0.0, 0.6]), rc.tilt(rc.half_stable(), 0.9),
-    rc.tilt(rc.power_zeta(2.5), 0.7)],
+    rc.tilt(rc.power_zeta(2.5), 0.7), rc.explicit([5e-324, 0.5, 0.5])],
     ids=["geometric(0.5)", "geometric(0.2)", "half_stable", "power_zeta(2.1)",
-         "power_zeta(3)", "explicit", "tilt half_stable", "tilt power_zeta"])
+         "power_zeta(3)", "explicit", "tilt half_stable", "tilt power_zeta",
+         "explicit r = 1e-323"])
 def test_thresholds_are_those_of_the_table_prefix(model):
     # built from exact_coefficients, bit for bit the thresholds and cap the
-    # table gives, whether the table is longer than ends or not
+    # table gives, whether the table is longer than ends or not; on the
+    # transient laws those of a_j r^(j-1), r = F(1), and of the law itself
+    # at r = 1.  a_0 / r is formed apart: at r = 1e-323, 1/r overflows
     from repairchain.sim import _jump_draw
 
     n = model.coeffs.size
-    for ends in (5, 100, 10 ** 5):
-        draw = _jump_draw(model, ends)
-        want = np.ceil(np.cumsum(model.coeffs[:ends]) * 2.0 ** 53)
-        assert _closure(draw, "thresholds").tobytes() == want.tobytes(), ends
-        assert _closure(draw, "top") == (ends if n > ends else n - 1), ends
+    for r in {rc.eval_F(model, 1.0), 1.0}:
+        weighted = model.coeffs / np.append(r, np.ones(n - 1))
+        weighted[1:] *= r ** np.arange(n - 1.0)
+        for ends in (5, 100, 10 ** 5):
+            draw = _jump_draw(model, ends, r)
+            want = np.ceil(np.cumsum(weighted[:ends]) * 2.0 ** 53)
+            assert _closure(draw, "thresholds").tobytes() == want.tobytes(), (r, ends)
+            assert _closure(draw, "top") == (ends if n > ends else n - 1), (r, ends)
 
 
 def _record_draws(monkeypatch, limit=10 ** 4):
@@ -322,8 +328,8 @@ def _record_draws(monkeypatch, limit=10 ** 4):
     calls = []
     jump_draw = sim._jump_draw
 
-    def recording_jump_draw(model, ends):
-        draw = jump_draw(model, ends)
+    def recording_jump_draw(model, ends, r):
+        draw = jump_draw(model, ends, r)
 
         def recording_draw(words, scratch, out):
             calls.append((words.size, words.ctypes.data, scratch.ctypes.data, out.ctypes.data))
@@ -361,8 +367,8 @@ def test_both_running_sums_match_the_stepwise_oracle(monkeypatch):
     shapes = []
     jump_draw = sim._jump_draw
 
-    def recording_jump_draw(model, ends):
-        draw = jump_draw(model, ends)
+    def recording_jump_draw(model, ends, r):
+        draw = jump_draw(model, ends, r)
 
         def recording_draw(words, scratch, out):
             block = sys._getframe(1).f_locals  # the sampler's worker
@@ -575,30 +581,93 @@ def test_one_histogram_whatever_the_thread_count(threads, monkeypatch):
         assert peak < 1.5 * (size + 1) * 8, (sample.__name__, peak)
 
 
-@pytest.mark.parametrize("model", [
-    rc.geometric(0.25), rc.geometric(0.45), rc.explicit([0.2, 0.3, 0.5]),
-    rc.explicit([0.5 - 5e-7, 0.0, 0.5 + 5e-7])],
-    ids=["geometric(0.25)", "geometric(0.45)", "explicit [0.2, 0.3, 0.5]", "mu - 1 = 1e-6"])
-def test_escape_level_is_the_first_level_below_1e_12(model):
-    # from level L a transient chain ever returns to 0 with probability F(1)^L;
-    # both samplers retire paths from the first L where that is below 1e-12
-    from repairchain.sim import _escape_level
-
-    assert model.mu > 1.0
-    r = rc.eval_F(model, 1.0)
-    level = _escape_level(model)
-    assert r ** level < 1e-12 <= r ** (level - 1), (r, level)
-
-
-def test_transient_paths_are_censored_at_the_escape_level(geo_quarter, monkeypatch):
-    # a path above the escape level is retired, not stepped on until it is
-    # higher than the steps left: at the default cap of 10^6, 2/3 of the
-    # paths of geometric(1/4) escape, and they leave within a few blocks
-    want = rc.sample_tau(geo_quarter, 3, 20_000, cap=1000)
+def test_transient_paths_that_never_return_draw_no_jump(geo_quarter, monkeypatch):
+    # a path whose time-0 draw fails, 2/3 of those of geometric(1/4), is
+    # censored (or, sampling last exits, retired at L = 0) before its first
+    # jump, and the others walk the chain conditioned to return, which
+    # brings them back within a few blocks even at the default cap of 10^6
+    samples = 20_000
+    want = rc.sample_tau(geo_quarter, 3, samples, cap=1000)
+    keys = oracles._sample_keys(3, 0, samples)
+    staying = int(np.count_nonzero(oracles._uniforms(keys, -1) < rc.eval_F(geo_quarter, 1.0)))
+    assert abs(staying / samples - 1.0 / 3.0) < 0.01
     calls = _record_draws(monkeypatch, limit=1000)
-    rep = rc.sample_tau(geo_quarter, 3, 20_000)
+    rep = rc.sample_tau(geo_quarter, 3, samples)
+    assert calls[0][0] == staying  # the first block: one step of the paths that return
     assert len(calls) < 100
-    assert rep.tau_hist == want.tau_hist and rep.censored == want.censored
+    assert rep.tau_hist == want.tau_hist and rep.censored == want.censored == samples - staying
+    calls.clear()
+    exits = rc.sample_last_exit(geo_quarter, 3, samples, horizon=1000)
+    assert calls[0][0] == staying
+    assert exits.L_hist[0] >= samples - staying
+
+
+@pytest.mark.parametrize("model", [rc.geometric(0.25), rc.explicit([0.2, 0.3, 0.5]),
+                                   rc.explicit([0.3, 0.0, 0.2, 0.5])],
+                         ids=["geometric(0.25)", "explicit [0.2, 0.3, 0.5]",
+                              "explicit [0.3, 0, 0.2, 0.5]"])
+def test_censored_returns_are_the_last_exits_at_zero(model):
+    # on the same seed, with cap = horizon, a path is censored by sample_tau
+    # exactly when its last exit by the horizon is 0: it never returns, or
+    # not by then
+    for bound in (1, 5, 200):
+        tau = rc.sample_tau(model, 41, 30_000, cap=bound)
+        exits = rc.sample_last_exit(model, 41, 30_000, horizon=bound)
+        assert tau.censored == exits.L_hist.get(0, 0), bound
+
+
+def test_last_exit_where_the_return_probability_rounds_to_one():
+    # mu - 1 = 1.5e-12 and a jump variance of 10^5: F(1) = 1 - 3e-17 is
+    # 1.0 as a double.  Every visit's draw then returns, so the paths walk
+    # to the horizon as the oracle's do
+    n = 10 ** 5
+    w = (1.0 + 1.5e-12) / n
+    model = rc.explicit([1.0 - w] + [0.0] * (n - 1) + [w])
+    assert rc.classify(model) is rc.ChainClass.TRANSIENT and rc.eval_F(model, 1.0) == 1.0
+    rep = rc.sample_last_exit(model, 1, 1000, horizon=50)
+    assert rep == oracles.stepwise_sample_last_exit(model, 1, 1000, 50)
+    assert rep.L_hist.get(0, 0) < 1000
+
+
+def _pooled_chi2_p(observed, expected) -> float:
+    """Chi-square p-value, the bins with expected count below 5 pooled into one."""
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    small = expected < 5.0
+    obs = list(observed[~small]) + [observed[small].sum()]
+    exp = list(expected[~small]) + [expected[small].sum()]
+    if exp[-1] < 5.0:  # a pool still too small joins the smallest kept bin
+        i = int(np.argmin(exp[:-1]))
+        obs[i] += obs.pop()
+        exp[i] += exp.pop()
+    obs, exp = np.array(obs), np.array(exp)
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), obs.size - 1))
+
+
+GOF_LAWS = {
+    "geometric(0.25)": lambda: rc.geometric(0.25),
+    "geometric(0.4)": lambda: rc.geometric(0.4),
+    "geometric(0.48)": lambda: rc.geometric(0.48),
+    "explicit [0.2, 0.3, 0.5]": lambda: rc.explicit([0.2, 0.3, 0.5]),
+    "explicit [0.3, 0, 0.2, 0.5]": lambda: rc.explicit([0.3, 0.0, 0.2, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOF_LAWS))
+def test_transient_samplers_fit_the_exact_laws(name):
+    # chi-square against f_1 .. f_h and 1 - sum f (the censored paths),
+    # and against P(L_h = n) = u_n (1 - sum_(k <= h - n) f_k), h = 200
+    model, h, samples = GOF_LAWS[name](), 200, 1 << 18
+    exact = rc.return_pmf(model, h)
+    f, u = exact.f, exact.u
+    tau = rc.sample_tau(model, 2026, samples, cap=h)
+    observed = [tau.tau_hist.get(n, 0) for n in range(1, h + 1)] + [tau.censored]
+    expected = samples * np.append(f[1:], 1.0 - f.sum())
+    assert _pooled_chi2_p(observed, expected) >= 1e-3
+    exits = rc.sample_last_exit(model, 2027, samples, horizon=h)
+    observed = [exits.L_hist.get(n, 0) for n in range(h + 1)]
+    survival = 1.0 - np.cumsum(f)  # survival[m] = 1 - sum_(k <= m) f_k
+    expected = samples * u * survival[::-1]
+    assert _pooled_chi2_p(observed, expected) >= 1e-3
 
 
 # tracemalloc peak, in MB, of one call on 2^17 samples (two chunks) at one
