@@ -8,6 +8,9 @@ equal.  The grid, in order:
   on every law of ``EXIT_LAWS`` (both from tests/test_sim.py), 70,001
   samples (a full chunk and a short one) on seed 17, at caps and
   horizons 1, 2, 3, 100 and 5000;
+- ``sample_tau`` on the null-recurrent laws of ``ORACLE_LAWS``, 3000
+  samples on seed 17 at the default cap 10^6, where a block's rows are
+  bounded so that its 32-bit levels cannot wrap;
 - mc_sample's job list for seed 1101 (perfbench/workloads.py, at
   BENCHMARK.json's run_seconds),
 
@@ -40,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = (1, 2, 3, 100, 5000)
 THREADS = (1, 2)
 SAMPLES = 70_001
+WIDE_CAP, WIDE_SAMPLES = 10 ** 6, 3000
 SEED = 17
 MC_SEED = 1101
 
@@ -58,6 +62,10 @@ def grid(rc) -> list:
         for name in sorted(laws):
             calls += [(kind, laws[name], SEED, SAMPLES, bound, threads, name)
                       for bound in BOUNDS for threads in THREADS]
+    for name in sorted(ORACLE_LAWS):
+        if rc.classify(ORACLE_LAWS[name]()) is rc.ChainClass.NULL_RECURRENT:
+            calls += [("sample_tau", ORACLE_LAWS[name], SEED, WIDE_SAMPLES, WIDE_CAP, threads, name)
+                      for threads in THREADS]
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     for job in workloads.make_jobs("mc_sample", MC_SEED, seconds):
         spec = job["model"]

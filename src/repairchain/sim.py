@@ -29,8 +29,8 @@ last step, z ^= z >> 31, changes, so only the draws that miss it take
 that step.  Nothing is cached.
 
 A worker draws every block of its chunk of paths into one working set
-allocated once: three arrays of _CHUNK entries for the draw words, a
-scratch array and the jumps (then the levels).  Paths step by
+allocated once, 1.25 MB: three arrays of _CHUNK entries, the 64-bit draw
+words and scratch and the 32-bit jumps (then the levels).  Paths step by
 X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1), down at most 1 a
 step, so first-return sampling advances all n active paths in blocks of
 b steps, stored step-major (row j holds every path's draw at step + j)
@@ -38,18 +38,27 @@ so that no pass pays per path.  max(X, 1) added to row 0, then running
 sums of J - 1 down the steps (b - 1 row adds while b <= n, one cumsum
 once b > n), are a path's levels in the block until it returns, where
 they first reach 0, which it does exactly when their minimum down the
-steps is at most 0.  b = min(cap - step, step + 1, max(1, _CHUNK // n))
-keeps young blocks short and runs the thin null-recurrent tail in a few
-wide ones.  A path whose time-0 draw fails is censored before a step,
-one higher than the steps left before the cap at once, the rest at the
-cap.  Last-exit sampling (transient chains only) steps one time unit at
-a time, records the last visit to 0 by the horizon, and retires a path
-at the visit whose draw fails (its last exit) or when it sits higher
-than the steps left.  A call keeps one histogram of cap + 1 (or
-horizon + 1) counts, which every worker adds into under a lock; a cap
-or horizon whose histogram would pass HIST_BUDGET bytes, like a count
-below 1, is refused with ValueError before the law is classified or a
-coefficient built.
+steps is at most 0; a block of one row has all its returns at step + 1
+and needs no search.  b = min(cap - step, step + 1, max(1, _CHUNK // n),
+rows) keeps young blocks short and runs the thin null-recurrent tail in
+a few wide ones.  A kept level and a jump are each at most the cap, so
+a block's levels stay below (b + 1) cap; rows = (2^31 - 1) // cap - 1
+keeps that within int32.  As b <= (cap + 1) / 2 in any case, rows binds
+only at caps from 65,535 on.  A path whose
+time-0 draw fails is censored before a step, one higher than the steps
+left before the cap at once, the rest at the cap.  Between blocks the
+kept paths are compacted, through one index array, into buffers the
+worker allocates once: the keys into the other of a pair of chunk-sized
+arrays, which then swap, and the levels, from the block's last row, into
+one array.  Last-exit sampling (transient chains only) steps one time
+unit at a time, records the last visit to 0 by the horizon, and retires
+a path at the visit whose draw fails (its last exit) or when it sits
+higher than the steps left; its keys, states and last visits compact
+the same way, into pairs sized to the paths that return at time 0.  A
+call keeps one histogram of cap + 1 (or horizon + 1) counts, which every
+worker adds into under a lock; a cap or horizon whose histogram would
+pass HIST_BUDGET bytes, like a count below 1, is refused with ValueError
+before the law is classified or a coefficient built.
 """
 
 from __future__ import annotations
@@ -90,11 +99,13 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sample_keys(seed: int, start: int, stop: int, scratch: np.ndarray) -> np.ndarray:
-    keys = np.arange(start + 1, stop + 1, dtype=np.uint64) * _NP_GOLDEN
+def _sample_keys(seed: int, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """The keys of samples start .. stop - 1 (module doc), at the front of out."""
+    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    keys = np.multiply(index, _NP_GOLDEN, out=out[:index.size])
     keys += np.uint64(seed & _MASK)
-    _mix64(keys, scratch[:keys.size])
-    keys ^= np.right_shift(keys, np.uint64(31), out=scratch[:keys.size])
+    _mix64(keys, index)  # the index is spent: it is the mix's scratch
+    keys ^= np.right_shift(keys, np.uint64(31), out=index)
     return keys
 
 
@@ -109,7 +120,7 @@ def _returns(keys, visit: int, r: float, words, scratch) -> np.ndarray:
 
 
 def _jump_draw(model: JumpModel, ends: int, r: float):
-    """Inverse-CDF draw(words, scratch, out) of a_j r^(j-1), r = F(1) or 1: jumps into out.
+    """Inverse-CDF draw(words, scratch, out) of a_j r^(j-1), r = F(1) or 1: int32 jumps into out.
 
     Thresholds cover a_0 .. a_(m-1), m = min(ends, n) for the n entries of
     ``model.coeffs``; a draw past the last of them gets top = min(ends, n - 1).
@@ -129,7 +140,7 @@ def _jump_draw(model: JumpModel, ends: int, r: float):
     # #(t <= highest R of each bucket), and #(t <= lowest R): less those strictly above it
     highest = np.cumsum(np.bincount(cells, minlength=buckets)[:buckets])
     lowest = highest - np.bincount(cells[thresholds % width != 0], minlength=buckets)[:buckets]
-    guide = np.minimum(lowest, top)
+    guide = np.minimum(lowest, top).astype(np.int32)  # top < 2^31: the cap is within HIST_BUDGET
     guide[guide != np.minimum(highest, top)] = -1
     shift = np.uint64(64 - bucket_bits)
 
@@ -138,7 +149,7 @@ def _jump_draw(model: JumpModel, ends: int, r: float):
         np.right_shift(words, shift, out=scratch)
         np.take(guide, scratch.view(np.int64), out=out, mode="clip")
         if out.min() < 0:
-            miss = np.flatnonzero(out < 0)
+            miss = np.flatnonzero(np.less(out, 0, out=scratch.view(bool)[:out.size]))
             bits = words[miss]  # take the mix's last step; R < 2^53 is exact as a float
             big_r = ((bits ^ (bits >> np.uint64(31))) >> np.uint64(11)).astype(float)
             out[miss] = np.minimum(np.searchsorted(thresholds, big_r, side="right"), top)
@@ -157,7 +168,13 @@ def _workers() -> int:
 def _working_set():
     """A worker's draw words, scratch and jumps (see module doc)."""
     return (np.empty(_CHUNK, dtype=np.uint64), np.empty(_CHUNK, dtype=np.uint64),
-            np.empty(_CHUNK, dtype=np.int64))
+            np.empty(_CHUNK, dtype=np.int32))
+
+
+def _compact(keep, live, into) -> list:
+    """Each array of live, where keep, in order at the front of the matching buffer of into."""
+    at = np.flatnonzero(keep)
+    return [np.take(a, at, out=buffer[:at.size], mode="clip") for a, buffer in zip(live, into)]
 
 
 def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
@@ -230,17 +247,20 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
     samples, cap = _run_size(samples, cap, "cap")
     r = eval_F(model, 1.0)
     draw = _jump_draw(model, cap, r)
+    rows = np.iinfo(np.int32).max // cap - 1  # (rows + 1) cap <= 2^31 - 1: no level wraps
 
     def worker(span, add):
         words, scratch, jumps = _working_set()
-        keys = _sample_keys(seed, *span, scratch)
+        key_pair, side = np.empty((2, _CHUNK), dtype=np.uint64), 0  # live keys in row side
+        keys = _sample_keys(seed, *span, key_pair[side])
         if r < 1.0:  # the paths that never return are censored before a step
-            keys = keys[_returns(keys, 0, r, words, scratch)]
-        level = np.zeros(keys.size, dtype=np.int64)
+            side ^= 1
+            keys, = _compact(_returns(keys, 0, r, words, scratch), [keys], [key_pair[side]])
+        level = level_buffer = np.zeros(keys.size, dtype=np.int32)
         step = 0
         while step < cap and keys.size:
             n = keys.size
-            b = min(cap - step, step + 1, max(1, _CHUNK // n))
+            b = min(cap - step, step + 1, max(1, _CHUNK // n), rows)
             offsets = np.arange(step, step + b, dtype=np.uint64) * _NP_GOLDEN
             # step-major: row j holds every path's draw at step + j
             np.add(offsets[:, None], keys, out=words[:n * b].reshape(b, n))
@@ -255,15 +275,21 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
             else:
                 np.cumsum(levels, axis=0, out=levels)
             back = np.flatnonzero(np.minimum.reduce(levels, axis=0,
-                                                    out=scratch.view(np.int64)[:n]) <= 0)
-            below = np.take(levels, back, axis=1, mode="clip",
-                            out=words.view(np.int64)[:b * back.size].reshape(b, -1)) <= 0
-            add(slice(step + 1, step + 1 + b), np.bincount(np.argmax(below, axis=0), minlength=b))
+                                                    out=scratch.view(np.int32)[:n]) <= 0)
+            if b == 1:  # every return is at row 0
+                add(step + 1, back.size)
+            else:
+                below = np.take(levels, back, axis=1, mode="clip",
+                                out=words.view(np.int32)[:b * back.size].reshape(b, -1)) <= 0
+                returns = np.bincount(np.argmax(below, axis=0), minlength=b)  # per step
+                add(slice(step + 1, step + 1 + b), returns)
             step += b
-            kept = levels[-1] <= cap - step
+            kept = np.less_equal(levels[-1], cap - step, out=scratch.view(bool)[:n])
             kept[back] = False
-            keys = keys[kept]
-            level = levels[-1, kept]
+            # the kept keys into the other of their pair; level, spent on row 0,
+            # takes their last row
+            side ^= 1
+            keys, level = _compact(kept, (keys, levels[-1]), (key_pair[side], level_buffer))
 
     hist = _run_chunks(worker, samples, cap + 1)
     return SimReport(samples=samples, seed=int(seed), tau_hist=hist,
@@ -282,12 +308,17 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
 
     def worker(span, add):
         words, scratch, jumps = _working_set()
-        keys = _sample_keys(seed, *span, scratch)
+        keys = _sample_keys(seed, *span, np.empty(_CHUNK, dtype=np.uint64))
         again = _returns(keys, 0, r, words, scratch)
-        add(0, keys.size - np.count_nonzero(again))  # never back: the last exit is 0
-        keys = keys[again]
-        state = np.zeros(keys.size, dtype=np.int32)
-        last_zero = np.zeros(keys.size, dtype=np.int32)
+        returning = np.count_nonzero(again)
+        add(0, keys.size - returning)  # never back: the last exit is 0
+        # each returning path's key, state and last visit to 0, live in row
+        # `side` of its pair, which compaction swaps
+        key_pair, side = np.empty((2, returning), dtype=np.uint64), 0
+        keys, = _compact(again, [keys], [key_pair[side]])
+        state_pair = np.zeros((2, returning), dtype=np.int32)
+        last_pair = np.zeros((2, returning), dtype=np.int32)
+        state, last_zero = state_pair[side], last_pair[side]
         now = 0
         while now < horizon and keys.size:
             now += 1
@@ -296,16 +327,17 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
             state -= 1
             np.maximum(state, 0, out=state)
             state += draw(words[:n], scratch[:n], jumps[:n])
-            done = state > horizon - now
+            done = np.greater(state, horizon - now, out=jumps.view(bool)[:n])
             at0 = np.flatnonzero(state == 0)
             last_zero[at0] = now  # a visit; the one whose draw fails is the last exit
-            done[at0] = ~_returns(np.take(keys, at0, out=words[:at0.size]), now, r, words, scratch)
+            visited = np.take(keys, at0, out=words[:at0.size], mode="clip")
+            done[at0] = ~_returns(visited, now, r, words, scratch)
             if np.any(done):
                 add(last_zero[done], 1)
+                side ^= 1
                 keep = np.logical_not(done, out=done)
-                keys = keys[keep]
-                state = state[keep]
-                last_zero = last_zero[keep]
+                keys, state, last_zero = _compact(keep, (keys, state, last_zero), (
+                    key_pair[side], state_pair[side], last_pair[side]))
         add(last_zero, 1)  # the paths still alive at the horizon
 
     hist = _run_chunks(worker, samples, horizon + 1)

@@ -212,16 +212,20 @@ def test_sim_hash_of_canned_reports_and_runs():
     assert sim_hash.compare("changed", "parent", run=run) == (
         ["parent: aa", "changed: bb", "differs: " + calls[1], "different"], 1)
     assert runs == ["parent", "same", "parent", "changed"]
-    # the grid: 8 tau laws and 3 exit laws at 5 bounds, then mc_sample's
-    # 80 jobs, each on 1 and 2 threads, each named by its law
+    # the grid: 8 tau laws and 3 exit laws at 5 bounds, the 4 null-recurrent
+    # tau laws at cap 10^6, then mc_sample's 80 jobs, each on 1 and 2
+    # threads, each named by its law
     calls = sim_hash.grid(rc)
-    assert len(calls) == (8 + 3) * 5 * 2 + 80
+    assert len(calls) == (8 + 3) * 5 * 2 + 4 * 2 + 80
     assert [c[4] for c in calls[:10]] == [1, 1, 2, 2, 3, 3, 100, 100, 5000, 5000]
     assert [c[5] for c in calls] == [1, 2] * (len(calls) // 2)
     assert {c[0] for c in calls[80:110]} == {"sample_last_exit"}
-    assert {c[3] for c in calls[110:]} == {1 << 17}
+    assert {(c[0], c[3], c[4]) for c in calls[110:118]} == {("sample_tau", 3000, 10 ** 6)}
+    assert [c[6] for c in calls[110:118:2]] == ["explicit a_1 = 0", "geometric(0.5)",
+                                                "half_stable", "tilt(geometric(0.25), 2/3)"]
+    assert {c[3] for c in calls[118:]} == {1 << 17}
     assert calls[0][6] == "explicit a_1 = 0" and calls[80][6] == "explicit a_1 = 0"
-    assert {c[6] for c in calls[110:]} >= {"geometric(0.5)", "half_stable()"}
+    assert {c[6] for c in calls[118:]} >= {"geometric(0.5)", "half_stable()"}
 
 
 def test_line_coverage_lists_the_statements_a_run_never_reaches():

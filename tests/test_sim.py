@@ -202,7 +202,7 @@ def _unmix64(words):
 
 def _draw(draw, counters):
     """The jumps draw gives for `counters`, through buffers of their size."""
-    return draw(counters.copy(), np.empty_like(counters), np.empty(counters.size, np.int64))
+    return draw(counters.copy(), np.empty_like(counters), np.empty(counters.size, np.int32))
 
 
 def _threshold_words(cum, low_bits):
@@ -385,6 +385,34 @@ def test_both_running_sums_match_the_stepwise_oracle(monkeypatch):
     assert (1, sim._CHUNK) in shapes
     assert any(1 < b <= n for b, n in shapes)
     assert any(b > n for b, n in shapes)
+
+
+def test_block_rows_are_bounded_so_levels_cannot_wrap(monkeypatch):
+    # levels are 32-bit, so a block has at most 2^31 // cap - 1 rows.  At
+    # the largest cap the histogram budget admits, one path stays at level 1
+    # for 2^15 steps, then jumps by the cap at every step.  Unbounded, the
+    # block from step 2^15 - 1 has 2^15 rows, its levels pass 2^31 - 1 after
+    # 128 of them and wrap below 0, a return that never was; bounded, the
+    # path is censored
+    from repairchain import sim
+
+    cap, seed = sim.HIST_BUDGET // 8 - 1, 3
+    assert cap == 16_777_215
+    key = sim._sample_keys(seed, 0, 1, np.empty(1, dtype=np.uint64))[0]
+    inverse = np.uint64(pow(sim._GOLDEN, -1, 1 << 64))
+
+    def stub_jump_draw(model, ends, r):
+        def draw(words, scratch, out):
+            steps = (words - key) * inverse  # the word of step j is key + j G
+            out[:] = np.where(steps < 1 << 15, 1, cap)
+            return out
+
+        return draw
+
+    monkeypatch.setattr(sim, "_jump_draw", stub_jump_draw)
+    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
+    rep = rc.sample_tau(rc.geometric(0.5), seed, 1, cap)
+    assert rep.tau_hist == {} and rep.censored == 1
 
 
 def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
