@@ -72,7 +72,7 @@ VERB_FORMS = [
     # the CLI's default seed
     ["simulate", "--tau", "--samples", "2000", "--cap", "500"],
     ["simulate", "--exit", "--samples", "2000", "--horizon", "500"],
-    # three chunks of samples each, so a helper thread runs
+    # three chunks of samples each
     ["simulate", "--tau", "--samples", "140000", "--cap", "500", "--seed", "1"],
     ["simulate", "--exit", "--samples", "140000", "--horizon", "500", "--seed", "1"],
 ]

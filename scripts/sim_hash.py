@@ -12,12 +12,12 @@ equal.  The grid, in order:
   samples on seed 17 at the default cap 10^6, where a block's rows are
   bounded so that its 32-bit levels cannot wrap;
 - mc_sample's job list for seed 1101 (perfbench/workloads.py, at
-  BENCHMARK.json's run_seconds),
+  BENCHMARK.json's run_seconds), one call for each pair of jobs that
+  differ only in their thread count, which the package does not read.
 
-each call on 1 and on 2 threads.  Each report is hashed as one line of
-sorted-key JSON of its fields.  After the grid's hash comes one line per
-call: its own report's hash, its index in the grid, the sampler, the
-law, the cap or horizon and the thread count.
+Each report is hashed as one line of sorted-key JSON of its fields.
+After the grid's hash comes one line per call: its own report's hash,
+its index in the grid, the sampler, the law and the cap or horizon.
 
 Usage:
     PYTHONPATH=src python3 scripts/sim_hash.py
@@ -26,7 +26,7 @@ Usage:
 With ``--against PARENT`` the grid runs twice, in child processes with
 PYTHONPATH set to this checkout's src and to PARENT's; it prints both
 grid hashes, then each call whose report differs, and exits 1 when they
-differ.
+differ.  Both sides run this script's grid.
 """
 
 import argparse
@@ -41,7 +41,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BOUNDS = (1, 2, 3, 100, 5000)
-THREADS = (1, 2)
 SAMPLES = 70_001
 WIDE_CAP, WIDE_SAMPLES = 10 ** 6, 3000
 SEED = 17
@@ -49,7 +48,7 @@ MC_SEED = 1101
 
 
 def grid(rc) -> list:
-    """(sampler name, model factory, seed, samples, cap or horizon or None, threads, law)."""
+    """(sampler name, model factory, seed, samples, cap or horizon or None, law)."""
     if str(ROOT / "tests") not in sys.path:
         sys.path.insert(0, str(ROOT / "tests"))  # test_sim imports its oracles from there
     from test_sim import EXIT_LAWS, ORACLE_LAWS
@@ -60,18 +59,18 @@ def grid(rc) -> list:
     calls = []
     for kind, laws in (("sample_tau", ORACLE_LAWS), ("sample_last_exit", EXIT_LAWS)):
         for name in sorted(laws):
-            calls += [(kind, laws[name], SEED, SAMPLES, bound, threads, name)
-                      for bound in BOUNDS for threads in THREADS]
+            calls += [(kind, laws[name], SEED, SAMPLES, bound, name) for bound in BOUNDS]
     for name in sorted(ORACLE_LAWS):
         if rc.classify(ORACLE_LAWS[name]()) is rc.ChainClass.NULL_RECURRENT:
-            calls += [("sample_tau", ORACLE_LAWS[name], SEED, WIDE_SAMPLES, WIDE_CAP, threads, name)
-                      for threads in THREADS]
+            calls.append(("sample_tau", ORACLE_LAWS[name], SEED, WIDE_SAMPLES, WIDE_CAP, name))
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     for job in workloads.make_jobs("mc_sample", MC_SEED, seconds):
+        if job["threads"] != 1:  # the job before it, on another thread count
+            continue
         spec = job["model"]
         law = f"{spec['family']}({', '.join(str(v) for k, v in spec.items() if k != 'family')})"
         calls.append((job["kind"], lambda spec=spec: rc.build_model(spec),
-                      job["seed"], job["samples"], job.get("cap"), job["threads"], law))
+                      job["seed"], job["samples"], job.get("cap"), law))
     return calls
 
 
@@ -88,13 +87,12 @@ def run_grid() -> list[str]:
     import repairchain as rc
 
     reports, lines = [], []
-    for index, (kind, model, seed, samples, bound, threads, law) in enumerate(grid(rc)):
-        os.environ["REPAIRCHAIN_THREADS"] = str(threads)
+    for index, (kind, model, seed, samples, bound, law) in enumerate(grid(rc)):
         sample = getattr(rc, kind)
         reports.append(sample(model(), seed, samples) if bound is None
                        else sample(model(), seed, samples, bound))
         lines.append(f"{report_hash(reports[-1:])} #{index} {kind} {law} "
-                     f"bound={'default' if bound is None else bound} threads={threads}")
+                     f"bound={'default' if bound is None else bound}")
     return [report_hash(reports)] + lines
 
 

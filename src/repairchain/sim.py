@@ -3,10 +3,10 @@
 Sampling is counter-based: sample i is keyed by SplitMix64's output
 i + 1, mix(seed + (i + 1) G) for the increment G, so seed 0 keys no
 sample with mix(0) = 0; its draw at step j mixes the key with j.  No
-generator state is shared, so any partition of the samples across
-workers, and any grouping of steps into blocks, gives the identical
-merged report; REPAIRCHAIN_THREADS only changes how fast it arrives.
-Its n workers are the calling thread, always, and n - 1 helper threads.
+generator state is carried from one sample or step to another, so a
+report does not depend on how the samples are split into chunks or how
+steps are grouped into blocks.  A call runs on the calling thread, one
+chunk of _CHUNK samples after another.
 
 A call reads r = F(1), the return probability, once.  On a transient law
 (r < 1) paths walk the chain conditioned to return, the tilt at r, where
@@ -20,16 +20,18 @@ being the cap or horizon + 1 (a larger jump ends a path whatever its
 size).  A draw keeps the top 53 bits R of its 64-bit word and stands
 for u = R 2^-53: cum[k] <= u exactly when t_k = ceil(cum[k] 2^53) <= R,
 so the jump is the number of thresholds t_k <= R, capped as _jump_draw
-says.  A guide of 2^g buckets on the top g bits of R, built by counting
-the thresholds per bucket, gives that count unless a threshold falls
-strictly inside the bucket, where the draw binary-searches (0.0015% of
-draws on geometric(1/2), 0.13% on half_stable); g = min(16, bit length
-of the threshold count + 10).  The guide reads no bit that SplitMix64's
-last step, z ^= z >> 31, changes, so only the draws that miss it take
-that step.  Nothing is cached.
+says.  A guide of 2^g buckets on the top g bits of R gives that count
+unless a threshold falls strictly inside the bucket, where the draw
+binary-searches (0.0015% of draws on geometric(1/2), 0.13% on
+half_stable); g = min(16, bit length of the threshold count + 10).  The
+count on a bucket's highest R is k from the bucket of t_(k-1) up to the
+one before that of t_k, so the guide is one np.repeat of the capped
+counts over those runs.  The guide reads no bit that SplitMix64's last
+step, z ^= z >> 31, changes, so only the draws that miss it take that
+step.  Nothing is cached.
 
-A worker draws every block of its chunk of paths into one working set
-allocated once, 1.25 MB: three arrays of _CHUNK entries, the 64-bit draw
+A call draws every block of every chunk into one working set it
+allocates once, 1.25 MB: three arrays of _CHUNK entries, the 64-bit draw
 words and scratch and the 32-bit jumps (then the levels).  Paths step by
 X_(k+1) = (X_k - 1)^+ + J = max(X_k, 1) + (J - 1), down at most 1 a
 step, so first-return sampling advances all n active paths in blocks of
@@ -48,25 +50,23 @@ only at caps from 65,535 on.  A path whose
 time-0 draw fails is censored before a step, one higher than the steps
 left before the cap at once, the rest at the cap.  Between blocks the
 kept paths are compacted, through one index array, into buffers the
-worker allocates once: the keys into the other of a pair of chunk-sized
+call allocates once: the keys into the other of a pair of chunk-sized
 arrays, which then swap, and the levels, from the block's last row, into
 one array.  Last-exit sampling (transient chains only) steps one time
 unit at a time, records the last visit to 0 by the horizon, and retires
 a path at the visit whose draw fails (its last exit) or when it sits
-higher than the steps left; its keys, states and last visits compact
-the same way, into pairs sized to the paths that return at time 0.  A
-call keeps one histogram of cap + 1 (or horizon + 1) counts, which every
-worker adds into under a lock; a cap or horizon whose histogram would
-pass HIST_BUDGET bytes, like a count below 1, is refused with ValueError
-before the law is classified or a coefficient built.
+higher than the steps left; the last live paths move into the retired
+ones' places, so its keys, states and last visits stay in chunk-sized
+arrays allocated once, out of path order, which no report reads.  A
+call keeps one histogram of cap + 1 (or horizon + 1) counts; a cap or
+horizon whose histogram would pass HIST_BUDGET bytes, like a count
+below 1, is refused with ValueError before the law is classified or a
+coefficient built.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,7 @@ from .errors import NotTransient
 from .model import ChainClass, JumpModel, _integer, _table_size, classify, exact_coefficients
 from .return_time import eval_F
 
-_CHUNK = 1 << 16  # fixed work unit; never derived from the worker count
+_CHUNK = 1 << 16  # fixed work unit: bounds the working set
 
 # ceiling on the histogram of one sampling call, in bytes
 HIST_BUDGET = 1 << 27
@@ -136,12 +136,19 @@ def _jump_draw(model: JumpModel, ends: int, r: float):
     top = min(ends, n - 1)
     bucket_bits = min(16, thresholds.size.bit_length() + 10)
     buckets, width = 1 << bucket_bits, 1 << (53 - bucket_bits)  # width: values of R per bucket
-    cells = (thresholds // width).astype(np.int64)  # the bucket each threshold falls in
-    # #(t <= highest R of each bucket), and #(t <= lowest R): less those strictly above it
-    highest = np.cumsum(np.bincount(cells, minlength=buckets)[:buckets])
-    lowest = highest - np.bincount(cells[thresholds % width != 0], minlength=buckets)[:buckets]
-    guide = np.minimum(lowest, top).astype(np.int32)  # top < 2^31: the cap is within HIST_BUDGET
-    guide[guide != np.minimum(highest, top)] = -1
+    # #(t <= highest R), capped at top, is k on runs[k] buckets: from that of
+    # t_(k-1) to the one before that of t_k (for k = top, to the last), where
+    # a t_k past 2^53 - 1 lies past the last bucket
+    runs = np.empty(top + 1, dtype=np.intp)
+    np.floor_divide(thresholds[:top], width, out=runs[:top], casting="unsafe")
+    runs[top] = buckets
+    np.minimum(runs, buckets, out=runs)
+    runs[1:] -= runs[:-1]  # numpy buffers the overlap
+    guide = np.repeat(np.arange(top + 1, dtype=np.int32), runs)  # top < 2^31: within HIST_BUDGET
+    # a bucket is a miss where its last t_k, k < top, is above its lowest R;
+    # a t_k past the last bucket has a run of 0 after it, so is no bucket's last
+    last = thresholds[np.flatnonzero(runs[1:])]
+    guide[(last[last % width != 0] // width).astype(np.intp)] = -1
     shift = np.uint64(64 - bucket_bits)
 
     def draw(words: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -158,15 +165,8 @@ def _jump_draw(model: JumpModel, ends: int, r: float):
     return draw
 
 
-def _workers() -> int:
-    try:  # int() strips spaces, and refuses an empty or unset value
-        return max(1, int(os.environ.get("REPAIRCHAIN_THREADS", "")))
-    except ValueError:
-        return min(8, os.cpu_count() or 1)
-
-
 def _working_set():
-    """A worker's draw words, scratch and jumps (see module doc)."""
+    """A call's draw words, scratch and jumps (see module doc)."""
     return (np.empty(_CHUNK, dtype=np.uint64), np.empty(_CHUNK, dtype=np.uint64),
             np.empty(_CHUNK, dtype=np.int32))
 
@@ -175,6 +175,20 @@ def _compact(keep, live, into) -> list:
     """Each array of live, where keep, in order at the front of the matching buffer of into."""
     at = np.flatnonzero(keep)
     return [np.take(a, at, out=buffer[:at.size], mode="clip") for a, buffer in zip(live, into)]
+
+
+def _retire(gone, done, live) -> list:
+    """Each array of live without its entries at gone, done's nonzero indices.
+
+    The kept entries past the new end move into the holes below it, so
+    the arrays shrink in place and lose their order.
+    """
+    n = done.size - gone.size
+    holes = gone[:np.searchsorted(gone, n)]
+    movers = np.flatnonzero(~done[n:]) + n  # as many as the holes
+    for a in live:
+        a[holes] = a[movers]
+    return [a[:n] for a in live]
 
 
 def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
@@ -187,37 +201,14 @@ def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
 
 
 def _run_chunks(worker, samples: int, size: int) -> dict:
-    """Run worker(span, add) over every chunk; return the sparse histogram.
+    """Run worker(lo, hi, counts) on samples lo .. hi - 1 of each chunk in turn.
 
-    The calling thread and n - 1 helpers take chunks from one hand-out,
-    each the next one left; a one-worker call starts no thread.
-    add(where, values) adds values at where (a slice or an index array,
-    repeats adding up) into the call's one histogram, under a lock.
+    counts is the call's one histogram, of `size` bins, which the worker
+    adds into; the sparse histogram is returned.
     """
     counts = np.zeros(size, dtype=np.int64)
-    lock = threading.Lock()
-
-    def add(where, values):
-        with lock:
-            np.add.at(counts, where, values)
-
-    starts = range(0, samples, _CHUNK)
-    hand_out = iter(starts)
-
-    def take():
-        while True:
-            with lock:
-                lo = next(hand_out, None)
-            if lo is None:
-                return
-            worker((lo, min(lo + _CHUNK, samples)), add)
-
-    n_workers = min(_workers(), len(starts))
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:  # threads start per submit: n - 1
-        helpers = [pool.submit(take) for _ in range(n_workers - 1)]
-        take()
-    for helper in helpers:
-        helper.result()
+    for lo in range(0, samples, _CHUNK):
+        worker(lo, min(lo + _CHUNK, samples), counts)
     bins = np.nonzero(counts)[0]
     return dict(zip(bins.tolist(), counts[bins].tolist()))
 
@@ -248,15 +239,18 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
     r = eval_F(model, 1.0)
     draw = _jump_draw(model, cap, r)
     rows = np.iinfo(np.int32).max // cap - 1  # (rows + 1) cap <= 2^31 - 1: no level wraps
+    words, scratch, jumps = _working_set()
+    key_pair = np.empty((2, _CHUNK), dtype=np.uint64)
+    level_buffer = np.empty(_CHUNK, dtype=np.int32)
 
-    def worker(span, add):
-        words, scratch, jumps = _working_set()
-        key_pair, side = np.empty((2, _CHUNK), dtype=np.uint64), 0  # live keys in row side
-        keys = _sample_keys(seed, *span, key_pair[side])
+    def worker(lo, hi, counts):
+        side = 0  # live keys in row side of their pair
+        keys = _sample_keys(seed, lo, hi, key_pair[side])
         if r < 1.0:  # the paths that never return are censored before a step
             side ^= 1
             keys, = _compact(_returns(keys, 0, r, words, scratch), [keys], [key_pair[side]])
-        level = level_buffer = np.zeros(keys.size, dtype=np.int32)
+        level = level_buffer[:keys.size]
+        level.fill(0)
         step = 0
         while step < cap and keys.size:
             n = keys.size
@@ -277,12 +271,12 @@ def sample_tau(model: JumpModel, seed: int, samples: int,
             back = np.flatnonzero(np.minimum.reduce(levels, axis=0,
                                                     out=scratch.view(np.int32)[:n]) <= 0)
             if b == 1:  # every return is at row 0
-                add(step + 1, back.size)
+                counts[step + 1] += back.size
             else:
                 below = np.take(levels, back, axis=1, mode="clip",
                                 out=words.view(np.int32)[:b * back.size].reshape(b, -1)) <= 0
                 returns = np.bincount(np.argmax(below, axis=0), minlength=b)  # per step
-                add(slice(step + 1, step + 1 + b), returns)
+                counts[step + 1:step + 1 + b] += returns
             step += b
             kept = np.less_equal(levels[-1], cap - step, out=scratch.view(bool)[:n])
             kept[back] = False
@@ -305,22 +299,24 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
     r = eval_F(model, 1.0)
     draw = _jump_draw(model, horizon + 1, r)
     flag_from = horizon - horizon // 10  # strictly above = final 10%
+    words, scratch, jumps = _working_set()
+    # each live path's key, and its state and last visit to 0
+    path_keys, paths = np.empty(_CHUNK, dtype=np.uint64), np.empty((2, _CHUNK), dtype=np.int32)
 
-    def worker(span, add):
-        words, scratch, jumps = _working_set()
-        keys = _sample_keys(seed, *span, np.empty(_CHUNK, dtype=np.uint64))
-        again = _returns(keys, 0, r, words, scratch)
-        returning = np.count_nonzero(again)
-        add(0, keys.size - returning)  # never back: the last exit is 0
-        # each returning path's key, state and last visit to 0, live in row
-        # `side` of its pair, which compaction swaps
-        key_pair, side = np.empty((2, returning), dtype=np.uint64), 0
-        keys, = _compact(again, [keys], [key_pair[side]])
-        state_pair = np.zeros((2, returning), dtype=np.int32)
-        last_pair = np.zeros((2, returning), dtype=np.int32)
-        state, last_zero = state_pair[side], last_pair[side]
+    def worker(lo, hi, counts):
+        keys = _sample_keys(seed, lo, hi, path_keys)
+        state, last_zero = paths[:, :keys.size]
+        paths[:, :keys.size] = 0
+        done = _returns(keys, 0, r, words, scratch)
+        np.logical_not(done, out=done)  # never back: the last exit is 0
         now = 0
-        while now < horizon and keys.size:
+        while True:
+            gone = np.flatnonzero(done)  # at their last exit, or too high to be back
+            if gone.size:
+                np.add.at(counts, last_zero[gone], 1)
+                keys, state, last_zero = _retire(gone, done, (keys, state, last_zero))
+            if now == horizon or not keys.size:
+                break
             now += 1
             n = keys.size
             np.add(keys, np.uint64(((now - 1) * _GOLDEN) & _MASK), out=words[:n])
@@ -332,13 +328,7 @@ def sample_last_exit(model: JumpModel, seed: int, samples: int,
             last_zero[at0] = now  # a visit; the one whose draw fails is the last exit
             visited = np.take(keys, at0, out=words[:at0.size], mode="clip")
             done[at0] = ~_returns(visited, now, r, words, scratch)
-            if np.any(done):
-                add(last_zero[done], 1)
-                side ^= 1
-                keep = np.logical_not(done, out=done)
-                keys, state, last_zero = _compact(keep, (keys, state, last_zero), (
-                    key_pair[side], state_pair[side], last_pair[side]))
-        add(last_zero, 1)  # the paths still alive at the horizon
+        np.add.at(counts, last_zero, 1)  # the paths still alive at the horizon
 
     hist = _run_chunks(worker, samples, horizon + 1)
     censored = sum(c for n, c in hist.items() if n > flag_from)

@@ -199,8 +199,8 @@ def test_sim_hash_of_canned_reports_and_runs():
     assert sim_hash.report_hash([one]) == hashlib.sha256(line.encode()).hexdigest()
     assert sim_hash.report_hash([one, two]) != sim_hash.report_hash([two, one])
     runs = []
-    calls = ["#0 sample_tau half_stable bound=1 threads=1",
-             "#1 sample_last_exit geometric(0.25) bound=default threads=2"]
+    calls = ["#0 sample_tau half_stable bound=1",
+             "#1 sample_last_exit geometric(0.25) bound=default"]
 
     def run(checkout):
         runs.append(checkout)
@@ -213,19 +213,19 @@ def test_sim_hash_of_canned_reports_and_runs():
         ["parent: aa", "changed: bb", "differs: " + calls[1], "different"], 1)
     assert runs == ["parent", "same", "parent", "changed"]
     # the grid: 8 tau laws and 3 exit laws at 5 bounds, the 4 null-recurrent
-    # tau laws at cap 10^6, then mc_sample's 80 jobs, each on 1 and 2
-    # threads, each named by its law
+    # tau laws at cap 10^6, then one call for each of mc_sample's 40 pairs
+    # of thread twins, each named by its law
     calls = sim_hash.grid(rc)
-    assert len(calls) == (8 + 3) * 5 * 2 + 4 * 2 + 80
-    assert [c[4] for c in calls[:10]] == [1, 1, 2, 2, 3, 3, 100, 100, 5000, 5000]
-    assert [c[5] for c in calls] == [1, 2] * (len(calls) // 2)
-    assert {c[0] for c in calls[80:110]} == {"sample_last_exit"}
-    assert {(c[0], c[3], c[4]) for c in calls[110:118]} == {("sample_tau", 3000, 10 ** 6)}
-    assert [c[6] for c in calls[110:118:2]] == ["explicit a_1 = 0", "geometric(0.5)",
-                                                "half_stable", "tilt(geometric(0.25), 2/3)"]
-    assert {c[3] for c in calls[118:]} == {1 << 17}
-    assert calls[0][6] == "explicit a_1 = 0" and calls[80][6] == "explicit a_1 = 0"
-    assert {c[6] for c in calls[118:]} >= {"geometric(0.5)", "half_stable()"}
+    assert len(calls) == (8 + 3) * 5 + 4 + 40
+    assert [c[4] for c in calls[:5]] == [1, 2, 3, 100, 5000]
+    assert {c[0] for c in calls[40:55]} == {"sample_last_exit"}
+    assert {(c[0], c[3], c[4]) for c in calls[55:59]} == {("sample_tau", 3000, 10 ** 6)}
+    assert [c[5] for c in calls[55:59]] == ["explicit a_1 = 0", "geometric(0.5)",
+                                            "half_stable", "tilt(geometric(0.25), 2/3)"]
+    assert {c[3] for c in calls[59:]} == {1 << 17}
+    assert len({(c[0], c[2], c[4], c[5]) for c in calls[59:]}) == 40  # no twin twice
+    assert calls[0][5] == "explicit a_1 = 0" and calls[40][5] == "explicit a_1 = 0"
+    assert {c[5] for c in calls[59:]} >= {"geometric(0.5)", "half_stable()"}
 
 
 def test_line_coverage_lists_the_statements_a_run_never_reaches():

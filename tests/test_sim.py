@@ -85,26 +85,43 @@ def test_no_small_seed_keys_a_sample_at_the_mix_fixed_point():
     assert int(zero_seeds.min()) == 9_914_950_484_664 >= 1 << 32
 
 
-def test_worker_count_does_not_change_results(geo_half, geo_quarter, monkeypatch):
-    reports = []
-    exits = []
-    for threads in ("1", "3", "8"):
-        monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
-        reports.append(rc.sample_tau(geo_half, seed=5, samples=100_000, cap=48))
-        exits.append(rc.sample_last_exit(geo_quarter, seed=5, samples=50_000, horizon=500))
-    assert reports[0] == reports[1] == reports[2]
-    assert exits[0] == exits[1] == exits[2]
+def test_chunk_size_does_not_change_results(geo_half, geo_quarter, monkeypatch):
+    # smaller chunks split the samples and the blocks of steps differently;
+    # the counter-based keys must give the same reports
+    from repairchain import sim
+
+    def reports():
+        return (rc.sample_tau(geo_half, seed=5, samples=100_000, cap=48),
+                rc.sample_last_exit(geo_quarter, seed=5, samples=50_000, horizon=500))
+
+    want = reports()
+    for chunk in (1000, 7919):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        assert reports() == want, chunk
 
 
-@pytest.mark.parametrize("raw, want", [("3", 3), ("0", 1), (" 2 ", 2), ("abc", None), ("", None)])
-def test_worker_count_from_the_environment(raw, want, monkeypatch):
-    # a value that is no integer falls back to the default, as no value does
-    import os
+def test_a_call_starts_no_thread(geo_half, geo_quarter, monkeypatch):
+    # the samplers run their chunks in turn on the calling thread
+    import ast
+    import inspect
+    import threading
 
     from repairchain import sim
 
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", raw)
-    assert sim._workers() == (want or min(8, os.cpu_count() or 1))
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    samples = 2 * sim._CHUNK + 1  # three chunks
+    rc.sample_tau(geo_half, 1, samples, cap=100)
+    rc.sample_last_exit(geo_quarter, 1, samples, horizon=100)
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(sim))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not imported & {"threading", "concurrent.futures"}, imported
 
 
 def test_sample_count_not_multiple_of_chunk(geo_half):
@@ -163,26 +180,22 @@ ORACLE_SAMPLES = (1, 7, 4096, 70_001)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
-def test_sample_tau_matches_stepwise_oracle(name, monkeypatch):
+def test_sample_tau_matches_stepwise_oracle(name):
     model = ORACLE_LAWS[name]()
     for samples in ORACLE_SAMPLES:
         for cap in (1, 5, 64, 1000):
             want = oracles.stepwise_sample_tau(model, 17, samples, cap)
-            for threads in ("1", "3"):
-                monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
-                assert rc.sample_tau(model, 17, samples, cap) == want, (samples, cap, threads)
+            assert rc.sample_tau(model, 17, samples, cap) == want, (samples, cap)
 
 
 @pytest.mark.parametrize("name", sorted(EXIT_LAWS))
-def test_sample_last_exit_matches_stepwise_oracle(name, monkeypatch):
+def test_sample_last_exit_matches_stepwise_oracle(name):
     model = EXIT_LAWS[name]()
     for samples in ORACLE_SAMPLES:
         for horizon in (1, 3, 20, 500):
             want = oracles.stepwise_sample_last_exit(model, 23, samples, horizon)
-            for threads in ("1", "3"):
-                monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
-                got = rc.sample_last_exit(model, 23, samples, horizon)
-                assert got == want, (samples, horizon, threads)
+            got = rc.sample_last_exit(model, 23, samples, horizon)
+            assert got == want, (samples, horizon)
 
 
 def _unxorshift(z, k):
@@ -296,15 +309,19 @@ def _closure(fn, name):
 @pytest.mark.parametrize("model", [
     rc.geometric(0.5), rc.geometric(0.2), rc.half_stable(), rc.power_zeta(2.1),
     rc.power_zeta(3.0), rc.explicit([0.1, 0.3, 0.0, 0.6]), rc.tilt(rc.half_stable(), 0.9),
-    rc.tilt(rc.power_zeta(2.5), 0.7), rc.explicit([5e-324, 0.5, 0.5])],
+    rc.tilt(rc.power_zeta(2.5), 0.7), rc.explicit([5e-324, 0.5, 0.5]),
+    rc.explicit([5e-324, 0.3, 0.7])],
     ids=["geometric(0.5)", "geometric(0.2)", "half_stable", "power_zeta(2.1)",
          "power_zeta(3)", "explicit", "tilt half_stable", "tilt power_zeta",
-         "explicit r = 1e-323"])
+         "explicit r = 1e-323", "explicit r = 5e-324"])
 def test_thresholds_are_those_of_the_table_prefix(model):
     # built from exact_coefficients, bit for bit the thresholds and cap the
     # table gives, whether the table is longer than ends or not; on the
     # transient laws those of a_j r^(j-1), r = F(1), and of the law itself
-    # at r = 1.  a_0 / r is formed apart: at r = 1e-323, 1/r overflows
+    # at r = 1.  a_0 / r is formed apart: at r = 1e-323, 1/r overflows.
+    # At r = 5e-324, a_0 / r rounds to 1 and the weights sum to 1.3, so
+    # thresholds lie past the guide's last bucket, which must still be the
+    # searched guide
     from repairchain.sim import _jump_draw
 
     n = model.coeffs.size
@@ -316,16 +333,19 @@ def test_thresholds_are_those_of_the_table_prefix(model):
             want = np.ceil(np.cumsum(weighted[:ends]) * 2.0 ** 53)
             assert _closure(draw, "thresholds").tobytes() == want.tobytes(), (r, ends)
             assert _closure(draw, "top") == (ends if n > ends else n - 1), (r, ends)
+            assert np.array_equal(_closure(draw, "guide"), _searched_guide(draw)), (r, ends)
 
 
 def _record_draws(monkeypatch, limit=10 ** 4):
     """Record every sampler draw: a list of (size, words, scratch and out addresses).
 
-    A call that makes more than `limit` draws fails at once.
+    A call that makes more than `limit` draws fails at once.  The arrays
+    drawn into are held, so that no later allocation reuses their memory:
+    equal addresses are the same arrays.
     """
     from repairchain import sim
 
-    calls = []
+    calls, held = [], []
     jump_draw = sim._jump_draw
 
     def recording_jump_draw(model, ends, r):
@@ -333,13 +353,13 @@ def _record_draws(monkeypatch, limit=10 ** 4):
 
         def recording_draw(words, scratch, out):
             calls.append((words.size, words.ctypes.data, scratch.ctypes.data, out.ctypes.data))
+            held.append((words.base, scratch.base, out.base))
             assert len(calls) <= limit, "still stepping"
             return draw(words, scratch, out)
 
         return recording_draw
 
     monkeypatch.setattr(sim, "_jump_draw", recording_jump_draw)
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     return calls
 
 
@@ -353,6 +373,13 @@ def test_block_arrays_stay_within_a_chunk(monkeypatch):
     assert len(calls) < 100  # far fewer blocks than the 5000 steps
     # and every block of the one chunk draws into the same three arrays
     assert len({tuple(addresses) for _, *addresses in calls}) == 1
+    # as does every block of every chunk of a call, for both samplers
+    samples = 2 * sim._CHUNK + 1  # three chunks
+    for sample, model in ((rc.sample_tau, rc.geometric(0.5)),
+                          (rc.sample_last_exit, rc.geometric(0.25))):
+        calls.clear()
+        sample(model, 3, samples, 200)
+        assert len({tuple(addresses) for _, *addresses in calls}) == 1, sample.__name__
 
 
 def test_both_running_sums_match_the_stepwise_oracle(monkeypatch):
@@ -371,14 +398,13 @@ def test_both_running_sums_match_the_stepwise_oracle(monkeypatch):
         draw = jump_draw(model, ends, r)
 
         def recording_draw(words, scratch, out):
-            block = sys._getframe(1).f_locals  # the sampler's worker
+            block = sys._getframe(1).f_locals  # the sampler's chunk
             shapes.append((block["b"], block["n"]))
             return draw(words, scratch, out)
 
         return recording_draw
 
     monkeypatch.setattr(sim, "_jump_draw", recording_jump_draw)
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     model = rc.geometric(0.5)
     want = oracles.stepwise_sample_tau(model, 17, 70_001, 1000)
     assert rc.sample_tau(model, 17, 70_001, 1000) == want
@@ -410,17 +436,15 @@ def test_block_rows_are_bounded_so_levels_cannot_wrap(monkeypatch):
         return draw
 
     monkeypatch.setattr(sim, "_jump_draw", stub_jump_draw)
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     rep = rc.sample_tau(rc.geometric(0.5), seed, 1, cap)
     assert rep.tau_hist == {} and rep.censored == 1
 
 
-def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
+def test_first_sampling_call_builds_no_table_sized_threshold_array():
     # the tilt has its own 2^21-entry table, shared with no earlier call;
     # at cap 100 the call needs thresholds for 100 jumps, not for the table
     import tracemalloc
 
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     model = rc.tilt(rc.half_stable(), 0.9)
     table = model.coeffs
     tracemalloc.start()
@@ -432,12 +456,11 @@ def test_first_sampling_call_builds_no_table_sized_threshold_array(monkeypatch):
     assert peak < table.nbytes // 4
 
 
-def test_sampling_again_on_a_shared_table_builds_no_threshold_array(monkeypatch):
+def test_sampling_again_on_a_shared_table_builds_no_threshold_array():
     # no half_stable model shares a table any more: each call at cap 100
     # builds 100 coefficients, never anything of the 16 MiB table's size
     import tracemalloc
 
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     rc.sample_tau(rc.half_stable(), 1, 4096, cap=100)
     tracemalloc.start()
     try:
@@ -450,14 +473,13 @@ def test_sampling_again_on_a_shared_table_builds_no_threshold_array(monkeypatch)
 
 @pytest.mark.parametrize("model", [rc.half_stable, lambda: rc.power_zeta(2.0123)],
                          ids=["half_stable", "power_zeta(2.0123)"])
-def test_sampling_keeps_no_coefficient_array(model, monkeypatch):
+def test_sampling_keeps_no_coefficient_array(model):
     # the call builds a_0 .. a_(n-1) once, into the array that becomes its
     # thresholds, and nothing outlives the model: no function-level cache
     # keeps a table (2^21 entries for half_stable, 9.2e5 for this alpha)
     import gc
     import tracemalloc
 
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     tracemalloc.start()
     try:
         m = model()
@@ -489,17 +511,14 @@ def test_histogram_budget(monkeypatch):
 
     geo = rc.geometric(0.5)
     samples = 2 * sim._CHUNK + 1  # three chunks
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
     want = rc.sample_tau(geo, 1, samples, cap=4)
-    # one histogram of (cap + 1) int64 counts, whatever the thread count
+    # one histogram of (cap + 1) int64 counts, whatever the chunk count
     monkeypatch.setattr(sim, "HIST_BUDGET", 5 * 8)
-    for threads in ("1", "3"):
-        monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
-        assert rc.sample_tau(geo, 1, samples, cap=4) == want
-        with pytest.raises(ValueError, match="budget"):
-            rc.sample_tau(geo, 1, samples, cap=5)
-        with pytest.raises(ValueError, match="budget"):
-            rc.sample_last_exit(rc.geometric(0.25), 1, samples, horizon=5)
+    assert rc.sample_tau(geo, 1, samples, cap=4) == want
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_tau(geo, 1, samples, cap=5)
+    with pytest.raises(ValueError, match="budget"):
+        rc.sample_last_exit(rc.geometric(0.25), 1, samples, horizon=5)
 
 
 def test_histogram_budget_admits_the_defaults_and_refuses_huge_caps():
@@ -525,78 +544,16 @@ def test_huge_cap_is_refused_before_the_table_is_built():
     assert "coeffs" not in geo.__dict__
 
 
-def test_threads_lose_no_count_in_the_shared_histogram(monkeypatch):
-    # more threads than cores and a short switch interval: an add that
-    # raced another would change the histogram against one thread's
-    import sys
-
-    from repairchain import sim
-
-    samples = 6 * sim._CHUNK + 5
-
-    def tau():
-        return rc.sample_tau(rc.geometric(0.5), 8, samples, 1000)
-
-    def last_exit():
-        return rc.sample_last_exit(rc.geometric(0.25), 8, samples, 500)
-
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "1")
-    want_tau, want_exit = tau(), last_exit()
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(4):
-            assert tau() == want_tau
-            assert last_exit() == want_exit
-    finally:
-        sys.setswitchinterval(interval)
-    assert sum(want_exit.L_hist.values()) == samples
-
-
-def test_the_calling_thread_takes_chunks_beside_its_helpers(monkeypatch):
-    # n workers are the calling thread and n - 1 helper threads; chunks 0
-    # and 1 each wait for the other, so two threads must have taken them
-    import threading
-
-    from repairchain import sim
-
-    samples = 4 * sim._CHUNK
-    both_taken = threading.Barrier(2, timeout=10)
-
-    def runs(threads):
-        monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
-        taken, started = [], threading.active_count()
-
-        def worker(span, add):
-            taken.append((span[0] // sim._CHUNK, threading.get_ident()))
-            if threads == "2" and span[0] < 2 * sim._CHUNK:
-                both_taken.wait()
-            else:
-                assert threading.active_count() == started + int(threads) - 1
-            add(0, 1)
-
-        assert sim._run_chunks(worker, samples, 1) == {0: 4}
-        assert sorted(chunk for chunk, _ in taken) == [0, 1, 2, 3]
-        return {ident for _, ident in taken}
-
-    caller = threading.get_ident()
-    assert runs("1") == {caller}
-    took = runs("2")
-    assert caller in took and len(took - {caller}) == 1
-
-
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_one_histogram_whatever_the_thread_count(threads, monkeypatch):
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_one_histogram_whatever_the_chunk_count(chunks):
     # at a cap this large the histogram dominates a call's allocations:
-    # three chunks on one or three threads still hold a single one
+    # one chunk or three still hold a single one
     import tracemalloc
 
     from repairchain import sim
 
     size = 4 * 10 ** 6
-    samples = 2 * sim._CHUNK + 1
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
+    samples = (chunks - 1) * sim._CHUNK + 1
     for sample, model in ((rc.sample_tau, rc.geometric(0.65)),
                           (rc.sample_last_exit, rc.geometric(0.25))):
         sample(model, 1, 10, 10)  # warmed up outside the trace
@@ -698,36 +655,27 @@ def test_transient_samplers_fit_the_exact_laws(name):
     assert _pooled_chi2_p(observed, expected) >= 1e-3
 
 
-# tracemalloc peak, in MB, of one call on 2^17 samples (two chunks) at one
-# and at two threads.  A kernel that built fresh temporaries for every
-# block read 5.1 / 7.3-8.9 (median 8.6), 5.6 / 9.8-10.2 and 4.1 / 7.4-7.9
-# MB here; with both threads at their first block at once, the working
-# sets read 3.8 / 7.1, 4.3 / 7.9 and 3.6 / 6.8 MB at most.
+# tracemalloc peak, in MB, of one call on 2^17 samples (two chunks), and
+# its bound.  A kernel that built fresh temporaries for every block read
+# 5.1, 5.6 and 4.1 MB here; one working set per call reads 3.5, 3.6 and
+# 3.3 MB.
 MEMORY_CASES = {
-    "sample_tau geometric(0.5) cap 8000": (rc.sample_tau, lambda: rc.geometric(0.5), 8000),
-    "sample_tau power_zeta(3.12) cap 10^4": (rc.sample_tau, lambda: rc.power_zeta(3.12), 10 ** 4),
-    "sample_last_exit geometric(0.22)": (rc.sample_last_exit, lambda: rc.geometric(0.22), 10 ** 4),
-}
-MEMORY_BOUNDS = {
-    ("sample_tau geometric(0.5) cap 8000", "1"): 4.6,
-    ("sample_tau geometric(0.5) cap 8000", "2"): 8.0,
-    ("sample_tau power_zeta(3.12) cap 10^4", "1"): 4.9,
-    ("sample_tau power_zeta(3.12) cap 10^4", "2"): 9.0,
-    ("sample_last_exit geometric(0.22)", "1"): 3.9,
-    ("sample_last_exit geometric(0.22)", "2"): 7.0,
+    "sample_tau geometric(0.5) cap 8000": (rc.sample_tau, lambda: rc.geometric(0.5), 8000, 4.6),
+    "sample_tau power_zeta(3.12) cap 10^4": (
+        rc.sample_tau, lambda: rc.power_zeta(3.12), 10 ** 4, 4.9),
+    "sample_last_exit geometric(0.22)": (
+        rc.sample_last_exit, lambda: rc.geometric(0.22), 10 ** 4, 3.9),
 }
 
 
-@pytest.mark.parametrize("case, threads", sorted(MEMORY_BOUNDS))
-def test_working_set_peak(case, threads, monkeypatch):
-    # each worker draws into one working set of three chunk-sized arrays;
-    # the peak is about one working set and the chunk's path arrays per
-    # thread, plus the guide
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_working_set_peak(case):
+    # a call draws into one working set of three chunk-sized arrays; the
+    # peak is about that working set and the path arrays, plus the guide
     import tracemalloc
 
-    sample, model, size = MEMORY_CASES[case]
+    sample, model, size, bound = MEMORY_CASES[case]
     model = model()
-    monkeypatch.setenv("REPAIRCHAIN_THREADS", threads)
     sample(model, 1, 10, 10)  # warmed up outside the trace
     tracemalloc.start()
     try:
@@ -735,4 +683,4 @@ def test_working_set_peak(case, threads, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak < MEMORY_BOUNDS[case, threads], peak
+    assert peak < bound, peak
