@@ -24,7 +24,7 @@ workload: K pairs of untraced runs on the seeds 3101, 3102, ..., the
 two sides taking turns at running first, and prints, per end-to-end metric,
 the median [q1, q3] of each side, in how many pairs the checkout read
 lower than PARENT, and how far the medians are apart against PARENT's
-interquartile distance:
+interquartile distance, and then each pair's two values:
 
     python3 scripts/bench.py --against /path/to/parent --workload mc_sample --pairs 10
 """
@@ -129,6 +129,15 @@ def paired_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
     return lines
 
 
+def per_pair_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """Per metric, each pair's parent and checkout value in seed order."""
+    lines = []
+    for m in END_TO_END:
+        values = [[run["result"]["metrics"][m]["value"] for run in pair] for pair in pairs]
+        lines.append(f"{m} per pair: " + ", ".join(f"{b:.4g} -> {a:.4g}" for b, a in values))
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=ROOT)
@@ -148,7 +157,7 @@ def main() -> int:
         pairs = run_pairs(parent, checkout, args.workload, args.pairs, PAIR_SEED, seconds)
         print(f"{args.workload}: {parent} -> {checkout}, {args.pairs} pairs on seeds "
               f"{PAIR_SEED}-{PAIR_SEED + args.pairs - 1}")
-        print("\n".join(paired_lines(pairs)))
+        print("\n".join(paired_lines(pairs) + per_pair_lines(pairs)))
         return 0
     workloads, environment = {}, None
     for workload in WORKLOADS:

@@ -15,7 +15,8 @@ equal.  The grid, in order:
   BENCHMARK.json's run_seconds), one call for each pair of jobs that
   differ only in their thread count, which the package does not read.
 
-Each report is hashed as one line of sorted-key JSON of its fields.
+Each report is hashed as one line of sorted-key JSON of its seven
+fields, read by name.
 After the grid's hash comes one line per call: its own report's hash,
 its index in the grid, the sampler, the law and the cap or horizon.
 
@@ -30,7 +31,6 @@ differ.  Both sides run this script's grid.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -45,6 +45,8 @@ SAMPLES = 70_001
 WIDE_CAP, WIDE_SAMPLES = 10 ** 6, 3000
 SEED = 17
 MC_SEED = 1101
+# SimReport's fields, read by name: a report from either side of --against serializes alike
+FIELDS = ("samples", "seed", "tau_hist", "L_hist", "censored", "cap", "horizon")
 
 
 def grid(rc) -> list:
@@ -77,7 +79,8 @@ def grid(rc) -> list:
 def report_hash(reports) -> str:
     digest = hashlib.sha256()
     for report in reports:
-        line = json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"
+        fields = {name: getattr(report, name) for name in FIELDS}
+        line = json.dumps(fields, sort_keys=True) + "\n"
         digest.update(line.encode())
     return digest.hexdigest()
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import OutOfRadius
 from .model import _FAMILIES, ChainClass, JumpModel, classify, eval_G, tilt  # tilt is re-exported
@@ -46,8 +46,7 @@ class CaseLabel(str, Enum):
     BOUNDARY_CASE = "BoundaryCase"
 
 
-@dataclass(frozen=True)
-class DecayParams:
+class DecayParams(NamedTuple):
     """Decay summary: tangency point, radii, and transform value.
 
     ``x0`` is None when no tangency point exists (CriticalRadiusOne with

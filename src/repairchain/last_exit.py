@@ -14,8 +14,7 @@ one full factor of L (e = 1 >= gamma) already breaks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NotTransient
 from .model import ChainClass, JumpModel, _integer, classify
@@ -37,8 +36,7 @@ if TYPE_CHECKING:
 DEFAULT_EXIT_N = 2048
 
 
-@dataclass(frozen=True)
-class ExitAnalysis:
+class ExitAnalysis(NamedTuple):
     """Exact last-exit law P(L = n) = q_exit * u_n for n = 0..N."""
 
     q_exit: float

@@ -21,6 +21,10 @@ Four parametric families are bundled:
 A fifth internal kind, ``tilted``, is produced by ``tilt``: the
 exponential reweighting a_j x^j / G(x) of a half_stable or power_zeta
 law.  Models are immutable once built and safe to share between threads.
+A model is a plain class, not a tuple like the result records: the
+constructor writes its fields into the instance dict, as the cached
+``coeffs`` writes the table, and setting or deleting an attribute raises
+AttributeError.  Models hash by identity and take weak references.
 
 A model is its parameters plus exact summaries (mu, radius).  Arrays of
 coefficients come from ``exact_coefficients``, as long as the caller
@@ -43,10 +47,9 @@ import math
 import operator
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .errors import InvalidSpec, OutOfRadius
 
@@ -83,7 +86,6 @@ class ChainClass(str, Enum):
     TRANSIENT = "transient"
 
 
-@dataclass(frozen=True, eq=False)
 class JumpModel:
     """Immutable jump law plus its exact summaries.
 
@@ -96,14 +98,18 @@ class JumpModel:
     tracer is revised.
     """
 
-    family: str
-    mu: float
-    radius: float
-    p: float | None = None          # geometric parameter
-    alpha: float | None = None      # power_zeta exponent
-    a: tuple[float, ...] | None = None  # explicit: a_0 .. a_m, last one nonzero
-    base: "JumpModel | None" = None  # tilted: the original law
-    tilt_x: float | None = None      # tilted: the reweighting point
+    def __init__(self, family: str, mu: float, radius: float, p: float | None = None,
+                 alpha: float | None = None, a: tuple[float, ...] | None = None,
+                 base: JumpModel | None = None, tilt_x: float | None = None):
+        # p: geometric; alpha: power_zeta; a: explicit, a_0 .. a_m with a_m != 0;
+        # tilted: base, the original law, and tilt_x, the reweighting point
+        vars(self).update(family=family, mu=mu, radius=radius, p=p, alpha=alpha, a=a,
+                          base=base, tilt_x=tilt_x)
+
+    def __setattr__(self, name, *value):  # also __delattr__, without the value
+        raise AttributeError(f"cannot set or delete {name!r}: a JumpModel is immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -666,8 +672,7 @@ def _subtracted_xi(model: JumpModel, x: float) -> float:
     return eval_G(model, x, 0) - x * g1
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """Everything the package knows about one family of jump laws.
 
     The callables take the model first.  ``build`` is None for the

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .decay import CaseLabel, decay_params, tilt_to_critical
 from .errors import NotNullRecurrent, NotPositiveRecurrent
@@ -140,8 +140,7 @@ def escape_prob(model: JumpModel) -> float:
 # exact pmf and occupation sequence
 
 
-@dataclass(frozen=True)
-class ReturnAnalysis:
+class ReturnAnalysis(NamedTuple):
     """Exact return-time pmf and zero-state occupation sequence.
 
     Arrays are indexed by n: f[n] = P(tau = n) for 0 <= n <= N (f[0] is
@@ -421,8 +420,7 @@ def _critical_exponent(model: JumpModel) -> float:
     return 1.0 / min(2.0, _FAMILIES[model.family].tail(model))
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     gamma: float
     method: str  # "analytic" or "fitted"
 
@@ -454,8 +452,7 @@ def asymptotic_exponent(model: JumpModel, method: str = "auto") -> ExponentEstim
 # moments
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(NamedTuple):
     """Value of E(tau^k) together with how much to trust it.
 
     flag "exact": closed form or a divergence certificate; tail_bound 0.
@@ -534,12 +531,11 @@ class VerdictLabel(str, Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     quantity: str
     verdict: VerdictLabel
     reason: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = MappingProxyType({})  # read-only: every default shares it
 
 
 def _moment_threshold(model: JumpModel) -> tuple[str, float]:

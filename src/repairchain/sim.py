@@ -67,7 +67,7 @@ coefficient built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,15 +139,18 @@ def _jump_draw(model: JumpModel, ends: int, r: float):
     # #(t <= highest R), capped at top, is k on runs[k] buckets: from that of
     # t_(k-1) to the one before that of t_k (for k = top, to the last), where
     # a t_k past 2^53 - 1 lies past the last bucket
-    runs = np.empty(top + 1, dtype=np.intp)
+    runs = np.empty(top + 1, dtype=np.int32)  # bucket numbers, at most 2^16
     np.floor_divide(thresholds[:top], width, out=runs[:top], casting="unsafe")
     runs[top] = buckets
     np.minimum(runs, buckets, out=runs)
-    runs[1:] -= runs[:-1]  # numpy buffers the overlap
-    guide = np.repeat(np.arange(top + 1, dtype=np.int32), runs)  # top < 2^31: within HIST_BUDGET
+    for hi in range(top, 0, -_CHUNK):  # back to front, so numpy buffers a block's overlap only
+        lo = max(hi - _CHUNK, 0)
+        runs[lo + 1:hi + 1] -= runs[lo:hi]
+    counts = np.flatnonzero(runs)  # at most one per bucket
+    guide = np.repeat(counts.astype(np.int32), runs[counts])  # top < 2^31: within HIST_BUDGET
     # a bucket is a miss where its last t_k, k < top, is above its lowest R;
     # a t_k past the last bucket has a run of 0 after it, so is no bucket's last
-    last = thresholds[np.flatnonzero(runs[1:])]
+    last = thresholds[counts[counts > 0] - 1]
     guide[(last[last % width != 0] // width).astype(np.intp)] = -1
     shift = np.uint64(64 - bucket_bits)
 
@@ -213,8 +216,7 @@ def _run_chunks(worker, samples: int, size: int) -> dict:
     return dict(zip(bins.tolist(), counts[bins].tolist()))
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Empirical histogram report; merging across chunks is exact.
 
     Exactly one of tau_hist / L_hist is populated.  censored counts,

@@ -8,7 +8,6 @@ with capture suspended, so a scan of the run log shows the verdict per
 criterion even under -q.  The beacon goes out before the assert fires.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -165,7 +164,7 @@ def _band_misses(hist, samples, probs, lo, hi):
 
 
 def _frozen(report) -> str:
-    return json.dumps(dataclasses.asdict(report), sort_keys=True)
+    return json.dumps(report._asdict(), sort_keys=True)
 
 
 def test_acceptance_09_monte_carlo_concordance():

@@ -471,6 +471,15 @@ def test_runtime_imports_no_scipy():
     assert _child_stdout(code).strip() == "[]"
 
 
+def test_cold_start_loads_no_dataclasses_inspect_or_numpy():
+    # the result records are NamedTuples and JumpModel a plain class, so a
+    # cold analytic verb pays for neither dataclasses nor the inspect,
+    # dis and ast modules it loads; only code that builds arrays loads numpy
+    code = ("import sys, repairchain, repairchain.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules))")
+    assert _child_stdout(code).strip() == "[]"
+
+
 def test_boundary_verdict_loads_no_series_tools():
     # the Unknown verdict of a BoundaryCase law reads no numeric impression
     code = ("import sys, repairchain as rc; "

@@ -169,6 +169,21 @@ def test_decay_params_cache_lets_models_go():
     assert ref() is None
 
 
+def test_decay_cache_entry_dies_with_its_model_and_not_its_twin():
+    # models hash by identity: an equal law is its own key, and the weak
+    # cache drops exactly the entry of the model that went
+    from repairchain.decay import _PARAMS
+
+    m, twin = rc.geometric(0.7), rc.geometric(0.7)
+    assert rc.decay_params(m) == rc.decay_params(twin)
+    assert m in _PARAMS and twin in _PARAMS
+    gc.collect()  # models that other tests left in cycles go first
+    size = len(_PARAMS)
+    del m
+    gc.collect()
+    assert len(_PARAMS) == size - 1 and twin in _PARAMS
+
+
 _EPS = np.finfo(float).eps
 
 

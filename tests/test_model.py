@@ -612,3 +612,47 @@ def test_repr_names_the_parameter():
     assert repr(rc.power_zeta(3.0)) == "JumpModel(power_zeta, alpha=3.0, mu=0.202057)"
     assert repr(rc.tilt(rc.power_zeta(2.5), 0.9)) == "JumpModel(tilted, tilt_x=0.9, mu=0.243556)"
     assert repr(rc.half_stable()) == "JumpModel(half_stable, mu=1)"
+
+
+@pytest.mark.parametrize("name", ["family", "mu", "radius", "p", "coeffs", "unknown"])
+def test_model_attributes_cannot_be_assigned_or_deleted(name):
+    m = rc.geometric(0.5)
+    table = m.coeffs  # the cached table is in the instance dict like a field
+    with pytest.raises(AttributeError):
+        setattr(m, name, 0.25)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert (m.family, m.mu, m.radius, m.p) == ("geometric", 1.0, 2.0, 0.5)
+    assert m.coeffs is table and not hasattr(m, "unknown")
+
+
+def test_equal_laws_are_distinct_keys():
+    a, b = rc.geometric(0.5), rc.geometric(0.5)
+    assert a == a and a != b
+    assert {a: 1, b: 2} == {a: 1, b: 2} and len({a, b}) == 2
+
+
+def test_result_records_are_read_only_tuples():
+    from repairchain.model import _FAMILIES
+
+    geo = rc.geometric(0.6)
+    records = [rc.decay_params(geo), rc.return_pmf(geo, 8), rc.tau_moment(geo, 1),
+               rc.tau_alpha_finite(geo, 0.5), rc.asymptotic_exponent(rc.geometric(0.5)),
+               rc.exit_pmf(rc.geometric(0.25), 8), rc.sample_tau(geo, 0, 4, cap=4),
+               _FAMILIES["geometric"]]
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
+        assert list(record._asdict()) == list(record._fields)
+    assert records[1].n_max == 8
+
+
+def test_default_verdict_diagnostics_are_empty_and_read_only():
+    made = rc.Verdict("E(tau)", rc.VerdictLabel.FINITE, "closed form")
+    for verdict in (made, rc.tau_alpha_finite(rc.geometric(0.6), 0.5)):
+        assert verdict.diagnostics == {} and len(verdict.diagnostics) == 0
+        with pytest.raises(TypeError):
+            verdict.diagnostics["partial_sums"] = []
+    assert made.diagnostics == {}

@@ -479,8 +479,6 @@ def test_escape_prob_of_explicit_matches_mpmath_in_few_drift_calls(law, monkeypa
     # one Newton descent of the drift from h = 1: within 1e-13 of the
     # 50-digit root, and in at most 45 drift evaluations even where
     # mu - 1 is 1e-11 and the root sits near h = 0
-    from dataclasses import replace
-
     from repairchain.model import _FAMILIES
 
     model = rc.explicit(_ESCAPE_LAWS[law])
@@ -492,7 +490,7 @@ def test_escape_prob_of_explicit_matches_mpmath_in_few_drift_calls(law, monkeypa
         calls.append(h)
         return record.drift(m, h)
 
-    monkeypatch.setitem(_FAMILIES, "explicit", replace(record, drift=counted))
+    monkeypatch.setitem(_FAMILIES, "explicit", record._replace(drift=counted))
     got = escape_prob(model)
     assert len(calls) <= 45
     assert got == pytest.approx(oracles.escape_mpmath(model.a), rel=1e-13, abs=0.0)
@@ -596,8 +594,6 @@ def test_psi_inv_descends_from_right_of_the_root_in_few_drift_calls(law, monkeyp
     # a critical law has 1 - mu = 0, so the start comes down from h = 1;
     # the descent is monotone only from an h whose computed psi is at
     # least y, and it is short only when that h is near the root
-    from dataclasses import replace
-
     from repairchain import return_time
     from repairchain.model import _FAMILIES
 
@@ -616,7 +612,7 @@ def test_psi_inv_descends_from_right_of_the_root_in_few_drift_calls(law, monkeyp
         rc.psi_inv(model, float(y))
     assert all(record.drift(model, h)[0] >= y for y, h in starts)
     if law != "explicit tilt":  # its psi < 0 below h = 2e-16 refuses the steps there
-        monkeypatch.setitem(_FAMILIES, model.family, replace(record, drift=counted))
+        monkeypatch.setitem(_FAMILIES, model.family, record._replace(drift=counted))
         rc.psi_inv(model, 1e-300)
         assert len(calls) <= 40
 
@@ -626,8 +622,6 @@ def test_psi_inv_stops_where_the_computed_psi_is_flat(alpha, monkeypatch):
     # power_zeta's computed psi reads the same across neighbouring doubles
     # near these roots; a descent that waited for h to stop decreasing
     # crept an ulp per drift evaluation (54 of them at alpha = 3, y = 1e-3)
-    from dataclasses import replace
-
     from repairchain.model import _FAMILIES
 
     model = rc.power_zeta(alpha)
@@ -638,7 +632,7 @@ def test_psi_inv_stops_where_the_computed_psi_is_flat(alpha, monkeypatch):
         calls.append(h)
         return record.drift(m, h)
 
-    monkeypatch.setitem(_FAMILIES, model.family, replace(record, drift=counted))
+    monkeypatch.setitem(_FAMILIES, model.family, record._replace(drift=counted))
     for y in (1e-3, 5e-3, 2e-2):
         calls.clear()
         rc.psi_inv(model, y)

@@ -180,6 +180,10 @@ def test_bench_pairs_of_canned_runs():
         "medians -5 against a parent interquartile distance of 0.875",
         "failed: 0 of 40 -> 1 of 40",
     ]
+    assert bench.per_pair_lines(pairs)[1:] == [
+        "wall_s per pair: 6 -> 6, 6 -> 5, 6 -> 4, 6 -> 3",
+        "peak_rss_mb per pair: 52 -> 47, 51 -> 47.5, 53 -> 53.5, 52.5 -> 46",
+    ]
 
 
 def test_sim_hash_of_canned_reports_and_runs():

@@ -493,6 +493,28 @@ def test_sampling_keeps_no_coefficient_array(model):
     assert peak < 60e6 and held < 2e6, (peak, held)
 
 
+def test_guide_build_temporaries_stay_small():
+    # at half_stable's 2^21 thresholds (16.8 MB, kept by the draw) the build
+    # holds the 32-bit runs (8.4 MB) and one block of them at a time; an
+    # intp runs array, its overlap copy and an arange of every count were
+    # 33 MB on top of the thresholds
+    import gc
+    import tracemalloc
+
+    from repairchain.sim import _jump_draw
+
+    model = rc.half_stable()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        draw = _jump_draw(model, 4 * 10 ** 6 + 1, 1.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 18e6 and peak - held < 10e6, (held, peak)
+    del draw
+
+
 def test_sampling_a_law_past_the_table_budget():
     # geometric(1e-7)'s table would be 2.06 GiB; the sampler builds only the
     # coefficients below its cap, and the table itself is still refused
