@@ -13,12 +13,17 @@ changed stdout key with the largest relative difference of its numbers
 (and the entries dropped or added, for lists and histograms), and then
 one summary line with the number of changed invocations per stdout key,
 exit status, stderr and presence.  It exits 1 when some invocation
-changed, as ``diff`` does.
+changed, as ``diff`` does.  With ``--within REL`` it prints the same
+lines and exits 0 when every change is a number moving by at most REL
+relative: a change of exit status, stderr, the set of invocations or
+stdout keys, a list's length, a string or a histogram (``*_hist``)
+still exits 1.
 
 Usage:
     PYTHONPATH=src python3 scripts/cli_matrix.py > after.jsonl
     PYTHONPATH=/path/to/other/src python3 scripts/cli_matrix.py > before.jsonl
     PYTHONPATH=src python3 scripts/cli_matrix.py --diff before.jsonl after.jsonl
+    PYTHONPATH=src python3 scripts/cli_matrix.py --diff before.jsonl after.jsonl --within 1e-14
 """
 
 import argparse
@@ -194,6 +199,45 @@ def summary_line(before: list, after: list) -> str:
     return "changed rows: " + ", ".join(f"{name}: {n}" for name, n in counts.items())
 
 
+def _moves_within(old, new, rel: float) -> bool:
+    """Whether one stdout value changed only by numbers moving at most rel relative."""
+    a, b = _leaves(old), _leaves(new)
+    if a.keys() != b.keys():
+        return False
+    for path, x in a.items():
+        y = b[path]
+        if json.dumps(x) == json.dumps(y):
+            continue
+        if not (_is_number(x) and _is_number(y) and _relative(x, y) <= rel):
+            return False
+    return True
+
+
+def within(before: list, after: list, rel: float) -> bool:
+    """Whether every change between two matrix runs is numbers moving by at most rel."""
+    old = {json.dumps(r["argv"]): r for r in before}
+    new = {json.dumps(r["argv"]): r for r in after}
+    if old.keys() != new.keys():
+        return False
+    for key, b in new.items():
+        a = old[key]
+        if a["status"] != b["status"] or a["stderr"] != b["stderr"]:
+            return False
+        if a["stdout"] == b["stdout"]:
+            continue
+        x, y = _stdout_record(a["stdout"]), _stdout_record(b["stdout"])
+        if not (isinstance(x, dict) and isinstance(y, dict)):
+            x, y = {"stdout": x}, {"stdout": y}
+        if x.keys() != y.keys():
+            return False
+        for name in x:
+            if json.dumps(x[name]) == json.dumps(y[name]):
+                continue
+            if name.endswith("_hist") or not _moves_within(x[name], y[name], rel):
+                return False
+    return True
+
+
 def _read_records(path: str) -> list:
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
@@ -203,7 +247,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two recorded runs instead of running the matrix")
+    parser.add_argument("--within", type=float, metavar="REL",
+                        help="with --diff, exit 0 when only numbers moved, by at most REL relative")
     args = parser.parse_args()
+    if args.within is not None and not args.diff:
+        parser.error("--within needs --diff")
     if args.diff:
         before, after = map(_read_records, args.diff)
         lines = diff_lines(before, after)
@@ -211,6 +259,8 @@ def main() -> int:
             print(line)
         if lines:
             print(summary_line(before, after))
+        if args.within is not None:
+            return 0 if within(before, after, args.within) else 1
         return 1 if lines else 0
     for forms in (VERB_FORMS, INVALID_FORMS):
         for spec in MODELS:

@@ -30,7 +30,7 @@ from .errors import (
     NotTransient,
     OutOfRadius,
 )
-from .model import JumpModel, build_model, classify, exact_coefficients
+from .model import JumpModel, build_model, classify, coefficient_head
 
 _DOMAIN_ERRORS = (NotTransient, NotNullRecurrent, NotPositiveRecurrent, OutOfRadius)
 
@@ -176,14 +176,14 @@ def _do_classify(model, args):
 
 def _do_pmf(model, args):
     if args.exit_:
-        analysis = exit_mod.exit_pmf(model, args.N)
+        analysis = exit_mod.exit_series(model, args.N)
         if args.csv:
             _emit_csv("n,P_L_n", ((i, float(p)) for i, p in enumerate(analysis.pmf)))
         else:
             _emit({"N": args.N, "q_exit": analysis.q_exit,
                    "pmf": [float(v) for v in analysis.pmf]})
         return
-    analysis = rt.return_pmf(model, args.N)
+    analysis = rt.return_series(model, args.N)
     if args.csv:
         _emit_csv("n,f_n,u_n", ((i, float(analysis.f[i]), float(analysis.u[i]))
                                 for i in range(args.N + 1)))
@@ -206,7 +206,7 @@ def _do_tilt(model, args):
         if x is None:
             raise OutOfRadius("no tangency point exists; pass --x explicitly")
     tilted = decay_mod.tilt(model, x)
-    head = [float(v) for v in exact_coefficients(tilted, 16)]
+    head = coefficient_head(tilted, 16)
     while head[-1] == 0.0:  # past an explicit law's last entry; a_0 > 0
         head.pop()
     _emit({"x": float(x), "family": tilted.family, "mu": tilted.mu,

@@ -21,11 +21,13 @@ from .model import ChainClass, JumpModel, _integer, classify
 from .return_time import (
     ReturnAnalysis,
     Verdict,
+    _as_arrays,
     _critical_tilt_verdict,
     _exponent,
     _horizon,
+    _read_only,
     escape_prob,
-    return_pmf,
+    return_series,
 )
 
 if TYPE_CHECKING:
@@ -44,17 +46,27 @@ class ExitAnalysis(NamedTuple):
     occupation: ReturnAnalysis
 
 
-def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
-    """Last-exit law up to n_max of a transient chain; a bad n_max raises ValueError first."""
+def exit_series(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
+    """``exit_pmf`` on ``return_series``: lists up to its threshold, no numpy.
+
+    pmf and the occupation's arrays come as the kernel for n_max gives
+    them (lists, or read-only arrays above the threshold); pmf_n is
+    q_exit * u_n either way.  A bad n_max raises ValueError first.
+    """
     n_max = _horizon(n_max)
     if classify(model) is not ChainClass.TRANSIENT:
         raise NotTransient("the last exit time is almost surely infinite "
                            "unless the chain is transient")
-    analysis = return_pmf(model, n_max)
+    analysis = return_series(model, n_max)
     q = escape_prob(model)
-    pmf = q * analysis.u
-    pmf.setflags(write=False)
-    return ExitAnalysis(q_exit=q, pmf=pmf, occupation=analysis)
+    return ExitAnalysis(q_exit=q, pmf=[q * v for v in analysis.u], occupation=analysis)
+
+
+def exit_pmf(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
+    """Last-exit law up to n_max of a transient chain; a bad n_max raises ValueError first."""
+    exit_law = exit_series(model, n_max)
+    return exit_law._replace(pmf=_read_only(exit_law.pmf),
+                             occupation=_as_arrays(exit_law.occupation))
 
 
 def exit_weighted_verdict(model: JumpModel, k: int = 0,

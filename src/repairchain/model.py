@@ -30,9 +30,12 @@ A model is its parameters plus exact summaries (mu, radius).  Arrays of
 coefficients come from ``exact_coefficients``, as long as the caller
 asks, and only the code that builds arrays imports numpy, so
 classifying a law, tilting it or evaluating its G allocates no array
-and loads no numpy.  The truncated table ``coeffs`` stays for API
-users and for the benchmark's tracer, which reads its size; no function
-of the package reads it.
+and loads no numpy.  Short heads of coefficients come from
+``coefficient_head``: each family record's ``head`` is its formula on
+Python floats, a tilted law's composes its base's, and ``a0`` reads
+it.  The truncated table ``coeffs`` stays for API users and for the
+benchmark's tracer, which reads its size; no function of the package
+reads it.
 
 All per-family knowledge lives in one table, ``_FAMILIES``, one record
 per family (see ``_Family``).  Public functions validate, then do one
@@ -125,7 +128,7 @@ class JumpModel:
 
     @property
     def a0(self) -> float:
-        return float(exact_coefficients(self, 1)[0])
+        return coefficient_head(self, 1)[0]
 
     def __repr__(self) -> str:  # the family, its parameter and mu
         extra = ""
@@ -179,6 +182,10 @@ def _explicit_coefficients(m: JumpModel, count: int) -> np.ndarray:
     return out
 
 
+def _explicit_head(m: JumpModel, count: int) -> list[float]:
+    return list(m.a[:count]) + [0.0] * (count - len(m.a))
+
+
 def geometric(p: float) -> JumpModel:
     """Model with a_n = (1-p)^n p."""
     p = float(p)
@@ -192,6 +199,11 @@ def _geometric_coefficients(m: JumpModel, count: int) -> np.ndarray:
     import numpy as np
 
     return m.p * (1.0 - m.p) ** np.arange(count, dtype=float)
+
+
+def _geometric_head(m: JumpModel, count: int) -> list[float]:
+    p, q = m.p, 1.0 - m.p
+    return [p * q ** n for n in range(count)]
 
 
 def _geometric_drift(m: JumpModel, h: float) -> tuple[float, float]:
@@ -248,6 +260,17 @@ def _half_stable_coeffs(count: int) -> np.ndarray:
             block /= den
         np.cumprod(ratios, out=ratios)
         ratios *= 1.0 / 24.0
+    return out
+
+
+def _half_stable_head(count: int) -> list[float]:
+    # _half_stable_coeffs entry by entry: the same quotients, running
+    # product and scale, so the two agree bit for bit
+    out = [2.0 / 3.0, 0.0, 0.25, 1.0 / 24.0][:count]
+    run = 1.0
+    for n in range(4, count):
+        run *= (2.0 * n - 5.0) / (2.0 * n)
+        out.append(run * (1.0 / 24.0))
     return out
 
 
@@ -315,10 +338,28 @@ def _log1p_over(x: float) -> float:
 
 
 def _power_zeta_coeffs(alpha: float, count: int) -> np.ndarray:
+    """a_k = (k+1)^-alpha - (k+2)^-alpha, built in blocks of _BUILD_BLOCK.
+
+    Each entry takes the same operations as over one whole index array,
+    so the table is the same bytes; only one block's temporaries are
+    held beside it.
+    """
     import numpy as np
 
-    k = np.arange(count, dtype=float)
-    return (k + 1.0) ** (-alpha) - (k + 2.0) ** (-alpha)
+    out = np.empty(count, dtype=float)
+    for lo in range(0, count, _BUILD_BLOCK):
+        k = np.arange(lo + 1, min(lo + _BUILD_BLOCK, count) + 1, dtype=float)  # k + 1
+        block = out[lo:lo + k.size]
+        np.power(k, -alpha, out=block)
+        k += 1.0
+        np.power(k, -alpha, out=k)
+        block -= k
+    return out
+
+
+def _power_zeta_head(m: JumpModel, count: int) -> list[float]:
+    alpha = m.alpha
+    return [(k + 1.0) ** -alpha - (k + 2.0) ** -alpha for k in range(count)]
 
 
 def power_zeta(alpha: float) -> JumpModel:
@@ -660,6 +701,11 @@ def _tilted_coefficients(m: JumpModel, count: int) -> np.ndarray:
             / eval_G(m.base, m.tilt_x))
 
 
+def _tilted_head(m: JumpModel, count: int) -> list[float]:
+    x, gx = m.tilt_x, eval_G(m.base, m.tilt_x)
+    return [c * x ** n / gx for n, c in enumerate(coefficient_head(m.base, count))]
+
+
 def _subtracted_drift(model: JumpModel, h: float) -> tuple[float, float]:
     x = 1.0 - h
     return eval_G(model, x, 0) - x, 1.0 - eval_G(model, x, 1)
@@ -683,7 +729,8 @@ class _Family(NamedTuple):
     fields: tuple[str, ...]         # spec fields, in the order build takes them
     build: Callable | None          # the constructor
     table_size: Callable            # model -> n, the length of ``coeffs``, without building it
-    coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1)
+    coefficients: Callable          # (model, count) -> exact a_0 .. a_(count-1), an array
+    head: Callable                  # (model, count) -> the same as a list of floats, no numpy
     G: Callable                     # (model, t, order) -> G^(order)(t), +inf beyond the radius
     reweight: Callable = _tilted    # (model, x) -> a_j x^j / G(x), for x != 1 with G(x) < inf
     tail: Callable = lambda m: math.inf  # model -> sup{s : E(J^s) < inf}; G^(k)(1) < inf below
@@ -697,6 +744,7 @@ _FAMILIES = {
         fields=("a",), build=explicit,
         table_size=lambda m: len(m.a),
         coefficients=_explicit_coefficients,
+        head=_explicit_head,
         G=_explicit_G,
         reweight=_explicit_reweight,
         drift=_explicit_drift,
@@ -706,6 +754,7 @@ _FAMILIES = {
         fields=("p",), build=geometric,
         table_size=_geometric_size,
         coefficients=_geometric_coefficients,
+        head=_geometric_head,
         G=_geometric_G,
         reweight=_geometric_reweight,
         drift=_geometric_drift,
@@ -714,6 +763,7 @@ _FAMILIES = {
         fields=(), build=half_stable,
         table_size=lambda m: _HALF_STABLE_CAP,
         coefficients=lambda m, count: _half_stable_coeffs(count),
+        head=lambda m, count: _half_stable_head(count),
         G=_half_stable_G,
         tail=lambda m: 1.5,
         drift=lambda m, h: ((2.0 / 3.0) * h ** 1.5, math.sqrt(h)),
@@ -722,6 +772,7 @@ _FAMILIES = {
         fields=("alpha",), build=power_zeta,
         table_size=lambda m: math.ceil(10.0 ** (12.0 / m.alpha)),
         coefficients=lambda m, count: _power_zeta_coeffs(m.alpha, count),
+        head=_power_zeta_head,
         G=_power_zeta_G,
         tail=lambda m: m.alpha,
     ),
@@ -729,6 +780,7 @@ _FAMILIES = {
         fields=(), build=None,
         table_size=lambda m: _table_size(m.base),
         coefficients=_tilted_coefficients,
+        head=_tilted_head,
         G=_tilted_G,
         # points compose; at the radius, x (1/x) is 1 in exact arithmetic
         reweight=lambda m, x: m.base if x == m.radius else _tilted(m.base, m.tilt_x * x),
@@ -808,6 +860,21 @@ def exact_coefficients(model: JumpModel, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be at least 1")
     return _FAMILIES[model.family].coefficients(model, count)
+
+
+def coefficient_head(model: JumpModel, count: int) -> list[float]:
+    """``exact_coefficients(model, count)`` as a list of floats, built without numpy.
+
+    For the short heads the CLI prints and the exact pmf reads at small
+    horizons.  Each entry takes the family formula's operations in the
+    same order.  libm's ``pow`` and numpy's vectorized power may round
+    one ulp apart; power_zeta's difference of two powers carries that to
+    about (k + 2)/alpha ulp of a_k.  half_stable and explicit heads are
+    the array's bits.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return _FAMILIES[model.family].head(model, count)
 
 
 def eval_G(model: JumpModel, t: float, order: int = 0) -> float:

@@ -5,8 +5,10 @@ transform F(t) = E(t^tau; tau < infinity) solves F = t G(F) and equals
 the minimal nonnegative root, which Newton's method climbs to from 0.
 From F everything else follows:
 
-* the pmf f_n = P(tau = n), extracted by series inversion
-  f_n = (1/n) [x^(n-1)] G(x)^n,
+* the pmf f_n = P(tau = n), by one of two kernels selected by the
+  horizon N alone (``return_series``): up to _PURE_N a pure-Python
+  first-passage recursion on lists, which loads no numpy, and above it
+  numpy's series inversion f_n = (1/n) [x^(n-1)] G(x)^n,
 * the zero-state occupation sequence u_n = P(X_n = 0), tied to f by
   the renewal recursion (generating functions: U = 1/(1 - F)),
 * the drift psi(h) = G(1-h) - (1-h), evaluated by the family record,
@@ -20,6 +22,7 @@ From F everything else follows:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from enum import Enum
 from types import MappingProxyType
@@ -33,6 +36,7 @@ from .model import (
     JumpModel,
     _integer,
     classify,
+    coefficient_head,
     eval_G,
     exact_coefficients,
     mean_gap,
@@ -44,6 +48,9 @@ if TYPE_CHECKING:
 
 # series length for numeric moment partial sums
 _MOMENT_N = 1024
+
+# horizons up to this one take the pure-Python pmf kernel, larger ones numpy's
+_PURE_N = 64
 
 # ceiling on the arrays return_pmf holds, in bytes
 PMF_TABLE_BUDGET = 1 << 27
@@ -143,8 +150,9 @@ def escape_prob(model: JumpModel) -> float:
 class ReturnAnalysis(NamedTuple):
     """Exact return-time pmf and zero-state occupation sequence.
 
-    Arrays are indexed by n: f[n] = P(tau = n) for 0 <= n <= N (f[0] is
-    identically zero), u[n] = P(X_n = 0 | X_0 = 0).  return_prob is
+    f and u are indexed by n: f[n] = P(tau = n) for 0 <= n <= N (f[0] is
+    identically zero), u[n] = P(X_n = 0 | X_0 = 0).  ``return_pmf`` holds
+    them as read-only arrays; ``return_series`` as its kernel gives them.  return_prob is
     P(tau < infinity) = F(1), which is 1 exactly when the chain is
     recurrent.
     """
@@ -155,7 +163,7 @@ class ReturnAnalysis(NamedTuple):
 
     @property
     def n_max(self) -> int:
-        return self.f.size - 1
+        return len(self.f) - 1
 
 
 def pmf_table_bytes(n_max: int) -> int:
@@ -289,42 +297,51 @@ def _certified(f: np.ndarray, law: JumpModel) -> bool:
     return not reach[low].any()
 
 
-def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
-    """Exact f_1..f_N and u_0..u_N by truncated series powers of G.
+def _taboo_pmf(a: list[float], n_max: int) -> list[float]:
+    """f_0..f_N of the law with kernel a = a_0..a_(N-1), in pure Python.
 
-    f_n = (1/n) [x^(n-1)] G(x)^n.  Jumps larger than N cannot occur on a
-    first-return path of length <= N (down-steps are at most 1 per
-    step), so the kernel a_0..a_(N-1) makes every f_n exact up to float
-    rounding, independent of the model's cached tail target.
-
-    The powers are taken on the critical scale, where f_n decays no
-    faster than a power of n: on the tilt of the law at y = F(R1), which
-    is the tangency point x0, the radius where there is none
-    (BoundaryCase), or 1 where R1 = 1 (no tilt).  The exponential tilt
-    gives f_n = y f^(y)_n R1^(-n), and that restores the rate.  There,
-    every entry of the kernel and of each power below T = 2^-511 is
-    zeroed: T^2 is the smallest normal double, so no product of kept
-    entries is subnormal, and the zeros at the ends of a power are
-    dropped, so no later product forms them.  The result is kept only
-    when ``_certified`` shows the zeroing moved no f_n by more than eps
-    relative; otherwise, as for an explicit law with a_0 = 1e-300, the
-    same loop runs again with nothing zeroed.  So f differs from the
-    untilted computation by the rounding of R1^(-n), up to about n eps,
-    and entries below 2^-1022 may differ in their subnormal digits (the
-    smallest of them may round to 0 on one side only).
-
-    ``_series_pmf`` computes the powers in O(N^2.5) time and O(N^1.5)
-    memory.  u solves the renewal recursion u_n = sum_k f_k u_(n-k) in
-    blocks of b, the first by forward substitution: a later block
-    [s, s + w) is V = C + F V, with C what u_0..u_(s-1) feed into it, so
-    V = C U cut to w terms, U = 1/(1 - F): one correlation and one
-    convolution per block.  Every operation is a product or sum of
-    nonnegative numbers, so each f_n and u_n keeps rounding-level
-    relative accuracy far into the tail.
-    Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
-    (``pmf_table_bytes``) raise ValueError before anything is allocated.
+    The first-passage (taboo) recursion: v holds P(X_n = i + 1, tau > n)
+    for the levels 1..N - n, which are the ones that can still reach 0 by
+    step N, as the chain falls at most one level a step.  A step from
+    level k lands on k - 1 + J, so the next v is the product of v and the
+    kernel shifted down one level, and f_(n+1) = a_0 P(X_n = 1, tau > n).
+    Every operation is a product or sum of nonnegative numbers, in about
+    N^3/6 multiply-adds.
     """
-    n_max = _horizon(n_max)
+    f = [0.0] * (n_max + 1)
+    f[1] = a[0]
+    rev = a[::-1]  # rev[N - 1 - m:] lines a_m .. a_0 up with v_0 .. v_m
+    v = a[1:]
+    for n in range(2, n_max + 1):
+        f[n] = a[0] * v[0]
+        v = [sum(map(operator.mul, v, rev[n_max - 2 - i:])) for i in range(n_max - n)]
+    return f
+
+
+def _pure_kernel(model: JumpModel, n_max: int) -> tuple[list[float], list[float]]:
+    """f and u to a horizon of at most _PURE_N, as lists, without numpy.
+
+    The steps of ``_array_kernel``, on lists: the kernel of the law on
+    the critical scale (``coefficient_head``), ``_taboo_pmf`` in place
+    of the series powers, the rate restored, and u by forward
+    substitution.  No entry is zeroed on purpose, so none needs a
+    certificate: an exact value below the double range underflows as in
+    ``_array_kernel``'s unflushed run.
+    """
+    dp = decay_params(model)
+    law = tilt(model, dp.F_at_R1)
+    f = _taboo_pmf(coefficient_head(law, n_max), n_max)
+    if law is not model:
+        y, r = dp.F_at_R1, dp.R1
+        f = [c * (y * r ** -n) for n, c in enumerate(f)]
+    u = [1.0]
+    for n in range(1, n_max + 1):
+        u.append(sum(map(operator.mul, f[1:n + 1], u[::-1])))
+    return f, u
+
+
+def _array_kernel(model: JumpModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """f and u as read-only arrays by ``_series_pmf`` and a blocked renewal solve."""
     import numpy as np
 
     dp = decay_params(model)
@@ -346,7 +363,78 @@ def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
         u[s:s + w] = np.convolve(c, u[:w])[:w]
     f.setflags(write=False)
     u.setflags(write=False)
+    return f, u
+
+
+def return_series(model: JumpModel, n_max: int) -> ReturnAnalysis:
+    """``return_pmf`` with f and u as they come from the kernel for n_max.
+
+    Up to _PURE_N they are lists from ``_pure_kernel``, and nothing loads
+    numpy; above, read-only arrays from ``_array_kernel``.  Either is a
+    sequence of floats, and ``return_pmf`` holds the same numbers.  A bad
+    n_max raises ValueError first.
+    """
+    n_max = _horizon(n_max)
+    kernel = _pure_kernel if n_max <= _PURE_N else _array_kernel
+    f, u = kernel(model, n_max)
     return ReturnAnalysis(f=f, u=u, return_prob=eval_F(model, 1.0))
+
+
+def _read_only(values) -> np.ndarray:
+    """A sequence of floats as a read-only float64 array; a read-only array passes."""
+    import numpy as np
+
+    out = np.asarray(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _as_arrays(analysis: ReturnAnalysis) -> ReturnAnalysis:
+    return analysis._replace(f=_read_only(analysis.f), u=_read_only(analysis.u))
+
+
+def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
+    """Exact f_1..f_N and u_0..u_N, as read-only arrays.
+
+    f_n = (1/n) [x^(n-1)] G(x)^n.  Jumps larger than N cannot occur on a
+    first-return path of length <= N (down-steps are at most 1 per
+    step), so the kernel a_0..a_(N-1) makes every f_n exact up to float
+    rounding, independent of the model's cached tail target.
+
+    Both kernels work on the critical scale, where f_n decays no faster
+    than a power of n: on the tilt of the law at y = F(R1), which is the
+    tangency point x0, the radius where there is none (BoundaryCase), or
+    1 where R1 = 1 (no tilt).  The exponential tilt gives
+    f_n = y f^(y)_n R1^(-n), and that restores the rate, so f differs
+    from the untilted computation by the rounding of R1^(-n), up to about
+    n eps.  Every operation of either kernel is a product or sum of
+    nonnegative numbers, so each f_n and u_n keeps rounding-level
+    relative accuracy far into the tail.  Which kernel runs depends on
+    n_max alone (``return_series``):
+
+    * up to _PURE_N, ``_pure_kernel``: the first-passage recursion of
+      ``_taboo_pmf`` and a forward renewal solve, on lists;
+    * above, ``_array_kernel``: the truncated series powers of
+      ``_series_pmf`` in O(N^2.5) time and O(N^1.5) memory.  There,
+      every entry of the kernel and of each power below T = 2^-511 is
+      zeroed: T^2 is the smallest normal double, so no product of kept
+      entries is subnormal, and the zeros at the ends of a power are
+      dropped, so no later product forms them.  The result is kept only
+      when ``_certified`` shows the zeroing moved no f_n by more than eps
+      relative; otherwise, as for an explicit law with a_0 = 1e-300, the
+      same loop runs again with nothing zeroed, and entries below
+      2^-1022 may differ in their subnormal digits (the smallest of them
+      may round to 0 on one side only).  u solves the renewal recursion
+      u_n = sum_k f_k u_(n-k) in blocks of b = isqrt(N), the first by
+      forward substitution: a later block [s, s + w) is V = C + F V,
+      with C what u_0..u_(s-1) feed into it, so V = C U cut to w terms,
+      U = 1/(1 - F): one correlation and one convolution per block.
+
+    The two kernels round differently, by a few eps relative at the
+    threshold.  Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
+    (``pmf_table_bytes``) raise ValueError before anything is allocated.
+    """
+    return _as_arrays(return_series(model, n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -507,16 +507,16 @@ ANALYTIC_SPECS = [GEO_QUARTER, GEO_HALF, GEO_THREE_QUARTER, GEO_TINY,
                   '{"family": "explicit", "a": [0.3, 0, 0.2, 0.5]}']
 
 
-def test_analytic_verbs_load_no_numpy():
-    # the verdicts and radii come from mu, G and the tail exponent alone;
-    # a fresh interpreter proves numpy stays unloaded through all of them
+def _numpy_loads(argvs) -> dict:
+    """{"import": loaded, "<argv> <spec>": loaded, ...} over ANALYTIC_SPECS, in
+    one fresh interpreter, where each verb exits 0 or 3."""
     code = f"""
 import contextlib, io, json, sys
 import repairchain, repairchain.cli
 from repairchain import cli
 seen = {{"import": "numpy" in sys.modules}}
 for spec in {ANALYTIC_SPECS!r}:
-    for argv in {ANALYTIC_ARGV!r}:
+    for argv in {argvs!r}:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = cli.run(argv + ["-m", spec])
@@ -525,11 +525,46 @@ for spec in {ANALYTIC_SPECS!r}:
 print(json.dumps(seen))
 """
     seen = json.loads(_child_stdout(code))
-    assert len(seen) == 1 + len(ANALYTIC_SPECS) * len(ANALYTIC_ARGV)
+    assert len(seen) == 1 + len(ANALYTIC_SPECS) * len(argvs)
+    return seen
+
+
+def test_analytic_verbs_load_no_numpy():
+    # the verdicts and radii come from mu, G and the tail exponent alone;
+    # a fresh interpreter proves numpy stays unloaded through all of them
+    seen = _numpy_loads(ANALYTIC_ARGV)
     assert [k for k, loaded in seen.items() if loaded] == []
 
 
-@pytest.mark.parametrize("argv", [["pmf", "-N", "8"], ["simulate", "--samples", "10"]])
+# the exact verbs at horizons the pure-Python kernel takes, and tilt's head
+EXACT_SMALL_ARGV = [
+    ["pmf", "-N", "64"], ["pmf", "-N", "16", "--csv"], ["pmf", "--exit", "-N", "64"],
+    ["exit", "-N", "64"], ["tilt"], ["tilt", "--x", "0.5"], ["tilt", "--x", "1.2"],
+]
+
+
+def test_exact_verbs_at_small_horizons_load_no_numpy():
+    seen = _numpy_loads(EXACT_SMALL_ARGV)
+    assert [k for k, loaded in seen.items() if loaded] == []
+
+
+def test_a0_loads_no_numpy():
+    code = f"""
+import json, sys
+import repairchain as rc
+laws = [rc.build_model(json.loads(spec)) for spec in {ANALYTIC_SPECS!r}]
+laws += [rc.tilt(rc.power_zeta(3.0), 0.9), rc.tilt(rc.half_stable(), 0.5)]
+print(json.dumps([law.a0 for law in laws]), "numpy" in sys.modules)
+"""
+    values, loaded = _child_stdout(code).rsplit(" ", 1)
+    assert loaded.strip() == "False"
+    assert json.loads(values)[:2] == [0.25, 0.5]
+    assert json.loads(values)[-2] == repairchain.exact_coefficients(
+        repairchain.tilt(repairchain.power_zeta(3.0), 0.9), 1)[0]
+
+
+# one horizon above the pure kernel's threshold, and the sampler
+@pytest.mark.parametrize("argv", [["pmf", "-N", "65"], ["simulate", "--samples", "10"]])
 def test_array_verbs_load_numpy(argv):
     code = (f"import sys; from repairchain import cli; "
             f"status = cli.run({argv!r} + ['-m', {GEO_HALF!r}]); "

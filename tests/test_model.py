@@ -11,6 +11,8 @@ from repairchain.model import _PZ_SWITCH, _zeta
 
 import oracles
 
+EPS = sys.float_info.epsilon
+
 
 def test_geometric_cache_matches_closed_form():
     m = rc.geometric(0.25)
@@ -172,6 +174,71 @@ def test_half_stable_build_needs_no_large_temporary():
     finally:
         tracemalloc.stop()
     assert peak < table.nbytes + (1 << 20)
+
+
+@pytest.mark.parametrize("alpha", [2.0123, 3.0, 50.0])
+@pytest.mark.parametrize("count", [1, 2, (1 << 12) - 1, 1 << 12, (1 << 12) + 1, 3 * (1 << 12) + 5])
+def test_power_zeta_block_build_matches_old_expression(alpha, count):
+    # the same operations per entry as over one whole index array, on
+    # either side of a block boundary
+    from repairchain.model import _power_zeta_coeffs
+
+    want = oracles.power_zeta_jumps(alpha, count)
+    assert _power_zeta_coeffs(alpha, count).tobytes() == want.tobytes()
+
+
+def test_power_zeta_build_needs_no_large_temporary():
+    # 10^6 coefficients: the table plus one block's temporaries, where the
+    # whole-array expression held four tables' worth (30.5 MB)
+    import tracemalloc
+
+    model = rc.power_zeta(3.0)
+    rc.exact_coefficients(model, 10)  # numpy's first-call caches are not the build's
+    tracemalloc.start()
+    try:
+        table = rc.exact_coefficients(model, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == oracles.power_zeta_jumps(3.0, 10 ** 6).tobytes()
+    assert peak < table.nbytes + (1 << 20)
+
+
+HEAD_LAWS = {
+    "explicit": lambda: rc.explicit([0.4, 0.0, 0.0, 0.3, 0.0, 0.3]),
+    "explicit_tiny": lambda: rc.explicit([1e-30, 0.0, 1.0]),
+    "geometric_0.25": lambda: rc.geometric(0.25),
+    "geometric_0.6": lambda: rc.geometric(0.6),
+    "half_stable": rc.half_stable,
+    "power_zeta_2.1": lambda: rc.power_zeta(2.1),
+    "power_zeta_50": lambda: rc.power_zeta(50.0),
+    "tilted_power_zeta": lambda: rc.tilt(rc.power_zeta(3.0), 0.9),
+    "tilted_half_stable": lambda: rc.tilt(rc.half_stable(), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_LAWS))
+def test_coefficient_head_is_the_table_as_floats(name):
+    # the same formula per entry; libm's pow and numpy's may round one ulp
+    # apart, which power_zeta's difference of two powers carries to about
+    # (k + 2)/alpha ulp of a_k.  half_stable takes no pow and explicit
+    # copies its list, so those two agree bit for bit
+    from repairchain.model import _FAMILIES, coefficient_head
+
+    model = HEAD_LAWS[name]()
+    assert set(_FAMILIES) == {"explicit", "geometric", "half_stable", "power_zeta", "tilted"}
+    for count in (1, 2, 5, 64, 300):
+        head = coefficient_head(model, count)
+        table = rc.exact_coefficients(model, count)
+        assert type(head) is list and len(head) == count
+        assert all(type(c) is float for c in head)
+        if model.family in ("explicit", "half_stable"):
+            assert np.array(head).tobytes() == table.tobytes()
+        k = np.arange(count)
+        assert np.all(np.abs(np.array(head) - table) <= 4 * (k + 2) * EPS * table)
+    assert model.a0 == coefficient_head(model, 1)[0] > 0.0
+    with pytest.raises(ValueError):
+        coefficient_head(model, 0)
 
 
 def test_explicit_G_matches_numpy_polynomial_bit_for_bit():

@@ -188,6 +188,115 @@ def test_pmf_occupation_where_it_underflows(model, n_max):
     _assert_within(got.u[normal], want[normal].astype(float), n_max)
 
 
+# ---------------------------------------------------------------------------
+# the pure-Python kernel, which return_pmf takes up to its threshold
+
+PURE_HORIZONS = range(1, 65)
+
+
+def test_pure_kernel_threshold_is_the_pmf_default():
+    # the CLI's default pmf horizon is the largest one that loads no numpy
+    from repairchain import cli, return_time
+
+    default = cli._build_parser().parse_args(["pmf", "-m", "{}"]).N
+    assert return_time._PURE_N == max(PURE_HORIZONS) == default
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pure_kernel_matches_the_array_kernel(name):
+    # return_pmf holds the pure kernel's numbers; the array kernel, which
+    # takes every larger horizon, agrees at c N eps
+    from repairchain import return_time
+
+    model = GATE_MODELS[name]()
+    for n_max in PURE_HORIZONS:
+        f, u = return_time._pure_kernel(model, n_max)
+        got = rc.return_pmf(model, n_max)
+        assert got.f.tobytes() == np.array(f).tobytes() and got.u.tobytes() == np.array(u).tobytes()
+        f_arr, u_arr = return_time._array_kernel(model, n_max)
+        _assert_within(got.f, f_arr, n_max)
+        _assert_within(got.u, u_arr, n_max)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pure_kernel_matches_convolution_chain_and_long_double_renewal(name):
+    model = GATE_MODELS[name]()
+    top = max(PURE_HORIZONS)
+    chain = oracles.convolution_chain_pmf(rc.exact_coefficients(model, top), top)
+    for n_max in PURE_HORIZONS:
+        got = rc.return_pmf(model, n_max)
+        _assert_within(got.f, chain[:n_max + 1], n_max)
+        _assert_within(got.u, oracles.renewal_longdouble(got.f).astype(float), n_max)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+def test_pure_kernel_matches_the_geometric_closed_form(p):
+    # transient, critical and positive recurrent: the tilt and the rate
+    # restored, or neither, against the correctly rounded closed form
+    want = oracles.geometric_first_return(*p.as_integer_ratio(), max(PURE_HORIZONS))
+    for n_max in PURE_HORIZONS:
+        _assert_within(rc.return_pmf(rc.geometric(p), n_max).f, want[:n_max + 1], n_max)
+
+
+def test_pure_kernel_matches_the_fraction_series(geo_half):
+    # geometric(1/2): F = 1 - sqrt(1 - t) and u_n = C(2n, n) / 4^n
+    f_want = oracles.sqrt_series(max(PURE_HORIZONS))
+    u_want = oracles.central_binomial_green(max(PURE_HORIZONS))
+    for n_max in PURE_HORIZONS:
+        got = rc.return_pmf(geo_half, n_max)
+        _assert_within(got.f, f_want[:n_max + 1], n_max)
+        _assert_within(got.u, u_want[:n_max + 1], n_max)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pure_kernel_zeros_are_the_sums_of_jumps(name):
+    # f_n = 0 exactly where n - 1 is no sum of positive jumps
+    model = GATE_MODELS[name]()
+    top = max(PURE_HORIZONS)
+    jumps = [j for j, c in enumerate(rc.exact_coefficients(model, top)) if j and c]
+    sums = {0}
+    for _ in range(top):
+        sums |= {s + j for s in sums for j in jumps if s + j < top}
+    for n_max in PURE_HORIZONS:
+        f = rc.return_pmf(model, n_max).f
+        assert np.flatnonzero(f[1:] == 0.0).tolist() == [i for i in range(n_max)
+                                                         if i not in sums], n_max
+
+
+CLI_GATE_SPECS = {
+    "geometric_0.25": {"family": "geometric", "p": 0.25},
+    "geometric_0.5": {"family": "geometric", "p": 0.5},
+    "geometric_0.75": {"family": "geometric", "p": 0.75},
+    "half_stable": {"family": "half_stable"},
+    "power_zeta_3": {"family": "power_zeta", "alpha": 3.0},
+    "explicit_gap": {"family": "explicit", "a": [0.5, 0.0, 0.5]},
+    "explicit_gaps": {"family": "explicit", "a": [0.4, 0.0, 0.0, 0.3, 0.0, 0.3]},
+    "explicit_transient": {"family": "explicit", "a": [0.2, 0.3, 0.5]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GATE_SPECS))
+@pytest.mark.parametrize("n_max", [1, 2, 17, 64, 65])
+def test_return_pmf_is_the_cli_pmf(name, n_max, capsys):
+    # the CLI prints 17 significant digits, which read back as the same
+    # doubles: its numbers are return_pmf's and exit_pmf's, bit for bit
+    import json
+
+    from repairchain import cli
+
+    spec = json.dumps(CLI_GATE_SPECS[name])
+    model = rc.build_model(CLI_GATE_SPECS[name])
+    assert cli.run(["pmf", "-m", spec, "-N", str(n_max)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    got = rc.return_pmf(model, n_max)
+    assert np.array(printed["f"]).tobytes() == got.f.tobytes()
+    assert np.array(printed["u"]).tobytes() == got.u.tobytes()
+    if rc.classify(model) is rc.ChainClass.TRANSIENT:
+        assert cli.run(["exit", "-m", spec, "-N", str(n_max)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert np.array(printed["pmf"]).tobytes() == rc.exit_pmf(model, n_max).pmf.tobytes()
+
+
 def _spy_flushes(monkeypatch):
     from repairchain import return_time
 
@@ -230,7 +339,9 @@ def test_pmf_unflushed_rerun_keeps_the_peak(monkeypatch):
     from repairchain import return_time
 
     model = rc.power_zeta(50.0)
-    rc.return_pmf(model, 16)  # numpy's first-call caches are not the kernel's
+    # numpy's first-call caches are not the kernel's; horizons up to 64
+    # take the pure kernel and would warm none of them
+    rc.return_pmf(model, 65)
     rc.exact_coefficients(model, 2048)
     tracemalloc.start()
     try:
@@ -359,8 +470,9 @@ def test_pmf_table_bytes_is_the_real_peak(spec):
 
     model = rc.build_model(spec)
     # numpy keeps a few hundred bytes of caches from its first convolve
-    # and dot in a process; they are not the kernel's arrays
-    rc.return_pmf(model, 16)
+    # and dot in a process; they are not the kernel's arrays.  Warmed at
+    # 65, as horizons up to 64 take the pure kernel and use neither
+    rc.return_pmf(model, 65)
     for n_max in (200, 512, 1025, 2048):  # at 200 one stripe is the whole factor
         rc.exact_coefficients(model, n_max)
         tracemalloc.start()

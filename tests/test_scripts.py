@@ -122,6 +122,57 @@ def test_cli_matrix_diff_of_canned_records(tmp_path):
     assert proc.returncode == 0 and proc.stdout == ""
 
 
+_MOVED = [
+    _record(["pmf"], '{"N": 2, "f": [0.0, 0.25, 0.125], "return_prob": 1.0}\n'),
+    _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25\n"),
+    _record(["simulate"], '{"tau_hist": {"1": 3, "2": 1}, "censored": 0}\n'),
+    _record(["decay"], "", 3, "domain error: no\n"),
+]
+# each a change --within 1e-14 refuses, with the row it replaces
+_BEYOND = {
+    "number beyond REL": _record(["pmf"], '{"N": 2, "f": [0.0, 0.25, 0.12500000001], '
+                                          '"return_prob": 1.0}\n'),
+    "list length": _record(["pmf"], '{"N": 2, "f": [0.0, 0.25], "return_prob": 1.0}\n'),
+    "key added": _record(["pmf"], '{"N": 2, "f": [0.0, 0.25, 0.125], "return_prob": 1.0, '
+                                  '"u": []}\n'),
+    "csv row added": _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25\n2,0.125\n"),
+    "histogram": _record(["simulate"], '{"tau_hist": {"1": 3, "2": 2}, "censored": 0}\n'),
+    "status": _record(["decay"], "", 2, "domain error: no\n"),
+    "stderr": _record(["decay"], "", 3, "domain error: yes\n"),
+}
+
+
+def test_cli_matrix_diff_within_a_relative_bound(tmp_path):
+    matrix = _script_module("cli_matrix")
+    after = [
+        _record(["pmf"], '{"N": 2, "f": [0.0, 0.25000000000000006, 0.125], '
+                         '"return_prob": 1.0}\n'),
+        _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25000000000000006\n"),
+        *_MOVED[2:],
+    ]
+    assert matrix.within(_MOVED, after, 1e-14)
+    assert not matrix.within(_MOVED, after, 1e-17)
+    assert matrix.within(_MOVED, _MOVED, 0.0)
+    assert not matrix.within(_MOVED, after[:-1], 1.0)  # an invocation dropped
+    for what, row in _BEYOND.items():
+        changed = [row if r["argv"] == row["argv"] else r for r in after]
+        assert not matrix.within(_MOVED, changed, 1e-14), what
+    paths = {}
+    for name, records in (("before", _MOVED), ("after", after),
+                          ("histogram", [*after[:2], _BEYOND["histogram"], after[3]])):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in records))
+    proc = _run_script(["cli_matrix.py", "--diff", str(paths["before"]), str(paths["after"]),
+                        "--within", "1e-14"])
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines() == [*matrix.diff_lines(_MOVED, after),
+                                        matrix.summary_line(_MOVED, after)]
+    for rel, other, status in (("1e-17", "after", 1), ("1", "histogram", 1)):
+        proc = _run_script(["cli_matrix.py", "--diff", str(paths["before"]), str(paths[other]),
+                            "--within", rel])
+        assert proc.returncode == status, (rel, other)
+
+
 def _canned_run(seed, metrics, failed=0, attempted=10):
     # the last two stdout lines of perfbench/run.py
     report = {"seed": seed, "environment": {"python": "3.11.7"}}
