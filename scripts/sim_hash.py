@@ -99,10 +99,10 @@ def run_grid() -> list[str]:
     return [report_hash(reports)] + lines
 
 
-def run_checkout(checkout: str) -> list[str]:
-    """run_grid's lines on checkout's src, from a child process."""
+def run_checkout(checkout: str, script: str = __file__) -> list[str]:
+    """The lines script prints (by default run_grid's) on checkout's src, from a child process."""
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
-    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, script], env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout.splitlines()
 

@@ -31,7 +31,7 @@ from .return_time import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
+    from collections.abc import Sequence
 
 # default horizon for exit pmfs; the law decays like R0^(-n), so this is
 # far into the certified-tail regime for every bundled transient family
@@ -42,16 +42,16 @@ class ExitAnalysis(NamedTuple):
     """Exact last-exit law P(L = n) = q_exit * u_n for n = 0..N."""
 
     q_exit: float
-    pmf: np.ndarray
+    pmf: Sequence[float]
     occupation: ReturnAnalysis
 
 
 def exit_series(model: JumpModel, n_max: int = DEFAULT_EXIT_N) -> ExitAnalysis:
-    """``exit_pmf`` on ``return_series``: lists up to its threshold, no numpy.
+    """``exit_pmf`` as q_exit times ``return_series``'s u, as its engine gives u.
 
-    pmf and the occupation's arrays come as the kernel for n_max gives
-    them (lists, or read-only arrays above the threshold); pmf_n is
-    q_exit * u_n either way.  A bad n_max raises ValueError first.
+    pmf is a list either way, and the occupation holds lists up to
+    _PURE_N (no numpy) and read-only arrays above.  A bad n_max raises
+    ValueError first.
     """
     n_max = _horizon(n_max)
     if classify(model) is not ChainClass.TRANSIENT:

@@ -5,12 +5,12 @@ transform F(t) = E(t^tau; tau < infinity) solves F = t G(F) and equals
 the minimal nonnegative root, which Newton's method climbs to from 0.
 From F everything else follows:
 
-* the pmf f_n = P(tau = n), by one of two kernels selected by the
-  horizon N alone (``return_series``): up to _PURE_N a pure-Python
-  first-passage recursion on lists, which loads no numpy, and above it
-  numpy's series inversion f_n = (1/n) [x^(n-1)] G(x)^n,
-* the zero-state occupation sequence u_n = P(X_n = 0), tied to f by
-  the renewal recursion (generating functions: U = 1/(1 - F)),
+* the pmf f_n = P(tau = n) and the zero-state occupation sequence
+  u_n = P(X_n = 0), tied to f by the renewal identity U = 1/(1 - F),
+  by one pipeline (``return_series``) with two engines chosen by the
+  horizon N alone: up to _PURE_N a first-passage recursion on lists,
+  which loads no numpy, and above it numpy's series inversion
+  f_n = (1/n) [x^(n-1)] G(x)^n,
 * the drift psi(h) = G(1-h) - (1-h), evaluated by the family record,
   and one Newton descent on it, which gives its inverse (controlling
   1 - F(t) as t -> 1 for critical chains) and its positive root, the
@@ -44,12 +44,14 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 # series length for numeric moment partial sums
 _MOMENT_N = 1024
 
-# horizons up to this one take the pure-Python pmf kernel, larger ones numpy's
+# horizons up to this one take the pure pmf engine, larger ones the array engine
 _PURE_N = 64
 
 # ceiling on the arrays return_pmf holds, in bytes
@@ -58,7 +60,7 @@ PMF_TABLE_BUDGET = 1 << 27
 # terms per stripe of the truncated series product in return_pmf
 _STRIPE = 256
 
-# return_pmf zeros kernel and power entries below this on the critical
+# the array engine zeros kernel and power entries below this on the critical
 # scale; its square is the smallest normal double, so no product of kept
 # entries is subnormal
 _FLUSH = 2.0 ** -511
@@ -152,13 +154,13 @@ class ReturnAnalysis(NamedTuple):
 
     f and u are indexed by n: f[n] = P(tau = n) for 0 <= n <= N (f[0] is
     identically zero), u[n] = P(X_n = 0 | X_0 = 0).  ``return_pmf`` holds
-    them as read-only arrays; ``return_series`` as its kernel gives them.  return_prob is
-    P(tau < infinity) = F(1), which is 1 exactly when the chain is
-    recurrent.
+    them as read-only arrays, ``return_series`` as its engine gives them:
+    lists up to _PURE_N.  return_prob is P(tau < infinity) = F(1), which
+    is 1 exactly when the chain is recurrent.
     """
 
-    f: np.ndarray
-    u: np.ndarray
+    f: Sequence[float]
+    u: Sequence[float]
     return_prob: float
 
     @property
@@ -297,17 +299,67 @@ def _certified(f: np.ndarray, law: JumpModel) -> bool:
     return not reach[low].any()
 
 
-def _taboo_pmf(a: list[float], n_max: int) -> list[float]:
-    """f_0..f_N of the law with kernel a = a_0..a_(N-1), in pure Python.
+def _array_pmf(law: JumpModel, n_max: int, y: float, rate: float) -> np.ndarray:
+    """The array engine's y f^law_n rate^(-n), n = 0..N, read-only; f^law is law's pmf.
 
-    The first-passage (taboo) recursion: v holds P(X_n = i + 1, tau > n)
-    for the levels 1..N - n, which are the ones that can still reach 0 by
-    step N, as the chain falls at most one level a step.  A step from
-    level k lands on k - 1 + J, so the next v is the product of v and the
-    kernel shifted down one level, and f_(n+1) = a_0 P(X_n = 1, tau > n).
-    Every operation is a product or sum of nonnegative numbers, in about
-    N^3/6 multiply-adds.
+    ``_series_pmf``, in O(N^2.5) time and O(N^1.5) memory, runs with
+    every entry of the kernel and of each power below ``_FLUSH`` zeroed.
+    The result is kept only when ``_certified`` shows the zeroing moved
+    no f_n by more than eps relative; otherwise, as for an explicit law
+    with a_0 = 1e-300, the same loop runs again with nothing zeroed, and
+    entries below 2^-1022 may differ in their subnormal digits (the
+    smallest of them may round to 0 on one side only).
     """
+    import numpy as np
+
+    f = _series_pmf(law, n_max, _FLUSH)
+    if not _certified(f, law):
+        del f  # freed first, so the second run peaks as the first did
+        f = _series_pmf(law, n_max, 0.0)
+    f *= y * rate ** -np.arange(n_max + 1.0)
+    f.setflags(write=False)
+    return f
+
+
+def _blocked_renewal(k: np.ndarray) -> np.ndarray:
+    """The array engine's u_0..u_N, u_0 = 1 and u_n = sum_(j=1..n) k_j u_(n-j), read-only.
+
+    Any nonnegative kernel k will do; k_0 is not read.  In blocks of
+    b = isqrt(N), the first by forward substitution: a later block
+    [s, s + w) is V = C + K V, with C what u_0..u_(s-1) feed into it, so
+    V = C U cut to w terms, U = 1/(1 - K) being u itself.
+    """
+    import numpy as np
+
+    n_max = k.size - 1
+    u = np.zeros(n_max + 1)
+    u[0] = 1.0
+    b = math.isqrt(n_max)
+    for n in range(1, b):
+        u[n] = np.dot(k[1:n + 1], u[n - 1::-1])
+    for s in range(b, n_max + 1, b):
+        w = min(b, n_max + 1 - s)
+        c = np.correlate(k[1:s + w], u[s - 1::-1], "valid")
+        u[s:s + w] = np.convolve(c, u[:w])[:w]
+    u.setflags(write=False)
+    return u
+
+
+def _taboo_pmf(law: JumpModel, n_max: int, y: float, rate: float) -> list[float]:
+    """The pure engine's y f^law_n rate^(-n), n = 0..N, as a list; f^law is law's pmf.
+
+    The first-passage (taboo) recursion on the kernel a_0..a_(N-1) of
+    law (``coefficient_head``): v holds P(X_n = i + 1, tau > n) for the
+    levels 1..N - n, which are the ones that can still reach 0 by step
+    N, as the chain falls at most one level a step.  A step from level k
+    lands on k - 1 + J, so the next v is the product of v and the kernel
+    shifted down one level, and f_(n+1) = a_0 P(X_n = 1, tau > n).
+    Every operation is a product or sum of nonnegative numbers, in about
+    N^3/6 multiply-adds.  No entry is zeroed on purpose, so none needs a
+    certificate: an exact value below the double range underflows as in
+    the array engine's unflushed run.
+    """
+    a = coefficient_head(law, n_max)
     f = [0.0] * (n_max + 1)
     f[1] = a[0]
     rev = a[::-1]  # rev[N - 1 - m:] lines a_m .. a_0 up with v_0 .. v_m
@@ -315,69 +367,35 @@ def _taboo_pmf(a: list[float], n_max: int) -> list[float]:
     for n in range(2, n_max + 1):
         f[n] = a[0] * v[0]
         v = [sum(map(operator.mul, v, rev[n_max - 2 - i:])) for i in range(n_max - n)]
-    return f
+    return [c * (y * rate ** -n) for n, c in enumerate(f)]
 
 
-def _pure_kernel(model: JumpModel, n_max: int) -> tuple[list[float], list[float]]:
-    """f and u to a horizon of at most _PURE_N, as lists, without numpy.
-
-    The steps of ``_array_kernel``, on lists: the kernel of the law on
-    the critical scale (``coefficient_head``), ``_taboo_pmf`` in place
-    of the series powers, the rate restored, and u by forward
-    substitution.  No entry is zeroed on purpose, so none needs a
-    certificate: an exact value below the double range underflows as in
-    ``_array_kernel``'s unflushed run.
-    """
-    dp = decay_params(model)
-    law = tilt(model, dp.F_at_R1)
-    f = _taboo_pmf(coefficient_head(law, n_max), n_max)
-    if law is not model:
-        y, r = dp.F_at_R1, dp.R1
-        f = [c * (y * r ** -n) for n, c in enumerate(f)]
+def _forward_renewal(k: Sequence[float]) -> list[float]:
+    """The pure engine's u_0..u_N, as ``_blocked_renewal``'s, by forward substitution on lists."""
     u = [1.0]
-    for n in range(1, n_max + 1):
-        u.append(sum(map(operator.mul, f[1:n + 1], u[::-1])))
-    return f, u
-
-
-def _array_kernel(model: JumpModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """f and u as read-only arrays by ``_series_pmf`` and a blocked renewal solve."""
-    import numpy as np
-
-    dp = decay_params(model)
-    law = tilt(model, dp.F_at_R1)
-    f = _series_pmf(law, n_max, _FLUSH)
-    if not _certified(f, law):
-        del f  # freed first, so the second run peaks as the first did
-        f = _series_pmf(law, n_max, 0.0)
-    if law is not model:
-        f *= dp.F_at_R1 * dp.R1 ** -np.arange(n_max + 1.0)
-    u = np.zeros(n_max + 1)
-    u[0] = 1.0
-    b = math.isqrt(n_max)
-    for n in range(1, b):
-        u[n] = np.dot(f[1:n + 1], u[n - 1::-1])
-    for s in range(b, n_max + 1, b):
-        w = min(b, n_max + 1 - s)
-        c = np.correlate(f[1:s + w], u[s - 1::-1], "valid")
-        u[s:s + w] = np.convolve(c, u[:w])[:w]
-    f.setflags(write=False)
-    u.setflags(write=False)
-    return f, u
+    for n in range(1, len(k)):
+        u.append(sum(map(operator.mul, k[1:n + 1], u[::-1])))
+    return u
 
 
 def return_series(model: JumpModel, n_max: int) -> ReturnAnalysis:
-    """``return_pmf`` with f and u as they come from the kernel for n_max.
+    """``return_pmf`` with f and u as the engine for n_max gives them.
 
-    Up to _PURE_N they are lists from ``_pure_kernel``, and nothing loads
-    numpy; above, read-only arrays from ``_array_kernel``.  Either is a
-    sequence of floats, and ``return_pmf`` holds the same numbers.  A bad
-    n_max raises ValueError first.
+    The one pipeline of the exact laws; a bad n_max raises ValueError
+    first.  The law is tilted at y = F(R1) to the critical scale (see
+    ``return_pmf``), and an engine chosen by n_max alone computes f
+    there, restores the rate and solves the renewal recursion
+    u_n = sum_k f_k u_(n-k).  Up to _PURE_N the pure engine runs on
+    lists, without numpy (``_taboo_pmf``, ``_forward_renewal``); above
+    it the array engine, on read-only arrays (``_array_pmf``,
+    ``_blocked_renewal``).
     """
     n_max = _horizon(n_max)
-    kernel = _pure_kernel if n_max <= _PURE_N else _array_kernel
-    f, u = kernel(model, n_max)
-    return ReturnAnalysis(f=f, u=u, return_prob=eval_F(model, 1.0))
+    dp = decay_params(model)
+    pmf, renewal = ((_taboo_pmf, _forward_renewal) if n_max <= _PURE_N
+                    else (_array_pmf, _blocked_renewal))
+    f = pmf(tilt(model, dp.F_at_R1), n_max, dp.F_at_R1, dp.R1)
+    return ReturnAnalysis(f=f, u=renewal(f), return_prob=eval_F(model, 1.0))
 
 
 def _read_only(values) -> np.ndarray:
@@ -394,45 +412,24 @@ def _as_arrays(analysis: ReturnAnalysis) -> ReturnAnalysis:
 
 
 def return_pmf(model: JumpModel, n_max: int) -> ReturnAnalysis:
-    """Exact f_1..f_N and u_0..u_N, as read-only arrays.
+    """Exact f_1..f_N and u_0..u_N, as read-only arrays, from ``return_series``.
 
     f_n = (1/n) [x^(n-1)] G(x)^n.  Jumps larger than N cannot occur on a
     first-return path of length <= N (down-steps are at most 1 per
     step), so the kernel a_0..a_(N-1) makes every f_n exact up to float
     rounding, independent of the model's cached tail target.
 
-    Both kernels work on the critical scale, where f_n decays no faster
+    Both engines work on the critical scale, where f_n decays no faster
     than a power of n: on the tilt of the law at y = F(R1), which is the
     tangency point x0, the radius where there is none (BoundaryCase), or
-    1 where R1 = 1 (no tilt).  The exponential tilt gives
-    f_n = y f^(y)_n R1^(-n), and that restores the rate, so f differs
-    from the untilted computation by the rounding of R1^(-n), up to about
-    n eps.  Every operation of either kernel is a product or sum of
-    nonnegative numbers, so each f_n and u_n keeps rounding-level
-    relative accuracy far into the tail.  Which kernel runs depends on
-    n_max alone (``return_series``):
-
-    * up to _PURE_N, ``_pure_kernel``: the first-passage recursion of
-      ``_taboo_pmf`` and a forward renewal solve, on lists;
-    * above, ``_array_kernel``: the truncated series powers of
-      ``_series_pmf`` in O(N^2.5) time and O(N^1.5) memory.  There,
-      every entry of the kernel and of each power below T = 2^-511 is
-      zeroed: T^2 is the smallest normal double, so no product of kept
-      entries is subnormal, and the zeros at the ends of a power are
-      dropped, so no later product forms them.  The result is kept only
-      when ``_certified`` shows the zeroing moved no f_n by more than eps
-      relative; otherwise, as for an explicit law with a_0 = 1e-300, the
-      same loop runs again with nothing zeroed, and entries below
-      2^-1022 may differ in their subnormal digits (the smallest of them
-      may round to 0 on one side only).  u solves the renewal recursion
-      u_n = sum_k f_k u_(n-k) in blocks of b = isqrt(N), the first by
-      forward substitution: a later block [s, s + w) is V = C + F V,
-      with C what u_0..u_(s-1) feed into it, so V = C U cut to w terms,
-      U = 1/(1 - F): one correlation and one convolution per block.
-
-    The two kernels round differently, by a few eps relative at the
-    threshold.  Horizons whose arrays would exceed PMF_TABLE_BUDGET bytes
-    (``pmf_table_bytes``) raise ValueError before anything is allocated.
+    1 where R1 = 1 (the law itself, and the restore multiplies by exactly
+    1).  The tilting identity f_n = y f^(y)_n R1^(-n) restores the rate,
+    up to the rounding of R1^(-n), about n eps.  Every operation of either engine is a product
+    or sum of nonnegative numbers, so each f_n and u_n keeps
+    rounding-level relative accuracy far into the tail; the two round
+    differently, by a few eps relative at the threshold.  Horizons whose
+    arrays would exceed PMF_TABLE_BUDGET bytes (``pmf_table_bytes``)
+    raise ValueError before anything is allocated.
     """
     return _as_arrays(return_series(model, n_max))
 

@@ -536,7 +536,7 @@ def test_analytic_verbs_load_no_numpy():
     assert [k for k, loaded in seen.items() if loaded] == []
 
 
-# the exact verbs at horizons the pure-Python kernel takes, and tilt's head
+# the exact verbs at horizons the pure-Python engine takes, and tilt's head
 EXACT_SMALL_ARGV = [
     ["pmf", "-N", "64"], ["pmf", "-N", "16", "--csv"], ["pmf", "--exit", "-N", "64"],
     ["exit", "-N", "64"], ["tilt"], ["tilt", "--x", "0.5"], ["tilt", "--x", "1.2"],
@@ -563,7 +563,7 @@ print(json.dumps([law.a0 for law in laws]), "numpy" in sys.modules)
         repairchain.tilt(repairchain.power_zeta(3.0), 0.9), 1)[0]
 
 
-# one horizon above the pure kernel's threshold, and the sampler
+# one horizon above the pure engine's threshold, and the sampler
 @pytest.mark.parametrize("argv", [["pmf", "-N", "65"], ["simulate", "--samples", "10"]])
 def test_array_verbs_load_numpy(argv):
     code = (f"import sys; from repairchain import cli; "

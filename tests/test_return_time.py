@@ -189,7 +189,7 @@ def test_pmf_occupation_where_it_underflows(model, n_max):
 
 
 # ---------------------------------------------------------------------------
-# the pure-Python kernel, which return_pmf takes up to its threshold
+# the pure-Python engine, which return_pmf takes up to its threshold
 
 PURE_HORIZONS = range(1, 65)
 
@@ -202,20 +202,58 @@ def test_pure_kernel_threshold_is_the_pmf_default():
     assert return_time._PURE_N == max(PURE_HORIZONS) == default
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pure_kernel_matches_the_array_kernel(name):
-    # return_pmf holds the pure kernel's numbers; the array kernel, which
-    # takes every larger horizon, agrees at c N eps
+def _through_engine(model, n_max, pure):
+    # return_series with its engine forced by the one selector, _PURE_N
     from repairchain import return_time
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(return_time, "_PURE_N", n_max if pure else 0)
+        return return_time.return_series(model, n_max)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_MODELS))
+def test_pure_kernel_matches_the_array_kernel(name):
+    # return_pmf holds the numbers of the engine its horizon takes; the
+    # other engine, forced through the same pipeline, agrees at c N eps,
+    # on both sides of the threshold
     model = GATE_MODELS[name]()
-    for n_max in PURE_HORIZONS:
-        f, u = return_time._pure_kernel(model, n_max)
+    for n_max in [*PURE_HORIZONS, 65, 128]:
         got = rc.return_pmf(model, n_max)
-        assert got.f.tobytes() == np.array(f).tobytes() and got.u.tobytes() == np.array(u).tobytes()
-        f_arr, u_arr = return_time._array_kernel(model, n_max)
-        _assert_within(got.f, f_arr, n_max)
-        _assert_within(got.u, u_arr, n_max)
+        default = n_max <= max(PURE_HORIZONS)
+        same, other = (_through_engine(model, n_max, pure) for pure in (default, not default))
+        assert isinstance(same.f, list) == default and isinstance(other.f, list) != default
+        assert got.f.tobytes() == np.array(same.f).tobytes(), n_max
+        assert got.u.tobytes() == np.array(same.u).tobytes(), n_max
+        _assert_within(got.f, np.array(other.f), n_max)
+        _assert_within(got.u, np.array(other.u), n_max)
+
+
+# kernels no return pmf has: mass 1/2, whose u_2048 is near 4e-257, and
+# k_j = 1/(2 j^2) at odd j only, exact zeros between them
+RENEWAL_KERNELS = {
+    "defective_half": lambda n: np.array([0.0] + [0.5 ** (j + 1) for j in range(1, n + 1)]),
+    "interior_zeros": lambda n: np.array([0.0] + [0.5 / j ** 2 if j % 2 else 0.0
+                                                  for j in range(1, n + 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENEWAL_KERNELS))
+def test_renewal_solves_take_any_nonnegative_kernel(name):
+    # u_0 = 1, u_n = sum_(j=1..n) k_j u_(n-j): the forward solve on lists
+    # up to the threshold, the blocked one above it, where 65, 256 and
+    # 2048 each end in a partial block (of 2, 1 and 24 terms)
+    from repairchain import return_time
+
+    for n_max in [*PURE_HORIZONS, 65, 256, 2048]:
+        k = RENEWAL_KERNELS[name](n_max)
+        want = oracles.renewal_longdouble(k).astype(float)
+        if n_max in PURE_HORIZONS:
+            got = return_time._forward_renewal(k.tolist())
+            assert type(got) is list and len(got) == n_max + 1
+        else:
+            got = return_time._blocked_renewal(k)
+            assert not got.flags.writeable
+        _assert_within(np.array(got), want, n_max)
 
 
 @pytest.mark.parametrize("name", sorted(GATE_MODELS))
@@ -340,7 +378,7 @@ def test_pmf_unflushed_rerun_keeps_the_peak(monkeypatch):
 
     model = rc.power_zeta(50.0)
     # numpy's first-call caches are not the kernel's; horizons up to 64
-    # take the pure kernel and would warm none of them
+    # take the pure engine and would warm none of them
     rc.return_pmf(model, 65)
     rc.exact_coefficients(model, 2048)
     tracemalloc.start()
@@ -471,7 +509,7 @@ def test_pmf_table_bytes_is_the_real_peak(spec):
     model = rc.build_model(spec)
     # numpy keeps a few hundred bytes of caches from its first convolve
     # and dot in a process; they are not the kernel's arrays.  Warmed at
-    # 65, as horizons up to 64 take the pure kernel and use neither
+    # 65, as horizons up to 64 take the pure engine and use neither
     rc.return_pmf(model, 65)
     for n_max in (200, 512, 1025, 2048):  # at 200 one stripe is the whole factor
         rc.exact_coefficients(model, n_max)

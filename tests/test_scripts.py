@@ -283,6 +283,59 @@ def test_sim_hash_of_canned_reports_and_runs():
     assert {c[5] for c in calls[59:]} >= {"geometric(0.5)", "half_stable()"}
 
 
+def test_pmf_hash_of_canned_laws_and_runs(capsys):
+    # one hash over the calls' hashes in grid order, then one per call;
+    # --against is sim_hash's, run on this script's grid
+    import hashlib
+
+    import numpy as np
+
+    import repairchain as rc
+    from repairchain.last_exit import ExitAnalysis
+    from repairchain.return_time import ReturnAnalysis, return_series
+
+    pmf_hash = _script_module("pmf_hash")
+    f, u = [0.0, 0.5, 0.125], [1.0, 0.5, 0.375]
+    one = ReturnAnalysis(f=f, u=u, return_prob=1.0)
+    occupation = np.array(f).tobytes() + np.array(u).tobytes() + b"1.0"
+    assert pmf_hash.law_hash(one) == hashlib.sha256(occupation).hexdigest()
+    exit_law = ExitAnalysis(q_exit=np.float64(0.25), pmf=[0.25, 0.125, 0.09375], occupation=one)
+    want = np.array([0.25, 0.125, 0.09375]).tobytes() + b"0.25" + occupation
+    assert pmf_hash.law_hash(exit_law) == hashlib.sha256(want).hexdigest()
+    # lists and read-only arrays of the same numbers hash alike
+    law = rc.geometric(0.5)
+    assert pmf_hash.law_hash(rc.return_pmf(law, 8)) == pmf_hash.law_hash(return_series(law, 8))
+    # --against runs this script, not sim_hash's, on both checkouts
+    calls, runs = ["#0 return_pmf half_stable N=1", "#1 exit_pmf geometric(0.25) N=2048"], []
+
+    def run(checkout, script):
+        runs.append((os.path.basename(checkout), os.path.basename(script)))
+        return {"parent": ["aa", "c0 " + calls[0], "c1 " + calls[1]]}.get(
+            os.path.basename(checkout), ["bb", "d0 " + calls[0], "c1 " + calls[1]])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pmf_hash.sim_hash, "run_checkout", run)
+        patch.setattr(sys, "argv", ["pmf_hash.py", "--against", "parent"])
+        assert pmf_hash.main() == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[2:] == ["differs: " + calls[0], "different"]
+    assert runs == [("parent", "pmf_hash.py"), (ROOT.name, "pmf_hash.py")]
+    # the grid: 16 laws at 69 horizons, and the exit law after each
+    # return law of the three transient ones
+    calls = pmf_hash.grid(rc)
+    assert len(calls) == (16 + 3) * 69
+    assert [c[3] for c in calls if c[1] == "power_zeta(50)"] == [*range(1, 65), 65, 100, 256,
+                                                                 1024, 2048]
+    exits = sorted({c[1] for c in calls if c[0] == "exit_pmf"})
+    assert exits == ['{"family": "explicit", "a": [0.2, 0.3, 0.5]}',
+                     '{"family": "explicit", "a": [1e-30, 0, 1]}',
+                     '{"family": "geometric", "p": 0.25}']
+    assert [c[:2] for c in calls[:2]] == [("return_pmf", exits[2]), ("exit_pmf", exits[2])]
+    assert (calls[-1][1], calls[-1][3]) == ("tilt(half_stable, 0.8)", 2048)
+    assert calls[-70][1] == "tilt(power_zeta(3), 0.9)"
+    assert rc.decay_params(calls[-70][2]).case_label is rc.CaseLabel.BOUNDARY_CASE
+
+
 def test_line_coverage_lists_the_statements_a_run_never_reaches():
     # test_series_tools.py never feeds block_ratio_diagnostic an early
     # block of zeros before a late block that is not
