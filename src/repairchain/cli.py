@@ -96,7 +96,7 @@ def _load_model(raw: str) -> JumpModel:
         try:
             with open(raw[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:  # the latter would pass for a ValueError
             raise InvalidSpec(f"cannot read model spec file: {exc}") from exc
     else:
         text = raw

@@ -206,6 +206,17 @@ def _geometric_head(m: JumpModel, count: int) -> list[float]:
     return [p * q ** n for n in range(count)]
 
 
+def _geometric_first_return(m: JumpModel, n_max: int) -> list[float]:
+    # f_n = C(2n-2, n-1) p^n q^(n-1) / n, as the ratio product from f_1 = p:
+    # every factor is nonnegative, so each step adds a few roundings and no
+    # cancellation
+    pq = m.p * (1.0 - m.p)
+    f = [0.0, m.p]
+    for n in range(1, n_max):
+        f.append(f[-1] * ((4 * n - 2) / (n + 1)) * pq)
+    return f
+
+
 def _geometric_drift(m: JumpModel, h: float) -> tuple[float, float]:
     # G(1-h) = p/(p + qh) over one denominator, with 2p - 1 = p - q; the
     # slope is written so that h = 0 gives 1 - mu = (2p - 1)/p exactly
@@ -724,6 +735,10 @@ class _Family(NamedTuple):
     The callables take the model first.  ``build`` is None for the
     internal ``tilted`` kind, which no spec can name.  1 - mu is the
     drift's slope at 0, and the escape probability its positive root.
+    ``first_return`` is the law's first-return pmf in closed form, where
+    one is known: geometric laws have f_n = C(2n-2, n-1) p^n q^(n-1)/n.
+    Both pmf engines read it, on the critical-scale tilt of the law, in
+    place of their own computation; every other family leaves it None.
     """
 
     fields: tuple[str, ...]         # spec fields, in the order build takes them
@@ -737,6 +752,7 @@ class _Family(NamedTuple):
     drift: Callable = _subtracted_drift  # (model, h) -> psi(h) = G(1-h) - (1-h) and psi'(h)
     xi: Callable = _subtracted_xi   # (model, x) -> G(x) - x G'(x), -inf where G' diverges
     boundary: Callable = lambda m: None  # model -> its law at a radius R > 1 with G(R) < inf, or None
+    first_return: Callable | None = None  # (model, N) -> f_0..f_N in closed form, a list, or None
 
 
 _FAMILIES = {
@@ -758,6 +774,7 @@ _FAMILIES = {
         G=_geometric_G,
         reweight=_geometric_reweight,
         drift=_geometric_drift,
+        first_return=_geometric_first_return,
     ),
     "half_stable": _Family(
         fields=(), build=half_stable,

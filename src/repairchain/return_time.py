@@ -10,7 +10,8 @@ From F everything else follows:
   by one pipeline (``return_series``) with two engines chosen by the
   horizon N alone: up to _PURE_N a first-passage recursion on lists,
   which loads no numpy, and above it numpy's series inversion
-  f_n = (1/n) [x^(n-1)] G(x)^n,
+  f_n = (1/n) [x^(n-1)] G(x)^n; a law whose family record has f in
+  closed form (geometric) takes it in either engine,
 * the drift psi(h) = G(1-h) - (1-h), evaluated by the family record,
   and one Newton descent on it, which gives its inverse (controlling
   1 - F(t) as t -> 1 for critical chains) and its positive root, the
@@ -96,7 +97,7 @@ def _horizon(n_max: int) -> int:
 
 
 def eval_F(model: JumpModel, t: float) -> float:
-    """Minimal nonnegative root of x = t G(x), or +inf beyond the radius.
+    """Minimal nonnegative root of x = t G(x) for t up to R1, the radius of F.
 
     g(x) = t G(x) - x is convex and decreasing up to its minimal root, so
     Newton's method from x = 0 climbs to that root from below without
@@ -105,9 +106,13 @@ def eval_F(model: JumpModel, t: float) -> float:
     is the return probability: exactly 1 for a recurrent law, and
     1 - escape_prob for a transient one unless escape_prob exceeds 1/2,
     where the subtraction would cancel and the climb answers instead.
-    At t = R1 the root is tangential, so values of t within a few ulp of
-    R1 are answered from the decay analysis, where the same point is the
-    well-conditioned simple root of G(x) = x G'(x).
+    At t = R1 the root is tangential, so t from R1 (1 - 2^-50) up to
+    R1 (1 + 1e-12) is answered F(R1) from the decay analysis, where the
+    same point is the well-conditioned simple root of G(x) = x G'(x).
+    That window is fixed, not derived from an error bound: below R1 it
+    is 4 to 8 ulp wide, above R1, where F is +inf in exact arithmetic,
+    about 4500 to 9000 ulp.  Only t above it answers +inf.  ROADMAP
+    item 15 replaces both edges with a proven bracket of R1.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
@@ -302,20 +307,26 @@ def _certified(f: np.ndarray, law: JumpModel) -> bool:
 def _array_pmf(law: JumpModel, n_max: int, y: float, rate: float) -> np.ndarray:
     """The array engine's y f^law_n rate^(-n), n = 0..N, read-only; f^law is law's pmf.
 
-    ``_series_pmf``, in O(N^2.5) time and O(N^1.5) memory, runs with
-    every entry of the kernel and of each power below ``_FLUSH`` zeroed.
-    The result is kept only when ``_certified`` shows the zeroing moved
-    no f_n by more than eps relative; otherwise, as for an explicit law
-    with a_0 = 1e-300, the same loop runs again with nothing zeroed, and
-    entries below 2^-1022 may differ in their subnormal digits (the
-    smallest of them may round to 0 on one side only).
+    f^law is the law's closed form (``_Family.first_return``) where its
+    record has one.  Otherwise ``_series_pmf``, in O(N^2.5) time and
+    O(N^1.5) memory, runs with every entry of the kernel and of each
+    power below ``_FLUSH`` zeroed.  The result is kept only when
+    ``_certified`` shows the zeroing moved no f_n by more than eps
+    relative; otherwise, as for an explicit law with a_0 = 1e-300, the
+    same loop runs again with nothing zeroed, and entries below 2^-1022
+    may differ in their subnormal digits (the smallest of them may round
+    to 0 on one side only).
     """
     import numpy as np
 
-    f = _series_pmf(law, n_max, _FLUSH)
-    if not _certified(f, law):
-        del f  # freed first, so the second run peaks as the first did
-        f = _series_pmf(law, n_max, 0.0)
+    closed = _FAMILIES[law.family].first_return
+    if closed:
+        f = np.array(closed(law, n_max))
+    else:
+        f = _series_pmf(law, n_max, _FLUSH)
+        if not _certified(f, law):
+            del f  # freed first, so the second run peaks as the first did
+            f = _series_pmf(law, n_max, 0.0)
     f *= y * rate ** -np.arange(n_max + 1.0)
     f.setflags(write=False)
     return f
@@ -348,8 +359,19 @@ def _blocked_renewal(k: np.ndarray) -> np.ndarray:
 def _taboo_pmf(law: JumpModel, n_max: int, y: float, rate: float) -> list[float]:
     """The pure engine's y f^law_n rate^(-n), n = 0..N, as a list; f^law is law's pmf.
 
-    The first-passage (taboo) recursion on the kernel a_0..a_(N-1) of
-    law (``coefficient_head``): v holds P(X_n = i + 1, tau > n) for the
+    f^law is the law's closed form (``_Family.first_return``) where its
+    record has one, and ``_taboo_recursion`` otherwise.
+    """
+    closed = _FAMILIES[law.family].first_return
+    f = closed(law, n_max) if closed else _taboo_recursion(law, n_max)
+    return [c * (y * rate ** -n) for n, c in enumerate(f)]
+
+
+def _taboo_recursion(law: JumpModel, n_max: int) -> list[float]:
+    """f_0..f_N of law as a list, by the first-passage (taboo) recursion.
+
+    It runs on the kernel a_0..a_(N-1) of law (``coefficient_head``):
+    v holds P(X_n = i + 1, tau > n) for the
     levels 1..N - n, which are the ones that can still reach 0 by step
     N, as the chain falls at most one level a step.  A step from level k
     lands on k - 1 + J, so the next v is the product of v and the kernel
@@ -367,7 +389,7 @@ def _taboo_pmf(law: JumpModel, n_max: int, y: float, rate: float) -> list[float]
     for n in range(2, n_max + 1):
         f[n] = a[0] * v[0]
         v = [sum(map(operator.mul, v, rev[n_max - 2 - i:])) for i in range(n_max - n)]
-    return [c * (y * rate ** -n) for n, c in enumerate(f)]
+    return f
 
 
 def _forward_renewal(k: Sequence[float]) -> list[float]:
@@ -388,7 +410,11 @@ def return_series(model: JumpModel, n_max: int) -> ReturnAnalysis:
     u_n = sum_k f_k u_(n-k).  Up to _PURE_N the pure engine runs on
     lists, without numpy (``_taboo_pmf``, ``_forward_renewal``); above
     it the array engine, on read-only arrays (``_array_pmf``,
-    ``_blocked_renewal``).
+    ``_blocked_renewal``).  On the critical scale both engines take the
+    tilted law's closed form where its family record has one
+    (``_Family.first_return``: every geometric law, whose tilt is
+    geometric(1/2) up to an ulp), so only the restore and the renewal
+    differ between them there.
     """
     n_max = _horizon(n_max)
     dp = decay_params(model)

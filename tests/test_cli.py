@@ -285,6 +285,22 @@ def test_model_from_file(tmp_path, capsys):
     assert rec["class"] == "positive_recurrent"
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{\x00}\x00", None],
+                         ids=["utf-16 file", "directory"])
+def test_unreadable_model_file_is_a_spec_error(tmp_path, capsys, content):
+    # a file that is not UTF-8 cannot be read as a spec, as a directory
+    # cannot: exit status 2, not the usage error its decode error would give
+    path = tmp_path / "model.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli.run(["classify", "-m", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid model spec: cannot read model spec file: ")
+
+
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert "classify" in capsys.readouterr().out

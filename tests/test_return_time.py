@@ -77,13 +77,33 @@ GATE_MODELS = {
     "explicit_gaps": lambda: rc.explicit([0.4, 0.0, 0.0, 0.3, 0.0, 0.3]),
 }
 GATE_HORIZONS = [*range(1, 10), 16, 17, 100, 511, 512, 1023, 1025]
+# geometric laws take their closed form in both engines; each has a twin
+# here that switches it off, so the engines' own critical-scale pmfs (and
+# the array engine's flush of a light tail) keep these gates
+ENGINES_ONLY = "_engines_only"
+GATE_NAMES = sorted([*GATE_MODELS, *(name + ENGINES_ONLY for name in GATE_MODELS
+                                     if name.startswith("geometric"))])
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pmf_kernel_matches_convolution_chain(name):
+def _without_closed_form(patch):
+    from repairchain.model import _FAMILIES
+
+    patch.setitem(_FAMILIES, "geometric", _FAMILIES["geometric"]._replace(first_return=None))
+
+
+def _gate_model(name, monkeypatch):
+    """GATE_MODELS[name]'s model; for a twin, with the closed form switched off for the test."""
+    if name.endswith(ENGINES_ONLY):
+        _without_closed_form(monkeypatch)
+        name = name[:-len(ENGINES_ONLY)]
+    return GATE_MODELS[name]()
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_pmf_kernel_matches_convolution_chain(name, monkeypatch):
     # f_n reads only a_0..a_(n-1), so one chain to the largest horizon
     # holds the oracle for every smaller one
-    model = GATE_MODELS[name]()
+    model = _gate_model(name, monkeypatch)
     top = max(GATE_HORIZONS)
     chain = oracles.convolution_chain_pmf(rc.exact_coefficients(model, top), top)
     for n_max in GATE_HORIZONS:
@@ -110,9 +130,9 @@ def _assert_renewal_matches_forward(analysis, n_max):
     assert np.all(np.abs(analysis.u[nz] - want[nz]) <= 1e-12 * want[nz]), n_max
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pmf_occupation_matches_forward_renewal(name):
-    model = GATE_MODELS[name]()
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_pmf_occupation_matches_forward_renewal(name, monkeypatch):
+    model = _gate_model(name, monkeypatch)
     for n_max in [*GATE_HORIZONS, 2048]:
         _assert_renewal_matches_forward(rc.return_pmf(model, n_max), n_max)
 
@@ -146,6 +166,27 @@ def test_pmf_matches_the_exact_law_of_the_float_parameter(p):
         _assert_within(rc.return_pmf(rc.geometric(p), n_max).f, want[:n_max + 1], n_max)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.3, 0.5, 0.75])
+def test_geometric_closed_form_meets_the_exact_law(p, monkeypatch):
+    # every geometric law takes f in closed form on the critical scale, in
+    # either engine, and neither engine's own computation runs; with the
+    # rate restored it meets the correctly rounded law of the double p,
+    # down to where that underflows (geometric(0.1) from n = 718 on)
+    from repairchain import return_time
+
+    def unreached(*args):
+        raise AssertionError("a geometric law reached an engine's own pmf")
+
+    monkeypatch.setattr(return_time, "_series_pmf", unreached)
+    monkeypatch.setattr(return_time, "_taboo_recursion", unreached)
+    want = oracles.geometric_first_return(*p.as_integer_ratio(), 2048)
+    for n_max in (*PURE_HORIZONS, 65, 512, 2048):
+        got = return_time.return_series(rc.geometric(p), n_max)
+        assert isinstance(got.f, list) == (n_max in PURE_HORIZONS)
+        _assert_within(np.asarray(got.f), want[:n_max + 1], n_max)
+    assert (want == 0.0).sum() == (1332 if p == 0.1 else 1)
+
+
 def test_pmf_boundary_case_rate_identity():
     # tilt(power_zeta(3), x) has no tangency point; its f_n is
     # x^(n-1) f^base_n / G_base(x)^n, with G_base(x) = 1/x + (x - 1) Li_3(x)/x^2
@@ -164,10 +205,10 @@ def test_pmf_boundary_case_rate_identity():
         _assert_within(rc.return_pmf(model, n_max).f, want[:n_max + 1], n_max)
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pmf_occupation_matches_long_double_renewal(name):
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_pmf_occupation_matches_long_double_renewal(name, monkeypatch):
     # geometric(1/4) reaches u_n of about 1e-261 at N = 2048
-    got = rc.return_pmf(GATE_MODELS[name](), 2048)
+    got = rc.return_pmf(_gate_model(name, monkeypatch), 2048)
     want = oracles.renewal_longdouble(got.f)
     _assert_within(got.u, want, 2048)
 
@@ -211,12 +252,12 @@ def _through_engine(model, n_max, pure):
         return return_time.return_series(model, n_max)
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pure_kernel_matches_the_array_kernel(name):
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_pure_kernel_matches_the_array_kernel(name, monkeypatch):
     # return_pmf holds the numbers of the engine its horizon takes; the
     # other engine, forced through the same pipeline, agrees at c N eps,
     # on both sides of the threshold
-    model = GATE_MODELS[name]()
+    model = _gate_model(name, monkeypatch)
     for n_max in [*PURE_HORIZONS, 65, 128]:
         got = rc.return_pmf(model, n_max)
         default = n_max <= max(PURE_HORIZONS)
@@ -256,9 +297,9 @@ def test_renewal_solves_take_any_nonnegative_kernel(name):
         _assert_within(np.array(got), want, n_max)
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pure_kernel_matches_convolution_chain_and_long_double_renewal(name):
-    model = GATE_MODELS[name]()
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_pure_kernel_matches_convolution_chain_and_long_double_renewal(name, monkeypatch):
+    model = _gate_model(name, monkeypatch)
     top = max(PURE_HORIZONS)
     chain = oracles.convolution_chain_pmf(rc.exact_coefficients(model, top), top)
     for n_max in PURE_HORIZONS:
@@ -286,10 +327,10 @@ def test_pure_kernel_matches_the_fraction_series(geo_half):
         _assert_within(got.u, u_want[:n_max + 1], n_max)
 
 
-@pytest.mark.parametrize("name", sorted(GATE_MODELS))
-def test_pure_kernel_zeros_are_the_sums_of_jumps(name):
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_pure_kernel_zeros_are_the_sums_of_jumps(name, monkeypatch):
     # f_n = 0 exactly where n - 1 is no sum of positive jumps
-    model = GATE_MODELS[name]()
+    model = _gate_model(name, monkeypatch)
     top = max(PURE_HORIZONS)
     jumps = [j for j, c in enumerate(rc.exact_coefficients(model, top)) if j and c]
     sums = {0}
@@ -507,24 +548,33 @@ def test_pmf_table_bytes_is_the_real_peak(spec):
     from repairchain import return_time
 
     model = rc.build_model(spec)
-    # numpy keeps a few hundred bytes of caches from its first convolve
-    # and dot in a process; they are not the kernel's arrays.  Warmed at
-    # 65, as horizons up to 64 take the pure engine and use neither
-    rc.return_pmf(model, 65)
-    for n_max in (200, 512, 1025, 2048):  # at 200 one stripe is the whole factor
-        rc.exact_coefficients(model, n_max)
-        tracemalloc.start()
-        try:
-            rc.return_pmf(model, n_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bound = return_time.pmf_table_bytes(n_max)
-        assert peak <= bound, (n_max, peak, bound)
-        # the table alone is over 3/4 of the formula from N = 512 up; a
-        # peak below half of it would mean the formula counts arrays the
-        # kernel does not hold, and refuses horizons that fit
-        assert peak >= 0.5 * bound, (n_max, peak, bound)
+    closed = return_time._FAMILIES[model.family].first_return is not None
+    # a geometric law is measured first with its closed form switched off,
+    # where the series engine must meet the formula from both sides, and
+    # then as it runs, where it builds no table and meets only the bound
+    for engines_only in ((True, False) if closed else (True,)):
+        with pytest.MonkeyPatch.context() as patch:
+            if engines_only:
+                _without_closed_form(patch)
+            # numpy keeps a few hundred bytes of caches from its first convolve
+            # and dot in a process; they are not the kernel's arrays.  Warmed at
+            # 65, as horizons up to 64 take the pure engine and use neither
+            rc.return_pmf(model, 65)
+            for n_max in (200, 512, 1025, 2048):  # at 200 one stripe is the whole factor
+                rc.exact_coefficients(model, n_max)
+                tracemalloc.start()
+                try:
+                    rc.return_pmf(model, n_max)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                bound = return_time.pmf_table_bytes(n_max)
+                assert peak <= bound, (n_max, peak, bound, engines_only)
+                # the table alone is over 3/4 of the formula from N = 512 up; a
+                # peak below half of it would mean the formula counts arrays the
+                # kernel does not hold, and refuses horizons that fit
+                if engines_only:
+                    assert peak >= 0.5 * bound, (n_max, peak, bound)
 
 
 def test_return_prob_by_class():

@@ -336,6 +336,62 @@ def test_pmf_hash_of_canned_laws_and_runs(capsys):
     assert rc.decay_params(calls[-70][2]).case_label is rc.CaseLabel.BOUNDARY_CASE
 
 
+def test_pmf_hash_within_a_relative_bound(capsys):
+    # --within REL passes the calls that differ when each keeps its zeros,
+    # lengths and non-finite values and moves by at most REL relative
+    import math
+
+    import repairchain as rc
+
+    pmf_hash = _script_module("pmf_hash")
+    old = [[0.0, 0.5, 1e-300], [1.0, 0.5, math.inf], 0.75]
+    moved = [[0.0, 0.5 + 2.0 ** -45, 1e-300], [1.0, 0.5 - 2.0 ** -50, math.inf], 0.75]
+    assert pmf_hash.largest_move(old, old) == 0.0
+    assert pmf_hash.largest_move(old, moved) == 2.0 ** -44
+    for what, new in {"a zero": [[0.0, 0.5, 0.0], *old[1:]],
+                      "a zero filled": [*old[:2], 0.0],
+                      "a length": [[0.0, 0.5], *old[1:]],
+                      "a non-finite value": [old[0], [1.0, 0.5, 1e308], old[2]],
+                      "a part": old[:2]}.items():
+        assert pmf_hash.largest_move(old, new) == math.inf, what
+    lines = ["parent: aa", "repo: bb", "differs: #3 return_pmf geometric(0.5) N=2", "different"]
+    moved_line = "differs: #3 return_pmf geometric(0.5) N=2 (largest relative move 5.68e-14)"
+    assert pmf_hash.within(lines, [old], [moved], 1e-13) == (
+        [*lines[:2], moved_line, "different",
+         "within 1e-13: every call that differs keeps its zeros"], 0)
+    assert pmf_hash.within(lines, [old], [moved], 1e-15)[0][-1] == (
+        "not within 1e-15: largest relative move 5.68e-14")
+    assert pmf_hash.within(lines, [old], [moved], 1e-15)[1] == 1
+    # main asks both sides for the calls that differ, parent first, and
+    # asks nothing when the grids agree
+    asked = []
+
+    def run(checkout, script):
+        if os.path.basename(checkout) == "parent":
+            return ["aa", "c0 #0 return_pmf a N=1", "c1 #1 return_pmf b N=2"]
+        return ["bb" if differ else "aa", "c0 #0 return_pmf a N=1",
+                ("d1" if differ else "c1") + " #1 return_pmf b N=2"]
+
+    def values(checkout, indices):
+        asked.append((os.path.basename(checkout), indices))
+        return [old] if os.path.basename(checkout) == "parent" else [moved]
+
+    for differ, rel, status in ((True, "1e-13", 0), (True, "1e-15", 1), (False, "0", 0)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pmf_hash.sim_hash, "run_checkout", run)
+            patch.setattr(pmf_hash, "run_values", values)
+            patch.setattr(sys, "argv", ["pmf_hash.py", "--against", "parent", "--within", rel])
+            assert pmf_hash.main() == status, rel
+    assert asked == [("parent", [1]), (ROOT.name, [1])] * 2
+    assert capsys.readouterr().out.splitlines()[-1] == "equal"
+    # the child run reads the calls' parts back as return_pmf holds them
+    got = pmf_hash.run_values(str(ROOT), [0, 1])
+    model = pmf_hash.grid(rc)[0][2]
+    analysis = rc.return_pmf(model, 1)
+    assert got[0] == [analysis.f.tolist(), analysis.u.tolist(), analysis.return_prob]
+    assert got[1][0] == rc.exit_pmf(model, 1).pmf.tolist()
+
+
 def test_line_coverage_lists_the_statements_a_run_never_reaches():
     # test_series_tools.py never feeds block_ratio_diagnostic an early
     # block of zeros before a late block that is not
