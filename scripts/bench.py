@@ -13,8 +13,9 @@ reports.
 The benchmark runs from the checkout given as the argument (default:
 the one holding this script), with that checkout's own perfbench, src
 and BENCHMARK.json, so one copy of this script measures two versions
-alike.  BENCH_<N>.json, N the number given to ``--number``, is written
-to the current directory:
+alike.  Each checkout's src and perfbench are byte-compiled once, before
+the first run, so that no run times compile work.  BENCH_<N>.json, N the
+number given to ``--number``, is written to the current directory:
 
     python3 scripts/bench.py --number 11
     python3 scripts/bench.py /path/to/other/checkout --number 10
@@ -92,6 +93,18 @@ def machine() -> dict:
             "implementation": platform.python_implementation()}
 
 
+def compile_checkout(checkout: str) -> None:
+    """Byte-compile checkout's src and perfbench, so that no run times compile work.
+
+    Where PYTHONDONTWRITEBYTECODE is set, the runs write no bytecode: a
+    checkout without a current ``__pycache__``, such as one made by
+    ``git archive``, would recompile every module in every worker, and a
+    working tree only the modules edited since its last compile.
+    """
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "-f", "src", "perfbench"],
+                   cwd=checkout, check=True)
+
+
 def run_perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -154,11 +167,15 @@ def main() -> int:
         seconds = json.load(fh)["run_seconds"]
     if args.against:
         parent = os.path.abspath(args.against)
-        pairs = run_pairs(parent, checkout, args.workload, args.pairs, PAIR_SEED, seconds)
+        for side in (parent, checkout):
+            compile_checkout(side)
+        pairs = run_pairs(parent, checkout, args.workload, args.pairs, PAIR_SEED, seconds,
+                          run=run_perfbench)
         print(f"{args.workload}: {parent} -> {checkout}, {args.pairs} pairs on seeds "
               f"{PAIR_SEED}-{PAIR_SEED + args.pairs - 1}")
         print("\n".join(paired_lines(pairs) + per_pair_lines(pairs)))
         return 0
+    compile_checkout(checkout)
     workloads, environment = {}, None
     for workload in WORKLOADS:
         untraced = [run_perfbench(checkout, workload, seed, seconds, 0) for seed in SEEDS]

@@ -12,15 +12,10 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
 import repairchain as rc
-
-
-def load_model(raw: str):
-    text = open(raw[1:], encoding="utf-8").read() if raw.startswith("@") else raw
-    return rc.build_model(json.loads(text))
+from repairchain.cli import _load_model
 
 
 def fmt(x) -> str:
@@ -38,7 +33,10 @@ def main(argv=None) -> int:
                     help="exponents for finiteness verdicts")
     args = ap.parse_args(argv)
 
-    model = load_model(args.model)
+    try:
+        model = _load_model(args.model)
+    except rc.InvalidSpec as exc:
+        ap.exit(2, f"invalid model spec: {exc}\n")
     label = rc.classify(model)
     print(f"family        {model.family}")
     print(f"class         {label.value}")

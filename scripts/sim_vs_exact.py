@@ -12,16 +12,11 @@ Usage:
 """
 
 import argparse
-import json
 import math
 import sys
 
 import repairchain as rc
-
-
-def load_model(raw: str):
-    text = open(raw[1:], encoding="utf-8").read() if raw.startswith("@") else raw
-    return rc.build_model(json.loads(text))
+from repairchain.cli import _load_model
 
 
 def compare(hist, samples, probs, lo, hi) -> int:
@@ -50,7 +45,10 @@ def main(argv=None) -> int:
                     help="walk length for last-exit sampling")
     args = ap.parse_args(argv)
 
-    model = load_model(args.model)
+    try:
+        model = _load_model(args.model)
+    except rc.InvalidSpec as exc:
+        ap.exit(2, f"invalid model spec: {exc}\n")
     transient = rc.classify(model).value == "transient"
 
     if transient:

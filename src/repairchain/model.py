@@ -582,6 +582,19 @@ def _pz_S(alpha: float, i: int, t: float, w: float, pw: list[float]) -> float:
     return math.fsum(terms) / t ** v
 
 
+def _pz_powers(w: float, order: int) -> list[float]:
+    """w^k/k! for as many k as the w-series of G^(order) needs."""
+    # w-series terms run like (v w)^k / k! relative to the sum; stop
+    # far below an ulp at the largest v used, order + 2
+    pw, x = [1.0], 1.0
+    for k in range(1, _PZ_W_TERMS):
+        x *= w / k
+        if abs(x) * (order + 2) ** k < 2.0 ** -64:
+            break
+        pw.append(x)
+    return pw
+
+
 def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
     """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1.
 
@@ -601,14 +614,7 @@ def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
         return acc
     if t < 1.0:
         w = math.log(t)
-        # w-series terms run like (v w)^k / k! relative to the sum; stop
-        # far below an ulp at the largest v used, order + 2
-        pw, x = [1.0], 1.0
-        for k in range(1, _PZ_W_TERMS):
-            x *= w / k
-            if abs(x) * (order + 2) ** k < 2.0 ** -64:
-                break
-            pw.append(x)
+        pw = _pz_powers(w, order)
         if order == 0:
             return 1.0 - (1.0 - t) * _pz_S(alpha, 0, t, w, pw)
         return (order * _pz_S(alpha, order - 1, t, w, pw)
@@ -625,6 +631,18 @@ def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
     for i, c in enumerate(_pz_annihilator(order - 1)):
         total += float(c) * (_zeta(model.alpha - i) - 1.0)
     return order * total
+
+
+def _power_zeta_drift(model: JumpModel, h: float) -> tuple[float, float]:
+    # G = 1 - (1-t) S, so psi(h) = h (1 - S(1-h)), where S <= S(1) = mu < 1.
+    # Above the switch S comes from Jonquiere's expansion at w = log(1-h),
+    # where G(1-h) - (1-h) would cancel as h -> 0; at or below it that
+    # subtraction does not cancel.  Neither does the slope 1 - G'(1-h).
+    x = 1.0 - h
+    if x <= _PZ_SWITCH or h == 0.0:
+        return _subtracted_drift(model, h)
+    w = math.log1p(-h)
+    return h * (1.0 - _pz_S(model.alpha, 0, x, w, _pz_powers(w, 0))), 1.0 - eval_G(model, x, 1)
 
 
 def _explicit_G(model: JumpModel, t: float, order: int) -> float:
@@ -792,6 +810,7 @@ _FAMILIES = {
         head=_power_zeta_head,
         G=_power_zeta_G,
         tail=lambda m: m.alpha,
+        drift=_power_zeta_drift,
     ),
     "tilted": _Family(
         fields=(), build=None,

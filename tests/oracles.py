@@ -269,24 +269,55 @@ def escape_mpmath(a, dps: int = 50) -> float:
     import mpmath as mp
 
     with mp.workdps(dps):
-        a = [mp.mpf(c) for c in a]  # a double converts exactly
-        tails = [mp.fsum(a[k + 1:]) for k in range(1, len(a) - 1)]
-        top = a[0] - mp.fsum((j - 1) * a[j] for j in range(2, len(a))) + mp.fsum(tails)
+        return float(_escape_root(a, dps))
 
-        def deflated(h):  # top - sum_k P(J > k) (1-h)^k, by Horner
-            x, acc = 1 - h, mp.mpf(0)
-            for t in reversed(tails):
-                acc = acc * x + t
-            return top - x * acc
 
-        lo, hi = mp.mpf(0), mp.mpf(1)
-        for _ in range(4 * dps):
-            mid = (lo + hi) / 2
-            if deflated(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return float(hi)
+def return_prob_mpmath(a, dps: int = 40) -> Fraction:
+    """F(1) = 1 - P(tau = inf) of a transient explicit law, exactly as the
+    dps-digit root of ``escape_mpmath`` gives it, not rounded to a double."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        man, exp = (1 - _escape_root(a, dps)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _escape_root(a, dps: int):
+    """``escape_mpmath``'s root as an mpf, at the caller's working precision."""
+    import mpmath as mp
+
+    a = [mp.mpf(c) for c in a]  # a double converts exactly
+    tails = [mp.fsum(a[k + 1:]) for k in range(1, len(a) - 1)]
+    top = a[0] - mp.fsum((j - 1) * a[j] for j in range(2, len(a))) + mp.fsum(tails)
+
+    def deflated(h):  # top - sum_k P(J > k) (1-h)^k, by Horner
+        x, acc = 1 - h, mp.mpf(0)
+        for t in reversed(tails):
+            acc = acc * x + t
+        return top - x * acc
+
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    for _ in range(4 * dps):
+        mid = (lo + hi) / 2
+        if deflated(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def power_zeta_psi_mpmath(alpha: float, h: float, dps: int = 50) -> float:
+    """psi(h) of power_zeta(alpha), from mpmath.
+
+    G = 1 - (1-t) S with S(t) = sum_m (m+2)^-alpha t^m, the Lerch
+    transcendent Phi(t, alpha, 2), so psi(h) = G(1-h) - (1-h) is
+    h (1 - S(1-h)), which nothing cancels at dps digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.mpf(h)
+        return float(h * (1 - mp.lerchphi(1 - h, alpha, 2)))
 
 
 def power_zeta_G_mpmath(alpha: float, t: float, orders, dps: int = 40) -> list[float]:

@@ -668,8 +668,8 @@ def test_extreme_valid_specs_end_in_a_documented_status():
     # x0^2 overflows in the reweight of the first explicit law
     import importlib.util
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "cli_matrix.py")
-    spec = importlib.util.spec_from_file_location("cli_matrix", path)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "outputs.py")
+    spec = importlib.util.spec_from_file_location("outputs", path)
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
     forms = (matrix.VERB_FORMS + matrix.INVALID_FORMS

@@ -642,6 +642,24 @@ def test_return_prob_of_transient_geometric_matches_fraction(p):
     assert rc.return_pmf(m, 4).return_prob == got
 
 
+@pytest.mark.parametrize("law", [[0.1], [0.2], [0.05, 0.05, 0.0, 0.9], [0.02, 0.08, 0.3, 0.6]],
+                         ids=["geometric(0.1)", "geometric(0.2)",
+                              "explicit [0.05, 0.05, 0, 0.9]", "explicit [0.02, 0.08, 0.3, 0.6]"])
+def test_return_prob_when_escape_is_likely_is_the_climb(law):
+    # with escape probability q above 1/2, 1 - q would be up to 5.6
+    # units of 2^-53 off F(1) (3.4 on geometric(0.2), 21 on the last
+    # law); the Newton climb was measured within 1.2, against p/q and a
+    # 40-digit root
+    if len(law) == 1:
+        model, want = rc.geometric(law[0]), Fraction(law[0]) / (1 - Fraction(law[0]))
+    else:
+        model, want = rc.explicit(law), oracles.return_prob_mpmath(law)
+    assert escape_prob(model) > 0.5
+    got = rc.eval_F(model, 1.0)
+    assert abs(Fraction(got) - want) <= 2 * Fraction(1, 2 ** 53) * want, float(
+        (Fraction(got) - want) / want * 2 ** 53)
+
+
 def _geometric_escape_grid():
     rng = np.random.default_rng(1201)
     return ([k / 64 for k in range(1, 32)] + [0.5 - 10.0 ** -k for k in range(1, 12)]
@@ -765,6 +783,18 @@ def test_psi_matches_exact_oracle_down_to_tiny_h(law):
         want = oracles.psi_exact(model, h)
         if abs(want) >= _SMALLEST_NORMAL:
             assert rc.psi(model, h) == pytest.approx(want, rel=1e-13, abs=0.0), h
+
+
+@pytest.mark.parametrize("alpha", [2.1, 3.0, 6.0, 20.0])
+def test_psi_power_zeta_matches_mpmath_down_to_tiny_h(alpha):
+    # G(1-h) - (1-h) cancels as h -> 0 (it read psi(power_zeta(3), 1e-17)
+    # as 0.0); h (1 - S(1-h)) does not, as S <= mu < 1.  Worst measured
+    # 3.04 eps (alpha = 2.1, h = 0.1), on both sides of the switch at 3/4
+    model = rc.power_zeta(alpha)
+    for h in (1e-17, 1e-16, 3e-16, 1e-13, 1e-12, 1e-9, 1e-5, 1e-3, 0.1, 0.2, 0.249,
+              0.25, 0.26, 0.5, 0.9):
+        want = oracles.power_zeta_psi_mpmath(alpha, h)
+        assert rc.psi(model, h) == pytest.approx(want, rel=4 * 2.0 ** -52, abs=0.0), h
 
 
 @pytest.mark.parametrize("law", ["explicit", "geometric(0.5)", "half_stable",

@@ -1,11 +1,14 @@
 """Smoke runs of the command-line scripts under scripts/."""
 
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,20 +45,17 @@ def test_sim_vs_exact_reads_the_last_exit_law_from_exit_pmf():
     assert [float(r[1]) for r in rows] == pytest.approx(expected, abs=0.05)
 
 
-def test_cli_matrix_writes_one_record_per_invocation():
-    proc = _run_script(["cli_matrix.py"])
-    assert proc.returncode == 0, proc.stderr
-    records = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(records) == 12 * 32
-    assert len({json.dumps(r["argv"]) for r in records}) == len(records)
-    for r in records:
-        assert set(r) == {"argv", "status", "stdout", "stderr"}
-        assert r["status"] in (0, 1, 3), r
-        assert bool(r["stdout"]) == (r["status"] == 0), r
-        assert r["stderr"].startswith("domain error: ") == (r["status"] == 3), r
-        assert r["stderr"].startswith("usage error: ") == (r["status"] == 1), r
-    # the last 72 are the invalid forms, a usage error on every law
-    assert [r["status"] for r in records[12 * 26:]] == [1] * 72
+@pytest.mark.parametrize("script", ["family_report.py", "sim_vs_exact.py"])
+def test_script_refuses_a_bad_spec_as_the_cli_does(script, tmp_path):
+    # both read the spec through the CLI's reader: exit 2 with its one
+    # line, not a traceback
+    for spec, reason in (('{"family": "geometric", "p": 2}', "geometric parameter"),
+                         (f"@{tmp_path / 'missing.json'}", "cannot read model spec file"),
+                         ('{"family": ', "model spec is not valid JSON")):
+        proc = _run_script([script, spec])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"invalid model spec: {reason}"), proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 def _script_module(name):
@@ -67,110 +67,215 @@ def _script_module(name):
     return module
 
 
-def _record(argv, stdout, status=0, stderr=""):
-    return {"argv": argv, "status": status, "stdout": stdout, "stderr": stderr}
+def _sampler_label(label):
+    kind, law, seed, samples, bound = re.fullmatch(
+        r"(\S+) (.+) seed=(\d+) samples=(\d+) bound=(\S+)", label).groups()
+    return kind, law, int(seed), int(samples), bound
 
 
-_BEFORE = [
-    _record(["classify"], '{"class": "transient", "mu": 3.0}\n'),
-    _record(["exit"], '{"N": 2, "q_exit": 0.66666666666666663, "pmf": [0.0, 0.5, 0.25]}\n'),
-    _record(["tilt"], '{"family": "geometric", "a_head": [0.5, 0.25]}\n'),
-    _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25\n"),
-    _record(["finite"], '{"verdict": "Finite"}\n'),
-    _record(["decay"], "", 3, "domain error: no\n"),
-    _record(["asym"], '{"gamma": 0.5}\n'),
-    _record(["tilt", "--x", "2"], "", 2, "invalid model spec: budget\n"),
-]
-_AFTER = [
-    _record(["classify"], '{"class": "transient", "mu": 3.0}\n'),
-    _record(["exit"], '{"N": 2, "q_exit": 0.66666666666666674, "pmf": [0.0, 0.5, 0.25]}\n'),
-    _record(["tilt"], '{"family": "geometric", "a_head": [0.5, 0.25, 0.125, 0.0625]}\n'),
-    _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.5\n"),
-    _record(["finite"], '{"verdict": "Infinite"}\n'),
-    _record(["decay"], "", 2, "invalid model spec: no\n"),
-    _record(["moments"], '{"k": 1}\n'),
-    _record(["tilt", "--x", "2"], '{"mu": 2.0}\n'),
-]
+def test_outputs_grids_in_order():
+    import repairchain as rc
+
+    outputs = _script_module("outputs")
+    calls = outputs.grid()
+    assert [c[0] for c in calls] == ["cli"] * 384 + ["exact"] * 1311 + ["sampler"] * 99
+    # the CLI: 12 laws x 26 verb forms, then x 6 invalid forms, each of
+    # which is a usage error on every law
+    argvs = [json.loads(label) for _, label, _ in calls[:384]]
+    assert len({json.dumps(argv) for argv in argvs}) == 384
+    assert argvs[0] == ["classify", "-m", outputs.MODELS[0]]
+    assert argvs[26] == ["classify", "-m", outputs.MODELS[1]]
+    assert argvs[312] == ["pmf", "-m", outputs.MODELS[0], "-N", "0"]
+    records = [call() for _, _, call in calls[:384]]
+    for argv, r in zip(argvs, records):
+        assert set(r) == {"status", "stdout", "stderr"}
+        assert r["status"] in (0, 1, 3), (argv, r)
+        assert bool(r["stdout"]) == (r["status"] == 0), (argv, r)
+        assert r["stderr"].startswith("domain error: ") == (r["status"] == 3), (argv, r)
+        assert r["stderr"].startswith("usage error: ") == (r["status"] == 1), (argv, r)
+    assert [r["status"] for r in records[312:]] == [1] * 72
+    # the exact laws: 16 laws at 69 horizons, and the exit law after each
+    # return law of the three transient ones
+    exact = [(label.split(" ", 1)[0], *label.split(" ", 1)[1].rsplit(" N=", 1))
+             for name, label, _ in calls if name == "exact"]
+    assert [int(n) for _, law, n in exact if law == "power_zeta(50)"] == [
+        *range(1, 65), 65, 100, 256, 1024, 2048]
+    exits = sorted({law for function, law, _ in exact if function == "exit_pmf"})
+    assert exits == ['{"family": "explicit", "a": [0.2, 0.3, 0.5]}',
+                     '{"family": "explicit", "a": [1e-30, 0, 1]}',
+                     '{"family": "geometric", "p": 0.25}']
+    assert exact[:2] == [("return_pmf", exits[2], "1"), ("exit_pmf", exits[2], "1")]
+    assert exact[-1] == ("return_pmf", "tilt(half_stable, 0.8)", "2048")
+    assert exact[-70][1] == "tilt(power_zeta(3), 0.9)"
+    name, model = outputs.laws(rc)[-2]
+    assert name == exact[-70][1]
+    assert rc.decay_params(model).case_label is rc.CaseLabel.BOUNDARY_CASE
+    # the samplers: 8 tau laws and 3 exit laws at 5 bounds, the 4
+    # null-recurrent tau laws at cap 10^6, then one call for each of
+    # mc_sample's 40 pairs of thread twins, each named by its law
+    sampled = [_sampler_label(label) for name, label, _ in calls if name == "sampler"]
+    assert [s[4] for s in sampled[:5]] == ["1", "2", "3", "100", "5000"]
+    assert {s[0] for s in sampled[40:55]} == {"sample_last_exit"}
+    assert {(s[0], s[3], s[4]) for s in sampled[55:59]} == {("sample_tau", 3000, "1000000")}
+    assert [s[1] for s in sampled[55:59]] == ["explicit a_1 = 0", "geometric(0.5)",
+                                              "half_stable", "tilt(geometric(0.25), 2/3)"]
+    assert {s[3] for s in sampled[59:]} == {1 << 17}
+    assert len(set(sampled[59:])) == 40  # no twin twice
+    assert sampled[0][1] == "explicit a_1 = 0" and sampled[40][1] == "explicit a_1 = 0"
+    assert {s[1] for s in sampled[59:]} >= {"geometric(0.5)", "half_stable()"}
 
 
-def test_cli_matrix_diff_of_canned_records(tmp_path):
-    matrix = _script_module("cli_matrix")
-    lines = matrix.diff_lines(_BEFORE, _AFTER)
-    assert lines == [
-        '["asym"]: only before',
-        '["exit"]: q_exit: largest relative difference 1.7e-16',
-        '["tilt"]: a_head: largest relative difference 0, 0 entries dropped, 2 added',
-        '["pmf", "--csv"]: csv: largest relative difference 0.5',
-        '["finite"]: verdict: "Finite" -> "Infinite"',
-        '["decay"]: status 3 -> 2; stderr \'domain error: no\\n\' -> '
-        '\'invalid model spec: no\\n\'',
-        '["moments"]: only after',
-        '["tilt", "--x", "2"]: status 2 -> 0; stderr \'invalid model spec: budget\\n\' -> \'\'; '
-        'mu: null -> 2.0',
-    ]
-    assert matrix.diff_lines(_BEFORE, _BEFORE) == []
-    summary = ("changed rows: only before: 1, q_exit: 1, a_head: 1, csv: 1, verdict: 1, "
-               "status: 2, stderr: 2, only after: 1, mu: 1")
-    assert matrix.summary_line(_BEFORE, _AFTER) == summary
-    paths = []
-    for name, records in (("before", _BEFORE), ("after", _AFTER)):
-        paths.append(tmp_path / f"{name}.jsonl")
-        paths[-1].write_text("".join(json.dumps(r) + "\n" for r in records))
-    proc = _run_script(["cli_matrix.py", "--diff", *map(str, paths)])
-    assert proc.returncode == 1 and proc.stdout.splitlines() == [*lines, summary]
-    proc = _run_script(["cli_matrix.py", "--diff", str(paths[0]), str(paths[0])])
-    assert proc.returncode == 0 and proc.stdout == ""
+def test_outputs_hash_of_canned_values(monkeypatch):
+    # each call's hash is the SHA-256 of its value as sorted-key JSON, and
+    # the grids' hash one over the calls' hashes, in grid order
+    import hashlib
+
+    import repairchain as rc
+    from repairchain.last_exit import ExitAnalysis
+    from repairchain.return_time import ReturnAnalysis, return_series
+    from repairchain.sim import SimReport
+
+    outputs = _script_module("outputs")
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    report = SimReport(samples=3, seed=1, tau_hist={1: 2}, L_hist={}, censored=1, cap=5)
+    assert outputs.value_hash(outputs.report_value(report)) == sha(
+        '{"L_hist": {}, "cap": 5, "censored": 1, "horizon": null, "samples": 3, '
+        '"seed": 1, "tau_hist": {"1": 2}}')
+    f, u = [0.0, 0.5, 0.125], [1.0, 0.5, 0.375]
+    one = ReturnAnalysis(f=f, u=u, return_prob=1.0)
+    assert outputs.law_value(one) == [f, u, 1.0]
+    exit_law = ExitAnalysis(q_exit=np.float64(0.25), pmf=[0.25, 0.125, 0.09375], occupation=one)
+    assert outputs.law_value(exit_law) == [[0.25, 0.125, 0.09375], 0.25, f, u, 1.0]
+    assert outputs.value_hash(outputs.law_value(one)) == sha(
+        "[[0.0, 0.5, 0.125], [1.0, 0.5, 0.375], 1.0]")
+    # lists and read-only arrays of the same numbers hash alike; every bit
+    # of a float counts, its sign at zero included
+    law = rc.geometric(0.5)
+    assert (outputs.value_hash(outputs.law_value(rc.return_pmf(law, 8)))
+            == outputs.value_hash(outputs.law_value(return_series(law, 8))))
+    assert outputs.value_hash([0.0]) != outputs.value_hash([-0.0])
+    assert outputs.value_hash([0.1]) != outputs.value_hash([math.nextafter(0.1, 1.0)])
+    # a CLI call's value is its status and its stdout and stderr as printed
+    record = outputs.invoke(["pmf", "-m", '{"family": "geometric", "p": 0.5}', "-N", "2"])
+    assert record == {"status": 0, "stderr": "", "stdout": record["stdout"]}
+    assert record["stdout"].endswith("\n") and json.loads(record["stdout"])["N"] == 2
+    # the grids' hash reads the calls in order
+    canned = [("cli", "a", lambda: {"status": 1}), ("exact", "b", lambda: [0.5]),
+              ("sampler", "c", lambda: {"censored": 0})]
+    hashes = [outputs.value_hash(call()) for _, _, call in canned]
+    monkeypatch.setattr(outputs, "grid", lambda: canned)
+    assert outputs.run_grid() == [sha("\n".join(hashes)), f"{hashes[0]} #0 cli a",
+                                  f"{hashes[1]} #1 exact b", f"{hashes[2]} #2 sampler c"]
+    monkeypatch.setattr(outputs, "grid", lambda: canned[::-1])
+    assert outputs.run_grid()[0] == sha("\n".join(hashes[::-1])) != sha("\n".join(hashes))
 
 
-_MOVED = [
-    _record(["pmf"], '{"N": 2, "f": [0.0, 0.25, 0.125], "return_prob": 1.0}\n'),
-    _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25\n"),
-    _record(["simulate"], '{"tau_hist": {"1": 3, "2": 1}, "censored": 0}\n'),
-    _record(["decay"], "", 3, "domain error: no\n"),
-]
-# each a change --within 1e-14 refuses, with the row it replaces
-_BEYOND = {
-    "number beyond REL": _record(["pmf"], '{"N": 2, "f": [0.0, 0.25, 0.12500000001], '
-                                          '"return_prob": 1.0}\n'),
-    "list length": _record(["pmf"], '{"N": 2, "f": [0.0, 0.25], "return_prob": 1.0}\n'),
-    "key added": _record(["pmf"], '{"N": 2, "f": [0.0, 0.25, 0.125], "return_prob": 1.0, '
-                                  '"u": []}\n'),
-    "csv row added": _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25\n2,0.125\n"),
-    "histogram": _record(["simulate"], '{"tau_hist": {"1": 3, "2": 2}, "censored": 0}\n'),
-    "status": _record(["decay"], "", 2, "domain error: no\n"),
-    "stderr": _record(["decay"], "", 3, "domain error: yes\n"),
-}
+def test_outputs_against_of_canned_runs(monkeypatch, capsys):
+    # both sides run this script's grids, the parent first; --against
+    # prints both grid hashes and each call that differs, and exits 1 when
+    # they differ
+    outputs = _script_module("outputs")
+    calls = ["#0 cli a", "#1 exact b", "#2 sampler c"]
+    parent = ["aa", "c0 " + calls[0], "c1 " + calls[1], "c2 " + calls[2]]
+    changed = ["bb", "c0 " + calls[0], "d1 " + calls[1], "d2 " + calls[2]]
+    values = {"parent": ['[0.5, 1.0]', '{"tau_hist": {"1": 3}}'],
+              "change": ['[0.5000000000000001, 1.0]', '{"tau_hist": {"1": 3}}']}
+    runs = []
+
+    def run(checkout, *args):
+        runs.append((checkout, args))
+        side = "parent" if checkout == "parent" else "change"
+        if args:
+            return values[side]
+        return parent if side == "parent" else this
+
+    this, me = parent, str(ROOT)
+    assert outputs.against("parent", None, run) == (["parent: aa", f"{me}: aa", "equal"], 0)
+    assert outputs.against("parent", 1e-13, run)[1] == 0
+    assert runs == [("parent", ()), (me, ())] * 2  # equal grids ask for no values
+    this, runs[:] = changed, []
+    lines = ["parent: aa", f"{me}: bb", "differs: " + calls[1], "differs: " + calls[2],
+             "different"]
+    assert outputs.against("parent", None, run) == (lines, 1)
+    moved = [f"{lines[2]} (largest relative move 2.22e-16)",
+             f"{lines[3]} (largest relative move 0)"]
+    assert outputs.against("parent", 1e-13, run) == (
+        [*lines[:2], *moved, "different",
+         "within 1e-13: every call that differs moves only floats"], 0)
+    assert outputs.against("parent", 1e-17, run) == (
+        [*lines[:2], *moved, "different", "not within 1e-17: largest relative move 2.22e-16"], 1)
+    assert runs == [("parent", ()), (me, ())] + [
+        ("parent", ()), (me, ()), ("parent", ("--values", "1,2")), (me, ("--values", "1,2"))] * 2
+    # main runs the real child runner, which the test replaces
+    monkeypatch.setattr(outputs, "run_side", lambda checkout, *args: run(
+        "parent" if checkout.endswith(os.sep + "parent") else checkout, *args))
+    monkeypatch.setattr(sys, "argv", ["outputs.py", "--against", "parent"])
+    assert outputs.main() == 1
+    assert capsys.readouterr().out.splitlines()[2:] == lines[2:]
+    proc = _run_script(["outputs.py", "--within", "1e-13"])
+    assert proc.returncode == 2 and "--within needs --against" in proc.stderr
 
 
-def test_cli_matrix_diff_within_a_relative_bound(tmp_path):
-    matrix = _script_module("cli_matrix")
-    after = [
-        _record(["pmf"], '{"N": 2, "f": [0.0, 0.25000000000000006, 0.125], '
-                         '"return_prob": 1.0}\n'),
-        _record(["pmf", "--csv"], "n,f_n\n0,0.0\n1,0.25000000000000006\n"),
-        *_MOVED[2:],
-    ]
-    assert matrix.within(_MOVED, after, 1e-14)
-    assert not matrix.within(_MOVED, after, 1e-17)
-    assert matrix.within(_MOVED, _MOVED, 0.0)
-    assert not matrix.within(_MOVED, after[:-1], 1.0)  # an invocation dropped
-    for what, row in _BEYOND.items():
-        changed = [row if r["argv"] == row["argv"] else r for r in after]
-        assert not matrix.within(_MOVED, changed, 1e-14), what
-    paths = {}
-    for name, records in (("before", _MOVED), ("after", after),
-                          ("histogram", [*after[:2], _BEYOND["histogram"], after[3]])):
-        paths[name] = tmp_path / f"{name}.jsonl"
-        paths[name].write_text("".join(json.dumps(r) + "\n" for r in records))
-    proc = _run_script(["cli_matrix.py", "--diff", str(paths["before"]), str(paths["after"]),
-                        "--within", "1e-14"])
-    assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.splitlines() == [*matrix.diff_lines(_MOVED, after),
-                                        matrix.summary_line(_MOVED, after)]
-    for rel, other, status in (("1e-17", "after", 1), ("1", "histogram", 1)):
-        proc = _run_script(["cli_matrix.py", "--diff", str(paths["before"]), str(paths[other]),
-                            "--within", rel])
-        assert proc.returncode == status, (rel, other)
+def test_outputs_within_a_relative_bound():
+    # --within REL passes a call when only its floats moved, each by at
+    # most REL relative; every other change has no relative move
+    outputs = _script_module("outputs")
+    old = {"status": 0, "stderr": "",
+           "stdout": {"f": [0.0, 0.5, 1e-300], "u": [1.0, math.inf, math.nan],
+                      "tau_hist": {"1": 3}, "verdict": "Finite", "N": 2}}
+    moved = json.loads(json.dumps(old))
+    moved["stdout"]["f"][1] = 0.5 + 2.0 ** -45
+    moved["stdout"]["u"][0] = 1.0 - 2.0 ** -50
+    assert outputs.largest_move(old, old) == 0.0
+    assert outputs.largest_move(old, moved) == 2.0 ** -44
+
+    def changed(path, value):
+        new = json.loads(json.dumps(old))
+        *head, last = path
+        target = new
+        for key in head:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        return new
+
+    refused = {
+        "a zero lost": changed(("stdout", "f", 2), 0.0),
+        "a zero filled": changed(("stdout", "f", 0), 1e-300),
+        "a length": changed(("stdout", "f"), [0.0, 0.5]),
+        "a length grown": changed(("stdout", "f"), [0.0, 0.5, 1e-300, 0.25]),
+        "a non-finite value": changed(("stdout", "u", 1), 1e308),
+        "a nan": changed(("stdout", "u", 2), 1.0),
+        "a key dropped": changed(("stdout", "N"), None),
+        "a key added": changed(("stdout", "q"), 0.5),
+        "an int": changed(("stdout", "N"), 3),
+        "an int read as a float": changed(("stdout", "N"), 2.0),
+        "status": changed(("status",), 2),
+        "stderr": changed(("stderr",), "domain error: no\n"),
+        "a string": changed(("stdout", "verdict"), "Infinite"),
+        "a histogram": changed(("stdout", "tau_hist", "1"), 4),
+    }
+    for what, new in refused.items():
+        assert outputs.largest_move(old, new) == math.inf, what
+    # a CLI stdout reads as JSON, or as CSV rows with numbers as floats
+    assert outputs._stdout_record('{"N": 2, "f": [0.0, 0.5]}\n') == {"N": 2, "f": [0.0, 0.5]}
+    assert outputs._stdout_record("n,f_n\n0,0.0\n1,0.25\n") == {
+        "csv": [["n", "f_n"], [0.0, 0.0], [1.0, 0.25]]}
+    # the child run reads each call back as the grids compute it: a CLI
+    # call with its stdout read, an exact law's parts, a report's fields
+    import repairchain as rc
+
+    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "2,384,1695")]
+    assert got[0]["status"] == 0 and got[0]["stdout"]["csv"][:2] == [["n", "f_n", "u_n"],
+                                                                   [0.0, 0.0, 1.0]]
+    analysis = rc.return_pmf(rc.geometric(0.25), 1)
+    assert got[1] == [analysis.f.tolist(), analysis.u.tolist(), analysis.return_prob]
+    assert set(got[2]) == set(outputs.FIELDS) and (got[2]["samples"], got[2]["cap"]) == (70001, 1)
 
 
 def _canned_run(seed, metrics, failed=0, attempted=10):
@@ -237,159 +342,29 @@ def test_bench_pairs_of_canned_runs():
     ]
 
 
-def test_sim_hash_of_canned_reports_and_runs():
-    # one hash over the reports in grid order, then one per call; --against
-    # prints both grid hashes and each call that differs, and exits 1 when
-    # they differ
-    import hashlib
+def test_bench_compiles_each_checkout_once_before_its_first_run(monkeypatch, tmp_path):
+    bench = _script_module("bench")
+    events = []
 
-    import repairchain as rc
-    from repairchain.sim import SimReport
+    def run(checkout, workload, seed, seconds, trace):
+        events.append(("run", checkout))
+        metrics = {"setup_s": 0.2, "wall_s": 1.0, "peak_rss_mb": 30.0}
+        return bench.parse_run(_canned_run(seed, metrics))
 
-    sim_hash = _script_module("sim_hash")
-    one = SimReport(samples=3, seed=1, tau_hist={1: 2}, L_hist={}, censored=1, cap=5)
-    two = SimReport(samples=3, seed=1, tau_hist={1: 1, 2: 1}, L_hist={}, censored=1, cap=5)
-    line = ('{"L_hist": {}, "cap": 5, "censored": 1, "horizon": null, "samples": 3, '
-            '"seed": 1, "tau_hist": {"1": 2}}\n')
-    assert sim_hash.report_hash([one]) == hashlib.sha256(line.encode()).hexdigest()
-    assert sim_hash.report_hash([one, two]) != sim_hash.report_hash([two, one])
-    runs = []
-    calls = ["#0 sample_tau half_stable bound=1",
-             "#1 sample_last_exit geometric(0.25) bound=default"]
-
-    def run(checkout):
-        runs.append(checkout)
-        return {"parent": ["aa", "c0 " + calls[0], "c1 " + calls[1]],
-                "same": ["aa", "c0 " + calls[0], "c1 " + calls[1]],
-                "changed": ["bb", "c0 " + calls[0], "d1 " + calls[1]]}[checkout]
-
-    assert sim_hash.compare("same", "parent", run=run) == (["parent: aa", "same: aa", "equal"], 0)
-    assert sim_hash.compare("changed", "parent", run=run) == (
-        ["parent: aa", "changed: bb", "differs: " + calls[1], "different"], 1)
-    assert runs == ["parent", "same", "parent", "changed"]
-    # the grid: 8 tau laws and 3 exit laws at 5 bounds, the 4 null-recurrent
-    # tau laws at cap 10^6, then one call for each of mc_sample's 40 pairs
-    # of thread twins, each named by its law
-    calls = sim_hash.grid(rc)
-    assert len(calls) == (8 + 3) * 5 + 4 + 40
-    assert [c[4] for c in calls[:5]] == [1, 2, 3, 100, 5000]
-    assert {c[0] for c in calls[40:55]} == {"sample_last_exit"}
-    assert {(c[0], c[3], c[4]) for c in calls[55:59]} == {("sample_tau", 3000, 10 ** 6)}
-    assert [c[5] for c in calls[55:59]] == ["explicit a_1 = 0", "geometric(0.5)",
-                                            "half_stable", "tilt(geometric(0.25), 2/3)"]
-    assert {c[3] for c in calls[59:]} == {1 << 17}
-    assert len({(c[0], c[2], c[4], c[5]) for c in calls[59:]}) == 40  # no twin twice
-    assert calls[0][5] == "explicit a_1 = 0" and calls[40][5] == "explicit a_1 = 0"
-    assert {c[5] for c in calls[59:]} >= {"geometric(0.5)", "half_stable()"}
-
-
-def test_pmf_hash_of_canned_laws_and_runs(capsys):
-    # one hash over the calls' hashes in grid order, then one per call;
-    # --against is sim_hash's, run on this script's grid
-    import hashlib
-
-    import numpy as np
-
-    import repairchain as rc
-    from repairchain.last_exit import ExitAnalysis
-    from repairchain.return_time import ReturnAnalysis, return_series
-
-    pmf_hash = _script_module("pmf_hash")
-    f, u = [0.0, 0.5, 0.125], [1.0, 0.5, 0.375]
-    one = ReturnAnalysis(f=f, u=u, return_prob=1.0)
-    occupation = np.array(f).tobytes() + np.array(u).tobytes() + b"1.0"
-    assert pmf_hash.law_hash(one) == hashlib.sha256(occupation).hexdigest()
-    exit_law = ExitAnalysis(q_exit=np.float64(0.25), pmf=[0.25, 0.125, 0.09375], occupation=one)
-    want = np.array([0.25, 0.125, 0.09375]).tobytes() + b"0.25" + occupation
-    assert pmf_hash.law_hash(exit_law) == hashlib.sha256(want).hexdigest()
-    # lists and read-only arrays of the same numbers hash alike
-    law = rc.geometric(0.5)
-    assert pmf_hash.law_hash(rc.return_pmf(law, 8)) == pmf_hash.law_hash(return_series(law, 8))
-    # --against runs this script, not sim_hash's, on both checkouts
-    calls, runs = ["#0 return_pmf half_stable N=1", "#1 exit_pmf geometric(0.25) N=2048"], []
-
-    def run(checkout, script):
-        runs.append((os.path.basename(checkout), os.path.basename(script)))
-        return {"parent": ["aa", "c0 " + calls[0], "c1 " + calls[1]]}.get(
-            os.path.basename(checkout), ["bb", "d0 " + calls[0], "c1 " + calls[1]])
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pmf_hash.sim_hash, "run_checkout", run)
-        patch.setattr(sys, "argv", ["pmf_hash.py", "--against", "parent"])
-        assert pmf_hash.main() == 1
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[2:] == ["differs: " + calls[0], "different"]
-    assert runs == [("parent", "pmf_hash.py"), (ROOT.name, "pmf_hash.py")]
-    # the grid: 16 laws at 69 horizons, and the exit law after each
-    # return law of the three transient ones
-    calls = pmf_hash.grid(rc)
-    assert len(calls) == (16 + 3) * 69
-    assert [c[3] for c in calls if c[1] == "power_zeta(50)"] == [*range(1, 65), 65, 100, 256,
-                                                                 1024, 2048]
-    exits = sorted({c[1] for c in calls if c[0] == "exit_pmf"})
-    assert exits == ['{"family": "explicit", "a": [0.2, 0.3, 0.5]}',
-                     '{"family": "explicit", "a": [1e-30, 0, 1]}',
-                     '{"family": "geometric", "p": 0.25}']
-    assert [c[:2] for c in calls[:2]] == [("return_pmf", exits[2]), ("exit_pmf", exits[2])]
-    assert (calls[-1][1], calls[-1][3]) == ("tilt(half_stable, 0.8)", 2048)
-    assert calls[-70][1] == "tilt(power_zeta(3), 0.9)"
-    assert rc.decay_params(calls[-70][2]).case_label is rc.CaseLabel.BOUNDARY_CASE
-
-
-def test_pmf_hash_within_a_relative_bound(capsys):
-    # --within REL passes the calls that differ when each keeps its zeros,
-    # lengths and non-finite values and moves by at most REL relative
-    import math
-
-    import repairchain as rc
-
-    pmf_hash = _script_module("pmf_hash")
-    old = [[0.0, 0.5, 1e-300], [1.0, 0.5, math.inf], 0.75]
-    moved = [[0.0, 0.5 + 2.0 ** -45, 1e-300], [1.0, 0.5 - 2.0 ** -50, math.inf], 0.75]
-    assert pmf_hash.largest_move(old, old) == 0.0
-    assert pmf_hash.largest_move(old, moved) == 2.0 ** -44
-    for what, new in {"a zero": [[0.0, 0.5, 0.0], *old[1:]],
-                      "a zero filled": [*old[:2], 0.0],
-                      "a length": [[0.0, 0.5], *old[1:]],
-                      "a non-finite value": [old[0], [1.0, 0.5, 1e308], old[2]],
-                      "a part": old[:2]}.items():
-        assert pmf_hash.largest_move(old, new) == math.inf, what
-    lines = ["parent: aa", "repo: bb", "differs: #3 return_pmf geometric(0.5) N=2", "different"]
-    moved_line = "differs: #3 return_pmf geometric(0.5) N=2 (largest relative move 5.68e-14)"
-    assert pmf_hash.within(lines, [old], [moved], 1e-13) == (
-        [*lines[:2], moved_line, "different",
-         "within 1e-13: every call that differs keeps its zeros"], 0)
-    assert pmf_hash.within(lines, [old], [moved], 1e-15)[0][-1] == (
-        "not within 1e-15: largest relative move 5.68e-14")
-    assert pmf_hash.within(lines, [old], [moved], 1e-15)[1] == 1
-    # main asks both sides for the calls that differ, parent first, and
-    # asks nothing when the grids agree
-    asked = []
-
-    def run(checkout, script):
-        if os.path.basename(checkout) == "parent":
-            return ["aa", "c0 #0 return_pmf a N=1", "c1 #1 return_pmf b N=2"]
-        return ["bb" if differ else "aa", "c0 #0 return_pmf a N=1",
-                ("d1" if differ else "c1") + " #1 return_pmf b N=2"]
-
-    def values(checkout, indices):
-        asked.append((os.path.basename(checkout), indices))
-        return [old] if os.path.basename(checkout) == "parent" else [moved]
-
-    for differ, rel, status in ((True, "1e-13", 0), (True, "1e-15", 1), (False, "0", 0)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pmf_hash.sim_hash, "run_checkout", run)
-            patch.setattr(pmf_hash, "run_values", values)
-            patch.setattr(sys, "argv", ["pmf_hash.py", "--against", "parent", "--within", rel])
-            assert pmf_hash.main() == status, rel
-    assert asked == [("parent", [1]), (ROOT.name, [1])] * 2
-    assert capsys.readouterr().out.splitlines()[-1] == "equal"
-    # the child run reads the calls' parts back as return_pmf holds them
-    got = pmf_hash.run_values(str(ROOT), [0, 1])
-    model = pmf_hash.grid(rc)[0][2]
-    analysis = rc.return_pmf(model, 1)
-    assert got[0] == [analysis.f.tolist(), analysis.u.tolist(), analysis.return_prob]
-    assert got[1][0] == rc.exit_pmf(model, 1).pmf.tolist()
+    monkeypatch.setattr(bench, "run_perfbench", run)
+    monkeypatch.setattr(bench, "compile_checkout", lambda side: events.append(("compile", side)))
+    monkeypatch.chdir(tmp_path)  # where --number writes its file
+    parent, me = str(tmp_path / "parent"), str(ROOT)
+    for argv, sides in ((["--against", parent, "--workload", "cli_cold", "--pairs", "2"],
+                         [parent, me]),
+                        (["--number", "7"], [me])):
+        events.clear()
+        monkeypatch.setattr(sys, "argv", ["bench.py", *argv])
+        assert bench.main() == 0
+        assert events[:len(sides)] == [("compile", side) for side in sides]
+        assert {side for _, side in events} == set(sides)
+        assert [kind for kind, _ in events[len(sides):]] == ["run"] * (len(events) - len(sides))
+    assert len(events) == 1 + 4 * 6 and (tmp_path / "BENCH_7.json").exists()
 
 
 def test_line_coverage_lists_the_statements_a_run_never_reaches():
