@@ -130,9 +130,6 @@ def test_outputs_hash_of_canned_values(monkeypatch):
     # the grids' hash one over the calls' hashes, in grid order
     import hashlib
 
-    import repairchain as rc
-    from repairchain.last_exit import ExitAnalysis
-    from repairchain.return_time import ReturnAnalysis, return_series
     from repairchain.sim import SimReport
 
     outputs = _script_module("outputs")
@@ -144,18 +141,7 @@ def test_outputs_hash_of_canned_values(monkeypatch):
     assert outputs.value_hash(outputs.report_value(report)) == sha(
         '{"L_hist": {}, "cap": 5, "censored": 1, "horizon": null, "samples": 3, '
         '"seed": 1, "tau_hist": {"1": 2}}')
-    f, u = [0.0, 0.5, 0.125], [1.0, 0.5, 0.375]
-    one = ReturnAnalysis(f=f, u=u, return_prob=1.0)
-    assert outputs.law_value(one) == [f, u, 1.0]
-    exit_law = ExitAnalysis(q_exit=np.float64(0.25), pmf=[0.25, 0.125, 0.09375], occupation=one)
-    assert outputs.law_value(exit_law) == [[0.25, 0.125, 0.09375], 0.25, f, u, 1.0]
-    assert outputs.value_hash(outputs.law_value(one)) == sha(
-        "[[0.0, 0.5, 0.125], [1.0, 0.5, 0.375], 1.0]")
-    # lists and read-only arrays of the same numbers hash alike; every bit
-    # of a float counts, its sign at zero included
-    law = rc.geometric(0.5)
-    assert (outputs.value_hash(outputs.law_value(rc.return_pmf(law, 8)))
-            == outputs.value_hash(outputs.law_value(return_series(law, 8))))
+    # every bit of a float counts, its sign at zero included
     assert outputs.value_hash([0.0]) != outputs.value_hash([-0.0])
     assert outputs.value_hash([0.1]) != outputs.value_hash([math.nextafter(0.1, 1.0)])
     # a CLI call's value is its status and its stdout and stderr as printed
@@ -173,23 +159,25 @@ def test_outputs_hash_of_canned_values(monkeypatch):
     assert outputs.run_grid()[0] == sha("\n".join(hashes[::-1])) != sha("\n".join(hashes))
 
 
-def test_outputs_against_of_canned_runs(monkeypatch, capsys):
+def test_cli_matrix_diff_of_canned_records(monkeypatch, capsys):
     # both sides run this script's grids, the parent first; --against
     # prints both grid hashes and each call that differs, and exits 1 when
     # they differ
     outputs = _script_module("outputs")
-    calls = ["#0 cli a", "#1 exact b", "#2 sampler c"]
+    calls = ['#0 cli ["classify", "-m", "a"]', '#1 cli ["pmf", "-m", "a", "-N", "2"]',
+             '#2 cli ["simulate", "-m", "a", "--tau"]']
     parent = ["aa", "c0 " + calls[0], "c1 " + calls[1], "c2 " + calls[2]]
     changed = ["bb", "c0 " + calls[0], "d1 " + calls[1], "d2 " + calls[2]]
-    values = {"parent": ['[0.5, 1.0]', '{"tau_hist": {"1": 3}}'],
-              "change": ['[0.5000000000000001, 1.0]', '{"tau_hist": {"1": 3}}']}
+    records = {side: [json.dumps({"status": 0, "stderr": "", "stdout": stdout}) for stdout in (
+        {"N": 2, "f": [0.0, half]}, {"tau_hist": {"1": 3}})]
+        for side, half in (("parent", 0.5), ("change", 0.5000000000000001))}
     runs = []
 
     def run(checkout, *args):
         runs.append((checkout, args))
         side = "parent" if checkout == "parent" else "change"
         if args:
-            return values[side]
+            return records[side]
         return parent if side == "parent" else this
 
     this, me = parent, str(ROOT)
@@ -219,9 +207,9 @@ def test_outputs_against_of_canned_runs(monkeypatch, capsys):
     assert proc.returncode == 2 and "--within needs --against" in proc.stderr
 
 
-def test_outputs_within_a_relative_bound():
-    # --within REL passes a call when only its floats moved, each by at
-    # most REL relative; every other change has no relative move
+def test_cli_matrix_diff_within_a_relative_bound():
+    # --within REL passes a CLI call when only its floats moved, each by
+    # at most REL relative; every other change has no relative move
     outputs = _script_module("outputs")
     old = {"status": 0, "stderr": "",
            "stdout": {"f": [0.0, 0.5, 1e-300], "u": [1.0, math.inf, math.nan],
@@ -267,15 +255,85 @@ def test_outputs_within_a_relative_bound():
     assert outputs._stdout_record("n,f_n\n0,0.0\n1,0.25\n") == {
         "csv": [["n", "f_n"], [0.0, 0.0], [1.0, 0.25]]}
     # the child run reads each call back as the grids compute it: a CLI
-    # call with its stdout read, an exact law's parts, a report's fields
-    import repairchain as rc
-
-    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "2,384,1695")]
+    # call with its stdout read, a report's fields
+    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "2,1695")]
     assert got[0]["status"] == 0 and got[0]["stdout"]["csv"][:2] == [["n", "f_n", "u_n"],
                                                                    [0.0, 0.0, 1.0]]
-    analysis = rc.return_pmf(rc.geometric(0.25), 1)
-    assert got[1] == [analysis.f.tolist(), analysis.u.tolist(), analysis.return_prob]
-    assert set(got[2]) == set(outputs.FIELDS) and (got[2]["samples"], got[2]["cap"]) == (70001, 1)
+    assert set(got[1]) == set(outputs.FIELDS) and (got[1]["samples"], got[1]["cap"]) == (70001, 1)
+
+
+def test_pmf_hash_of_canned_laws_and_runs():
+    # an exact law's value is its parts in order, arrays as lists of
+    # floats, and its hash that of the value
+    import hashlib
+
+    import repairchain as rc
+    from repairchain.last_exit import ExitAnalysis
+    from repairchain.return_time import ReturnAnalysis, return_series
+
+    outputs = _script_module("outputs")
+    f, u = [0.0, 0.5, 0.125], [1.0, 0.5, 0.375]
+    one = ReturnAnalysis(f=f, u=u, return_prob=1.0)
+    assert outputs.law_value(one) == [f, u, 1.0]
+    exit_law = ExitAnalysis(q_exit=np.float64(0.25), pmf=[0.25, 0.125, 0.09375], occupation=one)
+    assert outputs.law_value(exit_law) == [[0.25, 0.125, 0.09375], 0.25, f, u, 1.0]
+    assert outputs.value_hash(outputs.law_value(one)) == hashlib.sha256(
+        b"[[0.0, 0.5, 0.125], [1.0, 0.5, 0.375], 1.0]").hexdigest()
+    # lists and read-only arrays of the same numbers hash alike
+    law = rc.geometric(0.5)
+    assert (outputs.value_hash(outputs.law_value(rc.return_pmf(law, 8)))
+            == outputs.value_hash(outputs.law_value(return_series(law, 8))))
+    # --against on two runs of the exact grid: one differs line for each
+    # law call whose hash differs, in grid order
+    spec = '{"family": "geometric", "p": 0.25}'
+    calls = [f"#384 exact return_pmf {spec} N=1", f"#385 exact exit_pmf {spec} N=1",
+             f"#386 exact return_pmf {spec} N=2"]
+    parent = ["aa", "c0 " + calls[0], "c1 " + calls[1], "c2 " + calls[2]]
+    changed = ["bb", "d0 " + calls[0], "c1 " + calls[1], "d2 " + calls[2]]
+    runs = {"parent": parent, str(ROOT): changed}
+    assert outputs.against("parent", None, runs.get) == (
+        ["parent: aa", f"{ROOT}: bb", "differs: " + calls[0], "differs: " + calls[2],
+         "different"], 1)
+    assert outputs.against("parent", None, lambda side: parent) == (
+        ["parent: aa", f"{ROOT}: aa", "equal"], 0)
+
+
+def test_pmf_hash_within_a_relative_bound():
+    # --within REL passes a law call when each part keeps its zeros,
+    # lengths and non-finite values and moves by at most REL relative
+    import repairchain as rc
+
+    outputs = _script_module("outputs")
+    old = [[0.0, 0.5, 1e-300], [1.0, 0.5, math.inf], 0.75]
+    moved = [[0.0, 0.5 + 2.0 ** -45, 1e-300], [1.0, 0.5 - 2.0 ** -50, math.inf], 0.75]
+    assert outputs.largest_move(old, old) == 0.0
+    assert outputs.largest_move(old, moved) == 2.0 ** -44
+    for what, new in {"a zero lost": [[0.0, 0.5, 0.0], *old[1:]],
+                      "a zero filled": [[1e-300, 0.5, 1e-300], *old[1:]],
+                      "a length": [[0.0, 0.5], *old[1:]],
+                      "a non-finite value": [old[0], [1.0, 0.5, 1e308], old[2]],
+                      "a part": old[:2]}.items():
+        assert outputs.largest_move(old, new) == math.inf, what
+    # both sides compute the law call that differs once more, as JSON
+    label = '#386 exact return_pmf {"family": "geometric", "p": 0.25} N=2'
+
+    def run(side, *args):
+        if args:
+            assert args == ("--values", "386")
+            return [json.dumps(old if side == "parent" else moved)]
+        return ["aa", "c0 " + label] if side == "parent" else ["bb", "d0 " + label]
+
+    lines = ["parent: aa", f"{ROOT}: bb",
+             f"differs: {label} (largest relative move 5.68e-14)", "different"]
+    assert outputs.against("parent", 1e-13, run) == (
+        [*lines, "within 1e-13: every call that differs moves only floats"], 0)
+    assert outputs.against("parent", 1e-15, run) == (
+        [*lines, "not within 1e-15: largest relative move 5.68e-14"], 1)
+    # the child run reads a law's parts back as the exact grid computes them
+    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "384,385")]
+    model = rc.geometric(0.25)
+    assert got == [outputs.law_value(rc.return_pmf(model, 1)),
+                   outputs.law_value(rc.exit_pmf(model, 1))]
 
 
 def _canned_run(seed, metrics, failed=0, attempted=10):
