@@ -18,14 +18,15 @@ hashes are equal.  The grids, in order:
   ``exit_pmf``'s pmf, q_exit and occupation (1311 calls);
 - the samplers: ``sample_tau`` on every law of ``ORACLE_LAWS`` and
   ``sample_last_exit`` on every law of ``EXIT_LAWS`` (both from
-  tests/test_sim.py), 70,001 samples (a full chunk and a short one) on
-  seed 17, at caps and horizons 1, 2, 3, 100 and 5000; ``sample_tau`` on
-  the null-recurrent laws of ``ORACLE_LAWS``, 3000 samples on seed 17
-  at the default cap 10^6, where a block's rows are bounded so that its
-  32-bit levels cannot wrap; then mc_sample's job list for seed 1101
-  (perfbench/workloads.py, at BENCHMARK.json's run_seconds), one call
-  for each pair of jobs that differ only in their thread count, which
-  the package does not read (99 calls).
+  tests/sampler_laws.py, which tests/test_sim.py reads too and which
+  imports neither pytest nor scipy), 70,001 samples (a full chunk and
+  a short one) on seed 17, at caps and horizons 1, 2, 3, 100 and 5000;
+  ``sample_tau`` on the null-recurrent laws of ``ORACLE_LAWS``, 3000
+  samples on seed 17 at the default cap 10^6, where a block's rows are
+  bounded so that its 32-bit levels cannot wrap; then mc_sample's job
+  list for seed 1101 (perfbench/workloads.py, at BENCHMARK.json's
+  run_seconds), one call for each pair of jobs that differ only in
+  their thread count, which the package does not read (99 calls).
 
 Each call's value is one JSON value, and its hash the SHA-256 of that
 value as sorted-key JSON, whose floats read back as the same doubles: a
@@ -199,8 +200,8 @@ def report_value(report) -> dict:
 def sampler_grid(rc) -> list:
     """(label, call) for each sampler call."""
     if str(ROOT / "tests") not in sys.path:
-        sys.path.insert(0, str(ROOT / "tests"))  # test_sim imports its oracles from there
-    from test_sim import EXIT_LAWS, ORACLE_LAWS
+        sys.path.insert(0, str(ROOT / "tests"))
+    from sampler_laws import EXIT_LAWS, ORACLE_LAWS
 
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)

@@ -55,11 +55,15 @@ _MOMENT_N = 1024
 # horizons up to this one take the pure pmf engine, larger ones the array engine
 _PURE_N = 64
 
-# ceiling on the arrays return_pmf holds, in bytes
-PMF_TABLE_BUDGET = 1 << 27
+# ceiling on the arrays return_pmf holds, in bytes: 128 MiB, and the
+# 19,649,096 bytes that the products' Toeplitz blocks and window copies add
+# at N = 64515, the largest horizon it admits
+PMF_TABLE_BUDGET = (1 << 27) + 19_649_096
 
-# terms per stripe of the truncated series product in return_pmf
-_STRIPE = 256
+# the truncated series products of return_pmf multiply _BLOCK x _BLOCK
+# Toeplitz blocks of one factor by copies of the other's windows, each copy
+# at most _WINDOW N entries
+_BLOCK, _WINDOW = 32, 8
 
 # the array engine zeros kernel and power entries below this on the critical
 # scale; its square is the smallest normal double, so no product of kept
@@ -177,13 +181,18 @@ def pmf_table_bytes(n_max: int) -> int:
     """Peak size in bytes of the arrays ``return_pmf`` holds at once.
 
     The b x (N + b) table of reversed baby powers, b = isqrt(N), and at
-    the giant steps 6 N + 2 ``_STRIPE`` more floats: the kernel, G^b, f,
-    the giant power and the next one, one stripe's product (at most
-    N + _STRIPE terms) and the reversed stripe that np.convolve copies.
-    Two more stripes' worth, 4 KiB, covers the arrays' fixed overheads.
+    the giant steps: f, N + 1 floats; the Toeplitz blocks of G^b, at most
+    s M floats, with s = ``_BLOCK`` and M = s ceil(N / s); the giant power,
+    its zero-padded copy and the next power, M floats each, the padding
+    at most sqrt(W s N) more; and the window copy, at most W N floats,
+    W = ``_WINDOW``.  The baby steps hold less: the kernel's blocks in
+    place of G^b's, and no f.  512 more floats, 4 KiB, cover the arrays'
+    fixed overheads.
     """
-    b = math.isqrt(n_max)
-    return (b * (n_max + b) + 6 * n_max + 4 * _STRIPE) * 8
+    b, s = math.isqrt(n_max), _BLOCK
+    m = -(-n_max // s) * s
+    return (b * (n_max + b) + n_max + 1 + (s + 3) * m + math.isqrt(_WINDOW * s * n_max)
+            + _WINDOW * n_max + 512) * 8
 
 
 def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
@@ -197,33 +206,75 @@ def _trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
     return lo + first, c[first:c.size - int(kept[::-1].argmax())]
 
 
-def _head_product(a: tuple[int, np.ndarray], k: tuple[int, np.ndarray], n: int,
+def _toeplitz_blocks(a: tuple[int, np.ndarray], n: int) -> tuple[int, int, np.ndarray]:
+    """Series a = (lo, c) as (lo, c.size, B), for its products cut at x^(n-1).
+
+    With s = ``_BLOCK`` and the s x s Toeplitz blocks
+    T_d[r, j] = c[d s + r - j] (0 outside c), B stacks T_(D-1), ..., T_1,
+    T_0, each transposed, in D s rows of s columns.  T_d takes a block of
+    s terms of the other factor to the product's block d further on.  D
+    covers every block of c, but for at least one no more than
+    ceil((n - lo) / s): a product cut at x^(n-1) has no block further on
+    from a's first term.  ``_head_product`` reads B in every product with
+    a, so a factor that stays fixed is made into blocks once.
+    """
+    import numpy as np
+
+    lo, c = a
+    s = _BLOCK
+    span = max(1, min(-(-(c.size + s - 1) // s), -(-(n - lo) // s))) * s  # D s
+    # B[e s + j, r] = v[e s + j + s - 1 - r], v being c reversed to end at D s
+    v = np.zeros(span + s - 1)
+    head = c[:span]
+    v[span - head.size:span] = head[::-1]
+    return lo, c.size, np.lib.stride_tricks.sliding_window_view(v, s)[:, ::-1].copy()
+
+
+def _head_product(fixed: tuple[int, int, np.ndarray], k: tuple[int, np.ndarray], n: int,
                   flush: float) -> tuple[int, np.ndarray]:
     """The product of two series cut at x^(n-1), entries below flush zeroed.
 
     A series is a pair (lo, c) whose coefficient of x^(lo + i) is c[i],
-    all others 0.  The product drops the zeros at its ends, so the
-    products formed from it never form them.  a is convolved in stripes
-    of ``_STRIPE`` terms, the stripe at offset o against k cut to the
-    terms below x^(n-1), so only a stripe's own width spills past it;
-    the stripes' partial sums add into one output.
-    A fixed width means few calls on short products and a small spill on
-    long ones.  Callers stripe the factor that stays fixed (the kernel,
-    G^b): the other one then takes the role it has in one full
-    np.convolve, whose summation order kept f three times closer to the
-    exact geometric law than striping the growing power did.
+    all others 0; fixed is one factor as ``_toeplitz_blocks`` gives it.
+    The product's block i, its s terms from x^(lo + i s), is the sum over
+    d of T_d times k's block i - d.  For a group of output blocks that is
+    one matrix product: a copy of k's windows, one row per output block,
+    times the rows of B for the diagonal blocks d that the group reaches,
+    those with a block i - d of k.  A group holds as many output blocks as
+    keep the copy within ``_WINDOW`` n entries, so a short fixed factor
+    takes one call per product.  Only blocks that start below x^(n-1) are
+    formed.  The product drops the zeros at its ends, so the products
+    formed from it never form them.
     """
     import numpy as np
 
-    (lo, a), (k_lo, k) = a, k
+    (lo, a_size, blocks), (k_lo, k) = fixed, k
     lo += k_lo
     m = n - lo  # terms left below x^(n-1)
-    if m <= 0 or not a.size or not k.size:
-        return lo, a[:0]
-    out = np.zeros(min(m, a.size + k.size - 1))
-    for o in range(0, min(a.size, m), _STRIPE):
-        stripe, head = a[o:o + _STRIPE], k[:m - o]
-        out[o:o + stripe.size + head.size - 1] += np.convolve(stripe, head)[:out.size - o]
+    if m <= 0 or not a_size or not k.size:
+        return lo, k[:0]
+    s, d_top = _BLOCK, blocks.shape[0] // _BLOCK - 1
+    size = min(m, a_size + k.size - 1)
+    n_out, n_k = -(-size // s), -(-k.size // s)
+    rows = max(1, min(n_out, _WINDOW * n // blocks.shape[0]))
+    # a group's windows start at most this far before k and end at most
+    # `back` past its last block
+    front = min(rows - 1, d_top) * s
+    back = min(max(0, n_out - n_k), rows - 1) * s
+    padded = np.zeros(front + n_k * s + back)
+    padded[front:front + k.size] = k
+    out = np.empty((n_out, s))
+    step = (s * padded.itemsize, padded.itemsize)
+    for i in range(0, n_out, rows):
+        # output blocks i..i+group-1 reach the diagonal blocks d_lo..d_hi;
+        # row t of their windows is k from block i + t - d_hi on
+        group = min(rows, n_out - i)
+        d_lo, d_hi = max(0, i - n_k + 1), min(d_top, i + group - 1)
+        windows = np.ndarray((group, (d_hi - d_lo + 1) * s), padded.dtype, padded,
+                             (front + (i - d_hi) * s) * padded.itemsize, step)
+        np.matmul(windows.copy(), blocks[(d_top - d_hi) * s:(d_top - d_lo + 1) * s],
+                  out=out[i:i + group])
+    out = out.ravel()[:size]
     out[out < flush] = 0.0
     return _trimmed(lo, out)
 
@@ -236,9 +287,12 @@ def _series_pmf(law: JumpModel, n_max: int, flush: float) -> np.ndarray:
     of one b x (N + b) table, and the giant step G^m advances in strides
     of b.  f_(m+1)..f_(m+b) are then one matrix-vector product of a
     window of that table with G^m.  Every power is cut at x^(N-1) by
-    ``_head_product``, which never forms the terms it would drop.  With
-    flush = 0 nothing is zeroed, and only exact zeros at the ends of a
-    series are dropped.
+    ``_head_product``, which never forms the terms it would drop.  One
+    factor stays fixed in each phase, the kernel in the baby steps and
+    G^b in the giant steps, so its Toeplitz blocks are built once per
+    phase, the kernel's freed before G^b's are built.  With flush = 0
+    nothing is zeroed, and only exact zeros at the ends of a series are
+    dropped.
     """
     import numpy as np
 
@@ -248,12 +302,16 @@ def _series_pmf(law: JumpModel, n_max: int, flush: float) -> np.ndarray:
     # row j - 1 holds G^j with x^i at column N + j - 2 - i, so the window
     # from column N - 1 - m lines G^m[i] up with G^j[m + j - 1 - i]
     table = np.zeros((b, n_max + b))
-    power = kernel
+    fixed, power = _toeplitz_blocks(kernel, n_max), kernel
+    del kernel
     for j in range(1, b + 1):
         lo, c = power
         table[j - 1, n_max + j - 1 - lo - c.size:n_max + j - 1 - lo] = c[::-1]
         if j < b:
-            power = _head_product(kernel, power, n_max, flush)
+            power = _head_product(fixed, power, n_max, flush)
+    del fixed  # the kernel's blocks go before G^b's are built
+    fixed = _toeplitz_blocks(power, n_max)
+    del power
     f = np.zeros(n_max + 1)
     giant = (0, np.ones(1))
     for m in range(0, n_max, b):
@@ -264,7 +322,7 @@ def _series_pmf(law: JumpModel, n_max: int, flush: float) -> np.ndarray:
         f[m + 1:m + rows + 1] = (table[:rows, col:col + width] @ c[:width]
                                  / np.arange(m + 1, m + rows + 1))
         if m + b < n_max:
-            giant = _head_product(power, giant, n_max, flush)
+            giant = _head_product(fixed, giant, n_max, flush)
     return f
 
 
@@ -309,13 +367,14 @@ def _array_pmf(law: JumpModel, n_max: int, y: float, rate: float) -> np.ndarray:
 
     f^law is the law's closed form (``_Family.first_return``) where its
     record has one.  Otherwise ``_series_pmf``, in O(N^2.5) time and
-    O(N^1.5) memory, runs with every entry of the kernel and of each
-    power below ``_FLUSH`` zeroed.  The result is kept only when
-    ``_certified`` shows the zeroing moved no f_n by more than eps
-    relative; otherwise, as for an explicit law with a_0 = 1e-300, the
-    same loop runs again with nothing zeroed, and entries below 2^-1022
-    may differ in their subnormal digits (the smallest of them may round
-    to 0 on one side only).
+    O(N^1.5) memory (the b x (N + b) table, b = isqrt(N), and about
+    (``_BLOCK`` + 12) N floats more; see ``pmf_table_bytes``), runs with
+    every entry of the kernel and of each power below ``_FLUSH`` zeroed.
+    The result is kept only when ``_certified`` shows the zeroing moved
+    no f_n by more than eps relative; otherwise, as for an explicit law
+    with a_0 = 1e-300, the same loop runs again with nothing zeroed, and
+    entries below 2^-1022 may differ in their subnormal digits (the
+    smallest of them may round to 0 on one side only).
     """
     import numpy as np
 

@@ -125,6 +125,29 @@ def test_outputs_grids_in_order():
     assert {s[1] for s in sampled[59:]} >= {"geometric(0.5)", "half_stable()"}
 
 
+def test_outputs_sampler_grid_needs_neither_scipy_nor_pytest():
+    # the grid is built in a child process where importing scipy or pytest
+    # fails, with the same labels in the same order as in this process
+    import repairchain as rc
+
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = sys.modules['pytest'] = None\n"
+            "import importlib.util\n"
+            "spec = importlib.util.spec_from_file_location('outputs', sys.argv[1])\n"
+            "outputs = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(outputs)\n"
+            "import repairchain\n"
+            "print(json.dumps([label for label, _ in outputs.sampler_grid(repairchain)]))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts" / "outputs.py")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    labels = json.loads(proc.stdout)
+    assert len(labels) == 99
+    assert labels == [label for label, _ in _script_module("outputs").sampler_grid(rc)]
+
+
 def test_outputs_hash_of_canned_values(monkeypatch):
     # each call's hash is the SHA-256 of its value as sorted-key JSON, and
     # the grids' hash one over the calls' hashes, in grid order

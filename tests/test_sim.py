@@ -6,6 +6,7 @@ import repairchain as rc
 from repairchain.errors import NotTransient
 
 import oracles
+from sampler_laws import EXIT_LAWS, ORACLE_LAWS
 
 
 def three_sigma_bins(hist, samples, exact, n_lo, n_hi):
@@ -161,21 +162,6 @@ def test_simulation_validation(geo_half):
 
 
 # the block-stepped samplers against the step-by-step ones they replaced
-ORACLE_LAWS = {
-    "geometric(0.25)": lambda: rc.geometric(0.25),
-    "geometric(0.5)": lambda: rc.geometric(0.5),
-    "geometric(0.65)": lambda: rc.geometric(0.65),
-    "half_stable": rc.half_stable,
-    "power_zeta(2.1)": lambda: rc.power_zeta(2.1),
-    "power_zeta(2.95)": lambda: rc.power_zeta(2.95),
-    "explicit a_1 = 0": lambda: rc.explicit([0.5, 0.0, 0.5]),
-    "tilt(geometric(0.25), 2/3)": lambda: rc.tilt(rc.geometric(0.25), 2.0 / 3.0),
-}
-EXIT_LAWS = {
-    "geometric(0.25)": lambda: rc.geometric(0.25),
-    "geometric(0.4)": lambda: rc.geometric(0.4),
-    "explicit a_1 = 0": lambda: rc.explicit([0.3, 0.0, 0.2, 0.5]),
-}
 ORACLE_SAMPLES = (1, 7, 4096, 70_001)
 
 
