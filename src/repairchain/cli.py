@@ -2,8 +2,11 @@
 
 Verbs: classify, pmf, decay, tilt, moments, finite, exit, simulate,
 asym.  Every verb takes -m with an inline JSON model spec or @path to a
-file holding one.  Output is JSON on stdout (CSV for the pmf verbs with
---csv); all floats carry 17 significant digits so identical inputs give
+file holding one.  pmf prints the law of the first return time tau, and
+exit the law of the last exit time L.  Output is one JSON record on
+stdout (CSV for pmf and exit with --csv), each value printed by
+json.dumps: a float is the shortest string that reads back as the same
+double, or Infinity, -Infinity or NaN, so identical inputs give
 byte-identical outputs.
 
 Exit status: 0 success, 1 usage error, 2 invalid model spec, 3 domain
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import decay as decay_mod
@@ -49,42 +51,13 @@ class _Parser(argparse.ArgumentParser):
 # stable serialization
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    out = format(x, ".17g")
-    if not any(c in out for c in ".eE"):
-        out += ".0"
-    return out
-
-
-def _to_json(value) -> str:
-    if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in value) + "]"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
-
-
 def _emit(record: dict) -> None:
-    sys.stdout.write(_to_json(record) + "\n")
+    sys.stdout.write(json.dumps(record) + "\n")
 
 
 def _emit_csv(header: str, rows) -> None:
-    out = [header]
-    for row in rows:
-        out.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v)
-                            for v in row))
-    sys.stdout.write("\n".join(out) + "\n")
+    lines = [header, *(",".join(map(json.dumps, row)) for row in rows)]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +93,7 @@ def _build_parser() -> _Parser:
 
     add("classify", "recurrence class and mean jump", _do_classify)
 
-    p = add("pmf", "exact return-time (or last-exit) pmf", _do_pmf)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--tau", action="store_true", help="return-time pmf (default)")
-    group.add_argument("--exit", dest="exit_", action="store_true",
-                       help="last-exit pmf (transient chains)")
+    p = add("pmf", "exact pmf of the return time tau", _do_pmf)
     p.add_argument("-N", type=int, default=64, help="horizon (default 64)")
     p.add_argument("--csv", action="store_true")
 
@@ -142,12 +111,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--r1-weighted", action="store_true",
                    help="weigh by R1^tau before taking the power")
 
-    p = add("exit", "last-exit pmf or weighted-moment verdict", _do_exit)
-    p.add_argument("-N", type=int, default=exit_mod.DEFAULT_EXIT_N)
+    p = add("exit", "exact pmf of the last exit time L, or weighted-moment verdict", _do_exit)
+    p.add_argument("-N", type=int, default=exit_mod.DEFAULT_EXIT_N,
+                   help=f"horizon (default {exit_mod.DEFAULT_EXIT_N})")
     p.add_argument("-k", type=int, default=None, help="integer weight power")
     p.add_argument("--alpha", type=float, default=None, help="fractional weight power")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(exit_=True)  # without -k/--alpha, exit is pmf --exit
 
     p = add("simulate", "Monte Carlo histogram of tau or L", _do_simulate)
     group = p.add_mutually_exclusive_group()
@@ -175,14 +144,6 @@ def _do_classify(model, args):
 
 
 def _do_pmf(model, args):
-    if args.exit_:
-        analysis = exit_mod.exit_series(model, args.N)
-        if args.csv:
-            _emit_csv("n,P_L_n", ((i, float(p)) for i, p in enumerate(analysis.pmf)))
-        else:
-            _emit({"N": args.N, "q_exit": analysis.q_exit,
-                   "pmf": [float(v) for v in analysis.pmf]})
-        return
     analysis = rt.return_series(model, args.N)
     if args.csv:
         _emit_csv("n,f_n,u_n", ((i, float(analysis.f[i]), float(analysis.u[i]))
@@ -230,7 +191,13 @@ def _do_finite(model, args):
 
 def _do_exit(model, args):
     if args.k is None and args.alpha is None:
-        return _do_pmf(model, args)
+        analysis = exit_mod.exit_series(model, args.N)
+        if args.csv:
+            _emit_csv("n,P_L_n", ((i, float(p)) for i, p in enumerate(analysis.pmf)))
+        else:
+            _emit({"N": args.N, "q_exit": analysis.q_exit,
+                   "pmf": [float(v) for v in analysis.pmf]})
+        return
     verdict = exit_mod.exit_weighted_verdict(model, k=args.k or 0, alpha=args.alpha)
     _emit(_verdict_record(verdict))
 

@@ -63,7 +63,7 @@ def test_pmf_json(capsys):
 
 
 def test_pmf_csv(capsys):
-    lines = run_lines(capsys, ["pmf", "--tau", "-m", GEO_HALF, "-N", "4", "--csv"])
+    lines = run_lines(capsys, ["pmf", "-m", GEO_HALF, "-N", "4", "--csv"])
     assert lines[0] == "n,f_n,u_n"
     assert len(lines) == 6  # header plus n = 0..4
     assert lines[1] == "0,0.0,1.0"
@@ -85,7 +85,6 @@ def test_pmf_horizon_beyond_table_budget(capsys, monkeypatch):
 
     monkeypatch.setattr(return_time, "PMF_TABLE_BUDGET", return_time.pmf_table_bytes(64) - 1)
     for argv in (["pmf", "-m", GEO_HALF, "-N", "64"],
-                 ["pmf", "--exit", "-m", GEO_QUARTER, "-N", "64"],
                  ["exit", "-m", GEO_QUARTER, "-N", "64"],
                  ["moments", "-m", GEO_THREE_QUARTER, "-k", "2"]):
         assert cli.run(argv) == 1
@@ -94,7 +93,8 @@ def test_pmf_horizon_beyond_table_budget(capsys, monkeypatch):
 
 
 def test_pmf_exit_variant(capsys):
-    rec = run_json(capsys, ["pmf", "--exit", "-m", GEO_QUARTER, "-N", "4"])
+    # the last-exit law, which only the exit verb prints
+    rec = run_json(capsys, ["exit", "-m", GEO_QUARTER, "-N", "4"])
     assert rec["q_exit"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rec["pmf"][0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rec["pmf"][1] == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -102,12 +102,23 @@ def test_pmf_exit_variant(capsys):
 
 @pytest.mark.parametrize("fmt", [[], ["--csv"]])
 def test_pmf_exit_matches_exit_verb(capsys, fmt):
-    tail = ["-m", GEO_QUARTER, "-N", "16"] + fmt
-    assert cli.run(["pmf", "--exit"] + tail) == 0
-    via_pmf = capsys.readouterr().out
-    assert cli.run(["exit"] + tail) == 0
-    via_exit = capsys.readouterr().out
-    assert via_pmf and via_pmf == via_exit
+    # exit prints exit_series's law, each value as the same double
+    from repairchain.last_exit import exit_series
+
+    law = exit_series(repairchain.geometric(0.25), 16)
+    lines = run_lines(capsys, ["exit", "-m", GEO_QUARTER, "-N", "16"] + fmt)
+    pmf = [float(v) for v in law.pmf]
+    if fmt:
+        assert lines[0] == "n,P_L_n"
+        rows = (line.split(",") for line in lines[1:])
+        assert [(int(n), float(p)) for n, p in rows] == list(enumerate(pmf))
+    else:
+        assert json.loads(lines[0]) == {"N": 16, "q_exit": float(law.q_exit), "pmf": pmf}
+    # the exit verb owns the last-exit law: pmf has no --exit to offer
+    assert cli.run(["exit", "--help"]) == 0
+    assert "horizon (default 2048)" in capsys.readouterr().out
+    assert cli.run(["pmf", "--help"]) == 0
+    assert "--exit" not in capsys.readouterr().out
 
 
 def test_decay_closed_forms(capsys):
@@ -311,7 +322,9 @@ def test_help_exits_zero(capsys):
 
 USAGE_CASES = [
     ["pmf", "-m", GEO_HALF, "-N", "0"],
-    ["pmf", "-m", GEO_HALF, "--tau", "--exit"],
+    # spellings of the two laws that pmf no longer takes: exit prints L's law
+    ["pmf", "-m", GEO_HALF, "--exit"],
+    ["pmf", "-m", GEO_HALF, "--tau"],
     ["classify"],
     ["frobnicate", "-m", GEO_HALF],
     ["tilt", "-m", GEO_QUARTER, "--x", "-1.0"],
@@ -326,7 +339,7 @@ USAGE_CASES = [
     ["moments", "-m", GEO_QUARTER, "-k", "0"],
     ["exit", "-m", GEO_HALF, "-k", "-2"],
     ["exit", "-m", GEO_HALF, "--alpha", "-0.5"],
-    ["pmf", "--exit", "-m", GEO_HALF, "-N", "0"],
+    ["exit", "-m", GEO_HALF, "-N", "0"],
     ["simulate", "--exit", "-m", GEO_HALF, "--horizon", "0"],
     ["exit", "-m", GEO_HALF, "--alpha", "nan"],
     pytest.param(["exit", "-m", GEO_HALF, "-k", "9" * 400], id="exit geometric(0.5) -k 400 nines"),
@@ -430,7 +443,7 @@ def test_power_zeta_with_huge_alpha_classifies(capsys):
 
 DOMAIN_CASES = [
     ["exit", "-m", GEO_HALF],                      # last exit needs transience
-    ["pmf", "--exit", "-m", GEO_THREE_QUARTER],
+    ["exit", "-m", GEO_THREE_QUARTER],
     ["asym", "-m", GEO_THREE_QUARTER],             # exponent needs criticality
     ["moments", "-m", GEO_QUARTER],                # moments need a finite mean
     ["tilt", "-m", POWER_ZETA_3],                  # no tangency point at radius 1
@@ -452,13 +465,24 @@ def test_domain_errors(capsys, argv):
 @pytest.mark.parametrize("value,text", [
     (1.0, "1.0"),
     (0.5, "0.5"),
-    (2.0 / 3.0, "0.66666666666666663"),
+    (2.0 / 3.0, "0.6666666666666666"),
     (float("inf"), "Infinity"),
     (float("nan"), "NaN"),
     (1e-300, "1e-300"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (0.1, "0.1"),
 ])
-def test_float_format(value, text):
-    assert cli._fmt_float(value) == text
+def test_float_format(capsys, value, text):
+    # a float prints as json.dumps prints it, in a JSON record and in a
+    # CSV row alike, and reads back as the same double (NaN as NaN)
+    assert json.dumps(value) == text
+    assert repr(float(text)) == repr(value)
+    cli._emit({"value": value})
+    assert capsys.readouterr().out == '{"value": %s}\n' % text
+    cli._emit_csv("n,value", [(0, value)])
+    assert capsys.readouterr().out == "n,value\n0,%s\n" % text
 
 
 def test_stdout_is_parseable_json_with_ints_kept(capsys):
@@ -554,8 +578,8 @@ def test_analytic_verbs_load_no_numpy():
 
 # the exact verbs at horizons the pure-Python engine takes, and tilt's head
 EXACT_SMALL_ARGV = [
-    ["pmf", "-N", "64"], ["pmf", "-N", "16", "--csv"], ["pmf", "--exit", "-N", "64"],
-    ["exit", "-N", "64"], ["tilt"], ["tilt", "--x", "0.5"], ["tilt", "--x", "1.2"],
+    ["pmf", "-N", "64"], ["pmf", "-N", "16", "--csv"], ["exit", "-N", "64"],
+    ["tilt"], ["tilt", "--x", "0.5"], ["tilt", "--x", "1.2"],
 ]
 
 

@@ -357,8 +357,8 @@ CLI_GATE_SPECS = {
 @pytest.mark.parametrize("name", sorted(CLI_GATE_SPECS))
 @pytest.mark.parametrize("n_max", [1, 2, 17, 64, 65])
 def test_return_pmf_is_the_cli_pmf(name, n_max, capsys):
-    # the CLI prints 17 significant digits, which read back as the same
-    # doubles: its numbers are return_pmf's and exit_pmf's, bit for bit
+    # the CLI prints each float as its shortest repr, which reads back as
+    # the same double: its numbers are return_pmf's and exit_pmf's, bit for bit
     import json
 
     from repairchain import cli

@@ -78,22 +78,22 @@ def test_outputs_grids_in_order():
 
     outputs = _script_module("outputs")
     calls = outputs.grid()
-    assert [c[0] for c in calls] == ["cli"] * 384 + ["exact"] * 1311 + ["sampler"] * 99
-    # the CLI: 12 laws x 26 verb forms, then x 6 invalid forms, each of
+    assert [c[0] for c in calls] == ["cli"] * 372 + ["exact"] * 1311 + ["sampler"] * 99
+    # the CLI: 12 laws x 25 verb forms, then x 6 invalid forms, each of
     # which is a usage error on every law
-    argvs = [json.loads(label) for _, label, _ in calls[:384]]
-    assert len({json.dumps(argv) for argv in argvs}) == 384
+    argvs = [json.loads(label) for _, label, _ in calls[:372]]
+    assert len({json.dumps(argv) for argv in argvs}) == 372
     assert argvs[0] == ["classify", "-m", outputs.MODELS[0]]
-    assert argvs[26] == ["classify", "-m", outputs.MODELS[1]]
-    assert argvs[312] == ["pmf", "-m", outputs.MODELS[0], "-N", "0"]
-    records = [call() for _, _, call in calls[:384]]
+    assert argvs[25] == ["classify", "-m", outputs.MODELS[1]]
+    assert argvs[300] == ["pmf", "-m", outputs.MODELS[0], "-N", "0"]
+    records = [call() for _, _, call in calls[:372]]
     for argv, r in zip(argvs, records):
         assert set(r) == {"status", "stdout", "stderr"}
         assert r["status"] in (0, 1, 3), (argv, r)
         assert bool(r["stdout"]) == (r["status"] == 0), (argv, r)
         assert r["stderr"].startswith("domain error: ") == (r["status"] == 3), (argv, r)
         assert r["stderr"].startswith("usage error: ") == (r["status"] == 1), (argv, r)
-    assert [r["status"] for r in records[312:]] == [1] * 72
+    assert [r["status"] for r in records[300:]] == [1] * 72
     # the exact laws: 16 laws at 69 horizons, and the exit law after each
     # return law of the three transient ones
     exact = [(label.split(" ", 1)[0], *label.split(" ", 1)[1].rsplit(" N=", 1))
@@ -222,7 +222,7 @@ def test_cli_matrix_diff_of_canned_records(monkeypatch, capsys):
         ("parent", ()), (me, ()), ("parent", ("--values", "1,2")), (me, ("--values", "1,2"))] * 2
     # main runs the real child runner, which the test replaces
     monkeypatch.setattr(outputs, "run_side", lambda checkout, *args: run(
-        "parent" if checkout.endswith(os.sep + "parent") else checkout, *args))
+        "parent" if checkout == os.path.abspath("parent") else checkout, *args))
     monkeypatch.setattr(sys, "argv", ["outputs.py", "--against", "parent"])
     assert outputs.main() == 1
     assert capsys.readouterr().out.splitlines()[2:] == lines[2:]
@@ -277,9 +277,26 @@ def test_cli_matrix_diff_within_a_relative_bound():
     assert outputs._stdout_record('{"N": 2, "f": [0.0, 0.5]}\n') == {"N": 2, "f": [0.0, 0.5]}
     assert outputs._stdout_record("n,f_n\n0,0.0\n1,0.25\n") == {
         "csv": [["n", "f_n"], [0.0, 0.0], [1.0, 0.25]]}
+    # a record printed with 17 significant digits and again by json.dumps,
+    # whose floats are their shortest repr, differs in its bytes but not in
+    # its doubles, as JSON and as CSV
+    values = [0.1, 2.0 / 3.0, 1.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+              math.inf, math.nan]
+    digits17 = ["0.10000000000000001", "0.66666666666666663", "1.0", "-0.0", "1e-300",
+                "4.9406564584124654e-324", "1.7976931348623157e+308", "Infinity", "NaN"]
+    shortest = [json.dumps(v) for v in values]
+    assert shortest[:2] == [repr(0.1), repr(2.0 / 3.0)] and shortest[:2] != digits17[:2]
+    as_json = ('{"N": 8, "f": [%s]}\n' % ", ".join(digits17),
+               json.dumps({"N": 8, "f": values}) + "\n")
+    as_csv = tuple("n,f_n\n" + "".join(f"{n},{t}\n" for n, t in enumerate(tokens))
+                   for tokens in (digits17, shortest))
+    for old_text, new_text in (as_json, as_csv):
+        assert old_text != new_text
+        assert outputs.largest_move(outputs._stdout_record(old_text),
+                                    outputs._stdout_record(new_text)) == 0.0
     # the child run reads each call back as the grids compute it: a CLI
     # call with its stdout read, a report's fields
-    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "2,1695")]
+    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "2,1683")]
     assert got[0]["status"] == 0 and got[0]["stdout"]["csv"][:2] == [["n", "f_n", "u_n"],
                                                                    [0.0, 0.0, 1.0]]
     assert set(got[1]) == set(outputs.FIELDS) and (got[1]["samples"], got[1]["cap"]) == (70001, 1)
@@ -309,8 +326,8 @@ def test_pmf_hash_of_canned_laws_and_runs():
     # --against on two runs of the exact grid: one differs line for each
     # law call whose hash differs, in grid order
     spec = '{"family": "geometric", "p": 0.25}'
-    calls = [f"#384 exact return_pmf {spec} N=1", f"#385 exact exit_pmf {spec} N=1",
-             f"#386 exact return_pmf {spec} N=2"]
+    calls = [f"#372 exact return_pmf {spec} N=1", f"#373 exact exit_pmf {spec} N=1",
+             f"#374 exact return_pmf {spec} N=2"]
     parent = ["aa", "c0 " + calls[0], "c1 " + calls[1], "c2 " + calls[2]]
     changed = ["bb", "d0 " + calls[0], "c1 " + calls[1], "d2 " + calls[2]]
     runs = {"parent": parent, str(ROOT): changed}
@@ -338,11 +355,11 @@ def test_pmf_hash_within_a_relative_bound():
                       "a part": old[:2]}.items():
         assert outputs.largest_move(old, new) == math.inf, what
     # both sides compute the law call that differs once more, as JSON
-    label = '#386 exact return_pmf {"family": "geometric", "p": 0.25} N=2'
+    label = '#374 exact return_pmf {"family": "geometric", "p": 0.25} N=2'
 
     def run(side, *args):
         if args:
-            assert args == ("--values", "386")
+            assert args == ("--values", "374")
             return [json.dumps(old if side == "parent" else moved)]
         return ["aa", "c0 " + label] if side == "parent" else ["bb", "d0 " + label]
 
@@ -353,7 +370,7 @@ def test_pmf_hash_within_a_relative_bound():
     assert outputs.against("parent", 1e-15, run) == (
         [*lines, "not within 1e-15: largest relative move 5.68e-14"], 1)
     # the child run reads a law's parts back as the exact grid computes them
-    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "384,385")]
+    got = [json.loads(line) for line in outputs.run_side(str(ROOT), "--values", "372,373")]
     model = rc.geometric(0.25)
     assert got == [outputs.law_value(rc.return_pmf(model, 1)),
                    outputs.law_value(rc.exit_pmf(model, 1))]
