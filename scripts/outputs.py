@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash every output of three fixed grids of calls, and compare two checkouts by them.
+"""Hash every output of four fixed grids of calls, and compare two checkouts by them.
 
 Two versions of the package give the same outputs exactly when their
 hashes are equal.  The grids, in order:
@@ -26,13 +26,21 @@ hashes are equal.  The grids, in order:
   bounded so that its 32-bit levels cannot wrap; then mc_sample's job
   list for seed 1101 (perfbench/workloads.py, at BENCHMARK.json's
   run_seconds), one call for each pair of jobs that differ only in
-  their thread count, which the package does not read (99 calls).
+  their thread count, which the package does not read (99 calls);
+- the transforms: for each law of the exact grid, ``eval_G`` at orders
+  0, 1 and 2 at ``T_POINTS`` and, where the radius passes 1, at one
+  point between 1 and the radius (2 for an infinite one); G^(j)(1) for
+  j = 3 and 4 except on the two tilts, which read their base below 1,
+  where orders past 2 are refused; ``psi`` at ``H_POINTS``; ``eval_F``
+  at ``R1_FRACTIONS`` of R1 and at t = 1; and the five fields of
+  ``decay_params`` (110 calls).
 
 Each call's value is one JSON value, and its hash the SHA-256 of that
 value as sorted-key JSON, whose floats read back as the same doubles: a
 CLI invocation's exit status, stdout and stderr as printed, an exact
 law's parts as lists of floats, a sampler report's seven fields, read by
-name.  The script prints one hash over the calls' hashes, then one line
+name, a transform's values as a list of floats, decay_params's fields
+by name.  The script prints one hash over the calls' hashes, then one line
 per call: its hash, its index, its grid and its label.
 
 Usage:
@@ -131,6 +139,11 @@ SEED = 17
 MC_SEED = 1101
 # SimReport's fields, read by name: a report from either side of --against serializes alike
 FIELDS = ("samples", "seed", "tau_hist", "L_hist", "censored", "cap", "horizon")
+
+# eval_G's points, the double after 3/4 just past power_zeta's switch to Jonquiere's expansion
+T_POINTS = (0.0, 0.05, 0.5, math.nextafter(0.75, 1.0), 0.9, 0.99, 1.0 - 1e-9, 1.0)
+H_POINTS = (1e-300, 1e-12, 1e-6, 0.01, 0.5, 1.0)
+R1_FRACTIONS = (0.25, 0.5, 0.9, 0.999)
 
 
 def invoke(argv: list) -> dict:
@@ -231,13 +244,35 @@ def sampler_grid(rc) -> list:
             for kind, model, seed, samples, bound, law in jobs]
 
 
+def transforms_grid(rc) -> list:
+    """(label, call) for each transform, law by law."""
+    calls = []
+    for name, m in laws(rc):
+        above = [] if m.radius <= 1.0 else [2.0 if math.isinf(m.radius) else 0.5 + 0.5 * m.radius]
+        calls += [(f"eval_G {name} order={order}",
+                   lambda m=m, order=order, ts=T_POINTS + tuple(above):
+                   [rc.eval_G(m, t, order) for t in ts]) for order in range(3)]
+        if m.family != "tilted":
+            calls.append((f"eval_G {name} t=1 order=3,4",
+                          lambda m=m: [rc.eval_G(m, 1.0, order) for order in (3, 4)]))
+        calls += [
+            (f"psi {name}", lambda m=m: [rc.psi(m, h) for h in H_POINTS]),
+            (f"eval_F {name}", lambda m=m: [rc.eval_F(m, f * rc.decay_params(m).R1)
+                                            for f in R1_FRACTIONS] + [rc.eval_F(m, 1.0)]),
+            # case_label is a str Enum, so it serializes as its value
+            (f"decay_params {name}", lambda m=m: rc.decay_params(m)._asdict()),
+        ]
+    return calls
+
+
 def grid() -> list:
     """(grid name, label, call) for every call, on the repairchain this process imports."""
     import repairchain as rc
 
     return [(name, label, call)
             for name, calls in (("cli", cli_grid()), ("exact", exact_grid(rc)),
-                                ("sampler", sampler_grid(rc)))
+                                ("sampler", sampler_grid(rc)),
+                                ("transforms", transforms_grid(rc)))
             for label, call in calls]
 
 

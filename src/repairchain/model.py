@@ -296,9 +296,14 @@ def _zeta_terms(s: float, head: int = 1, pole: bool = True) -> list[float]:
     Exact terms k^-s for head <= k < 16, the integral and half-term at
     16, then five Bernoulli corrections; the first omitted one stays
     below 8e-17 for every s >= 1/2.  pole=False drops 1/(s-1) from the
-    integral term, leaving the part that is regular at s = 1.
+    integral term, leaving the part that is regular at s = 1.  A head
+    above 16 is refused: the integral would still start at 16 and count
+    the terms below head, and starting it at head instead leaves the
+    corrections too coarse for large s.
     """
     n = _ZETA_HEAD
+    if head > n:
+        raise ValueError(f"Euler-Maclaurin head {head} is above {n}, where its integral starts")
     terms = [k ** -s for k in range(head, n)]
     if pole:
         terms.append(n ** (1.0 - s) / (s - 1.0))
@@ -334,7 +339,10 @@ def _zeta(s: float) -> float:
 
 
 def _hurwitz_zeta(s: float, v: int) -> float:
-    """zeta(s, v) = sum_{k >= v} k^-s for an integer v >= 1 and real s != 1."""
+    """zeta(s, v) = sum_{k >= v} k^-s for an integer v >= 1 and real s != 1.
+
+    For s >= 1/2, v is at most _ZETA_HEAD (see ``_zeta_terms``).
+    """
     if s < 0.5:
         return math.fsum([_zeta(s)] + [-(k ** -s) for k in range(1, v)])
     return math.fsum(_zeta_terms(s, v))
@@ -413,17 +421,12 @@ def _half_stable_G(model: JumpModel, t: float, order: int) -> float:
         return t + (2.0 / 3.0) * (1.0 - t) ** 1.5
     if order == 1:
         return 1.0 - math.sqrt(1.0 - t)
-    if t == 1.0:
+    if t == 1.0:  # G'' and every later derivative diverge at 1
         return math.inf
-    # d^k/dt^k of (2/3)(1-t)^{3/2}
-    coef = 2.0 / 3.0
-    for j in range(order):
-        coef *= 1.5 - j
-    coef *= (-1.0) ** order
-    return coef * (1.0 - t) ** (1.5 - order)
+    return 0.5 * (1.0 - t) ** -0.5  # order 2; eval_G refuses higher orders below 1
 
 
-# power_zeta below t = 1.  With S(t) = sum_m (m+2)^-alpha t^m,
+# power_zeta below t = 1, at orders 0..2.  With S(t) = sum_m (m+2)^-alpha t^m,
 # G = 1 - (1-t) S and G^(n) = n S^(n-1) - (1-t) S^(n).  Up to _PZ_SWITCH
 # the Taylor series of G^(n), all of whose terms are positive, is summed
 # directly.  Above it, Jonquiere's expansion in w = log t (Wood 1992,
@@ -434,25 +437,11 @@ def _half_stable_G(model: JumpModel, t: float, order: int) -> float:
 # and t^(i+2) S^(i) = prod_{j<i} (D - 2 - j) of that sum at s = alpha, with
 # D = d/dw.  Taking v = i + 2 there drops the terms m < i, which the
 # product annihilates anyway; left in, they cancel, and badly so for
-# large alpha.  The product itself cancels past order 3 (1e-3 relative
-# at order 15, t = 0.8), so higher orders sum the positive Taylor series
-# on both sides of the switch wherever it is short enough, in scaled
-# form since its terms pass the double range from about order 110.
+# large alpha.
 
 _PZ_SWITCH = 0.75
 _PZ_W_TERMS = 32  # (5 |log 0.75|)^32 / 32! < 1e-30
 _EULER_GAMMA = 0.5772156649015329
-# most terms a Taylor sum above the switch may take, about (order + 40)/(1 - t)
-_PZ_TAYLOR_TERMS = 1 << 14
-
-
-def _pz_a_factors(alpha: float, k: int) -> tuple[float, float]:
-    """a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha) as k + 1 and its second factor.
-
-    The second factor is formed without cancellation; callers take
-    a_k = (k+1)^-alpha times it, or its logarithm where a_k underflows.
-    """
-    return k + 1.0, -math.expm1(alpha * math.log1p(-1.0 / (k + 2)))
 
 
 @lru_cache(maxsize=64)
@@ -465,8 +454,9 @@ def _pz_series(alpha: float, order: int) -> tuple[float, ...]:
     coeffs, total, power = [], 0.0, 1.0
     for j in itertools.count():
         k = j + order
-        base, drop = _pz_a_factors(alpha, k)
-        a = base ** -alpha * drop
+        # a_k = (k+1)^-alpha (1 - ((k+1)/(k+2))^alpha), the second factor
+        # formed without cancellation
+        a = (k + 1.0) ** -alpha * -math.expm1(alpha * math.log1p(-1.0 / (k + 2)))
         c = math.perm(k, order) * a
         coeffs.append(c)
         total += c * power
@@ -475,42 +465,6 @@ def _pz_series(alpha: float, order: int) -> tuple[float, ...]:
         if rho < 1.0 and c * power * rho / (1.0 - rho) <= 2.0 ** -56 * total:
             return tuple(coeffs)
         power *= _PZ_SWITCH
-
-
-def _pz_log_a(alpha: float, k: int) -> float:
-    base, drop = _pz_a_factors(alpha, k)
-    return -alpha * math.log(base) + math.log(drop)
-
-
-def _pz_scaled_taylor(alpha: float, t: float, order: int) -> float:
-    """G^(order)(t) = sum_j (j+order)!/j! a_(j+order) t^j for t < 1, or +inf.
-
-    The positive series of ``_pz_series``, summed at t itself and without
-    overflow where its terms pass the double range: the first term
-    order! a_order is kept as its logarithm and each term as its ratio to
-    that one, from term_(j+1)/term_j = t (k+1)/(j+1) a_(k+1)/a_k.  The
-    stopping rule is ``_pz_series``'s at t, and the value is
-    exp(log head + log sum).
-    """
-    log_a = _pz_log_a(alpha, order)
-    log_head = math.lgamma(order + 1.0) + log_a
-    total, term = 0.0, 1.0
-    for j in itertools.count():
-        k = j + order
-        total += term
-        rho = t * (k + 1) / (j + 1)
-        if rho < 1.0 and term * rho / (1.0 - rho) <= 2.0 ** -56 * total:
-            break
-        if total > 2.0 ** 600:  # rescale before the sum can overflow
-            total, term = total * 2.0 ** -600, term * 2.0 ** -600
-            log_head += 600 * math.log(2.0)
-        log_next = _pz_log_a(alpha, k + 1)
-        term *= rho * math.exp(log_next - log_a)
-        log_a = log_next
-    try:
-        return math.exp(log_head + math.log(total))
-    except OverflowError:
-        return math.inf
 
 
 @lru_cache(maxsize=64)
@@ -596,17 +550,10 @@ def _pz_powers(w: float, order: int) -> list[float]:
 
 
 def _power_zeta_G(model: JumpModel, t: float, order: int) -> float:
-    """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1.
-
-    Orders above 3 sum the Taylor series (``_pz_scaled_taylor``) up to
-    the switch, and past it while the series takes at most
-    _PZ_TAYLOR_TERMS terms.
-    """
+    """Taylor series to _PZ_SWITCH, Jonquiere's expansion to 1, zeta at 1."""
     if t > 1.0:
         return math.inf
     alpha = model.alpha
-    if order > 3 and t <= max(_PZ_SWITCH, 1.0 - (order + 40) / _PZ_TAYLOR_TERMS):
-        return _pz_scaled_taylor(alpha, t, order)
     if t <= _PZ_SWITCH:
         acc = 0.0
         for c in reversed(_pz_series(alpha, order)):
@@ -916,20 +863,27 @@ def coefficient_head(model: JumpModel, count: int) -> list[float]:
 def eval_G(model: JumpModel, t: float, order: int = 0) -> float:
     """G^(order)(t) as an extended real; +inf outside the radius.
 
-    Closed forms carry the geometric and half_stable families (and tilts
-    reduce to their base); explicit laws are polynomial.  power_zeta sums
-    its Taylor series up to t = 3/4 and uses Jonquiere's expansion of the
-    polylogarithm above (see ``_power_zeta_G``), to about 1e-14 relative
-    for orders 0..3 and without the coefficient table; at t = 1 it uses an
-    exact zeta identity.  Higher orders sum the Taylor series, past 3/4
-    as well, to about 2e-13 relative, and in log space where its terms
-    pass the double range, as geometric laws do; the value is then +inf
-    once it passes the largest double.
+    Orders 0..2 at every t, and every order at t >= 1, where G^(k)(1)
+    gives the moments; order 3 and up below t = 1 is a ValueError.  A tilt reads
+    its base at x t, x its reweighting point, so for a tilt the limit
+    applies at x t: its orders past 2 are refused up to t = 1/x.
+
+    Closed forms carry the geometric and half_stable families; explicit
+    laws are polynomial.  power_zeta sums its Taylor series up to
+    t = 3/4 and uses Jonquiere's expansion of the polylogarithm above
+    (see ``_power_zeta_G``), to about 1e-14 relative and without the
+    coefficient table; at t = 1 it uses an exact zeta identity.
+    Geometric laws go to log space where order! or the power of 1 - q t
+    leaves the double range; the value is +inf once it passes the
+    largest double.
     """
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"evaluation point must be a finite nonnegative real, got {t!r}")
     order = _integer(order, 0, "derivative order")
+    if order > 2 and t < 1.0:
+        raise ValueError(f"eval_G answers orders 0..2 below t = 1 and every order from "
+                         f"t = 1 on, got order {order} at t = {t!r}")
     return _FAMILIES[model.family].G(model, t, order)
 
 

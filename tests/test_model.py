@@ -7,11 +7,14 @@ import pytest
 
 import repairchain as rc
 from repairchain.errors import InvalidSpec, OutOfRadius
-from repairchain.model import _PZ_SWITCH, _zeta
+from repairchain.model import _PZ_SWITCH, _hurwitz_zeta, _zeta, _zeta_terms
 
 import oracles
 
 EPS = sys.float_info.epsilon
+
+# eval_G's refusal of order 3 and up below t = 1
+ORDER_LIMIT = r"orders 0\.\.2 below t = 1"
 
 
 def test_geometric_cache_matches_closed_form():
@@ -373,20 +376,31 @@ def _geometric_G_exact(p, t, order):  # correctly rounded; inf past the doubles
 ])
 def test_eval_G_geometric_high_orders(p, t, order):
     # order! does not convert to a double past 170, and the power of
-    # 1 - q t underflows close to the radius; the value may still be finite
-    want = _geometric_G_exact(p, t, order)
-    got = rc.eval_G(rc.geometric(p), t, order)
-    if want in (0.0, math.inf):
-        assert got == want
-    else:
-        assert abs(got - want) <= 1e-12 * want
+    # 1 - q t underflows close to the radius; the value may still be finite.
+    # Below t = 1 such orders are refused, and orders 0..2 take the check
+    m = rc.geometric(p)
+    if t < 1.0:
+        with pytest.raises(ValueError, match=ORDER_LIMIT):
+            rc.eval_G(m, t, order)
+    for k in range(3) if t < 1.0 else [order]:
+        want = _geometric_G_exact(p, t, k)
+        got = rc.eval_G(m, t, k)
+        if want in (0.0, math.inf):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_eval_G_geometric_keeps_its_closed_form_bits():
+    # every order up to 170 at t = 1; below it orders 0..2, and 3.. refused
     for p in (0.25, 0.5, 0.75):
         m, q = rc.geometric(p), 1.0 - p
         for t in (0.0, 0.5, 1.0):
             for k in range(171):
+                if k > 2 and t < 1.0:
+                    with pytest.raises(ValueError, match=ORDER_LIMIT):
+                        rc.eval_G(m, t, k)
+                    continue
                 assert rc.eval_G(m, t, k) == p * math.factorial(k) * q ** k / (1.0 - q * t) ** (k + 1)
 
 
@@ -589,6 +603,27 @@ def test_zeta_pole():
     assert _zeta(1.0) == math.inf
 
 
+def test_zeta_terms_refuse_a_head_past_the_integral_start():
+    # the integral starts at 16 whatever the head: a head of 65 once read
+    # zeta(2, 65) as zeta(2, 16), 0.06449 against 0.01550
+    import mpmath as mp
+
+    with pytest.raises(ValueError, match="head 17 is above 16"):
+        _zeta_terms(2.0, 17)
+    with pytest.raises(ValueError, match="head 65"):
+        _hurwitz_zeta(2.0, 65)
+    for s in (0.5, 1.5, 2.0, 3.0 + 1e-9, 7.5, 20.0, 50.0):
+        tail = _zeta_terms(s, 16)
+        for head in range(1, 17):
+            # the exact terms below 16, then the same tail: the bits of every head
+            assert _zeta_terms(s, head) == [k ** -s for k in range(head, 16)] + tail
+        # the heads the package sums from; higher heads lose accuracy at
+        # large s, where the corrections are coarse next to head^-s
+        for head in range(1, 5):
+            want = float(mp.zeta(s, head))
+            assert _hurwitz_zeta(s, head) == pytest.approx(want, rel=6 * EPS, abs=0.0), (s, head)
+
+
 # 12.5 and 20: derivatives there lose 1e-11 and 1e-8 when the Jonquiere
 # sums keep the terms that differentiation annihilates
 PZ_ALPHAS = [2.1, 2.5, 2.6, 3.0, 3.0 + 1e-5, 3.0 - 1e-5, 3.0 + 1e-9, 3.0 - 1e-9, 4.0, 7.5,
@@ -601,36 +636,34 @@ PZ_POINTS = [0.0, 0.05, 0.3, 0.5, math.nextafter(_PZ_SWITCH, 1.0), 0.75, 0.9, 0.
 def test_eval_G_power_zeta_matches_mpmath(alpha):
     # both sides of the switch from the Taylor series to Jonquiere's
     # expansion, up to 1 - 1e-12; near-integer alpha is where the two pole
-    # terms of the expansion would cancel if summed apart
+    # terms of the expansion would cancel if summed apart; order 3 is
+    # refused below 1
     m = rc.power_zeta(alpha)
-    orders = [n for n in range(4) if n < alpha]
+    orders = [0, 1, 2]
     for t in PZ_POINTS:
         for n, want in zip(orders, oracles.power_zeta_G_mpmath(alpha, t, orders)):
             rel = 1e-14 if n == 0 else 1e-12
             assert rc.eval_G(m, t, n) == pytest.approx(want, rel=rel, abs=0.0), (t, n)
+        with pytest.raises(ValueError, match=ORDER_LIMIT):
+            rc.eval_G(m, t, 3)
 
 
 @pytest.mark.parametrize("t", [0.5, 0.9])
 def test_eval_G_power_zeta_high_orders(t):
-    # (j+n)!/j! a_(j+n) passes the double range from about n = 110, and
-    # Jonquiere's expansion cancels at such orders; the value is a double
-    # up to n = 153 at t = 0.5 and n = 120 at t = 0.9, +inf beyond
+    # orders 3 to 400 are refused below t = 1, where orders 0..2 keep
+    # mpmath's values
     m = rc.power_zeta(3.0)
-    orders = range(100, 401)
-    wants = oracles.power_zeta_G_mpmath(3.0, t, orders, dps=25)
-    assert math.isfinite(wants[0]) and wants[-1] == math.inf
-    for n, want in zip(orders, wants):
-        got = rc.eval_G(m, t, n)
-        if math.isfinite(want):
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), n
-        else:
-            assert got == math.inf, n
+    for n in range(3, 401):
+        with pytest.raises(ValueError, match=ORDER_LIMIT):
+            rc.eval_G(m, t, n)
+    for n, want in enumerate(oracles.power_zeta_G_mpmath(3.0, t, range(3))):
+        assert rc.eval_G(m, t, n) == pytest.approx(want, rel=1e-14, abs=0.0), n
 
 
 @pytest.mark.parametrize("alpha, t, order, table_error", [
     (2.1, 1.0 - 1e-9, 1, 1.7e-6),
     (2.1, 1.0 - 1e-6, 2, 2.5e-2),
-    (7.5, 0.95, 3, 2.0e-5),
+    (7.5, 0.95, 2, 2.4e-7),
 ])
 def test_eval_G_power_zeta_past_its_table(alpha, t, order, table_error):
     # the coefficient table stops at a tail mass of 1e-12 (518k terms at
@@ -667,8 +700,27 @@ def test_tilted_G_past_the_radius_is_inf_where_the_scale_underflows():
     # an order that is not integral is refused, not truncated to G''(0.5)
     (lambda: rc.eval_G(rc.geometric(0.5), 0.5, 2.7), ValueError, "order must be an integer"),
     (lambda: rc.eval_G(rc.geometric(0.5), 0.5, math.inf), ValueError, "order must be an integer"),
+    # order 3 and up below t = 1, on every family; a tilt reads its base
+    # at x t, so it refuses at its own t = 1 as well
+    (lambda: rc.eval_G(rc.explicit([0.5, 0.2, 0.3]), 0.5, 3), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.geometric(0.5), 0.5, 3), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.half_stable(), 0.5, 3), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.power_zeta(3.0), 0.5, 3), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.tilt(rc.half_stable(), 0.8), 0.5, 3), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.tilt(rc.power_zeta(3.0), 0.9), 1.0, 3), ValueError,
+     r"order 3 at t = 0\.9\b"),
+    # where Jonquiere's expansion once cancelled: -inf, -inf, a raise
+    # ("-inf + inf in fsum") and -3.6e-4
+    (lambda: rc.eval_G(rc.power_zeta(3.0), 0.9999, 60), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.power_zeta(3.0), 1.0 - 1e-6, 45), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.power_zeta(2.5), 0.999, 74), ValueError, ORDER_LIMIT),
+    (lambda: rc.eval_G(rc.power_zeta(50.0), 0.995, 46), ValueError, ORDER_LIMIT),
 ], ids=["build_model list", "exact_coefficients 0", "eval_G t=-1", "eval_G order=-1",
-        "eval_G order=2.7", "eval_G order=inf"])
+        "eval_G order=2.7", "eval_G order=inf", "eval_G explicit order=3",
+        "eval_G geometric order=3", "eval_G half_stable order=3", "eval_G power_zeta order=3",
+        "eval_G tilt order=3", "eval_G tilt order=3 at t=1",
+        "eval_G power_zeta(3) order=60", "eval_G power_zeta(3) order=45",
+        "eval_G power_zeta(2.5) order=74", "eval_G power_zeta(50) order=46"])
 def test_model_entry_points_refuse_bad_arguments(call, error, text):
     with pytest.raises(error, match=text):
         call()

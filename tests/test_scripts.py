@@ -78,7 +78,8 @@ def test_outputs_grids_in_order():
 
     outputs = _script_module("outputs")
     calls = outputs.grid()
-    assert [c[0] for c in calls] == ["cli"] * 372 + ["exact"] * 1311 + ["sampler"] * 99
+    assert [c[0] for c in calls] == (["cli"] * 372 + ["exact"] * 1311 + ["sampler"] * 99
+                                     + ["transforms"] * 110)
     # the CLI: 12 laws x 25 verb forms, then x 6 invalid forms, each of
     # which is a usage error on every law
     argvs = [json.loads(label) for _, label, _ in calls[:372]]
@@ -123,6 +124,45 @@ def test_outputs_grids_in_order():
     assert len(set(sampled[59:])) == 40  # no twin twice
     assert sampled[0][1] == "explicit a_1 = 0" and sampled[40][1] == "explicit a_1 = 0"
     assert {s[1] for s in sampled[59:]} >= {"geometric(0.5)", "half_stable()"}
+
+
+def test_outputs_transforms_grid_of_canned_laws(monkeypatch):
+    import repairchain as rc
+
+    outputs = _script_module("outputs")
+    # 16 laws, seven calls each, but no G^(j)(1) past order 2 on the two tilts
+    labels = [label for label, _ in outputs.transforms_grid(rc)]
+    assert len(set(labels)) == 110
+    assert [label for label in labels if label.startswith("eval_G tilt")] == [
+        f"eval_G {law} order={k}" for law in ("tilt(power_zeta(3), 0.9)", "tilt(half_stable, 0.8)")
+        for k in range(3)]
+    monkeypatch.setattr(outputs, "laws", lambda rc: [("geo", rc.geometric(0.25)),
+                                                     ("half", rc.half_stable())])
+    calls = outputs.transforms_grid(rc)
+    assert [label for label, _ in calls] == [
+        *(f"eval_G geo order={k}" for k in range(3)), "eval_G geo t=1 order=3,4", "psi geo",
+        "eval_F geo", "decay_params geo",
+        *(f"eval_G half order={k}" for k in range(3)), "eval_G half t=1 order=3,4", "psi half",
+        "eval_F half", "decay_params half"]
+    values = {label: json.loads(json.dumps(call())) for label, call in calls}
+    # geometric(1/4): G^(k)(t) = k! 3^k / (4 - 3t)^(k+1), and one point
+    # between 1 and the radius 4/3
+    ts = [*outputs.T_POINTS, 0.5 + 0.5 * rc.geometric(0.25).radius]
+    for k in range(3):
+        want = [math.factorial(k) * 3 ** k / (4 - 3 * t) ** (k + 1) for t in ts]
+        assert values[f"eval_G geo order={k}"] == pytest.approx(want, rel=1e-14)
+    assert values["eval_G geo t=1 order=3,4"] == [162.0, 1944.0]
+    assert values["decay_params geo"] == {"x0": 2 / 3, "R0": 4 / 3, "R1": 4 / 3,
+                                          "F_at_R1": 2 / 3, "case_label": "TransientTilt"}
+    assert values["eval_F geo"][-1] == 1 / 3  # the return probability p/q
+    assert len(values["psi geo"]) == len(outputs.H_POINTS)
+    # half_stable: radius 1, so no point above 1; G'' and up diverge at 1
+    assert len(values["eval_G half order=0"]) == len(outputs.T_POINTS)
+    assert values["eval_G half order=2"][-1] == math.inf
+    assert values["eval_G half t=1 order=3,4"] == [math.inf, math.inf]
+    assert values["decay_params half"]["case_label"] == "CriticalRadiusOne"
+    assert values["eval_F half"] == [rc.eval_F(rc.half_stable(), f)
+                                     for f in outputs.R1_FRACTIONS] + [1.0]
 
 
 def test_outputs_sampler_grid_needs_neither_scipy_nor_pytest():
