@@ -26,7 +26,12 @@ hashes are equal.  The grids, in order:
   bounded so that its 32-bit levels cannot wrap; then mc_sample's job
   list for seed 1101 (perfbench/workloads.py, at BENCHMARK.json's
   run_seconds), one call for each pair of jobs that differ only in
-  their thread count, which the package does not read (99 calls);
+  their thread count, which the package does not read; then
+  ``MULTI_CHUNK_JOBS``, four calls of 3 2^16 + 5 samples (four chunks,
+  the last of 5) on seed 17, long enough that a call splits its chunks
+  between forked processes where it has two CPUs: geometric(1/2) at cap
+  2000, half_stable at cap 1000, the transient geometric(0.495) at cap
+  2000 and the last exits of geometric(0.45) by 1000 (103 calls);
 - the transforms: for each law of the exact grid, ``eval_G`` at orders
   0, 1 and 2 at ``T_POINTS`` and, where the radius passes 1, at one
   point between 1 and the radius (2 for an infinite one); G^(j)(1) for
@@ -137,6 +142,13 @@ SAMPLES = 70_001
 WIDE_CAP, WIDE_SAMPLES = 10 ** 6, 3000
 SEED = 17
 MC_SEED = 1101
+MULTI_CHUNK_SAMPLES = 3 * (1 << 16) + 5
+MULTI_CHUNK_JOBS = (  # (sampler, law, cap or horizon)
+    ("sample_tau", {"family": "geometric", "p": 0.5}, 2000),
+    ("sample_tau", {"family": "half_stable"}, 1000),
+    ("sample_tau", {"family": "geometric", "p": 0.495}, 2000),
+    ("sample_last_exit", {"family": "geometric", "p": 0.45}, 1000),
+)
 # SimReport's fields, read by name: a report from either side of --against serializes alike
 FIELDS = ("samples", "seed", "tau_hist", "L_hist", "censored", "cap", "horizon")
 
@@ -225,14 +237,18 @@ def sampler_grid(rc) -> list:
     for name in sorted(ORACLE_LAWS):
         if rc.classify(ORACLE_LAWS[name]()) is rc.ChainClass.NULL_RECURRENT:
             jobs.append(("sample_tau", ORACLE_LAWS[name], SEED, WIDE_SAMPLES, WIDE_CAP, name))
+    def spec_job(kind, spec, seed, samples, bound):
+        law = f"{spec['family']}({', '.join(str(v) for k, v in spec.items() if k != 'family')})"
+        return kind, lambda: rc.build_model(spec), seed, samples, bound, law
+
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     for job in workloads.make_jobs("mc_sample", MC_SEED, seconds):
         if job["threads"] != 1:  # the job before it, on another thread count
             continue
-        spec = job["model"]
-        law = f"{spec['family']}({', '.join(str(v) for k, v in spec.items() if k != 'family')})"
-        jobs.append((job["kind"], lambda spec=spec: rc.build_model(spec),
-                     job["seed"], job["samples"], job.get("cap"), law))
+        jobs.append(spec_job(job["kind"], job["model"], job["seed"], job["samples"],
+                             job.get("cap")))
+    jobs += [spec_job(kind, spec, SEED, MULTI_CHUNK_SAMPLES, bound)
+             for kind, spec, bound in MULTI_CHUNK_JOBS]
 
     def sample(kind, model, seed, samples, bound):
         args = (model(), seed, samples) + (() if bound is None else (bound,))

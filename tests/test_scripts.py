@@ -78,7 +78,7 @@ def test_outputs_grids_in_order():
 
     outputs = _script_module("outputs")
     calls = outputs.grid()
-    assert [c[0] for c in calls] == (["cli"] * 372 + ["exact"] * 1311 + ["sampler"] * 99
+    assert [c[0] for c in calls] == (["cli"] * 372 + ["exact"] * 1311 + ["sampler"] * 103
                                      + ["transforms"] * 110)
     # the CLI: 12 laws x 25 verb forms, then x 6 invalid forms, each of
     # which is a usage error on every law
@@ -113,17 +113,23 @@ def test_outputs_grids_in_order():
     assert rc.decay_params(model).case_label is rc.CaseLabel.BOUNDARY_CASE
     # the samplers: 8 tau laws and 3 exit laws at 5 bounds, the 4
     # null-recurrent tau laws at cap 10^6, then one call for each of
-    # mc_sample's 40 pairs of thread twins, each named by its law
+    # mc_sample's 40 pairs of thread twins, each named by its law, then
+    # 4 calls of four chunks, long enough to fork on two CPUs
     sampled = [_sampler_label(label) for name, label, _ in calls if name == "sampler"]
     assert [s[4] for s in sampled[:5]] == ["1", "2", "3", "100", "5000"]
     assert {s[0] for s in sampled[40:55]} == {"sample_last_exit"}
     assert {(s[0], s[3], s[4]) for s in sampled[55:59]} == {("sample_tau", 3000, "1000000")}
     assert [s[1] for s in sampled[55:59]] == ["explicit a_1 = 0", "geometric(0.5)",
                                               "half_stable", "tilt(geometric(0.25), 2/3)"]
-    assert {s[3] for s in sampled[59:]} == {1 << 17}
-    assert len(set(sampled[59:])) == 40  # no twin twice
+    assert {s[3] for s in sampled[59:99]} == {1 << 17}
+    assert len(set(sampled[59:99])) == 40  # no twin twice
     assert sampled[0][1] == "explicit a_1 = 0" and sampled[40][1] == "explicit a_1 = 0"
-    assert {s[1] for s in sampled[59:]} >= {"geometric(0.5)", "half_stable()"}
+    assert {s[1] for s in sampled[59:99]} >= {"geometric(0.5)", "half_stable()"}
+    assert sampled[99:] == [
+        ("sample_tau", "geometric(0.5)", 17, 3 * (1 << 16) + 5, "2000"),
+        ("sample_tau", "half_stable()", 17, 3 * (1 << 16) + 5, "1000"),
+        ("sample_tau", "geometric(0.495)", 17, 3 * (1 << 16) + 5, "2000"),
+        ("sample_last_exit", "geometric(0.45)", 17, 3 * (1 << 16) + 5, "1000")]
 
 
 def test_outputs_transforms_grid_of_canned_laws(monkeypatch):
@@ -184,7 +190,7 @@ def test_outputs_sampler_grid_needs_neither_scipy_nor_pytest():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     labels = json.loads(proc.stdout)
-    assert len(labels) == 99
+    assert len(labels) == 103
     assert labels == [label for label, _ in _script_module("outputs").sampler_grid(rc)]
 
 

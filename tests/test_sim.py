@@ -102,7 +102,8 @@ def test_chunk_size_does_not_change_results(geo_half, geo_quarter, monkeypatch):
 
 
 def test_a_call_starts_no_thread(geo_half, geo_quarter, monkeypatch):
-    # the samplers run their chunks in turn on the calling thread
+    # the samplers run their chunks on the calling thread, and in forked
+    # processes, never on a thread: threading is read for its count alone
     import ast
     import inspect
     import threading
@@ -116,13 +117,17 @@ def test_a_call_starts_no_thread(geo_half, geo_quarter, monkeypatch):
     samples = 2 * sim._CHUNK + 1  # three chunks
     rc.sample_tau(geo_half, 1, samples, cap=100)
     rc.sample_last_exit(geo_quarter, 1, samples, horizon=100)
-    imported = set()
+    imported, imported_from, threading_uses = set(), set(), set()
     for node in ast.walk(ast.parse(inspect.getsource(sim))):
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-    assert not imported & {"threading", "concurrent.futures"}, imported
+            imported_from.add(node.module)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "threading":
+            threading_uses.add(node.attr)
+    assert not (imported | imported_from) & {"concurrent.futures", "multiprocessing"}
+    # every use of threading goes through its name, and only for the count
+    assert "threading" not in imported_from and threading_uses == {"active_count"}
 
 
 def test_sample_count_not_multiple_of_chunk(geo_half):
@@ -349,9 +354,17 @@ def _record_draws(monkeypatch, limit=10 ** 4):
     return calls
 
 
+def _one_cpu(monkeypatch):
+    """Pin the samplers to the sequential path: every chunk in the calling process."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def test_block_arrays_stay_within_a_chunk(monkeypatch):
     from repairchain import sim
 
+    _one_cpu(monkeypatch)  # the draws of a forked range are not recorded here
     calls = _record_draws(monkeypatch)
     rc.sample_tau(rc.geometric(0.5), 3, 4096, cap=5000)
     # blocks widen as paths return, but never past one chunk of draws
@@ -359,7 +372,8 @@ def test_block_arrays_stay_within_a_chunk(monkeypatch):
     assert len(calls) < 100  # far fewer blocks than the 5000 steps
     # and every block of the one chunk draws into the same three arrays
     assert len({tuple(addresses) for _, *addresses in calls}) == 1
-    # as does every block of every chunk of a call, for both samplers
+    # as does every block of every chunk that one process of a call runs,
+    # for both samplers
     samples = 2 * sim._CHUNK + 1  # three chunks
     for sample, model in ((rc.sample_tau, rc.geometric(0.5)),
                           (rc.sample_last_exit, rc.geometric(0.25))):
@@ -391,6 +405,7 @@ def test_both_running_sums_match_the_stepwise_oracle(monkeypatch):
         return recording_draw
 
     monkeypatch.setattr(sim, "_jump_draw", recording_jump_draw)
+    _one_cpu(monkeypatch)  # the short chunk's shapes are recorded only in the caller
     model = rc.geometric(0.5)
     want = oracles.stepwise_sample_tau(model, 17, 70_001, 1000)
     assert rc.sample_tau(model, 17, 70_001, 1000) == want
@@ -692,3 +707,208 @@ def test_working_set_peak(case):
     finally:
         tracemalloc.stop()
     assert peak < bound, peak
+
+
+# the forked path: a call's chunks split into contiguous ranges, the caller
+# counting the first and a forked child each of the others
+
+FORK_SAMPLES = ((1 << 16) + 1, 3 * (1 << 16) + 5)  # two chunks, and four with a short one
+
+
+def _counting_forks(monkeypatch):
+    """Count os.fork calls, which still fork; their pids, in the caller."""
+    import os
+
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _cpus(monkeypatch, count):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("kind, name", [("tau", name) for name in sorted(ORACLE_LAWS)]
+                         + [("exit", name) for name in sorted(EXIT_LAWS)])
+def test_forked_reports_are_the_sequential_ones(kind, name, monkeypatch):
+    # counter-based keys: a report does not depend on which process counts
+    # which samples.  The fork threshold is lifted so that every law forks,
+    # the short ones included; 8 CPUs is more than either call's chunks
+    from repairchain import sim
+
+    if kind == "tau":
+        model, sample, bound = ORACLE_LAWS[name](), rc.sample_tau, 1000
+    else:
+        model, sample, bound = EXIT_LAWS[name](), rc.sample_last_exit, 500
+    monkeypatch.setattr(sim, "_FORK_STEPS", 0)
+    pids = _counting_forks(monkeypatch)
+    for samples in FORK_SAMPLES:
+        chunks = -(-samples // sim._CHUNK)
+        _cpus(monkeypatch, 1)
+        want = sample(model, 29, samples, bound)
+        assert pids == []
+        for cpus in (2, 8):
+            _cpus(monkeypatch, cpus)
+            assert sample(model, 29, samples, bound) == want, (samples, cpus)
+            assert len(pids) == min(cpus, chunks) - 1, (samples, cpus)
+            pids.clear()
+
+
+def test_a_call_forks_only_where_it_pays(monkeypatch):
+    # short calls, and calls of one chunk, stay in the caller: positive-
+    # recurrent laws with few steps a path, last exits of quickly escaping
+    # laws, and one chunk of the longest.  Two chunks of a null-recurrent
+    # law at cap 1000 fork once on two CPUs
+    from repairchain import sim
+
+    pids = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    samples = 1 << 17
+    rc.sample_tau(rc.power_zeta(3.0), 1, samples, cap=10 ** 4)
+    rc.sample_tau(rc.geometric(0.6), 1, samples, cap=10 ** 4)
+    rc.sample_last_exit(rc.geometric(0.22), 1, samples)
+    rc.sample_tau(rc.geometric(0.5), 1, sim._CHUNK, cap=8000)
+    assert pids == []
+    rc.sample_tau(rc.geometric(0.5), 1, samples, cap=1000)
+    assert len(pids) == 1
+
+
+def _failing_draw(monkeypatch, where, error):
+    """Make the samplers' draws raise `error` in the caller or in its children."""
+    import os
+
+    from repairchain import sim
+
+    caller, jump_draw = os.getpid(), sim._jump_draw
+
+    def failing_jump_draw(model, ends, r):
+        draw = jump_draw(model, ends, r)
+
+        def failing_draw(words, scratch, out):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise error
+            return draw(words, scratch, out)
+
+        return failing_draw
+
+    monkeypatch.setattr(sim, "_jump_draw", failing_jump_draw)
+
+
+def _no_child_left():
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_exception_in_a_child_is_raised_in_the_caller(monkeypatch):
+    from repairchain import sim
+
+    _cpus(monkeypatch, 2)
+    pids = _counting_forks(monkeypatch)
+    _failing_draw(monkeypatch, "child", OverflowError("in a child's range"))
+    for sample, model in ((rc.sample_tau, rc.geometric(0.5)),
+                          (rc.sample_last_exit, rc.geometric(0.25))):
+        monkeypatch.setattr(sim, "_FORK_STEPS", 0)
+        with pytest.raises(OverflowError, match="in a child's range"):
+            sample(model, 1, 2 * sim._CHUNK, 100)
+        assert len(pids) == 1, sample.__name__
+        pids.clear()
+        _no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_an_exception_in_the_caller_kills_and_reaps_the_children(monkeypatch, error):
+    # the child sleeps for 20 s before its first draw; the call ends at
+    # once, with no child left
+    import time
+
+    from repairchain import sim
+
+    _cpus(monkeypatch, 2)
+    pids = _counting_forks(monkeypatch)
+    _failing_draw(monkeypatch, "caller", error("in the caller's range"))
+    jump_draw = sim._jump_draw
+
+    def sleeping_jump_draw(model, ends, r):
+        draw = jump_draw(model, ends, r)
+
+        def sleeping_draw(words, scratch, out):
+            if pids == [0]:  # in the child: its own fork returned 0
+                pids.append("slept")
+                time.sleep(20)
+            return draw(words, scratch, out)
+
+        return sleeping_draw
+
+    monkeypatch.setattr(sim, "_jump_draw", sleeping_jump_draw)
+    start = time.monotonic()
+    with pytest.raises(error, match="in the caller's range"):
+        rc.sample_tau(rc.geometric(0.5), 1, 2 * sim._CHUNK, cap=1000)
+    assert len(pids) == 1 and time.monotonic() - start < 10
+    _no_child_left()
+
+
+def test_a_second_thread_or_one_cpu_never_forks(monkeypatch):
+    import os
+    import threading
+
+    from repairchain import sim
+
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    want = oracles.stepwise_sample_tau(rc.geometric(0.5), 3, 2 * sim._CHUNK, 100)
+    _cpus(monkeypatch, 1)
+    assert rc.sample_tau(rc.geometric(0.5), 3, 2 * sim._CHUNK, cap=100) == want
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        assert rc.sample_tau(rc.geometric(0.5), 3, 2 * sim._CHUNK, cap=100) == want
+    finally:
+        release.set()
+        waiting.join(60)
+    assert not waiting.is_alive()
+
+
+def test_cli_simulate_prints_one_record_whatever_the_path(monkeypatch, capsys):
+    # a fresh CLI process on two CPUs forks once per call (counted on
+    # stderr) and prints one record, byte for byte the sequential one
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repairchain import cli
+
+    argv = ["simulate", "-m", '{"family": "geometric", "p": 0.5}', "--samples", "200000",
+            "--cap", "2000", "--seed", "5"]
+    code = ("import os, sys\n"
+            "from repairchain import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "pids, fork = [], os.fork\n"
+            "os.fork = lambda: pids.append(fork()) or pids[-1]\n"
+            "status = cli.run(sys.argv[1:])\n"
+            "print(len(pids), file=sys.stderr)\n"
+            "sys.exit(status)\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b"1\n", proc.stderr
+    _cpus(monkeypatch, 1)
+    assert cli.run(argv) == 0
+    sequential = capsys.readouterr().out.encode()
+    assert proc.stdout == sequential and sequential.count(b"\n") == 1
