@@ -10,21 +10,25 @@ blocks.
 
 A call splits its chunks of _CHUNK samples into k contiguous ranges.
 The caller counts the first range, one chunk after another on the
-calling thread, and an os.fork child each of the others; a child
-pickles its sparse histogram back through a pipe, and the caller adds
-it into its own.  k = min(the CPUs in the caller's affinity, chunks),
-where forking is safe and pays, and k = 1 elsewhere.  It is safe on
-Linux where the process has no other Python thread
+calling thread, into its own histogram, and an os.fork child each of
+the others into its row of one anonymous shared mapping, which the
+caller adds into its own.  k = min(the CPUs in the caller's affinity,
+chunks), where forking is safe and pays, and k = 1 elsewhere.  It is
+safe on Linux where the process has no other Python thread
 (threading.active_count() == 1): the child has only the forking
 thread, so a lock another thread held would stay held in it.  Threads
 that Python does not see, like OpenBLAS's pool, are not counted; the
 child makes no BLAS call.  It pays where the call has two chunks or
-more, the k histograms fit HIST_BUDGET together, and the estimated path
-steps reach _FORK_STEPS: samples r min(cap, E(tau | tau < inf)) for
-first returns, samples min(horizon, E(L)) for last exits.  A child ends
-in os._exit, and every child is reaped before the call returns; an
-exception in a child is raised again in the caller, and one in the
-caller (KeyboardInterrupt too) kills the children first.
+more, the caller's histogram and the k - 1 rows fit HIST_BUDGET
+together, and the estimated path steps reach _FORK_STEPS: samples r
+min(cap, E(tau | tau < inf)) for first returns, samples min(horizon,
+E(L)) for last exits.  A child ends in os._exit, with status 0 once
+its range is counted and 1 if anything raised, and every child is
+reaped before the call returns.  The caller counts the range of a
+child that did not exit with status 0 again itself, which the keys
+make the same counts, so a range that fails in every process raises
+its exception in the caller.  An exception in the caller
+(KeyboardInterrupt too) kills the children first.
 
 A call reads r = F(1), the return probability, once.  On a transient law
 (r < 1) paths walk the chain conditioned to return, the tilt at r, where
@@ -86,8 +90,8 @@ coefficient built.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -96,7 +100,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotTransient
-from .model import (_FAMILIES, ChainClass, JumpModel, _integer, _table_size, classify,
+from .model import (ChainClass, JumpModel, _integer, _table_size, classify, eval_G,
                     exact_coefficients)
 from .return_time import eval_F
 
@@ -109,7 +113,8 @@ _CHUNK = 1 << 16  # fixed work unit: bounds the working set
 # estimates that are off
 _FORK_STEPS = 1 << 22
 
-# ceiling on the histogram of one sampling call, in bytes
+# ceiling on the histograms of one sampling call, in bytes: the caller's
+# and its children's rows together
 HIST_BUDGET = 1 << 27
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -237,51 +242,23 @@ def _run_size(samples: int, bound: int, name: str) -> tuple[int, int]:
 
 def _mean_return(model: JumpModel, r: float) -> float:
     """E(tau | tau < inf) = 1 / (1 - G'(r)), G'(1) = mu; +inf on a null-recurrent law."""
-    slope = model.mu if r == 1.0 else _FAMILIES[model.family].G(model, r, 1)
+    slope = model.mu if r == 1.0 else eval_G(model, r, 1)
     return 1.0 / (1.0 - slope) if slope < 1.0 else math.inf
 
 
 def _processes(chunks: int, size: int, steps: float) -> int:
     """How many processes run a call's chunks (module doc): 1 where a fork is unsafe or costs."""
-    if (sys.platform != "linux" or threading.active_count() > 1 or chunks < 2
-            or steps < _FORK_STEPS):
+    if sys.platform != "linux" or threading.active_count() > 1 or steps < _FORK_STEPS:
         return 1
     k = min(len(os.sched_getaffinity(0)), chunks)
     return k if k * size * 8 <= HIST_BUDGET else 1
 
 
-def _count(new_worker, lo: int, hi: int, size: int) -> np.ndarray:
-    """A histogram of `size` bins of samples lo .. hi - 1, one chunk after another."""
-    counts = np.zeros(size, dtype=np.int64)
+def _count(new_worker, lo: int, hi: int, counts: np.ndarray) -> None:
+    """Add samples lo .. hi - 1 into the histogram counts, one chunk after another."""
     worker = new_worker()
     for start in range(lo, hi, _CHUNK):
         worker(start, min(start + _CHUNK, hi), counts)
-    return counts
-
-
-def _fork(new_worker, lo: int, hi: int, size: int):
-    """A child that counts samples lo .. hi - 1: its pid and the read end of its pipe.
-
-    The child pickles its sparse histogram, (bins, counts), or the
-    exception it raised, into the pipe, and ends in os._exit: no stdio
-    buffer is flushed twice and no atexit hook runs.
-    """
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
-    try:
-        with os.fdopen(write, "wb") as pipe:
-            try:
-                counts = _count(new_worker, lo, hi, size)
-                bins = np.flatnonzero(counts)
-                result = bins, counts[bins]
-            except BaseException as exc:  # raised again in the caller
-                result = exc
-            pickle.dump(result, pipe)
-    finally:
-        os._exit(0)
 
 
 def _run_chunks(new_worker, samples: int, size: int, steps: float) -> dict:
@@ -290,38 +267,41 @@ def _run_chunks(new_worker, samples: int, size: int, steps: float) -> dict:
     A worker(lo, hi, counts) adds samples lo .. hi - 1, at most one chunk,
     into counts, a histogram of `size` bins.  The chunks are split into k
     contiguous ranges (_processes, from the estimated path `steps`): the
-    caller counts the first, and a forked child each of the others, whose
-    counts the caller adds into its own.  Every child is reaped before
-    this returns; on an exception in the caller, it is killed first.
+    caller counts the first into its own histogram, and a forked child
+    each of the others into its row of one shared mapping.  Every child is
+    reaped before this returns, and killed first on an exception in the
+    caller.  The caller adds in the row of each child that exited with
+    status 0 and counts the range of any other again itself.
     """
     chunks = -(-samples // _CHUNK)
     k = _processes(chunks, size, steps)
     cuts = [i * chunks // k * _CHUNK for i in range(k)] + [samples]
-    children, status = {}, {}  # pid: the read end of its pipe, and its wait status
+    counts = np.zeros(size, dtype=np.int64)
+    if k > 1:  # the children's rows, shared pages that a fork does not copy
+        rows = np.frombuffer(mmap.mmap(-1, (k - 1) * size * 8), dtype=np.int64).reshape(k - 1, -1)
+    children = {}  # pid: its row
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            pid, pipe = _fork(new_worker, lo, hi, size)
-            children[pid] = pipe
-        counts = _count(new_worker, 0, cuts[1], size)
-        sent = {pid: pipe.read() for pid, pipe in children.items()}
+        for row, (lo, hi) in enumerate(zip(cuts[1:-1], cuts[2:])):
+            pid = os.fork()
+            if not pid:  # the child: os._exit, so no stdio flush twice and no atexit hook
+                try:
+                    _count(new_worker, lo, hi, rows[row])
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = row
+        _count(new_worker, 0, cuts[1], counts)
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            status[pid] = os.waitpid(pid, 0)[1]
-    for pid, data in sent.items():
-        try:
-            result = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"sampling process {pid} sent no histogram (wait status "
-                               f"{status[pid]})") from None
-        if isinstance(result, BaseException):
-            raise result
-        bins, hits = result
-        counts[bins] += hits
+        status = {pid: os.waitpid(pid, 0)[1] for pid in children}
+    for pid, row in children.items():
+        if status[pid] == 0:
+            counts += rows[row]
+        else:  # the same keys: the same counts
+            _count(new_worker, cuts[row + 1], cuts[row + 2], counts)
     bins = np.nonzero(counts)[0]
     return dict(zip(bins.tolist(), counts[bins].tolist()))
 

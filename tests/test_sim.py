@@ -736,6 +736,23 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _caller_ranges(monkeypatch):
+    """The ranges (lo, hi) that the caller, not a child, passes to sim._count."""
+    import os
+
+    from repairchain import sim
+
+    caller, count, ranges = os.getpid(), sim._count, []
+
+    def recording_count(new_worker, lo, hi, counts):
+        if os.getpid() == caller:
+            ranges.append((lo, hi))
+        return count(new_worker, lo, hi, counts)
+
+    monkeypatch.setattr(sim, "_count", recording_count)
+    return ranges
+
+
 @pytest.mark.parametrize("kind, name", [("tau", name) for name in sorted(ORACLE_LAWS)]
                          + [("exit", name) for name in sorted(EXIT_LAWS)])
 def test_forked_reports_are_the_sequential_ones(kind, name, monkeypatch):
@@ -750,15 +767,20 @@ def test_forked_reports_are_the_sequential_ones(kind, name, monkeypatch):
         model, sample, bound = EXIT_LAWS[name](), rc.sample_last_exit, 500
     monkeypatch.setattr(sim, "_FORK_STEPS", 0)
     pids = _counting_forks(monkeypatch)
+    ranges = _caller_ranges(monkeypatch)
     for samples in FORK_SAMPLES:
         chunks = -(-samples // sim._CHUNK)
         _cpus(monkeypatch, 1)
         want = sample(model, 29, samples, bound)
         assert pids == []
         for cpus in (2, 8):
+            k = min(cpus, chunks)
+            ranges.clear()
             _cpus(monkeypatch, cpus)
             assert sample(model, 29, samples, bound) == want, (samples, cpus)
-            assert len(pids) == min(cpus, chunks) - 1, (samples, cpus)
+            assert len(pids) == k - 1, (samples, cpus)
+            # the caller counted its own range only: every child's row was added in
+            assert ranges == [(0, chunks // k * sim._CHUNK)], (samples, cpus)
             pids.clear()
 
 
@@ -781,9 +803,14 @@ def test_a_call_forks_only_where_it_pays(monkeypatch):
     assert len(pids) == 1
 
 
-def _failing_draw(monkeypatch, where, error):
-    """Make the samplers' draws raise `error` in the caller or in its children."""
+def _failing_draw(monkeypatch, where, error, when=lambda: True):
+    """Make the samplers' draws raise `error` in the caller, in its children or in both.
+
+    In the caller a draw fails only while when() holds; an `error` of
+    None makes a child SIGKILL itself in place of raising.
+    """
     import os
+    import signal
 
     from repairchain import sim
 
@@ -793,7 +820,10 @@ def _failing_draw(monkeypatch, where, error):
         draw = jump_draw(model, ends, r)
 
         def failing_draw(words, scratch, out):
-            if (os.getpid() == caller) == (where == "caller"):
+            in_caller = os.getpid() == caller
+            if in_caller and where != "child" and when() or not in_caller and where != "caller":
+                if error is None:
+                    os.kill(os.getpid(), signal.SIGKILL)
                 raise error
             return draw(words, scratch, out)
 
@@ -809,20 +839,69 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_an_exception_in_a_child_is_raised_in_the_caller(monkeypatch):
+@pytest.mark.parametrize("failure", ["raises", "sigkill"])
+def test_a_failed_child_range_is_counted_again_in_the_caller(monkeypatch, failure):
+    # a child whose draw raises, or which is killed, exits with a status
+    # other than 0; the caller counts its range again, and the keys make
+    # that the one-CPU report
     from repairchain import sim
 
+    monkeypatch.setattr(sim, "_FORK_STEPS", 0)
+    samples = 2 * sim._CHUNK
+    cases = ((rc.sample_tau, rc.geometric(0.5)), (rc.sample_last_exit, rc.geometric(0.25)))
+    _cpus(monkeypatch, 1)
+    wants = [sample(model, 1, samples, 100) for sample, model in cases]
     _cpus(monkeypatch, 2)
     pids = _counting_forks(monkeypatch)
-    _failing_draw(monkeypatch, "child", OverflowError("in a child's range"))
+    ranges = _caller_ranges(monkeypatch)
+    _failing_draw(monkeypatch, "child",
+                  OverflowError("in a child's range") if failure == "raises" else None)
+    for (sample, model), want in zip(cases, wants):
+        assert sample(model, 1, samples, 100) == want, sample.__name__
+        assert len(pids) == 1 and ranges == [(0, sim._CHUNK), (sim._CHUNK, samples)]
+        pids.clear()
+        ranges.clear()
+        _no_child_left()
+
+
+@pytest.mark.parametrize("where", ["everywhere", "on_recount"])
+def test_a_range_that_fails_in_every_process_raises_in_the_caller(monkeypatch, where):
+    # a draw that raises in every process, the caller's own range first, or
+    # one that raises on the child's range both in the child and in the
+    # caller's count of it again: the caller raises the draw's exception
+    from repairchain import sim
+
+    monkeypatch.setattr(sim, "_FORK_STEPS", 0)
+    _cpus(monkeypatch, 2)
+    pids = _counting_forks(monkeypatch)
+    ranges = _caller_ranges(monkeypatch)
+    _failing_draw(monkeypatch, "both", OverflowError("in every process"),
+                  when=lambda: where == "everywhere" or ranges[-1][0] > 0)
     for sample, model in ((rc.sample_tau, rc.geometric(0.5)),
                           (rc.sample_last_exit, rc.geometric(0.25))):
-        monkeypatch.setattr(sim, "_FORK_STEPS", 0)
-        with pytest.raises(OverflowError, match="in a child's range"):
+        with pytest.raises(OverflowError, match="in every process"):
             sample(model, 1, 2 * sim._CHUNK, 100)
         assert len(pids) == 1, sample.__name__
+        assert len(ranges) == (1 if where == "everywhere" else 2), sample.__name__
         pids.clear()
+        ranges.clear()
         _no_child_left()
+
+
+def test_a_call_whose_rows_pass_the_budget_forks_nothing(monkeypatch):
+    # two CPUs, but the caller's histogram and one child's row would pass
+    # HIST_BUDGET: a three-chunk call stays in the caller
+    from repairchain import sim
+
+    cap, samples = 100, 2 * sim._CHUNK + 1
+    monkeypatch.setattr(sim, "_FORK_STEPS", 0)
+    _cpus(monkeypatch, 1)
+    want = rc.sample_tau(rc.geometric(0.5), 5, samples, cap=cap)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(sim, "HIST_BUDGET", 3 * (cap + 1) * 8 // 2)
+    pids = _counting_forks(monkeypatch)
+    assert rc.sample_tau(rc.geometric(0.5), 5, samples, cap=cap) == want
+    assert pids == []
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
